@@ -111,12 +111,6 @@ class HomogeneousBasis:
         coeffs = linalg.matvec(self._expansion_inverse, vec)
         return coeffs[:-1], coeffs[-1]
 
-    def expand_traceless(self, mat: GradedMatrix) -> List[Scalar]:
-        coeffs, unit = self.expand(mat)
-        if unit:
-            raise ValueError("matrix has a unit component")
-        return coeffs
-
 
 def _diagonal(n: int, m: int, values) -> GradedMatrix:
     k = n + m

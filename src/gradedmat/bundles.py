@@ -75,22 +75,12 @@ def identity_form_matrix(sc: StructureConstants, size: int) -> FormMatrix:
     return out
 
 
-def grid_to_form_matrix(
-    sc: StructureConstants, grid: Sequence[Sequence[GradedMatrix]]
-) -> FormMatrix:
-    return [[GradedForm.from_matrix(sc, e) for e in row] for row in grid]
-
-
 def fm_add(a: FormMatrix, b: FormMatrix) -> FormMatrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def fm_sub(a: FormMatrix, b: FormMatrix) -> FormMatrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def fm_scale(a: FormMatrix, s) -> FormMatrix:
-    return [[x.scale(s) for x in row] for row in a]
 
 
 def fm_is_zero(a: FormMatrix) -> bool:
@@ -227,14 +217,6 @@ class Connection:
         lhs = fm_wedge(fm_wedge(self.idempotent, fm_d(sc, r)), self.idempotent)
         rhs = fm_sub(fm_wedge(self.alpha, r), fm_wedge(r, self.alpha))
         return fm_is_zero(fm_sub(lhs, rhs))
-
-
-def curvature_forms(conn: Connection) -> FormMatrix:
-    return conn.curvature()
-
-
-def bianchi_check(conn: Connection) -> bool:
-    return conn.bianchi_holds()
 
 
 def connection_difference_is_corner(a: Connection, b: Connection) -> bool:

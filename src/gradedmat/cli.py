@@ -3,8 +3,8 @@
 Every command emits one report, as JSON (default) or CSV, to --out or
 stdout.  Fixed flags and an unchanged source tree give byte-identical
 bytes; the build identifier ties a report to the sources that made it.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 degree
-cap exceeded.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
+cap exceeded (the degree cap, or the size of a dense modular rank check).
 """
 from __future__ import annotations
 
@@ -25,7 +25,12 @@ from .bundles import (
     rho_is_flat,
     rho_map_injective,
 )
-from .cohomology import DEFAULT_DEGREE_CAP, DegreeCapExceeded, differential_matrix
+from .cohomology import (
+    DEFAULT_DEGREE_CAP,
+    DegreeCapExceeded,
+    DenseCheckTooLarge,
+    differential_matrix,
+)
 from .constants import StructureConstants, constants_for, verify_appendix
 from .forms import (
     DerivationVector,
@@ -511,6 +516,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    if args.max_degree < 0:
+        raise ValueError(f"--max-degree must be nonnegative, got {args.max_degree}")
     sc = constants_for(args.n, args.m)
     degrees = []
     betti = []
@@ -519,7 +526,7 @@ def cmd_cohomology(args) -> int:
     for p in range(args.max_degree + 1):
         try:
             data = differential_matrix(sc, p, max_degree=DEFAULT_DEGREE_CAP)
-        except DegreeCapExceeded as exc:
+        except (DegreeCapExceeded, DenseCheckTooLarge) as exc:
             capped = str(exc)
             break
         b = data.kernel_dim() - prev_rank

@@ -18,21 +18,36 @@ from typing import Dict, List, Sequence, Tuple
 from . import linalg
 from .basis import body_adapted_basis
 from .constants import StructureConstants, compute_constants, constants_for
-from .forms import (
-    DerivationVector, GradedForm, exterior_derivative,
-)
+from .forms import DerivationVector, GradedForm
 from .formspace import (
-    Label, LinearMapMatrix, basis_form, form_basis_labels, form_to_sparse,
-    matrix_of_map,
+    Label, LinearMapMatrix, basis_form, d_matrix, form_basis_labels,
+    form_to_sparse,
 )
+from .indexset import index_count
 from .matrices import GradedMatrix, body, embed_body
 from .scalars import Scalar
 
 DEFAULT_DEGREE_CAP = 4
 
+# Largest dense int64 array the modular rank check of one differential may
+# allocate (``linalg.modular_rank``), estimated before the matrix is built.
+DENSE_CHECK_BYTES_CAP = 512 * 2**20
+
 
 class DegreeCapExceeded(Exception):
     """Raised when a computation would build forms above the degree cap."""
+
+
+class DenseCheckTooLarge(Exception):
+    """Raised when the modular check of d_p would need too large a dense array."""
+
+
+def dense_check_bytes(sc: StructureConstants, p: int) -> int:
+    """Upper bound on the bytes of the modular rank check's array for d_p."""
+    units = (sc.n + sc.m) ** 2
+    rows = index_count(sc.even_dim, sc.odd_dim, p + 1) * units
+    cols = index_count(sc.even_dim, sc.odd_dim, p) * units
+    return rows * cols * 8
 
 
 @dataclass
@@ -59,7 +74,10 @@ def differential_matrix(
 ) -> ChainDegreeData:
     """The matrix of d_p: degree p to degree p+1, in the label bases.
 
-    Built once per constants object and kept in ``sc.cache``.
+    Written by the sparse column kernel ``formspace.d_matrix``, built once
+    per constants object and kept in ``sc.cache``.  Refused up front when
+    the modular cross-check of its rank would allocate more than
+    ``DENSE_CHECK_BYTES_CAP``.
     """
     if p < 0:
         raise ValueError("degree must be nonnegative")
@@ -67,10 +85,16 @@ def differential_matrix(
         raise DegreeCapExceeded(
             f"d at degree {p} needs degree-{p + 1} forms, cap is {max_degree}"
         )
+    need = dense_check_bytes(sc, p)
+    if need > DENSE_CHECK_BYTES_CAP:
+        raise DenseCheckTooLarge(
+            f"the modular rank check of d at degree {p} needs a dense array "
+            f"of {need} bytes, cap is {DENSE_CHECK_BYTES_CAP}"
+        )
     key = ("differential", p)
     got = sc.cache.get(key)
     if got is None:
-        mat = matrix_of_map(lambda w: exterior_derivative(sc, w), sc, p, p + 1)
+        mat = d_matrix(sc, p)
         got = ChainDegreeData(p, list(mat.in_labels), mat)
         sc.cache[key] = got
     return got

@@ -261,17 +261,6 @@ class GradedForm:
             return 1
         return None
 
-    def is_center_valued(self) -> bool:
-        for mat in self.coeffs.values():
-            lead = mat.entries[0][0]
-            k = mat.size
-            for i in range(k):
-                for j in range(k):
-                    want = lead if i == j else ZERO
-                    if mat.entries[i][j] != want:
-                        return False
-        return True
-
     def __repr__(self):
         return (
             f"GradedForm(degree={self.degree}, keys={sorted(self.coeffs)[:4]}"
@@ -553,34 +542,41 @@ def exterior_derivative_generators(
     ``exterior_derivative`` identically; the tests enforce it.
     """
     p = form.degree
+    ne = form.n_even
     acc: Dict[IndexTuple, GradedMatrix] = {}
 
-    def push(key_raw: IndexTuple, mat: GradedMatrix):
-        canon = canonicalize(key_raw, form.n_even)
-        if canon is None or mat.is_zero():
+    def push(key: IndexTuple, mat: GradedMatrix):
+        if mat.is_zero():
             return
-        key, sign = canon
-        add = mat.scale(sign)
         cur = acc.get(key)
-        acc[key] = add if cur is None else cur + add
+        acc[key] = mat if cur is None else cur + mat
 
     half = Scalar(Fraction(1, 2))
     for key, mat in form.coeffs.items():
         coeffs, _unit = sc.expand(mat)
+        # theta^b moved in front of theta^I: the same for every a
+        moved = [canonicalize((b,) + key, ne) for b in range(sc.dim)]
         for a, mu in enumerate(coeffs):
             if not mu:
                 continue
             for b in range(sc.dim):
+                canon = moved[b]
+                if canon is None:
+                    continue
+                newkey, sign = canon
                 for cc, v in sc.c_row(a, b).items():
-                    push((b,) + key, sc.basis.elements[cc].scale(-(mu * v)))
+                    push(newkey, sc.basis.elements[cc].scale(-(mu * v) * sign))
         for j in range(p):
             sign_j = -1 if j % 2 else 1
             for (b, cc), row in sc.c.items():
                 v = row.get(key[j])
                 if v is None:
                     continue
-                newkey = key[:j] + (cc, b) + key[j + 1:]
-                push(newkey, mat.scale(half * v * sign_j))
+                canon = canonicalize(key[:j] + (cc, b) + key[j + 1:], ne)
+                if canon is None:
+                    continue
+                newkey, sign = canon
+                push(newkey, mat.scale(half * v * (sign_j * sign)))
     return GradedForm(form.n, form.m, form.n_even, form.m_odd, p + 1, acc)
 
 

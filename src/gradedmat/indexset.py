@@ -137,9 +137,4 @@ def self_evaluation_factor(indices: Sequence[int], n_even: int) -> int:
 
 def extraction_prefactor(indices: Sequence[int], n_even: int) -> Fraction:
     """Factor turning the raw value on a canonical tuple into a coefficient."""
-    podd = sum(1 for i in indices if i >= n_even)
-    sign = -1 if (podd * (podd - 1) // 2) % 2 else 1
-    prod = 1
-    for mult in multiplicities(indices):
-        prod *= factorial(mult)
-    return Fraction(sign, prod)
+    return Fraction(1, self_evaluation_factor(indices, n_even))

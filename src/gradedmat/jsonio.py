@@ -13,20 +13,11 @@ import json
 from typing import List, Sequence
 
 from .constants import StructureConstants
-from .forms import GradedForm
 from .matrices import GradedMatrix
 
 
 def matrix_rows(mat: GradedMatrix) -> List[List[str]]:
     return [[str(v) for v in row] for row in mat.entries]
-
-
-def form_obj(form: GradedForm) -> dict:
-    terms = [
-        {"indices": list(key), "matrix": matrix_rows(form.coeffs[key])}
-        for key in sorted(form.coeffs)
-    ]
-    return {"degree": form.degree, "terms": terms}
 
 
 def _tensor_triples(tensor) -> List[list]:

@@ -32,9 +32,6 @@ class VerificationReport:
         self.checks.append(res)
         return res
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

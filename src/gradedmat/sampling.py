@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .constants import StructureConstants
-from .forms import DerivationVector, GradedForm
+from .forms import GradedForm
 from .indexset import enumerate_multi_indices, tuple_parity
 from .matrices import GradedMatrix
 from .scalars import Scalar
@@ -55,18 +55,6 @@ def random_form(
             mat = ev if need == 0 else od
         coeffs[key] = mat
     return GradedForm.of(sc, degree, coeffs)
-
-
-def random_derivation(
-    rng: random.Random, sc: StructureConstants, parity: Optional[int] = None
-) -> DerivationVector:
-    coords = []
-    for a in range(sc.dim):
-        if parity is not None and sc.parity(a) != parity:
-            coords.append(Scalar.of(0))
-        else:
-            coords.append(random_scalar(rng, 2))
-    return DerivationVector(sc.even_dim, sc.odd_dim, tuple(coords))
 
 
 def random_even_invertible(

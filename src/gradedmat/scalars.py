@@ -124,9 +124,6 @@ class Scalar:
     def __pos__(self):
         return self
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
     # ---- comparison / hashing ----------------------------------------
 
     def __eq__(self, other):
@@ -145,9 +142,6 @@ class Scalar:
         return self is not ZERO
 
     # ---- properties ---------------------------------------------------
-
-    def is_rational(self) -> bool:
-        return self.im == 0
 
     def as_fraction(self) -> Fraction:
         if self.im:

@@ -23,10 +23,10 @@ from . import linalg
 from .constants import StructureConstants
 from .forms import (
     DerivationVector, GradedForm, canonical_one_form, evaluate,
-    exterior_derivative, interior_product, lie_derivative,
+    exterior_derivative, interior_product,
 )
 from .formspace import (
-    form_basis_labels, form_to_sparse, matrix_of_map, stack_maps,
+    d_matrix, form_basis_labels, form_to_sparse, lie_matrix, stack_maps,
     vector_to_form,
 )
 from .matrices import GradedMatrix
@@ -71,10 +71,6 @@ class SymplecticForm:
         self.sc = sc
         self.form = form
         self._system = _trusted
-
-    @property
-    def _rows(self):
-        return self._system[0]
 
     def hamiltonian_field(self, mat: GradedMatrix) -> DerivationVector:
         """The unique derivation with  iota_D omega = -dM."""
@@ -166,16 +162,8 @@ def closed_invariant_even_two_forms(sc: StructureConstants) -> List[GradedForm]:
     Every symplectic structure lies in this space, since it is invariant
     under its own Hamiltonian fields and those exhaust the derivations.
     """
-    d_map = matrix_of_map(
-        lambda w: exterior_derivative(sc, w), sc, 2, 3, in_parity=0
-    )
-    lie_maps = [
-        matrix_of_map(
-            lambda w, a=a: lie_derivative(sc, DerivationVector.basis(sc, a), w),
-            sc, 2, 2, in_parity=0,
-        )
-        for a in range(sc.dim)
-    ]
+    d_map = d_matrix(sc, 2, parity=0)
+    lie_maps = [lie_matrix(sc, a, 2, parity=0) for a in range(sc.dim)]
     stacked = stack_maps([d_map] + lie_maps)
     kernel = stacked.kernel()
     labels = d_map.in_labels

@@ -90,11 +90,13 @@ def test_criterion_2_cartan_calculus(sc21):
     dim = sc21.dim
 
     # d squares to zero on every theta-monomial basis form of degree <= 3.
-    # The generator route carries the full sweep; the values route covers
-    # the same ground completely through degree 2 (as the composite of the
-    # cached differential matrices) plus seeded degree-3 monomials, and
-    # seeded degree-4 monomials pin the routes against each other at the
-    # one degree where only the sweep's inner step runs.
+    # The generator route carries the full sweep.  The cached differential
+    # matrices are the column kernel's (formspace.d_matrix); their
+    # composites cover the same ground completely through degree 2, and
+    # criterion 3 ties every one of their columns to the values route.
+    # Seeded degree-3 columns are then checked by the values route at
+    # degree 4, and seeded degree-4 monomials pin the two routes against
+    # each other at the one degree where only the sweep's inner step runs.
     for p in range(0, 4):
         for lab in form_basis_labels(sc21, p):
             w = basis_form(sc21, lab)
@@ -236,6 +238,10 @@ def test_criterion_2_cartan_calculus(sc21):
 def test_criterion_3_derivative_route_agreement(sc21, sc20):
     t0 = time.monotonic()
     failures = []
+    routes = (
+        ("values", exterior_derivative),
+        ("generators", exterior_derivative_generators),
+    )
     for sc in (sc21, sc20):
         for p in range(0, 4):
             data = differential_matrix(sc, p)
@@ -243,14 +249,16 @@ def test_criterion_3_derivative_route_agreement(sc21, sc20):
                 lab: i for i, lab in enumerate(data.matrix.out_labels)
             }
             for j, lab in enumerate(data.labels):
-                got = form_to_sparse(
-                    exterior_derivative_generators(sc, basis_form(sc, lab)),
-                    out_index,
-                )
-                if got != data.matrix.columns[j]:
-                    failures.append(f"({sc.n}|{sc.m}) p={p} label {lab}")
-    conclude(3, "values and generator derivative routes agree on all "
-                "basis forms through degree 3", failures, t0, 120)
+                w = basis_form(sc, lab)
+                for name, route in routes:
+                    got = form_to_sparse(route(sc, w), out_index)
+                    if got != data.matrix.columns[j]:
+                        failures.append(
+                            f"({sc.n}|{sc.m}) p={p} label {lab}: {name} route"
+                        )
+    conclude(3, "differential matrix columns equal the values and generator "
+                "derivative routes on all basis forms through degree 3",
+             failures, t0, 120)
 
 
 def test_criterion_4_canonical_form_suite(sc21, sc31):

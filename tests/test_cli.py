@@ -92,6 +92,24 @@ def test_cohomology_degree_cap_gives_partial_report():
     assert len(obj["degrees"]) == 4
 
 
+def test_negative_max_degree_is_usage_error():
+    proc = run_cli("cohomology", "--n", "2", "--m", "0", "--max-degree", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "gradedmat cohomology: --max-degree must be nonnegative, got -1"
+    ]
+
+
+def test_cohomology_refuses_oversized_dense_check_with_partial_report():
+    proc = run_cli("cohomology", "--n", "3", "--m", "1", "--max-degree", "3")
+    assert proc.returncode == 3
+    obj = json.loads(proc.stdout)
+    assert "dense array" in obj["cap_exceeded"]
+    assert obj["betti"] == [1, 0, 0]
+    assert [d["dim"] for d in obj["degrees"]] == [16, 240, 1776]
+
+
 def test_sign_flip_hook_is_caught():
     proc = run_cli("verify", "--n", "2", "--m", "1", "--seed", "0",
                    "--flip-commutation-sign")

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from gradedmat import cohomology
 from gradedmat.cohomology import (
+    DENSE_CHECK_BYTES_CAP,
     DegreeCapExceeded,
+    DenseCheckTooLarge,
     betti_numbers,
     body_h_map_injective,
     body_map_forms,
@@ -11,6 +14,7 @@ from gradedmat.cohomology import (
     body_vector_field,
     ce_oracle,
     cocycle_representatives,
+    dense_check_bytes,
     differential_matrix,
     embed_vector_field,
     ensure_body_adapted,
@@ -54,6 +58,13 @@ def test_betti_numbers_match_classical_oracle(sc21, sc20):
     assert betti_numbers(sc20, 3) == want
 
 
+def test_even_only_complex_matches_sl3_oracle(sc30):
+    # at (n|0) the complex is the one of Dubois-Violette, Kerner and Madore
+    want = ce_oracle(ordinary_sl_basis(3), 3)
+    assert want == [1, 0, 0, 1]
+    assert betti_numbers(sc30, 3) == want
+
+
 def test_oracle_frozen_values():
     sl2 = ordinary_sl_basis(2)
     assert ce_oracle(sl2, 3) == [1, 0, 0, 1]
@@ -72,6 +83,21 @@ def test_degree_cap_is_enforced(sc21):
         betti_numbers(sc21, 4)
     with pytest.raises(ValueError):
         differential_matrix(sc21, -1)
+
+
+def test_oversized_dense_check_is_refused_up_front(sc21, sc31, monkeypatch):
+    assert dense_check_bytes(sc21, 3) == 1728 * 792 * 8
+    assert dense_check_bytes(sc31, 2) == 8720 * 1776 * 8 <= DENSE_CHECK_BYTES_CAP
+    assert dense_check_bytes(sc31, 3) == 32256 * 8720 * 8 > DENSE_CHECK_BYTES_CAP
+    with pytest.raises(DenseCheckTooLarge):
+        differential_matrix(sc31, 3)
+    assert ("differential", 3) not in sc31.cache
+    limit = dense_check_bytes(sc21, 3)
+    monkeypatch.setattr(cohomology, "DENSE_CHECK_BYTES_CAP", limit)
+    assert differential_matrix(sc21, 3).dim == 792
+    monkeypatch.setattr(cohomology, "DENSE_CHECK_BYTES_CAP", limit - 1)
+    with pytest.raises(DenseCheckTooLarge):
+        differential_matrix(sc21, 3)
 
 
 def test_caches_belong_to_their_constants(sc20, sc30):

@@ -1,13 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradedmat import cohomology, forms, formspace, symplectic
+from gradedmat.constants import constants_for
 from gradedmat.formspace import (
     LinearMapMatrix,
     basis_form,
+    d_matrix,
     form_basis_labels,
     form_to_sparse,
     invariant_forms,
+    lie_matrix,
     matrix_of_map,
     stack_maps,
     vector_to_form,
@@ -110,3 +116,89 @@ def test_invariant_one_forms_span_the_canonical_form(sc21):
     ratio = inv_even[0].coefficient(key).entries[r][c] / th.coeffs[key].entries[r][c]
     assert inv_even[0] == th.scale(ratio)
     assert invariant_forms(sc21, 1, parity=1) == []
+
+
+# ---- the sparse column kernel against the form-level routes -----------
+#
+# Each drawn column is compared with the column ``matrix_of_map`` builds
+# for the same label: the image of the basis form under the values-route
+# map, read off in the output label order.  Kernel matrices are memoized
+# per module, so each is built once however many labels are drawn.
+
+
+@pytest.fixture(scope="module")
+def kernel_memo():
+    memo = {}
+
+    def get(key, build):
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = build()
+        return got
+
+    return get
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_d_matrix_columns_match_values_route(
+    sc21, sc12, sc31, sc20, kernel_memo, data
+):
+    parity = data.draw(st.sampled_from([None, 0, 1]), label="parity")
+    for sc in (sc21, sc12, sc31, sc20):
+        for p in range(4):
+            mat = kernel_memo(
+                ("d", sc.n, sc.m, p, parity),
+                lambda: d_matrix(sc, p, parity=parity),
+            )
+            assert mat.in_labels == form_basis_labels(sc, p, parity=parity)
+            assert mat.out_labels == form_basis_labels(sc, p + 1)
+            if not mat.ncols:
+                continue
+            j = data.draw(st.integers(0, mat.ncols - 1),
+                          label=f"({sc.n}|{sc.m}) p={p} column")
+            out_index = {lab: i for i, lab in enumerate(mat.out_labels)}
+            w = basis_form(sc, mat.in_labels[j])
+            want = form_to_sparse(exterior_derivative(sc, w), out_index)
+            assert mat.columns[j] == want, (sc.n, sc.m, mat.in_labels[j])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_lie_matrix_columns_match_values_route(sc21, kernel_memo, data):
+    p, parity = data.draw(st.sampled_from([(1, None), (2, 0)]), label="degree")
+    labels = form_basis_labels(sc21, p, parity=parity)
+    j = data.draw(st.integers(0, len(labels) - 1), label="column")
+    w = basis_form(sc21, labels[j])
+    out_index = {lab: i for i, lab in enumerate(form_basis_labels(sc21, p))}
+    for a in range(sc21.dim):
+        mat = kernel_memo(
+            ("lie", a, p, parity), lambda: lie_matrix(sc21, a, p, parity=parity)
+        )
+        assert mat.in_labels == labels
+        want = lie_derivative(sc21, DerivationVector.basis(sc21, a), w)
+        assert mat.columns[j] == form_to_sparse(want, out_index), (a, labels[j])
+
+
+def test_kernel_callers_skip_the_form_level_routes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("form-level route called")
+
+    for mod in (forms, formspace, cohomology, symplectic):
+        for name in ("exterior_derivative", "exterior_derivative_generators",
+                     "lie_derivative", "matrix_of_map"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    sc = constants_for(2, 1)
+    assert cohomology.differential_matrix(sc, 2).matrix.ncols == 288
+    assert len(invariant_forms(sc, 1)) == 1
+    assert len(symplectic.closed_invariant_even_two_forms(sc)) == 1
+
+
+def test_kernel_tables_are_built_on_first_use():
+    sc = constants_for(2, 1)
+    assert sc.cache == {}
+    d_matrix(sc, 0)
+    tables = sc.cache[("column_kernel",)]
+    lie_matrix(sc, 0, 1)
+    assert sc.cache[("column_kernel",)] is tables
