@@ -4,7 +4,9 @@ Every command emits one report, as JSON (default) or CSV, to --out or
 stdout.  Fixed flags and an unchanged source tree give byte-identical
 bytes; the build identifier ties a report to the sources that made it.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-cap exceeded (the degree cap, or the size of a dense modular rank check).
+cap exceeded: a form degree above the built-in cap, or a differential with
+more entries (rows x columns) than ``DIFFERENTIAL_ENTRIES_CAP``.  A
+capped ``cohomology`` run still emits the report of the degrees before it.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .bundles import (
 from .cohomology import (
     DEFAULT_DEGREE_CAP,
     DegreeCapExceeded,
-    DenseCheckTooLarge,
+    DifferentialTooLarge,
     differential_matrix,
 )
 from .constants import StructureConstants, constants_for, verify_appendix
@@ -526,7 +528,7 @@ def cmd_cohomology(args) -> int:
     for p in range(args.max_degree + 1):
         try:
             data = differential_matrix(sc, p, max_degree=DEFAULT_DEGREE_CAP)
-        except (DegreeCapExceeded, DenseCheckTooLarge) as exc:
+        except (DegreeCapExceeded, DifferentialTooLarge) as exc:
             capped = str(exc)
             break
         b = data.kernel_dim() - prev_rank

@@ -29,25 +29,24 @@ from .scalars import Scalar
 
 DEFAULT_DEGREE_CAP = 4
 
-# Largest dense int64 array the modular rank check of one differential may
-# allocate (``linalg.modular_rank``), estimated before the matrix is built.
-DENSE_CHECK_BYTES_CAP = 512 * 2**20
+# Largest rows x columns of one differential, estimated before it is built.
+DIFFERENTIAL_ENTRIES_CAP = 2**32
 
 
 class DegreeCapExceeded(Exception):
     """Raised when a computation would build forms above the degree cap."""
 
 
-class DenseCheckTooLarge(Exception):
-    """Raised when the modular check of d_p would need too large a dense array."""
+class DifferentialTooLarge(Exception):
+    """Raised when d_p would have more entries than the cap allows."""
 
 
-def dense_check_bytes(sc: StructureConstants, p: int) -> int:
-    """Upper bound on the bytes of the modular rank check's array for d_p."""
+def differential_entries(sc: StructureConstants, p: int) -> int:
+    """Rows x columns of d_p, from the label counts alone."""
     units = (sc.n + sc.m) ** 2
     rows = index_count(sc.even_dim, sc.odd_dim, p + 1) * units
     cols = index_count(sc.even_dim, sc.odd_dim, p) * units
-    return rows * cols * 8
+    return rows * cols
 
 
 @dataclass
@@ -76,8 +75,7 @@ def differential_matrix(
 
     Written by the sparse column kernel ``formspace.d_matrix``, built once
     per constants object and kept in ``sc.cache``.  Refused up front when
-    the modular cross-check of its rank would allocate more than
-    ``DENSE_CHECK_BYTES_CAP``.
+    it would have more than ``DIFFERENTIAL_ENTRIES_CAP`` entries.
     """
     if p < 0:
         raise ValueError("degree must be nonnegative")
@@ -85,11 +83,11 @@ def differential_matrix(
         raise DegreeCapExceeded(
             f"d at degree {p} needs degree-{p + 1} forms, cap is {max_degree}"
         )
-    need = dense_check_bytes(sc, p)
-    if need > DENSE_CHECK_BYTES_CAP:
-        raise DenseCheckTooLarge(
-            f"the modular rank check of d at degree {p} needs a dense array "
-            f"of {need} bytes, cap is {DENSE_CHECK_BYTES_CAP}"
+    need = differential_entries(sc, p)
+    if need > DIFFERENTIAL_ENTRIES_CAP:
+        raise DifferentialTooLarge(
+            f"d at degree {p} has {need} entries (rows x columns), "
+            f"cap is {DIFFERENTIAL_ENTRIES_CAP}"
         )
     key = ("differential", p)
     got = sc.cache.get(key)
@@ -413,12 +411,6 @@ def _int_row_of_fracs(vec: Sequence[Fraction]) -> linalg.SparseIntRow:
     )
 
 
-def _int_row_of_sparse(col: Dict[int, Scalar]) -> linalg.SparseIntRow:
-    return linalg.sparse_row_from_fractions(
-        {i: v.as_fraction() for i, v in col.items() if v}
-    )
-
-
 def cocycle_representatives(
     sc: StructureConstants, p: int, max_degree: int = DEFAULT_DEGREE_CAP
 ) -> List[List[Fraction]]:
@@ -431,7 +423,7 @@ def cocycle_representatives(
     if p > 0:
         prev = differential_matrix(sc, p - 1, max_degree=max_degree)
         for col in prev.matrix.columns:
-            ech.add_row(_int_row_of_sparse(col))
+            ech.add_row(linalg.sparse_row_from_scalars(col))
     reps = []
     for vec in data.matrix.kernel():
         if ech.add_row(_int_row_of_fracs(vec)):
@@ -459,11 +451,11 @@ def body_h_map_injective(
     if p > 0:
         prev_body = differential_matrix(sc_body, p - 1, max_degree=max_degree)
         for col in prev_body.matrix.columns:
-            ech.add_row(_int_row_of_sparse(col))
+            ech.add_row(linalg.sparse_row_from_scalars(col))
     for vec in reps:
         img = bm.apply(
             {i: Scalar.of(x) for i, x in enumerate(vec) if x}
         )
-        if not ech.add_row(_int_row_of_sparse(img)):
+        if not ech.add_row(linalg.sparse_row_from_scalars(img)):
             return False
     return True

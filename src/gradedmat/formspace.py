@@ -119,11 +119,9 @@ class LinearMapMatrix:
             ]
         return self._int_rows
 
-    def rank(self, cross_check: bool = True) -> int:
+    def rank(self) -> int:
         if self._rank is None:
-            self._rank = linalg.exact_rank(
-                self.int_rows(), self.ncols, cross_check=cross_check
-            )
+            self._rank = linalg.exact_rank(self.int_rows(), self.ncols)
         return self._rank
 
     def kernel(self) -> List[List[Fraction]]:

@@ -7,7 +7,7 @@ Two layers:
 
 * sparse fraction-free integer elimination for the large real-rational
   systems coming from differentials and invariance constraints, with an
-  independent modular cross-check of every large rank.
+  independent sparse modular cross-check of every rank.
 
 Ranks and kernels returned here are exact; the modular pass is only a
 guard against elimination bugs, never a substitute.
@@ -96,24 +96,6 @@ def inverse(rows: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
     if pivots != list(range(k)):
         raise ValueError("matrix is singular")
     return [row[k:] for row in red[:k]]
-
-
-def kernel_dense(rows: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
-    """Basis of the right kernel (list of column vectors)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
-    return basis
 
 
 def matvec(rows: Sequence[Sequence[Scalar]], x: Sequence[Scalar]) -> List[Scalar]:
@@ -249,53 +231,44 @@ def sparse_kernel(rows: Sequence[SparseIntRow], ncols: int) -> List[List[Fractio
 
 
 def modular_rank(rows: Sequence[SparseIntRow], ncols: int, prime: int) -> int:
-    """Rank of the integer matrix mod ``prime`` (numpy elimination)."""
-    import numpy as np
+    """Rank of the integer matrix mod ``prime``: sparse elimination over GF(p).
 
-    if not rows or ncols == 0:
-        return 0
-    a = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            a[i, c] = v % prime
-    rank = 0
-    rows_n, cols_n = a.shape
-    r = 0
-    for c in range(cols_n):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, prime)
-        a[r] = (a[r] * inv) % prime
-        below = a[r + 1 :, c].copy()
-        mask = below != 0
-        if mask.any():
-            a[r + 1 :][mask] = (a[r + 1 :][mask] - below[mask, None] * a[r][None, :]) % prime
-        rank += 1
-        r += 1
-        if r == rows_n:
+    Written apart from ``SparseEchelon`` on purpose, so that it stays an
+    independent check of the exact rank.  Rows are reduced mod ``prime``
+    and taken shortest first; each pivot row is scaled to lead with 1.
+    """
+    pivots: Dict[int, Dict[int, int]] = {}
+    reduced = [{c: v % prime for c, v in row.items() if v % prime} for row in rows]
+    for r in sorted(reduced, key=len):
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(r[lead], -1, prime)
+                pivots[lead] = {c: v * inv % prime for c, v in r.items()}
+                break
+            f = r[lead]
+            for c, v in piv.items():
+                nv = (r.get(c, 0) - f * v) % prime
+                if nv:
+                    r[c] = nv
+                else:
+                    r.pop(c, None)
+        if len(pivots) == ncols:
             break
-    return rank
+    return len(pivots)
 
 
-def exact_rank(
-    rows: Sequence[SparseIntRow], ncols: int, cross_check: bool = True
-) -> int:
-    """Exact rank over the rationals, optionally guarded by modular ranks.
+def exact_rank(rows: Sequence[SparseIntRow], ncols: int) -> int:
+    """Exact rank over the rationals, guarded by modular ranks.
 
     The modular rank can only undershoot (an unlucky prime), so agreement of
-    the maximum with the exact elimination is required when checking.
+    the maximum with the exact elimination is required.
     """
     r = sparse_rank(rows, ncols)
-    if cross_check and rows:
-        mods = [modular_rank(rows, ncols, p) for p in _CHECK_PRIMES]
-        if max(mods) != r:
-            raise AssertionError(
-                f"modular ranks {mods} disagree with exact rank {r}"
-            )
+    mods = [modular_rank(rows, ncols, p) for p in _CHECK_PRIMES]
+    if max(mods) != r:
+        raise AssertionError(f"modular ranks {mods} disagree with exact rank {r}")
     return r
 
 

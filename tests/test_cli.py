@@ -101,13 +101,27 @@ def test_negative_max_degree_is_usage_error():
     ]
 
 
-def test_cohomology_refuses_oversized_dense_check_with_partial_report():
-    proc = run_cli("cohomology", "--n", "3", "--m", "1", "--max-degree", "3")
+def test_cohomology_refuses_oversized_differential_with_partial_report():
+    proc = run_cli("cohomology", "--n", "3", "--m", "2", "--max-degree", "3")
     assert proc.returncode == 3
     obj = json.loads(proc.stdout)
-    assert "dense array" in obj["cap_exceeded"]
+    assert "d at degree 3" in obj["cap_exceeded"]
+    assert "dense array" not in obj["cap_exceeded"]
     assert obj["betti"] == [1, 0, 0]
-    assert [d["dim"] for d in obj["degrees"]] == [16, 240, 1776]
+    assert [d["dim"] for d in obj["degrees"]] == [25, 600, 7200]
+
+
+def test_cohomology_runs_without_numpy():
+    code = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from gradedmat.cli import main; "
+        "sys.exit(main(['cohomology', '--n', '2', '--m', '1', '--max-degree', '3']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["betti"] == [1, 0, 0, 1]
 
 
 def test_sign_flip_hook_is_caught():

@@ -4,9 +4,9 @@ import pytest
 
 from gradedmat import cohomology
 from gradedmat.cohomology import (
-    DENSE_CHECK_BYTES_CAP,
+    DIFFERENTIAL_ENTRIES_CAP,
     DegreeCapExceeded,
-    DenseCheckTooLarge,
+    DifferentialTooLarge,
     betti_numbers,
     body_h_map_injective,
     body_map_forms,
@@ -14,7 +14,7 @@ from gradedmat.cohomology import (
     body_vector_field,
     ce_oracle,
     cocycle_representatives,
-    dense_check_bytes,
+    differential_entries,
     differential_matrix,
     embed_vector_field,
     ensure_body_adapted,
@@ -65,6 +65,10 @@ def test_even_only_complex_matches_sl3_oracle(sc30):
     assert betti_numbers(sc30, 3) == want
 
 
+def test_graded_complex_at_3_1_matches_body_sl3_oracle(sc31):
+    assert betti_numbers(sc31, 3) == ce_oracle(ordinary_sl_basis(3), 3) == [1, 0, 0, 1]
+
+
 def test_oracle_frozen_values():
     sl2 = ordinary_sl_basis(2)
     assert ce_oracle(sl2, 3) == [1, 0, 0, 1]
@@ -85,18 +89,19 @@ def test_degree_cap_is_enforced(sc21):
         differential_matrix(sc21, -1)
 
 
-def test_oversized_dense_check_is_refused_up_front(sc21, sc31, monkeypatch):
-    assert dense_check_bytes(sc21, 3) == 1728 * 792 * 8
-    assert dense_check_bytes(sc31, 2) == 8720 * 1776 * 8 <= DENSE_CHECK_BYTES_CAP
-    assert dense_check_bytes(sc31, 3) == 32256 * 8720 * 8 > DENSE_CHECK_BYTES_CAP
-    with pytest.raises(DenseCheckTooLarge):
-        differential_matrix(sc31, 3)
-    assert ("differential", 3) not in sc31.cache
-    limit = dense_check_bytes(sc21, 3)
-    monkeypatch.setattr(cohomology, "DENSE_CHECK_BYTES_CAP", limit)
+def test_oversized_differential_is_refused_up_front(sc21, sc31, monkeypatch):
+    assert differential_entries(sc21, 3) == 1728 * 792 <= DIFFERENTIAL_ENTRIES_CAP
+    assert differential_entries(sc31, 3) == 32256 * 8720 <= DIFFERENTIAL_ENTRIES_CAP
+    sc32 = constants_for(3, 2)
+    assert differential_entries(sc32, 3) == 350400 * 57800 > DIFFERENTIAL_ENTRIES_CAP
+    with pytest.raises(DifferentialTooLarge):
+        differential_matrix(sc32, 3)
+    assert ("differential", 3) not in sc32.cache
+    limit = differential_entries(sc21, 3)
+    monkeypatch.setattr(cohomology, "DIFFERENTIAL_ENTRIES_CAP", limit)
     assert differential_matrix(sc21, 3).dim == 792
-    monkeypatch.setattr(cohomology, "DENSE_CHECK_BYTES_CAP", limit - 1)
-    with pytest.raises(DenseCheckTooLarge):
+    monkeypatch.setattr(cohomology, "DIFFERENTIAL_ENTRIES_CAP", limit - 1)
+    with pytest.raises(DifferentialTooLarge):
         differential_matrix(sc21, 3)
 
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedmat import linalg
 from gradedmat.scalars import Scalar
@@ -22,17 +24,11 @@ def test_solve_and_inverse():
     a = _mat([[2, 1], [1, 1]])
     x = linalg.solve_unique(a, [Scalar.of(3), Scalar.of(2)])
     assert [str(v) for v in x] == ["1", "1"]
+    assert linalg.matvec(a, x) == [Scalar.of(3), Scalar.of(2)]
     inv = linalg.inverse(_mat([[2, 1], [1, 1]]))
     assert [[str(v) for v in row] for row in inv] == [["1", "-1"], ["-1", "2"]]
     with pytest.raises(ValueError):
         linalg.solve_unique(_mat([[1, 1], [2, 2]]), [Scalar.of(1), Scalar.of(1)])
-
-
-def test_kernel_dense():
-    vecs = linalg.kernel_dense(_mat([[1, 2, 3]]))
-    assert len(vecs) == 2
-    for v in vecs:
-        assert linalg.matvec(_mat([[1, 2, 3]]), v) == [Scalar.of(0)]
 
 
 def _random_sparse(rng, nrows, ncols, density=0.4):
@@ -63,7 +59,7 @@ def test_sparse_rank_matches_dense():
 def test_exact_rank_cross_check():
     rng = random.Random(23)
     rows = _random_sparse(rng, 10, 7)
-    r = linalg.exact_rank(rows, 7, cross_check=True)
+    r = linalg.exact_rank(rows, 7)
     assert r == linalg.sparse_rank(rows, 7)
 
 
@@ -81,3 +77,53 @@ def test_modular_rank_agrees():
     rows = _random_sparse(rng, 9, 9)
     exact = linalg.sparse_rank(rows, 9)
     assert linalg.modular_rank(rows, 9, 1000003) == exact
+
+
+# Entries of size at most 9 in at most 6 x 6: by Hadamard every minor is at
+# most 9**6 * 6**3 < 1.2e8 in size, so a nonzero minor is divisible by at most
+# one check prime and the maximum of the modular ranks must be exact.
+small_int_rows = st.integers(1, 6).flatmap(
+    lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(
+            st.dictionaries(
+                st.integers(0, ncols - 1),
+                st.integers(-9, 9).filter(bool),
+                max_size=ncols,
+            ),
+            max_size=6,
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_int_rows)
+def test_modular_rank_property(case):
+    ncols, rows = case
+    exact = linalg.sparse_rank(rows, ncols)
+    mods = [linalg.modular_rank(rows, ncols, p) for p in linalg._CHECK_PRIMES]
+    assert all(r <= exact for r in mods)
+    assert max(mods) == exact
+    assert linalg.exact_rank(rows, ncols) == exact
+
+
+def test_unlucky_prime_undershoots_but_exact_rank_passes():
+    p = linalg._CHECK_PRIMES[0]
+    # the entry p vanishes mod the first prime, and with it the determinant p
+    rows = [{0: p, 1: 1}, {1: 1}]
+    assert linalg.modular_rank(rows, 2, p) == 1
+    assert [linalg.modular_rank(rows, 2, q) for q in linalg._CHECK_PRIMES[1:]] == [2, 2]
+    assert linalg.exact_rank(rows, 2) == 2
+
+
+def test_exact_rank_rejects_a_short_modular_rank(monkeypatch):
+    rng = random.Random(37)
+    rows = _random_sparse(rng, 6, 6)
+    rank = linalg.sparse_rank(rows, 6)
+    assert rank > 0
+    monkeypatch.setattr(
+        linalg, "modular_rank", lambda rows, ncols, prime: rank - 1
+    )
+    with pytest.raises(AssertionError):
+        linalg.exact_rank(rows, 6)
