@@ -4,9 +4,9 @@ Every command emits one report, as JSON (default) or CSV, to --out or
 stdout.  Fixed flags and an unchanged source tree give byte-identical
 bytes; the build identifier ties a report to the sources that made it.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-cap exceeded: a form degree above the built-in cap, or a differential with
-more entries (rows x columns) than ``DIFFERENTIAL_ENTRIES_CAP``.  A
-capped ``cohomology`` run still emits the report of the degrees before it.
+cap exceeded: n + m above ``MATRIX_SIZE_CAP`` (checked first), a form degree
+above the built-in cap, or a differential with more entries (rows x columns)
+than ``DIFFERENTIAL_ENTRIES_CAP``; ``cohomology`` then reports what it built.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .bundles import (
 )
 from .cohomology import (
     DEFAULT_DEGREE_CAP,
+    MATRIX_SIZE_CAP,
     DegreeCapExceeded,
     DifferentialTooLarge,
     differential_matrix,
@@ -625,6 +626,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "cohomology": cmd_cohomology,
         "flat": cmd_flat,
     }
+    if args.n + args.m > MATRIX_SIZE_CAP:
+        print(f"gradedmat {args.command}: n + m = {args.n + args.m} is above "
+              f"the cap of {MATRIX_SIZE_CAP}", file=sys.stderr)
+        return 3
     try:
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .basis import body_adapted_basis
-from .constants import StructureConstants, compute_constants, constants_for
+from .constants import StructureConstants, compute_constants
 from .forms import DerivationVector, GradedForm
 from .formspace import (
     Label, LinearMapMatrix, basis_form, d_matrix, form_basis_labels,
@@ -31,6 +31,10 @@ DEFAULT_DEGREE_CAP = 4
 
 # Largest rows x columns of one differential, estimated before it is built.
 DIFFERENTIAL_ENTRIES_CAP = 2**32
+
+# Largest n + m the CLI admits: `verify` takes about 35 s at (4|1) and grows
+# about 3.5x per unit of n; the constants alone at (40|1) take about an hour.
+MATRIX_SIZE_CAP = 8
 
 
 class DegreeCapExceeded(Exception):
@@ -301,11 +305,6 @@ def ordinary_direct_sum(
 # ======================================================================
 # Body maps
 # ======================================================================
-
-
-def body_constants(sc: StructureConstants) -> StructureConstants:
-    """Structure constants of the dominant-block algebra M(max(n,m))."""
-    return constants_for(max(sc.n, sc.m), 0)
 
 
 def adapted_constants_for(n: int, m: int) -> StructureConstants:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from . import linalg
 from .basis import HomogeneousBasis, build_sl_basis
 from .indexset import commutation_factor, permutation_sign
-from .matrices import GradedMatrix, graded_anticommutator, graded_commutator
+from .matrices import graded_anticommutator, graded_commutator
 from .report import VerificationReport
 from .scalars import ZERO, Scalar
 
@@ -98,9 +98,6 @@ class StructureConstants:
             for cc, v in self.c_row(a, b).items():
                 out[cc][b] = v
         return out
-
-    def expand(self, mat: GradedMatrix) -> Tuple[List[Scalar], Scalar]:
-        return self.basis.expand(mat)
 
 
 def compute_constants(basis: HomogeneousBasis) -> StructureConstants:

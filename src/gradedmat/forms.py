@@ -17,15 +17,17 @@ of the basis derivations; a monomial takes the value
 on its own index tuple (p'' odd entries, multiplicities N_l), which is
 what ties evaluation and coefficient extraction together.
 
-Everything here is exact; the two independent routes to the exterior
-derivative (the alternating-sum formula and the frame-generator route)
-are cross-checked in the test suite.
+Everything here is exact.  The exterior derivative has two routes: the
+frame-generator route (``exterior_derivative_generators``) applies the
+column kernel that ``formspace.d_matrix`` writes d_p with, and the
+alternating evaluation sum (``exterior_derivative``) is kept apart from it
+as the independent oracle the tests hold it to.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .constants import StructureConstants
 from .indexset import (
@@ -235,16 +237,13 @@ class GradedForm:
     def coefficient(self, key: IndexTuple) -> GradedMatrix:
         return self.coeffs.get(tuple(key), GradedMatrix.zero(self.n, self.m))
 
-    def key_parity(self, key: IndexTuple) -> int:
-        return tuple_parity(key, self.n_even)
-
     def parity_parts(self) -> Tuple["GradedForm", "GradedForm"]:
         """Split into (even, odd) by total parity of coefficient and key."""
         ev: Dict[IndexTuple, GradedMatrix] = {}
         od: Dict[IndexTuple, GradedMatrix] = {}
         for key, mat in self.coeffs.items():
             me, mo = mat.parity_decompose()
-            if self.key_parity(key) == 0:
+            if tuple_parity(key, self.n_even) == 0:
                 ev[key], od[key] = me, mo
             else:
                 ev[key], od[key] = mo, me
@@ -531,53 +530,130 @@ def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
     return out
 
 
+# ======================================================================
+# The generator route: one column kernel for forms and for d_p
+# ======================================================================
+#
+# The paper's frame-generator formulas, for the monomial E_rc theta^I:
+#   d(E_rc theta^I) = sum_b -[E_rc, E_b] theta^b ^ theta^I
+#                     + sum_j (-1)^j E_rc theta^I_1 .. d theta^I_j .. theta^I_p,
+#   d theta^A       = 1/2 sum_(b,cc) c_(b,cc)^A theta^cc ^ theta^b,
+# each frame monomial moved into canonical order by ``canonicalize``.
+
+
+@dataclass(frozen=True)
+class _KernelTables:
+    """Structure-constant tables read by the column kernel.
+
+    ``comm[b][r * k + c]`` lists (r' * k + c', value) over the nonzero
+    entries of -[E_rc, E_b]; ``frame[A]`` lists (cc, b, c_(b,cc)^A / 2),
+    the terms of d theta^A; ``coad[a][A]`` lists (D, c_(a,D)^A), the frame
+    forms that L_a theta^A reaches.
+    """
+
+    comm: List[List[List[Tuple[int, Fraction]]]]
+    frame: List[List[Tuple[int, int, Fraction]]]
+    coad: List[List[List[Tuple[int, Fraction]]]]
+
+
+def _real(v: Scalar) -> Fraction:
+    if v.im:
+        raise AssertionError(f"structure data {v} is not real")
+    return v.re
+
+
+def _kernel_tables(sc: StructureConstants) -> _KernelTables:
+    """The kernel tables, built on first use and kept in ``sc.cache``."""
+    got = sc.cache.get(("column_kernel",))
+    if got is not None:
+        return got
+    k = sc.n + sc.m
+    units = [GradedMatrix.unit(sc.n, sc.m, r, c) for r in range(k) for c in range(k)]
+    comm = [
+        [[(i * k + j, -_real(x)) for i, j, x in graded_commutator(u, e).nonzeros()]
+         for u in units]
+        for e in sc.basis.elements
+    ]
+    frame = [[] for _ in range(sc.dim)]
+    coad = [[[] for _ in range(sc.dim)] for _ in range(sc.dim)]
+    for (b, cc), row in sc.c.items():
+        for A, v in row.items():
+            f = _real(v)
+            frame[A].append((cc, b, f / 2))
+            coad[b][A].append((cc, f))
+    got = _KernelTables(comm, frame, coad)
+    sc.cache[("column_kernel",)] = got
+    return got
+
+
+def _add(acc: Dict, i, v: Fraction) -> None:
+    cur = acc.get(i)
+    acc[i] = v if cur is None else cur + v
+
+
+def _d_tuple(sc: StructureConstants, key: IndexTuple) -> tuple:
+    """What d does to the frame monomial theta^I, kept in ``sc.cache``.
+
+    ``moved`` lists (``comm[b]``, canonical tuple of (b,) + I, its sign);
+    ``frame`` lists the nonzero (tuple, summed 1/2 c * sign), unit kept.
+    """
+    ck = ("d_tuple", key)
+    got = sc.cache.get(ck)
+    if got is not None:
+        return got
+    t = _kernel_tables(sc)
+    ne = sc.even_dim
+    moved = []
+    for b in range(sc.dim):
+        canon = canonicalize((b,) + key, ne)
+        if canon is not None:
+            moved.append((t.comm[b], canon[0], canon[1]))
+    frame: Dict[IndexTuple, Fraction] = {}
+    for j, A in enumerate(key):
+        sign_j = -1 if j % 2 else 1
+        for cc, b, v in t.frame[A]:
+            canon = canonicalize(key[:j] + (cc, b) + key[j + 1:], ne)
+            if canon is not None:
+                _add(frame, canon[0], sign_j * canon[1] * v)
+    got = (moved, [(out, v) for out, v in frame.items() if v])
+    sc.cache[ck] = got
+    return got
+
+
 def exterior_derivative_generators(
     sc: StructureConstants, form: GradedForm
 ) -> GradedForm:
     """Exterior derivative through the frame generator formulas.
 
-    Uses  d(coeff) = -sum c * E ^ theta  after expanding the coefficient in
-    the basis, and  d theta^A = (1/2) sum c_BC^A theta^C ^ theta^B  inside
-    the monomial, with the Leibniz sign (-1)^position.  Must agree with
-    ``exterior_derivative`` identically; the tests enforce it.
+    The column kernel of ``formspace.d_matrix`` applied to a form, real
+    and imaginary parts summed apart (the structure constants are real).
+    ``exterior_derivative`` is the independent oracle the tests hold it to.
     """
-    p = form.degree
-    ne = form.n_even
-    acc: Dict[IndexTuple, GradedMatrix] = {}
-
-    def push(key: IndexTuple, mat: GradedMatrix):
-        if mat.is_zero():
-            return
-        cur = acc.get(key)
-        acc[key] = mat if cur is None else cur + mat
-
-    half = Scalar(Fraction(1, 2))
+    k = sc.n + sc.m
+    # output tuple -> (real part, imaginary part), each unit -> sum
+    parts: Dict[IndexTuple, Tuple[Dict[int, Fraction], Dict[int, Fraction]]] = {}
     for key, mat in form.coeffs.items():
-        coeffs, _unit = sc.expand(mat)
-        # theta^b moved in front of theta^I: the same for every a
-        moved = [canonicalize((b,) + key, ne) for b in range(sc.dim)]
-        for a, mu in enumerate(coeffs):
-            if not mu:
-                continue
-            for b in range(sc.dim):
-                canon = moved[b]
-                if canon is None:
-                    continue
-                newkey, sign = canon
-                for cc, v in sc.c_row(a, b).items():
-                    push(newkey, sc.basis.elements[cc].scale(-(mu * v) * sign))
-        for j in range(p):
-            sign_j = -1 if j % 2 else 1
-            for (b, cc), row in sc.c.items():
-                v = row.get(key[j])
-                if v is None:
-                    continue
-                canon = canonicalize(key[:j] + (cc, b) + key[j + 1:], ne)
-                if canon is None:
-                    continue
-                newkey, sign = canon
-                push(newkey, mat.scale(half * v * (sign_j * sign)))
-    return GradedForm(form.n, form.m, form.n_even, form.m_odd, p + 1, acc)
+        moved, frame = _d_tuple(sc, key)
+        # (unit, 0 for the real part or 1 for the imaginary part, value)
+        entries = [(r * k + c, part, y) for r, c, x in mat.nonzeros()
+                   for part, y in enumerate((x.re, x.im)) if y]
+        for table, out, sign in moved:
+            acc = parts.setdefault(out, ({}, {}))
+            for u, part, y in entries:
+                f = y if sign == 1 else -y
+                for i, v in table[u]:
+                    _add(acc[part], i, f * v)
+        for out, v in frame:
+            acc = parts.setdefault(out, ({}, {}))
+            for u, part, y in entries:
+                _add(acc[part], u, y * v)
+    coeffs: Dict[IndexTuple, GradedMatrix] = {}
+    for out, (re, im) in parts.items():
+        rows = [[ZERO] * k for _ in range(k)]
+        for i in re.keys() | im.keys():
+            rows[i // k][i % k] = Scalar(re.get(i, 0), im.get(i, 0))
+        coeffs[out] = GradedMatrix(form.n, form.m, tuple(map(tuple, rows)))
+    return GradedForm(form.n, form.m, form.n_even, form.m_odd, form.degree + 1, coeffs)
 
 
 # ======================================================================
@@ -598,15 +674,9 @@ def canonical_one_form(sc: StructureConstants) -> GradedForm:
 
 
 def differential_of_element(sc: StructureConstants, a: int) -> GradedForm:
-    """d of a basis element, straight from the structure constants."""
-    coeffs: Dict[IndexTuple, GradedMatrix] = {}
-    for b in range(sc.dim):
-        mat = GradedMatrix.zero(sc.n, sc.m)
-        for cc, v in sc.c_row(a, b).items():
-            mat = mat + sc.basis.elements[cc].scale(-v)
-        if not mat.is_zero():
-            coeffs[(b,)] = mat
-    return GradedForm.of(sc, 1, coeffs)
+    """d of a basis element: -sum_b [E_a, E_b] theta^b."""
+    element = GradedForm.from_matrix(sc, sc.basis.elements[a])
+    return exterior_derivative_generators(sc, element)
 
 
 def frame_forms_from_differentials(sc: StructureConstants) -> List[GradedForm]:

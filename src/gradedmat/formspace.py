@@ -20,9 +20,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .constants import StructureConstants
-from .forms import GradedForm
+from .forms import GradedForm, _add, _d_tuple, _kernel_tables
 from .indexset import canonicalize, enumerate_multi_indices, tuple_parity
-from .matrices import GradedMatrix, _index_parity, graded_commutator
+from .matrices import GradedMatrix, _index_parity
 from .scalars import Scalar
 
 Label = Tuple[Tuple[int, ...], int, int]
@@ -189,73 +189,15 @@ def stack_maps(maps: Sequence[LinearMapMatrix]) -> LinearMapMatrix:
 # Sparse column kernel: d_p and the basis Lie derivatives
 # ======================================================================
 #
-# For the basis form E_rc theta^I the paper's frame-generator formulas give
-#
-#   d(E_rc theta^I) = sum_b -[E_rc, E_b] theta^b ^ theta^I
-#                     + sum_j (-1)^j E_rc theta^I_1 .. d theta^I_j .. theta^I_p,
-#   d theta^A       = 1/2 sum_(b,cc) c_(b,cc)^A theta^cc ^ theta^b,
-#
-# (the signs of ``exterior_derivative_generators``), and the graded Leibniz
-# rule gives, with L_a theta^A = -(-1)^(|a||A|) sum_D c_(a,D)^A theta^D,
-#
+# d_p reads the image of E_rc theta^I off ``forms._d_tuple(sc, I)``, the
+# generator route of ``forms``.  For L_a the graded Leibniz rule gives,
+# with L_a theta^A = -(-1)^(|a||A|) sum_D c_(a,D)^A theta^D,
 #   L_a(E_rc theta^I) = (-1)^(|a||rc|) ( -[E_rc, E_a] theta^I
 #       + sum_j (-1)^(|a|(|I_1|+..+|I_j|))
 #               E_rc theta^I_1 .. L_a theta^I_j .. theta^I_p ).
 #
-# Every frame monomial is moved into canonical order by ``canonicalize``.
-# The frame part depends on I alone, so it is summed once per index tuple
-# and shared by the (n+m)^2 matrix units; a term lands in row
-# (index of its tuple) * (n+m)^2 + r' * (n+m) + c'.
-
-
-@dataclass(frozen=True)
-class _KernelTables:
-    """Structure-constant tables read by the column kernel.
-
-    ``comm[b][r * k + c]`` lists (r' * k + c', value) over the nonzero
-    entries of -[E_rc, E_b]; ``frame[A]`` lists (cc, b, c_(b,cc)^A / 2),
-    the terms of d theta^A; ``coad[a][A]`` lists (D, c_(a,D)^A), the frame
-    forms that L_a theta^A reaches.
-    """
-
-    k: int
-    comm: List[List[List[Tuple[int, Fraction]]]]
-    frame: List[List[Tuple[int, int, Fraction]]]
-    coad: List[List[List[Tuple[int, Fraction]]]]
-
-
-def _real(v: Scalar) -> Fraction:
-    if v.im:
-        raise AssertionError(f"structure data {v} is not real")
-    return v.re
-
-
-def _kernel_tables(sc: StructureConstants) -> _KernelTables:
-    """The kernel tables, built on first use and kept in ``sc.cache``."""
-    got = sc.cache.get(("column_kernel",))
-    if got is not None:
-        return got
-    k = sc.n + sc.m
-    units = [GradedMatrix.unit(sc.n, sc.m, r, c) for r in range(k) for c in range(k)]
-    comm = [
-        [
-            [(i * k + j, -_real(x)) for i, j, x in graded_commutator(u, e).nonzeros()]
-            for u in units
-        ]
-        for e in sc.basis.elements
-    ]
-    frame: List[List[Tuple[int, int, Fraction]]] = [[] for _ in range(sc.dim)]
-    coad: List[List[List[Tuple[int, Fraction]]]] = [
-        [[] for _ in range(sc.dim)] for _ in range(sc.dim)
-    ]
-    for (b, cc), row in sc.c.items():
-        for A, v in row.items():
-            f = _real(v)
-            frame[A].append((cc, b, f / 2))
-            coad[b][A].append((cc, f))
-    got = _KernelTables(k, comm, frame, coad)
-    sc.cache[("column_kernel",)] = got
-    return got
+# The frame part depends on I alone, so it is summed once per index tuple;
+# a term lands in row (index of its tuple) * (n+m)^2 + r' * (n+m) + c'.
 
 
 def _tuple_index(sc: StructureConstants, p: int) -> Dict[Tuple[int, ...], int]:
@@ -267,11 +209,6 @@ def _tuple_index(sc: StructureConstants, p: int) -> Dict[Tuple[int, ...], int]:
         got = {t: i for i, t in enumerate(tuples)}
         sc.cache[key] = got
     return got
-
-
-def _add(acc: Dict[int, Fraction], i: int, v: Fraction) -> None:
-    cur = acc.get(i)
-    acc[i] = v if cur is None else cur + v
 
 
 def _columns(
@@ -309,24 +246,15 @@ def d_matrix(
     ``parity`` restricts the input labels to one total parity; the output
     space is all of degree p+1.
     """
-    t = _kernel_tables(sc)
-    k, kk, ne = t.k, t.k * t.k, sc.even_dim
+    k = sc.n + sc.m
     out_index = _tuple_index(sc, p + 1)
 
     def per_tuple(key):
-        moved = []
-        for b in range(sc.dim):
-            canon = canonicalize((b,) + key, ne)
-            if canon is not None:
-                moved.append((t.comm[b], out_index[canon[0]] * kk, canon[1]))
-        frame: Dict[int, Fraction] = {}
-        for j, A in enumerate(key):
-            sign_j = -1 if j % 2 else 1
-            for cc, b, v in t.frame[A]:
-                canon = canonicalize(key[:j] + (cc, b) + key[j + 1:], ne)
-                if canon is not None:
-                    _add(frame, out_index[canon[0]] * kk, sign_j * canon[1] * v)
-        return moved, [(off, v) for off, v in frame.items() if v]
+        moved, frame = _d_tuple(sc, key)
+        return (
+            [(table, out_index[out] * k * k, sign) for table, out, sign in moved],
+            [(out_index[out] * k * k, v) for out, v in frame],
+        )
 
     def unit_terms(shared, r, c):
         moved, frame = shared
@@ -353,7 +281,7 @@ def lie_matrix(
     space is all of degree p.
     """
     t = _kernel_tables(sc)
-    k, kk, ne, n = t.k, t.k * t.k, sc.even_dim, sc.n
+    k, ne, n = sc.n + sc.m, sc.even_dim, sc.n
     pa = sc.parity(a)
     index = _tuple_index(sc, p)
     comm = t.comm[a]
@@ -367,8 +295,8 @@ def lie_matrix(
             for D, v in t.coad[a][A]:
                 canon = canonicalize(key[:j] + (D,) + key[j + 1:], ne)
                 if canon is not None:
-                    _add(frame, index[canon[0]] * kk, sign_j * canon[1] * v)
-        return index[key] * kk, [(off, v) for off, v in frame.items() if v]
+                    _add(frame, index[canon[0]] * k * k, sign_j * canon[1] * v)
+        return index[key] * k * k, [(off, v) for off, v in frame.items() if v]
 
     def unit_terms(shared, r, c):
         off_key, frame = shared

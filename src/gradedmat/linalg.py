@@ -141,7 +141,7 @@ def sparse_row_from_fractions(entries: Dict[int, Fraction]) -> SparseIntRow:
     for v in entries.values():
         d = v.denominator
         lcm = lcm * d // gcd(lcm, d)
-    return _strip_content({c: int(v * lcm) for c, v in entries.items()})
+    return _strip_content({c: v.numerator * (lcm // v.denominator) for c, v in entries.items()})
 
 
 def sparse_row_from_scalars(entries: Dict[int, Scalar]) -> SparseIntRow:

@@ -1,6 +1,12 @@
 import json
 import subprocess
 import sys
+import time
+
+import pytest
+
+from gradedmat.cli import main
+from gradedmat.cohomology import MATRIX_SIZE_CAP
 
 
 def run_cli(*argv, check=False):
@@ -109,6 +115,29 @@ def test_cohomology_refuses_oversized_differential_with_partial_report():
     assert "dense array" not in obj["cap_exceeded"]
     assert obj["betti"] == [1, 0, 0]
     assert [d["dim"] for d in obj["degrees"]] == [25, 600, 7200]
+
+
+@pytest.mark.parametrize("command", [
+    ["cohomology", "--max-degree", "1"],
+    ["verify"],
+])
+def test_oversized_algebra_is_refused_up_front(command, capsys):
+    start = time.perf_counter()
+    code = main(command + ["--n", "40", "--m", "1"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"gradedmat {command[0]}: n + m = 41 is above the cap of {MATRIX_SIZE_CAP}"
+    ]
+
+
+def test_size_cap_admits_the_documented_algebras(capsys):
+    # (3|2) is the largest cohomology run in the docs; (6|1) must stay admitted
+    assert MATRIX_SIZE_CAP >= 7
+    assert main(["constants", "--n", "6", "--m", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["constants"]["dim"] == 48
 
 
 def test_cohomology_runs_without_numpy():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedmat.forms import (
     DerivationVector,
@@ -31,6 +33,7 @@ from gradedmat.indexset import (
     permutation_sign,
 )
 from gradedmat.matrices import GradedMatrix
+from gradedmat.sampling import random_form
 from gradedmat.scalars import Scalar
 
 IDM = GradedMatrix.identity(2, 1)
@@ -233,6 +236,42 @@ def test_derivative_routes_agree(sc21):
         assert exterior_derivative(sc21, w) == (
             exterior_derivative_generators(sc21, w)
         )
+
+
+# ---- the kernel-backed generator route on general forms ----------------
+#
+# Each example draws one seed, degree and parity filter and applies them
+# at every shape: random multi-term forms with Gaussian coefficients, so
+# the moved and frame terms, their canonical signs and both parts of each
+# coefficient are all exercised.
+
+SHAPES = ("sc21", "sc12", "sc31", "sc20")
+random_forms = given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(0, 2),
+    parity=st.sampled_from([None, 0, 1]),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@random_forms
+def test_generator_route_matches_values_route(request, seed, p, parity):
+    for name in SHAPES:
+        sc = request.getfixturevalue(name)
+        w = random_form(random.Random(seed), sc, p, parity=parity)
+        assert exterior_derivative_generators(sc, w) == exterior_derivative(sc, w), (
+            name, p, parity,
+        )
+
+
+@settings(max_examples=20, deadline=None)
+@random_forms
+def test_generator_route_squares_to_zero(request, seed, p, parity):
+    for name in SHAPES:
+        sc = request.getfixturevalue(name)
+        w = random_form(random.Random(seed), sc, p, parity=parity)
+        dw = exterior_derivative_generators(sc, w)
+        assert exterior_derivative_generators(sc, dw).is_zero(), (name, p, parity)
 
 
 def test_derivative_squares_to_zero(sc21):

@@ -202,3 +202,24 @@ def test_kernel_tables_are_built_on_first_use():
     tables = sc.cache[("column_kernel",)]
     lie_matrix(sc, 0, 1)
     assert sc.cache[("column_kernel",)] is tables
+
+
+def test_both_generator_callers_share_one_set_of_tables():
+    sc = constants_for(2, 1)
+    assert sc.cache == {}
+    w = basis_form(sc, ((1, 5), 0, 2))
+    forms.exterior_derivative_generators(sc, w)
+    tables = sc.cache[("column_kernel",)]
+    per_tuple = sc.cache[("d_tuple", (1, 5))]
+    assert set(sc.cache) == {("column_kernel",), ("d_tuple", (1, 5))}
+    d_matrix(sc, 2)
+    assert sc.cache[("column_kernel",)] is tables
+    assert sc.cache[("d_tuple", (1, 5))] is per_tuple
+    assert len([k for k in sc.cache if k[0] == "d_tuple"]) == 32
+    # a second constants object owns its own tables
+    other = constants_for(2, 1)
+    assert other.cache == {}
+    forms.exterior_derivative_generators(other, w)
+    assert other.cache[("column_kernel",)] is not tables
+    assert other.cache[("column_kernel",)].comm is not tables.comm
+    assert other.cache[("d_tuple", (1, 5))] is not per_tuple
