@@ -14,6 +14,7 @@ and the curvature matrix is
     R = -alpha^alpha + P^(d alpha)^P - P^(dP)^(dP)
 
 which the tests tie to the double-application route entry by entry.
+Every d here runs the kernel route (``exterior_derivative_generators``).
 Matrices over the form bimodule are graded by declaring even those with
 even diagonal-block entries and odd off-diagonal-block entries.
 """
@@ -24,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .constants import StructureConstants
 from .forms import (
-    GradedForm, canonical_one_form, exterior_derivative, wedge,
+    GradedForm, canonical_one_form, exterior_derivative_generators, wedge,
     wedge_matrix_form,
 )
 from .matrices import GradedMatrix, graded_commutator
@@ -103,7 +104,7 @@ def fm_wedge(a: FormMatrix, b: FormMatrix) -> FormMatrix:
 
 
 def fm_d(sc: StructureConstants, a: FormMatrix) -> FormMatrix:
-    return [[exterior_derivative(sc, x) for x in row] for row in a]
+    return [[exterior_derivative_generators(sc, x) for x in row] for row in a]
 
 
 def fm_parity_pattern_ok(a: FormMatrix, p: int, parity: int = 0) -> bool:
@@ -136,7 +137,7 @@ def row_wedge(y: FormRow, b: FormMatrix) -> FormRow:
 
 
 def row_d(sc: StructureConstants, y: FormRow) -> FormRow:
-    return [exterior_derivative(sc, f) for f in y]
+    return [exterior_derivative_generators(sc, f) for f in y]
 
 
 def matrix_times_row(mat: GradedMatrix, y: FormRow) -> FormRow:

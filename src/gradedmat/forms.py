@@ -20,8 +20,12 @@ what ties evaluation and coefficient extraction together.
 Everything here is exact.  The exterior derivative has two routes: the
 frame-generator route (``exterior_derivative_generators``) applies the
 column kernel that ``formspace.d_matrix`` writes d_p with, and the
-alternating evaluation sum (``exterior_derivative``) is kept apart from it
-as the independent oracle the tests hold it to.
+alternating evaluation sum (``exterior_derivative``, with
+``lie_derivative`` beside it) is kept apart from it as the independent
+oracle the tests hold it to.  Production code (``symplectic``, ``bundles``)
+runs the kernel route; the evaluation sum is run only by the verify suites
+and the tests.  The symplectic contraction system is factored once per
+form, in ``symplectic``.
 """
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ from .indexset import (
     enumerate_multi_indices,
     extraction_prefactor,
     index_parity,
+    is_canonical,
     self_evaluation_factor,
     tuple_parity,
 )
@@ -42,6 +47,7 @@ from .matrices import GradedMatrix, graded_commutator
 from .scalars import ONE, ZERO, Scalar
 
 IndexTuple = Tuple[int, ...]
+_F0 = Fraction(0)
 
 
 # ======================================================================
@@ -159,8 +165,7 @@ class GradedForm:
             key = tuple(key)
             if len(key) != degree:
                 raise ValueError(f"key {key} does not match degree {degree}")
-            canon = canonicalize(key, n_even)
-            if canon is None or canon[0] != key:
+            if not is_canonical(key, n_even):
                 raise ValueError(f"key {key} is not canonical")
             if not mat.is_zero():
                 clean[key] = mat
@@ -272,18 +277,30 @@ class GradedForm:
 # ======================================================================
 
 
+def _value_weight(
+    form: GradedForm, indices: Sequence[int]
+) -> Tuple[Optional[IndexTuple], int]:
+    """The value on basis derivations as (stored key, integer factor).
+
+    The value is ``factor * form.coeffs[key]``; a key of None means zero.
+    """
+    # canonical order is plain ascending order, and stored keys are
+    # canonical, so a sorted lookup finds the coefficient (or its absence)
+    # before the sign-tracking sort runs
+    if tuple(sorted(indices)) not in form.coeffs:
+        return None, 0
+    key, sign = canonicalize(indices, form.n_even)
+    return key, sign * self_evaluation_factor(key, form.n_even)
+
+
 def evaluate_on_basis(form: GradedForm, indices: Sequence[int]) -> GradedMatrix:
     """Value on a tuple of basis derivations (any order, repeats allowed)."""
     if len(indices) != form.degree:
         raise ValueError("argument count does not match degree")
-    # canonical order is plain ascending order, and stored keys are
-    # canonical, so a sorted lookup finds the coefficient (or its absence)
-    # before the sign-tracking sort runs
-    mat = form.coeffs.get(tuple(sorted(indices)))
-    if mat is None:
+    key, factor = _value_weight(form, indices)
+    if key is None:
         return GradedMatrix.zero(form.n, form.m)
-    key, sign = canonicalize(indices, form.n_even)
-    return mat.scale(sign * self_evaluation_factor(key, form.n_even))
+    return form.coeffs[key].scale(factor)
 
 
 def evaluate(form: GradedForm, derivations: Sequence[DerivationVector]) -> GradedMatrix:
@@ -426,44 +443,10 @@ def interior_product(d: DerivationVector, form: GradedForm) -> GradedForm:
     )
 
 
-def _lie_basis_homogeneous(
-    sc: StructureConstants, a: int, form: GradedForm, form_parity: int
-) -> GradedForm:
-    """Lie derivative along a basis derivation of a parity-homogeneous form."""
-    ea = sc.basis.elements[a]
-    pa = sc.parity(a)
-    p = form.degree
-
-    def cb(key: IndexTuple) -> GradedMatrix:
-        val = evaluate_on_basis(form, key)
-        out = (
-            graded_commutator(ea, val)
-            if not val.is_zero()
-            else GradedMatrix.zero(form.n, form.m)
-        )
-        acc = form_parity
-        for l in range(p):
-            sign = -1 if (pa and acc % 2) else 1
-            for cc, v in sc.c_row(a, key[l]).items():
-                sub = evaluate_on_basis(form, key[:l] + (cc,) + key[l + 1:])
-                if not sub.is_zero():
-                    out = out - sub.scale(Scalar.of(sign) * v)
-            acc += index_parity(key[l], form.n_even)
-        return out
-
-    coeffs: Dict[IndexTuple, GradedMatrix] = {}
-    for key in enumerate_multi_indices(form.n_even, form.m_odd, p):
-        raw = cb(key)
-        mat = raw.scale(extraction_prefactor(key, form.n_even))
-        if not mat.is_zero():
-            coeffs[key] = mat
-    return GradedForm(form.n, form.m, form.n_even, form.m_odd, p, coeffs)
-
-
 def lie_derivative(
     sc: StructureConstants, d: DerivationVector, form: GradedForm
 ) -> GradedForm:
-    """Lie derivative along an arbitrary derivation.
+    """Lie derivative along an arbitrary derivation, by the evaluation sum.
 
     The sign-bearing formula applies to homogeneous data, so the derivation
     and the form are split into parity parts first and the results summed.
@@ -482,45 +465,6 @@ def lie_derivative(
     return out
 
 
-def _exterior_derivative_homogeneous(
-    sc: StructureConstants, form: GradedForm, form_parity: int
-) -> GradedForm:
-    """The alternating-sum exterior derivative of a parity-homogeneous form."""
-    p = form.degree
-    basis_el = sc.basis.elements
-
-    def cb(key: IndexTuple) -> GradedMatrix:
-        out = GradedMatrix.zero(form.n, form.m)
-        degs = [index_parity(i, form.n_even) for i in key]
-        acc = 0
-        for l in range(p + 1):
-            sub = evaluate_on_basis(form, key[:l] + key[l + 1:])
-            if not sub.is_zero():
-                exp = l + degs[l] * (form_parity + acc)
-                term = graded_commutator(basis_el[key[l]], sub)
-                out = out + term.scale(-1 if exp % 2 else 1)
-            acc += degs[l]
-        for l in range(p + 1):
-            for lp in range(l + 1, p + 1):
-                between = sum(degs[t] for t in range(l + 1, lp))
-                exp = lp + degs[lp] * between
-                sign = Scalar.of(-1 if exp % 2 else 1)
-                for cc, v in sc.c_row(key[l], key[lp]).items():
-                    args = key[:l] + (cc,) + key[l + 1: lp] + key[lp + 1:]
-                    sub = evaluate_on_basis(form, args)
-                    if not sub.is_zero():
-                        out = out + sub.scale(sign * v)
-        return out
-
-    coeffs: Dict[IndexTuple, GradedMatrix] = {}
-    for key in enumerate_multi_indices(form.n_even, form.m_odd, p + 1):
-        raw = cb(key)
-        mat = raw.scale(extraction_prefactor(key, form.n_even))
-        if not mat.is_zero():
-            coeffs[key] = mat
-    return GradedForm(form.n, form.m, form.n_even, form.m_odd, p + 1, coeffs)
-
-
 def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
     """Exterior derivative via the alternating evaluation formula."""
     out = GradedForm.zero(sc, form.degree + 1)
@@ -528,6 +472,201 @@ def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
         if not fpart.is_zero():
             out = out + _exterior_derivative_homogeneous(sc, fpart, fpar)
     return out
+
+
+# ======================================================================
+# The evaluation route: the independent oracle
+# ======================================================================
+#
+# Each output tuple takes its value from the alternating evaluation sum,
+# term for term.  Every term is a real weight (canonical sign times
+# self-evaluation factor, times a structure constant) on a stored
+# coefficient M_K or on a bracket [E_b, M_K], so the weights are summed
+# first and each tuple's matrix is built once.  Only the tuples that some
+# stored key can reach are visited; the reach tables are read off ``sc.c``
+# alone, so this route shares no table with the column kernel below.
+
+# (b, K) -> real weight of [E_b, M_K] in one tuple's value; b None for M_K
+Weights = Dict[Tuple[Optional[int], IndexTuple], Fraction]
+
+
+def _real(v: Scalar) -> Fraction:
+    if v.im:
+        raise ValueError(f"structure data {v} is not real")
+    return v.re
+
+
+def _add(acc: Dict, i, v: Fraction) -> None:
+    cur = acc.get(i)
+    acc[i] = v if cur is None else cur + v
+
+
+def _matrix_of_parts(
+    n: int, m: int, re: Dict[int, Fraction], im: Dict[int, Fraction]
+) -> GradedMatrix:
+    """The matrix with entry re[u] + i im[u] at unit u = r * (n + m) + c."""
+    k = n + m
+    rows = [[ZERO] * k for _ in range(k)]
+    for u in re.keys() | im.keys():
+        rows[u // k][u % k] = Scalar(re.get(u, _F0), im.get(u, _F0))
+    return GradedMatrix(n, m, tuple(map(tuple, rows)))
+
+
+def _entries(mat: GradedMatrix) -> List[Tuple[int, int, Fraction]]:
+    """The nonzero parts of ``mat`` as (unit u = r * (n + m) + c, 0 for
+    the real part or 1 for the imaginary part, value)."""
+    k = mat.n + mat.m
+    return [(r * k + c, part, y) for r, c, x in mat.nonzeros()
+            for part, y in enumerate((x.re, x.im)) if y]
+
+
+def _oracle_reach(sc: StructureConstants) -> tuple:
+    """(``pairs``, ``moves``), built on first use and kept in ``sc.cache``.
+
+    ``pairs[cc]`` lists the sorted (x, y) with c_(x,y)^cc != 0;
+    ``moves[a][cc]`` lists the x with c_(a,x)^cc != 0.
+    """
+    got = sc.cache.get(("oracle_reach",))
+    if got is not None:
+        return got
+    pairs = [set() for _ in range(sc.dim)]
+    moves = [[[] for _ in range(sc.dim)] for _ in range(sc.dim)]
+    for (x, y), row in sc.c.items():
+        for cc in row:
+            pairs[cc].add((min(x, y), max(x, y)))
+            moves[x][cc].append(y)
+    got = ([sorted(s) for s in pairs], moves)
+    sc.cache[("oracle_reach",)] = got
+    return got
+
+
+def _d_support(sc: StructureConstants, form: GradedForm) -> List[IndexTuple]:
+    """The canonical (p+1)-tuples the d sum can reach, in sorted order.
+
+    A bracket term drops one index of the tuple and a structure-constant
+    term merges a pair (x, y) into one cc; so every reached tuple is a key
+    K with one index b added, or K with one entry cc split into such a pair.
+    """
+    pairs, _ = _oracle_reach(sc)
+    out = set()
+    for key in form.coeffs:
+        for b in range(sc.dim):
+            out.add(tuple(sorted(key + (b,))))
+        for j, cc in enumerate(key):
+            rest = key[:j] + key[j + 1:]
+            for xy in pairs[cc]:
+                out.add(tuple(sorted(rest + xy)))
+    return sorted(t for t in out if is_canonical(t, sc.even_dim))
+
+
+def _lie_support(
+    sc: StructureConstants, a: int, form: GradedForm
+) -> List[IndexTuple]:
+    """The canonical p-tuples the L_a sum can reach, in sorted order: each
+    key K itself, and K with one entry cc replaced by an x with
+    c_(a,x)^cc != 0."""
+    _, moves = _oracle_reach(sc)
+    out = set(form.coeffs)
+    for key in form.coeffs:
+        for j, cc in enumerate(key):
+            for x in moves[a][cc]:
+                out.add(tuple(sorted(key[:j] + (x,) + key[j + 1:])))
+    return sorted(t for t in out if is_canonical(t, sc.even_dim))
+
+
+def _weighted_matrix(
+    sc: StructureConstants, form: GradedForm, weights: Weights, memo: Dict,
+    pref: Fraction,
+) -> GradedMatrix:
+    """pref * sum of the weighted M_K and [E_b, M_K].
+
+    ``memo`` keeps, for one call of the route, the ``_entries`` of each
+    M_K and [E_b, M_K].
+    """
+    parts: Tuple[Dict[int, Fraction], Dict[int, Fraction]] = ({}, {})
+    for bk, w in weights.items():
+        if not w:
+            continue
+        entries = memo.get(bk)
+        if entries is None:
+            b, key = bk
+            mat = form.coeffs[key]
+            if b is not None:
+                mat = graded_commutator(sc.basis.elements[b], mat)
+            entries = memo[bk] = _entries(mat)
+        w *= pref
+        for u, part, y in entries:
+            _add(parts[part], u, w * y)
+    return _matrix_of_parts(form.n, form.m, *parts)
+
+
+def _lie_basis_homogeneous(
+    sc: StructureConstants, a: int, form: GradedForm, form_parity: int
+) -> GradedForm:
+    """Lie derivative along a basis derivation of a parity-homogeneous form.
+
+    (L_a w)(I) = [E_a, w(I)] - sum_l sign_l sum_cc c_(a,I_l)^cc w(.., cc, ..).
+    """
+    pa = sc.parity(a)
+    p = form.degree
+    ne = form.n_even
+    memo: Dict = {}
+    coeffs: Dict[IndexTuple, GradedMatrix] = {}
+    for key in _lie_support(sc, a, form):
+        weights: Weights = {}
+        got, f = _value_weight(form, key)
+        if got is not None:
+            weights[(a, got)] = Fraction(f)
+        acc = form_parity
+        for l in range(p):
+            sign = -1 if (pa and acc % 2) else 1
+            for cc, v in sc.c_row(a, key[l]).items():
+                c = _real(v)
+                got, f = _value_weight(form, key[:l] + (cc,) + key[l + 1:])
+                if got is not None:
+                    _add(weights, (None, got), -sign * f * c)
+            acc += index_parity(key[l], ne)
+        pref = extraction_prefactor(key, ne)
+        coeffs[key] = _weighted_matrix(sc, form, weights, memo, pref)
+    return GradedForm(form.n, form.m, form.n_even, form.m_odd, p, coeffs)
+
+
+def _exterior_derivative_homogeneous(
+    sc: StructureConstants, form: GradedForm, form_parity: int
+) -> GradedForm:
+    """The alternating-sum exterior derivative of a parity-homogeneous form.
+
+    (dw)(I) = sum_l sign_l [E_(I_l), w(I without I_l)]
+              + sum_(l<l') sign_(l,l') sum_cc c_(I_l,I_l')^cc w(.., cc, ..).
+    """
+    p = form.degree
+    ne = form.n_even
+    memo: Dict = {}
+    coeffs: Dict[IndexTuple, GradedMatrix] = {}
+    for key in _d_support(sc, form):
+        weights: Weights = {}
+        degs = [index_parity(i, ne) for i in key]
+        acc = 0
+        for l in range(p + 1):
+            got, f = _value_weight(form, key[:l] + key[l + 1:])
+            if got is not None:
+                exp = l + degs[l] * (form_parity + acc)
+                _add(weights, (key[l], got), Fraction(-f if exp % 2 else f))
+            acc += degs[l]
+        for l in range(p + 1):
+            for lp in range(l + 1, p + 1):
+                between = sum(degs[t] for t in range(l + 1, lp))
+                exp = lp + degs[lp] * between
+                sign = -1 if exp % 2 else 1
+                for cc, v in sc.c_row(key[l], key[lp]).items():
+                    c = _real(v)
+                    args = key[:l] + (cc,) + key[l + 1: lp] + key[lp + 1:]
+                    got, f = _value_weight(form, args)
+                    if got is not None:
+                        _add(weights, (None, got), sign * f * c)
+        pref = extraction_prefactor(key, ne)
+        coeffs[key] = _weighted_matrix(sc, form, weights, memo, pref)
+    return GradedForm(form.n, form.m, form.n_even, form.m_odd, p + 1, coeffs)
 
 
 # ======================================================================
@@ -556,12 +695,6 @@ class _KernelTables:
     coad: List[List[List[Tuple[int, Fraction]]]]
 
 
-def _real(v: Scalar) -> Fraction:
-    if v.im:
-        raise AssertionError(f"structure data {v} is not real")
-    return v.re
-
-
 def _kernel_tables(sc: StructureConstants) -> _KernelTables:
     """The kernel tables, built on first use and kept in ``sc.cache``."""
     got = sc.cache.get(("column_kernel",))
@@ -584,11 +717,6 @@ def _kernel_tables(sc: StructureConstants) -> _KernelTables:
     got = _KernelTables(comm, frame, coad)
     sc.cache[("column_kernel",)] = got
     return got
-
-
-def _add(acc: Dict, i, v: Fraction) -> None:
-    cur = acc.get(i)
-    acc[i] = v if cur is None else cur + v
 
 
 def _d_tuple(sc: StructureConstants, key: IndexTuple) -> tuple:
@@ -629,14 +757,11 @@ def exterior_derivative_generators(
     and imaginary parts summed apart (the structure constants are real).
     ``exterior_derivative`` is the independent oracle the tests hold it to.
     """
-    k = sc.n + sc.m
     # output tuple -> (real part, imaginary part), each unit -> sum
     parts: Dict[IndexTuple, Tuple[Dict[int, Fraction], Dict[int, Fraction]]] = {}
     for key, mat in form.coeffs.items():
         moved, frame = _d_tuple(sc, key)
-        # (unit, 0 for the real part or 1 for the imaginary part, value)
-        entries = [(r * k + c, part, y) for r, c, x in mat.nonzeros()
-                   for part, y in enumerate((x.re, x.im)) if y]
+        entries = _entries(mat)
         for table, out, sign in moved:
             acc = parts.setdefault(out, ({}, {}))
             for u, part, y in entries:
@@ -647,12 +772,8 @@ def exterior_derivative_generators(
             acc = parts.setdefault(out, ({}, {}))
             for u, part, y in entries:
                 _add(acc[part], u, y * v)
-    coeffs: Dict[IndexTuple, GradedMatrix] = {}
-    for out, (re, im) in parts.items():
-        rows = [[ZERO] * k for _ in range(k)]
-        for i in re.keys() | im.keys():
-            rows[i // k][i % k] = Scalar(re.get(i, 0), im.get(i, 0))
-        coeffs[out] = GradedMatrix(form.n, form.m, tuple(map(tuple, rows)))
+    coeffs = {out: _matrix_of_parts(form.n, form.m, re, im)
+              for out, (re, im) in parts.items()}
     return GradedForm(form.n, form.m, form.n_even, form.m_odd, form.degree + 1, coeffs)
 
 

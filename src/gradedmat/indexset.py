@@ -108,6 +108,17 @@ def canonicalize(
     return tuple(work), sign
 
 
+def is_canonical(indices: Sequence[int], n_even: int) -> bool:
+    """Whether the tuple is canonical: nondecreasing, no even index repeated.
+
+    Exactly the tuples that ``canonicalize`` returns unchanged, in one pass.
+    """
+    for a, b in zip(indices, indices[1:]):
+        if a > b or (a == b and a < n_even):
+            return False
+    return True
+
+
 def multiplicities(indices: Sequence[int]) -> List[int]:
     out: List[int] = []
     prev = None

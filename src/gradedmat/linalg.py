@@ -2,8 +2,9 @@
 
 Two layers:
 
-* dense routines over Scalar, for the small systems that may in principle
-  be complex (basis expansions, Killing inverses, pairing solves);
+* routines over Scalar, for the small systems that may in principle be
+  complex (basis expansions, Killing inverses, pairing solves); a system
+  solved for many right-hand sides is factored once (``factor``);
 
 * sparse fraction-free integer elimination for the large real-rational
   systems coming from differentials and invariance constraints, with an
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -35,12 +36,18 @@ def _dense_copy(rows: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
     return [[Scalar.of(x) for x in row] for row in rows]
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
+def rref(
+    rows: Sequence[Sequence[Scalar]], limit: Optional[int] = None
+) -> Tuple[List[List[Scalar]], List[int]]:
+    """Reduced row echelon form; returns (reduced rows, pivot columns).
+
+    With ``limit`` only the first ``limit`` columns take pivots; the
+    columns past it are carried along by the row operations.
+    """
     a = _dense_copy(rows)
     if not a:
         return a, []
-    ncols = len(a[0])
+    ncols = len(a[0]) if limit is None else limit
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
@@ -65,34 +72,79 @@ def rank_dense(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(rref(rows)[1])
 
 
+def _unit_row(i: int, k: int) -> List[Scalar]:
+    return [ONE if i == j else ZERO for j in range(k)]
+
+
+def _apply(row: Dict[int, Scalar], b: Dict[int, Scalar]) -> Scalar:
+    """The product of two sparse vectors."""
+    acc = ZERO
+    for j, t in row.items():
+        v = b.get(j)
+        if v is not None:
+            acc = acc + t * v
+    return acc
+
+
+class Factorization:
+    """The elimination of A x = b, done once for every right-hand side.
+
+    ``transform`` holds the row operations T that bring A to reduced row
+    echelon form, as sparse rows: row i < rank of T A has its leading 1
+    in column ``pivots[i]``, the only nonzero of that column, and the rows
+    of T A past the rank are zero.
+    """
+
+    def __init__(self, nrows: int, ncols: int, pivots: List[int],
+                 transform: List[Dict[int, Scalar]]):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.pivots = pivots
+        self.transform = transform
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def solve(self, rhs: Sequence[Scalar]) -> List[Scalar]:
+        """The unique x with A x = b; raises when none or many exist."""
+        if len(rhs) != self.nrows:
+            raise ValueError("rhs length mismatch")
+        b = {j: Scalar.of(v) for j, v in enumerate(rhs) if v}
+        tb = [_apply(row, b) for row in self.transform]
+        if any(tb[self.rank:]):
+            raise ValueError("inconsistent linear system")
+        if self.rank < self.ncols:
+            raise ValueError("underdetermined linear system")
+        x = [ZERO] * self.ncols
+        for c, v in zip(self.pivots, tb):
+            x[c] = v
+        return x
+
+
+def factor(rows: Sequence[Sequence[Scalar]]) -> Factorization:
+    """The rref of [A | I], pivoting on the columns of A only."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = rref(
+        [list(row) + _unit_row(i, nrows) for i, row in enumerate(rows)], ncols
+    )
+    transform = [{j: v for j, v in enumerate(row[ncols:]) if v} for row in red]
+    return Factorization(nrows, ncols, pivots, transform)
+
+
 def solve_unique(
     rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
 ) -> List[Scalar]:
     """Solve A x = b requiring existence and uniqueness; raises otherwise."""
-    if len(rows) != len(rhs):
-        raise ValueError("rhs length mismatch")
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(row) + [Scalar.of(b)] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < ncols:
-        raise ValueError("underdetermined linear system")
-    x = [ZERO] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
+    return factor(rows).solve(rhs)
 
 
 def inverse(rows: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("inverse of a non-square matrix")
-    aug = [
-        list(row) + [ONE if i == j else ZERO for j in range(k)]
-        for i, row in enumerate(rows)
-    ]
-    red, pivots = rref(aug)
+    red, pivots = rref([list(row) + _unit_row(i, k) for i, row in enumerate(rows)])
     if pivots != list(range(k)):
         raise ValueError("matrix is singular")
     return [row[k:] for row in red[:k]]

@@ -88,9 +88,16 @@ class Scalar:
             return -self
         if self is _MINUS_ONE:
             return -other
-        # real fast path: nearly all values in this package are real
-        if self.im is _F0 and other.im is _F0:
-            return _make(self.re * other.re, _F0)
+        # real fast paths: nearly all values in this package are real, and
+        # a real factor scales both parts of the other
+        if self.im is _F0:
+            r = self.re
+            if other.im is _F0:
+                return _make(r * other.re, _F0)
+            return _make(r * other.re, r * other.im)
+        if other.im is _F0:
+            r = other.re
+            return _make(self.re * r, self.im * r)
         return _make(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

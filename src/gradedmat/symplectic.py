@@ -4,7 +4,11 @@ An even closed 2-form is symplectic when  iota_(D_M) omega + dM = 0  has
 exactly one derivation solution D_M for every matrix M.  The solve runs
 over first-slot contractions against the basis derivations: the columns
 iota_(bd_B) omega are vectorized as 1-forms and the coordinate vector of
-D_M is the unique preimage of -dM.
+D_M is the unique preimage of -dM.  That contraction system is factored
+once per form (``linalg.factor``); the rank test, the probes and every
+Hamiltonian field reuse the factorization.  The differentials dM and
+d omega come from the kernel route (``exterior_derivative_generators``);
+the evaluation sum is left to the verify suites and the tests.
 
 The canonical example is d Theta; its Hamiltonian map is M -> ad M and
 its Poisson bracket is the graded commutator, both of which the tests pin
@@ -23,7 +27,7 @@ from . import linalg
 from .constants import StructureConstants
 from .forms import (
     DerivationVector, GradedForm, canonical_one_form, evaluate,
-    exterior_derivative, interior_product,
+    exterior_derivative_generators, interior_product,
 )
 from .formspace import (
     d_matrix, form_basis_labels, form_to_sparse, lie_matrix, stack_maps,
@@ -35,7 +39,7 @@ from .scalars import ZERO
 
 def canonical_two_form(sc: StructureConstants) -> GradedForm:
     """d of the canonical 1-form; the reference symplectic structure."""
-    return exterior_derivative(sc, canonical_one_form(sc))
+    return exterior_derivative_generators(sc, canonical_one_form(sc))
 
 
 @dataclass
@@ -59,7 +63,7 @@ class SymplecticCertificate:
 
 
 class SymplecticForm:
-    """A certified symplectic form with a cached contraction system."""
+    """A certified symplectic form with its factored contraction system."""
 
     def __init__(self, sc: StructureConstants, form: GradedForm,
                  _trusted: Optional[Tuple] = None):
@@ -75,13 +79,8 @@ class SymplecticForm:
     def hamiltonian_field(self, mat: GradedMatrix) -> DerivationVector:
         """The unique derivation with  iota_D omega = -dM."""
         sc = self.sc
-        rows, labels, index = self._system
-        dm = exterior_derivative(sc, GradedForm.from_matrix(sc, mat))
-        sparse = form_to_sparse(dm, index)
-        rhs = [ZERO] * len(labels)
-        for i, v in sparse.items():
-            rhs[i] = -v
-        coords = linalg.solve_unique(rows, rhs)
+        system, index = self._system
+        coords = system.solve(_minus_differential(sc, mat, index))
         return DerivationVector(sc.even_dim, sc.odd_dim, tuple(coords))
 
     def poisson_bracket(self, m1: GradedMatrix, m2: GradedMatrix) -> GradedMatrix:
@@ -91,7 +90,17 @@ class SymplecticForm:
         return evaluate(self.form, [d1, d2])
 
 
+def _minus_differential(sc: StructureConstants, mat: GradedMatrix, index) -> list:
+    """-dM on the 1-form labels: the right-hand side for the field of M."""
+    dm = exterior_derivative_generators(sc, GradedForm.from_matrix(sc, mat))
+    rhs = [ZERO] * len(index)
+    for i, v in form_to_sparse(dm, index).items():
+        rhs[i] = -v
+    return rhs
+
+
 def _contraction_system(sc: StructureConstants, form: GradedForm):
+    """The factored contraction system and the index of its 1-form labels."""
     labels = form_basis_labels(sc, 1)
     index = {lab: i for i, lab in enumerate(labels)}
     cols = []
@@ -102,7 +111,7 @@ def _contraction_system(sc: StructureConstants, form: GradedForm):
     for b, col in enumerate(cols):
         for i, v in col.items():
             rows[i][b] = v
-    return rows, labels, index
+    return linalg.factor(rows), index
 
 
 def analyze(
@@ -111,25 +120,20 @@ def analyze(
     """Run the full symplectic test; return the certified form if it passes."""
     degree_ok = form.degree == 2
     even = degree_ok and form.homogeneous_parity() == 0
-    closed = degree_ok and exterior_derivative(sc, form).is_zero()
+    closed = degree_ok and exterior_derivative_generators(sc, form).is_zero()
     if not degree_ok:
         return None, SymplecticCertificate(False, False, False, 0, sc.dim, False,
                                            note="degree must be 2")
-    rows, labels, index = _contraction_system(sc, form)
-    rank = linalg.rank_dense(rows)
+    system, index = _contraction_system(sc, form)
+    rank = system.rank
     consistent = True
     note = ""
     if rank == sc.dim:
         probes = [sc.basis.elements[a] for a in range(sc.dim)]
         probes.append(GradedMatrix.identity(sc.n, sc.m))
         for mat in probes:
-            dm = exterior_derivative(sc, GradedForm.from_matrix(sc, mat))
-            sparse = form_to_sparse(dm, index)
-            rhs = [ZERO] * len(labels)
-            for i, v in sparse.items():
-                rhs[i] = -v
             try:
-                linalg.solve_unique(rows, rhs)
+                system.solve(_minus_differential(sc, mat, index))
             except ValueError:
                 consistent = False
                 note = "contraction system inconsistent for a basis matrix"
@@ -138,7 +142,7 @@ def analyze(
                                  note=note)
     if not cert.ok:
         return None, cert
-    return SymplecticForm(sc, form, _trusted=(rows, labels, index)), cert
+    return SymplecticForm(sc, form, _trusted=(system, index)), cert
 
 
 def is_symplectic(sc: StructureConstants, form: GradedForm) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedmat import forms
+from gradedmat.constants import constants_for
 from gradedmat.forms import (
     DerivationVector,
     GradedForm,
@@ -272,6 +275,73 @@ def test_generator_route_squares_to_zero(request, seed, p, parity):
         w = random_form(random.Random(seed), sc, p, parity=parity)
         dw = exterior_derivative_generators(sc, w)
         assert exterior_derivative_generators(sc, dw).is_zero(), (name, p, parity)
+
+
+# ---- the evaluation oracle: tuple filter, independence, real guard ------
+
+
+def _every_d_tuple(sc, w):
+    return enumerate_multi_indices(sc.even_dim, sc.odd_dim, w.degree + 1)
+
+
+def _every_lie_tuple(sc, a, w):
+    return enumerate_multi_indices(sc.even_dim, sc.odd_dim, w.degree)
+
+
+@settings(max_examples=20, deadline=None)
+@random_forms
+def test_oracle_tuple_filter_misses_nothing(request, seed, p, parity):
+    # with the filter replaced by every canonical tuple the sums must agree
+    for name in SHAPES:
+        sc = request.getfixturevalue(name)
+        rng = random.Random(seed)
+        w = random_form(rng, sc, p, parity=parity)
+        da = DerivationVector.basis(sc, rng.randrange(sc.dim))
+        filtered = exterior_derivative(sc, w), lie_derivative(sc, da, w)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forms, "_d_support", _every_d_tuple)
+            mp.setattr(forms, "_lie_support", _every_lie_tuple)
+            full = exterior_derivative(sc, w), lie_derivative(sc, da, w)
+        assert filtered == full, (name, p, parity)
+
+
+def test_oracle_reads_no_kernel_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel table read by the oracle")
+
+    monkeypatch.setattr(forms, "_d_tuple", refuse)
+    monkeypatch.setattr(forms, "_kernel_tables", refuse)
+    sc = constants_for(2, 1)
+    rng = random.Random(71)
+    for p in range(3):
+        w = random_form(rng, sc, p)
+        dw = exterior_derivative(sc, w)
+        assert exterior_derivative(sc, dw).is_zero()
+        lie_derivative(sc, DerivationVector.basis(sc, rng.randrange(sc.dim)), w)
+    assert not [k for k in sc.cache if k[0] in ("column_kernel", "d_tuple")]
+    with pytest.raises(AssertionError):
+        exterior_derivative_generators(sc, w)
+
+
+def test_oracle_rejects_a_complex_structure_constant(sc21):
+    # make one constant c_(x,y)^cc with x < y Gaussian; d theta^cc reads it
+    # at the tuple (x, y), and L_x theta^cc reads it at (y,)
+    (x, y), row = next((xy, row) for xy, row in sorted(sc21.c.items())
+                       if xy[0] < xy[1])
+    cc = min(row)
+    doctored = dict(sc21.c)
+    doctored[(x, y)] = {**row, cc: Scalar(row[cc].re, 1)}
+    sc = dataclasses.replace(sc21, c=doctored)
+    theta = frame_form(sc, cc)
+    with pytest.raises(ValueError, match="not real"):
+        exterior_derivative(sc, theta)
+    with pytest.raises(ValueError, match="not real"):
+        lie_derivative(sc, DerivationVector.basis(sc, x), theta)
+    with pytest.raises(ValueError, match="not real"):
+        exterior_derivative_generators(sc, theta)
+    # the undoctored constants still run both
+    exterior_derivative(sc21, frame_form(sc21, cc))
+    lie_derivative(sc21, DerivationVector.basis(sc21, x), frame_form(sc21, cc))
 
 
 def test_derivative_squares_to_zero(sc21):

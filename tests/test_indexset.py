@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedmat.forms import GradedForm
 from gradedmat.indexset import (
     canonicalize,
     commutation_factor,
@@ -12,11 +14,13 @@ from gradedmat.indexset import (
     extraction_prefactor,
     index_count,
     index_parity,
+    is_canonical,
     multiplicities,
     permutation_sign,
     self_evaluation_factor,
     tuple_parity,
 )
+from gradedmat.matrices import GradedMatrix
 
 NE, NO = 4, 4  # the (2|1) split
 
@@ -34,6 +38,29 @@ def test_enumeration_is_canonical_and_sorted():
         for key in keys:
             assert list(key) == sorted(key)
             assert canonicalize(key, NE) == (tuple(key), 1)
+
+
+# Unsorted draws and sorted ones, so that canonical tuples, repeated even
+# and odd indices and single misorderings all come up.
+index_lists = st.lists(st.integers(0, 7), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_even=st.integers(0, 8),
+       t=st.one_of(index_lists, index_lists.map(sorted)))
+def test_linear_key_check_matches_canonicalize(n_even, t):
+    t = tuple(t)
+    canon = canonicalize(t, n_even)
+    canonical = canon is not None and canon[0] == t
+    assert is_canonical(t, n_even) == canonical
+    # GradedForm accepts exactly the canonical keys
+    mat = GradedMatrix.identity(2, 1)
+    build = lambda: GradedForm(2, 1, n_even, 8 - n_even, len(t), {t: mat})
+    if canonical:
+        assert build().coeffs == {t: mat}
+    else:
+        with pytest.raises(ValueError, match=r"is not canonical"):
+            build()
 
 
 def test_canonicalize_rules():

@@ -127,3 +127,72 @@ def test_exact_rank_rejects_a_short_modular_rank(monkeypatch):
     )
     with pytest.raises(AssertionError):
         linalg.exact_rank(rows, 6)
+
+
+# ---- the factored solve against the one-shot rref solve ----------------
+
+
+def _rref_solve(rows, rhs):
+    """Solve A x = b by one rref of [A | b]: the reference for ``factor``."""
+    ncols = len(rows[0])
+    red, pivots = linalg.rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        raise ValueError("inconsistent linear system")
+    if len(pivots) < ncols:
+        raise ValueError("underdetermined linear system")
+    x = [Scalar.of(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][ncols]
+    return x
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except ValueError as err:
+        return str(err)
+
+
+small_gaussians = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_factored_solve_matches_rref_solve(data):
+    nrows = data.draw(st.integers(1, 6), label="rows")
+    ncols = data.draw(st.integers(1, nrows), label="columns")
+    rows = data.draw(st.lists(st.lists(small_gaussians, min_size=ncols,
+                                       max_size=ncols),
+                              min_size=nrows, max_size=nrows), label="A")
+    fact = linalg.factor(rows)
+    assert fact.rank == linalg.rank_dense(rows)
+    # one right-hand side in the column space, then arbitrary ones
+    x = data.draw(st.lists(small_gaussians, min_size=ncols, max_size=ncols))
+    rhss = [linalg.matvec(rows, x)] + data.draw(st.lists(
+        st.lists(small_gaussians, min_size=nrows, max_size=nrows), max_size=3))
+    for rhs in rhss:
+        want = _outcome(_rref_solve, rows, rhs)
+        assert _outcome(fact.solve, rhs) == want
+        assert _outcome(linalg.solve_unique, rows, rhs) == want
+    if fact.rank == ncols:
+        assert fact.solve(rhss[0]) == x
+
+
+def test_factored_solve_raises_like_the_rref_solve():
+    tall = linalg.factor(_mat([[1, 0], [0, 1], [1, 1]]))
+    assert tall.rank == 2
+    assert tall.solve([Scalar.of(v) for v in (1, 2, 3)]) == _mat([[1, 2]])[0]
+    with pytest.raises(ValueError, match="inconsistent"):
+        tall.solve([Scalar.of(v) for v in (1, 2, 4)])
+    wide = linalg.factor(_mat([[1, 1, 0], [0, 0, 1]]))
+    assert wide.rank == 2
+    with pytest.raises(ValueError, match="underdetermined"):
+        wide.solve([Scalar.of(1), Scalar.of(2)])
+    # an inconsistent system is reported as such even when underdetermined
+    flat = linalg.factor(_mat([[1, 1], [2, 2]]))
+    with pytest.raises(ValueError, match="inconsistent"):
+        flat.solve([Scalar.of(1), Scalar.of(1)])
+    with pytest.raises(ValueError, match="underdetermined"):
+        flat.solve([Scalar.of(1), Scalar.of(2)])
+    with pytest.raises(ValueError, match="length"):
+        tall.solve([Scalar.of(1)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedmat.scalars import I, ONE, ZERO, Scalar, half
+from gradedmat.scalars import _F0, I, ONE, ZERO, Scalar, half
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -83,6 +83,20 @@ def test_ring_axioms(a, b, c):
         assert x * (y + z) == x * y + x * z
         assert x - y == x + (-y)
         assert x + ZERO == x and x * ZERO == ZERO and x * ONE == x
+
+
+@settings(max_examples=80, deadline=None)
+@given(rationals, scalars)
+def test_mixed_real_gaussian_products(r, z):
+    # a real factor takes its own fast path; it must give the full formula
+    x = Scalar(r)
+    for a, b in ((x, z), (z, x), (x, Scalar(0, z.im)), (Scalar(0, z.im), x)):
+        got = a * b
+        _assert_exact(got)
+        assert got.re == a.re * b.re - a.im * b.im
+        assert got.im == a.re * b.im + a.im * b.re
+        if not got.im:
+            assert got.im is _F0
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from gradedmat import bundles, forms, linalg, symplectic
+from gradedmat.bundles import rank_one_connection
+from gradedmat.constants import constants_for
 from gradedmat.forms import (
     DerivationVector,
     GradedForm,
     apply_derivation,
+    canonical_one_form,
     lie_derivative,
 )
 from gradedmat.matrices import GradedMatrix, graded_commutator
@@ -127,3 +131,27 @@ def test_uniqueness_up_to_scale(sc21):
     space = closed_invariant_even_two_forms(sc21)
     assert len(space) == 1
     assert symplectic_uniqueness_holds(sc21)
+
+
+def test_production_callers_skip_the_evaluation_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluation oracle or elimination called")
+
+    for mod in (forms, symplectic, bundles):
+        for name in ("exterior_derivative", "lie_derivative"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    sc = constants_for(2, 1)
+    omega = canonical_symplectic(sc)
+    built, cert = analyze(sc, canonical_two_form(sc).scale(2))
+    assert built is not None and cert.ok
+    conn = rank_one_connection(sc, canonical_one_form(sc))
+    assert all(f.is_zero() for row in conn.curvature() for f in row)
+    assert conn.bianchi_holds()
+    conn.covariant_derivative([canonical_one_form(sc)])
+    # the factorization is kept: a Hamiltonian field runs no elimination
+    for name in ("factor", "rref", "solve_unique", "rank_dense"):
+        monkeypatch.setattr(linalg, name, refuse)
+    for a in range(sc.dim):
+        field = omega.hamiltonian_field(sc.basis.elements[a])
+        assert field.coords == DerivationVector.basis(sc, a).coords
