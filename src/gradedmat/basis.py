@@ -42,7 +42,7 @@ from typing import List, Tuple
 
 from . import linalg
 from .matrices import GradedMatrix, graded_commutator
-from .scalars import ZERO, Scalar
+from .scalars import Scalar
 
 
 @dataclass(frozen=True)
@@ -86,43 +86,25 @@ class HomogeneousBasis:
 
     def _vector_columns(self) -> List[List[Scalar]]:
         # rows = flattened matrix positions, columns = basis elements
-        k = self.n + self.m
-        cols = [[e.entries[i][j] for e in self.elements] for i in range(k) for j in range(k)]
-        return cols
+        return [list(row) for row in zip(*(e.flat() for e in self.elements))]
 
     @cached_property
     def _expansion_inverse(self) -> List[List[Scalar]]:
         # columns: vec(E_0), ..., vec(E_last), vec(identity)
-        k = self.n + self.m
         ident = GradedMatrix.identity(self.n, self.m)
-        cols = [
-            [e.entries[i][j] for e in (*self.elements, ident)]
-            for i in range(k)
-            for j in range(k)
-        ]
-        return linalg.inverse(cols)
+        flats = [e.flat() for e in (*self.elements, ident)]
+        return linalg.inverse([list(row) for row in zip(*flats)])
 
     def expand(self, mat: GradedMatrix) -> Tuple[List[Scalar], Scalar]:
         """Coefficients (c_A, u) with  mat = sum c_A E_A + u * identity."""
         if (mat.n, mat.m) != (self.n, self.m):
             raise ValueError("shape mismatch in basis expansion")
-        k = self.n + self.m
-        vec = [mat.entries[i][j] for i in range(k) for j in range(k)]
-        coeffs = linalg.matvec(self._expansion_inverse, vec)
+        coeffs = linalg.matvec(self._expansion_inverse, mat.flat())
         return coeffs[:-1], coeffs[-1]
 
 
 def _diagonal(n: int, m: int, values) -> GradedMatrix:
-    k = n + m
-    vals = list(values)
-    return GradedMatrix(
-        n,
-        m,
-        tuple(
-            tuple(Scalar.of(vals[i]) if i == j else ZERO for j in range(k))
-            for i in range(k)
-        ),
-    )
+    return GradedMatrix(n, m, ((i, i, v) for i, v in enumerate(values)))
 
 
 def _even_block_groups(n: int, m: int):
@@ -224,8 +206,7 @@ def derivation_dimension(basis: HomogeneousBasis) -> Tuple[int, int]:
         for a in indices:
             col = []
             for u in units:
-                img = adjoint_action(basis.elements[a], u)
-                col.extend(img.entries[i][j] for i in range(k) for j in range(k))
+                col.extend(adjoint_action(basis.elements[a], u).flat())
             cols.append(col)
         return [list(row) for row in zip(*cols)] if cols else []
 

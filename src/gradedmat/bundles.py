@@ -310,8 +310,7 @@ def rank_one_connection(sc: StructureConstants, alpha: GradedForm) -> Connection
 
 
 def graded_inverse(mat: GradedMatrix) -> GradedMatrix:
-    rows = [list(r) for r in mat.entries]
-    inv = linalg.inverse(rows)
+    inv = linalg.inverse([list(r) for r in mat.entries])
     return GradedMatrix.from_rows(mat.n, mat.m, inv)
 
 
@@ -327,9 +326,5 @@ def conjugated_rho(
 
 def rho_map_injective(sc: StructureConstants, rho: Sequence[GradedMatrix]) -> bool:
     """Whether E_A -> rho_A extends to an injective map on the traceless part."""
-    cols = []
-    k = sc.n + sc.m
-    for mat in rho:
-        cols.append([mat.entries[i][j] for i in range(k) for j in range(k)])
-    rows = [[cols[a][i] for a in range(len(rho))] for i in range(k * k)]
+    rows = [list(row) for row in zip(*(mat.flat() for mat in rho))]
     return linalg.rank_dense(rows) == len(rho)

@@ -337,14 +337,8 @@ def suite_canonical_form(sc: StructureConstants) -> VerificationReport:
     if ok:
         gen = space[0]
         key = next(iter(gen.coeffs))
-        mat, ref = gen.coeffs[key], theta.coeffs[key]
-        spot = next(
-            (i, j)
-            for i in range(mat.size)
-            for j in range(mat.size)
-            if mat.entries[i][j]
-        )
-        ratio = mat.entries[spot[0]][spot[1]] / ref.entries[spot[0]][spot[1]]
+        i, j, x = gen.coeffs[key].nonzeros()[0]
+        ratio = x / theta.coeffs[key][i, j]
         ok = bool(ratio) and gen == theta.scale(ratio)
     rep.add(
         "invariant 1-forms are exactly the canonical line",

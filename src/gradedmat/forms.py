@@ -26,11 +26,17 @@ oracle the tests hold it to.  Production code (``symplectic``, ``bundles``)
 runs the kernel route; the evaluation sum is run only by the verify suites
 and the tests.  The symplectic contraction system is factored once per
 form, in ``symplectic``.
+
+Both routes accumulate in Python ints over one common denominator: the
+kernel tables hold integer numerators over one table denominator, a
+form's entries are scaled once to integers over the lcm of their
+denominators, and each nonzero output entry is divided back once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .constants import StructureConstants
@@ -485,6 +491,9 @@ def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
 # first and each tuple's matrix is built once.  Only the tuples that some
 # stored key can reach are visited; the reach tables are read off ``sc.c``
 # alone, so this route shares no table with the column kernel below.
+#
+# Both routes sum in ints: ``_scaled`` clears a form's denominators once
+# and ``_matrix_over`` divides each nonzero output entry back once.
 
 # (b, K) -> real weight of [E_b, M_K] in one tuple's value; b None for M_K
 Weights = Dict[Tuple[Optional[int], IndexTuple], Fraction]
@@ -496,28 +505,77 @@ def _real(v: Scalar) -> Fraction:
     return v.re
 
 
-def _add(acc: Dict, i, v: Fraction) -> None:
+def _add(acc: Dict, i, v) -> None:
     cur = acc.get(i)
     acc[i] = v if cur is None else cur + v
 
 
-def _matrix_of_parts(
-    n: int, m: int, re: Dict[int, Fraction], im: Dict[int, Fraction]
+# the nonzero parts of a matrix times a common denominator, as (unit
+# u = r * (n + m) + c, 0 for the real part or 1 for the imaginary part,
+# integer numerator)
+IntEntries = List[Tuple[int, int, int]]
+
+
+def _scaled(form: GradedForm) -> Tuple[Dict[IndexTuple, IntEntries], int]:
+    """Each coefficient's ``IntEntries`` over the lcm of every entry
+    denominator of the form, and that lcm."""
+    den = 1
+    for mat in form.coeffs.values():
+        for _, _, x in mat.nonzeros():
+            den = lcm(den, x.re.denominator, x.im.denominator)
+    k = form.n + form.m
+    return {
+        key: [(r * k + c, part, y.numerator * (den // y.denominator))
+              for r, c, x in mat.nonzeros()
+              for part, y in enumerate((x.re, x.im)) if y]
+        for key, mat in form.coeffs.items()
+    }, den
+
+
+def _matrix_over(
+    n: int, m: int, re: Dict[int, int], im: Dict[int, int], den: int
 ) -> GradedMatrix:
-    """The matrix with entry re[u] + i im[u] at unit u = r * (n + m) + c."""
-    k = n + m
-    rows = [[ZERO] * k for _ in range(k)]
-    for u in re.keys() | im.keys():
-        rows[u // k][u % k] = Scalar(re.get(u, _F0), im.get(u, _F0))
-    return GradedMatrix(n, m, tuple(map(tuple, rows)))
+    """The matrix with entry (re[u] + i im[u]) / den at unit u = r * (n + m) + c."""
+    vals = {}
+    for u in (re.keys() | im.keys()) if im else re.keys():
+        a, b = re.get(u, 0), im.get(u, 0)
+        if a or b:
+            vals[u] = Scalar(Fraction(a, den) if a else _F0,
+                             Fraction(b, den) if b else _F0)
+    if not vals:
+        return GradedMatrix.zero(n, m)
+    return GradedMatrix.from_units(n, m, vals)
 
 
-def _entries(mat: GradedMatrix) -> List[Tuple[int, int, Fraction]]:
-    """The nonzero parts of ``mat`` as (unit u = r * (n + m) + c, 0 for
-    the real part or 1 for the imaginary part, value)."""
-    k = mat.n + mat.m
-    return [(r * k + c, part, y) for r, c, x in mat.nonzeros()
-            for part, y in enumerate((x.re, x.im)) if y]
+def _bracket_entries(e: GradedMatrix, entries: IntEntries, n: int) -> IntEntries:
+    """[e, M] from the ``IntEntries`` of M, for a real integral e.
+
+    Entry by entry as in ``matrices.graded_commutator``: a product
+    M_it e_tj enters with sign + when both factors are odd, else -.
+    """
+    k = e.n + e.m
+    erows: Dict[int, List[Tuple[int, int]]] = {}
+    for i, j, x in e.nonzeros():
+        if x.im or x.re.denominator != 1:
+            raise ValueError(f"basis element entry {x} is not an integer")
+        erows.setdefault(i, []).append((j, x.re.numerator))
+    mrows: Dict[int, List[Tuple[int, int, int]]] = {}
+    for u, part, y in entries:
+        mrows.setdefault(u // k, []).append((u % k, part, y))
+    acc: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
+    for i, ts in erows.items():
+        for t, x in ts:
+            for j, part, y in mrows.get(t, ()):
+                ap = acc[part]
+                ap[i * k + j] = ap.get(i * k + j, 0) + x * y
+    for u, part, y in entries:
+        i, t = divmod(u, k)
+        odd_m = (i < n) != (t < n)
+        ap = acc[part]
+        for j, x in erows.get(t, ()):
+            term = y * x if odd_m and (t < n) != (j < n) else -y * x
+            ap[i * k + j] = ap.get(i * k + j, 0) + term
+    return [(u, part, v) for part in (0, 1) for u, v in acc[part].items() if v]
 
 
 def _oracle_reach(sc: StructureConstants) -> tuple:
@@ -575,29 +633,36 @@ def _lie_support(
 
 
 def _weighted_matrix(
-    sc: StructureConstants, form: GradedForm, weights: Weights, memo: Dict,
-    pref: Fraction,
+    sc: StructureConstants, form: GradedForm, scaled: Tuple[Dict, int],
+    weights: Weights, memo: Dict, pref: Fraction,
 ) -> GradedMatrix:
     """pref * sum of the weighted M_K and [E_b, M_K].
 
-    ``memo`` keeps, for one call of the route, the ``_entries`` of each
-    M_K and [E_b, M_K].
+    ``scaled`` is ``_scaled(form)``; ``memo`` keeps, for one call of the
+    route, the ``IntEntries`` of each [E_b, M_K] over the same denominator.
+    The weights are cleared to integers over the lcm of their own
+    denominators, so the sum runs in ints.
     """
-    parts: Tuple[Dict[int, Fraction], Dict[int, Fraction]] = ({}, {})
+    ints, den = scaled
+    wden = lcm(*(w.denominator for w in weights.values()))
+    parts: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
     for bk, w in weights.items():
         if not w:
             continue
-        entries = memo.get(bk)
-        if entries is None:
-            b, key = bk
-            mat = form.coeffs[key]
-            if b is not None:
-                mat = graded_commutator(sc.basis.elements[b], mat)
-            entries = memo[bk] = _entries(mat)
-        w *= pref
+        b, key = bk
+        if b is None:
+            entries = ints[key]
+        else:
+            entries = memo.get(bk)
+            if entries is None:
+                entries = memo[bk] = _bracket_entries(
+                    sc.basis.elements[b], ints[key], form.n
+                )
+        w = w.numerator * (wden // w.denominator) * pref.numerator
         for u, part, y in entries:
-            _add(parts[part], u, w * y)
-    return _matrix_of_parts(form.n, form.m, *parts)
+            acc = parts[part]
+            acc[u] = acc.get(u, 0) + w * y
+    return _matrix_over(form.n, form.m, *parts, den * wden * pref.denominator)
 
 
 def _lie_basis_homogeneous(
@@ -610,6 +675,7 @@ def _lie_basis_homogeneous(
     pa = sc.parity(a)
     p = form.degree
     ne = form.n_even
+    scaled = _scaled(form)
     memo: Dict = {}
     coeffs: Dict[IndexTuple, GradedMatrix] = {}
     for key in _lie_support(sc, a, form):
@@ -627,7 +693,7 @@ def _lie_basis_homogeneous(
                     _add(weights, (None, got), -sign * f * c)
             acc += index_parity(key[l], ne)
         pref = extraction_prefactor(key, ne)
-        coeffs[key] = _weighted_matrix(sc, form, weights, memo, pref)
+        coeffs[key] = _weighted_matrix(sc, form, scaled, weights, memo, pref)
     return GradedForm(form.n, form.m, form.n_even, form.m_odd, p, coeffs)
 
 
@@ -641,6 +707,7 @@ def _exterior_derivative_homogeneous(
     """
     p = form.degree
     ne = form.n_even
+    scaled = _scaled(form)
     memo: Dict = {}
     coeffs: Dict[IndexTuple, GradedMatrix] = {}
     for key in _d_support(sc, form):
@@ -665,7 +732,7 @@ def _exterior_derivative_homogeneous(
                     if got is not None:
                         _add(weights, (None, got), sign * f * c)
         pref = extraction_prefactor(key, ne)
-        coeffs[key] = _weighted_matrix(sc, form, weights, memo, pref)
+        coeffs[key] = _weighted_matrix(sc, form, scaled, weights, memo, pref)
     return GradedForm(form.n, form.m, form.n_even, form.m_odd, p + 1, coeffs)
 
 
@@ -684,15 +751,17 @@ def _exterior_derivative_homogeneous(
 class _KernelTables:
     """Structure-constant tables read by the column kernel.
 
-    ``comm[b][r * k + c]`` lists (r' * k + c', value) over the nonzero
-    entries of -[E_rc, E_b]; ``frame[A]`` lists (cc, b, c_(b,cc)^A / 2),
-    the terms of d theta^A; ``coad[a][A]`` lists (D, c_(a,D)^A), the frame
-    forms that L_a theta^A reaches.
+    Every value is an integer numerator over the one table denominator
+    ``den``.  ``comm[b][r * k + c]`` lists (r' * k + c', value) over the
+    nonzero entries of -[E_rc, E_b]; ``frame[A]`` lists (cc, b,
+    c_(b,cc)^A / 2), the terms of d theta^A; ``coad[a][A]`` lists (D,
+    c_(a,D)^A), the frame forms that L_a theta^A reaches.
     """
 
-    comm: List[List[List[Tuple[int, Fraction]]]]
-    frame: List[List[Tuple[int, int, Fraction]]]
-    coad: List[List[List[Tuple[int, Fraction]]]]
+    den: int
+    comm: List[List[List[Tuple[int, int]]]]
+    frame: List[List[Tuple[int, int, int]]]
+    coad: List[List[List[Tuple[int, int]]]]
 
 
 def _kernel_tables(sc: StructureConstants) -> _KernelTables:
@@ -714,7 +783,20 @@ def _kernel_tables(sc: StructureConstants) -> _KernelTables:
             f = _real(v)
             frame[A].append((cc, b, f / 2))
             coad[b][A].append((cc, f))
-    got = _KernelTables(comm, frame, coad)
+    den = lcm(
+        *(v.denominator for tab in comm for col in tab for _, v in col),
+        *(v.denominator for terms in frame for _, _, v in terms),
+    )
+
+    def num(v: Fraction) -> int:
+        return v.numerator * (den // v.denominator)
+
+    got = _KernelTables(
+        den,
+        [[[(i, num(v)) for i, v in col] for col in tab] for tab in comm],
+        [[(cc, b, num(v)) for cc, b, v in terms] for terms in frame],
+        [[[(D, num(v)) for D, v in terms] for terms in row] for row in coad],
+    )
     sc.cache[("column_kernel",)] = got
     return got
 
@@ -723,7 +805,8 @@ def _d_tuple(sc: StructureConstants, key: IndexTuple) -> tuple:
     """What d does to the frame monomial theta^I, kept in ``sc.cache``.
 
     ``moved`` lists (``comm[b]``, canonical tuple of (b,) + I, its sign);
-    ``frame`` lists the nonzero (tuple, summed 1/2 c * sign), unit kept.
+    ``frame`` lists the nonzero (tuple, summed 1/2 c * sign), unit kept,
+    with values over the table denominator as in ``_KernelTables``.
     """
     ck = ("d_tuple", key)
     got = sc.cache.get(ck)
@@ -736,7 +819,7 @@ def _d_tuple(sc: StructureConstants, key: IndexTuple) -> tuple:
         canon = canonicalize((b,) + key, ne)
         if canon is not None:
             moved.append((t.comm[b], canon[0], canon[1]))
-    frame: Dict[IndexTuple, Fraction] = {}
+    frame: Dict[IndexTuple, int] = {}
     for j, A in enumerate(key):
         sign_j = -1 if j % 2 else 1
         for cc, b, v in t.frame[A]:
@@ -754,25 +837,29 @@ def exterior_derivative_generators(
     """Exterior derivative through the frame generator formulas.
 
     The column kernel of ``formspace.d_matrix`` applied to a form, real
-    and imaginary parts summed apart (the structure constants are real).
+    and imaginary parts summed apart (the structure constants are real),
+    in ints over the form's common denominator times the table one.
     ``exterior_derivative`` is the independent oracle the tests hold it to.
     """
+    den = _kernel_tables(sc).den
+    ints, form_den = _scaled(form)
     # output tuple -> (real part, imaginary part), each unit -> sum
-    parts: Dict[IndexTuple, Tuple[Dict[int, Fraction], Dict[int, Fraction]]] = {}
-    for key, mat in form.coeffs.items():
+    parts: Dict[IndexTuple, Tuple[Dict[int, int], Dict[int, int]]] = {}
+    for key, entries in ints.items():
         moved, frame = _d_tuple(sc, key)
-        entries = _entries(mat)
         for table, out, sign in moved:
-            acc = parts.setdefault(out, ({}, {}))
+            got = parts.setdefault(out, ({}, {}))
             for u, part, y in entries:
                 f = y if sign == 1 else -y
+                acc = got[part]
                 for i, v in table[u]:
-                    _add(acc[part], i, f * v)
+                    acc[i] = acc.get(i, 0) + f * v
         for out, v in frame:
-            acc = parts.setdefault(out, ({}, {}))
+            got = parts.setdefault(out, ({}, {}))
             for u, part, y in entries:
-                _add(acc[part], u, y * v)
-    coeffs = {out: _matrix_of_parts(form.n, form.m, re, im)
+                acc = got[part]
+                acc[u] = acc.get(u, 0) + y * v
+    coeffs = {out: _matrix_over(form.n, form.m, re, im, form_den * den)
               for out, (re, im) in parts.items()}
     return GradedForm(form.n, form.m, form.n_even, form.m_odd, form.degree + 1, coeffs)
 

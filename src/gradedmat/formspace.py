@@ -8,9 +8,13 @@ bases) refers to this ordering.
 
 The matrices of d_p and of the basis Lie derivatives are written column
 by column straight from the structure constants (``d_matrix``,
-``lie_matrix``).  ``matrix_of_map`` runs any form-level map over the
-basis instead; with ``exterior_derivative`` and ``lie_derivative`` it is
-the oracle the tests hold the column kernel to.
+``lie_matrix``): each column is summed in ints from the kernel tables of
+``forms``, whose values are numerators over one table denominator, and
+each distinct nonzero entry is divided back and wrapped in a Scalar once.
+Form coefficients are read through their sparse triples.
+``matrix_of_map`` runs any form-level map over the basis instead; with
+``exterior_derivative`` and ``lie_derivative`` it is the oracle the tests
+hold the column kernel to.
 """
 from __future__ import annotations
 
@@ -54,30 +58,20 @@ def basis_form(sc: StructureConstants, label: Label) -> GradedForm:
 def form_to_sparse(form: GradedForm, index: Dict[Label, int]) -> Dict[int, Scalar]:
     out: Dict[int, Scalar] = {}
     for key, mat in form.coeffs.items():
-        for r in range(mat.size):
-            for c in range(mat.size):
-                v = mat.entries[r][c]
-                if v:
-                    out[index[(key, r, c)]] = v
+        for r, c, v in mat.nonzeros():
+            out[index[(key, r, c)]] = v
     return out
 
 
 def vector_to_form(
     sc: StructureConstants, p: int, vec: Sequence, labels: Sequence[Label]
 ) -> GradedForm:
-    coeffs: Dict[Tuple[int, ...], GradedMatrix] = {}
-    k = sc.n + sc.m
+    triples: Dict[Tuple[int, ...], list] = {}
     for x, (key, r, c) in zip(vec, labels):
-        s = Scalar.of(x)
-        if not s:
-            continue
-        mat = coeffs.get(key)
-        if mat is None:
-            mat = GradedMatrix.zero(sc.n, sc.m)
-        rows = [list(row) for row in mat.entries]
-        rows[r][c] = rows[r][c] + s
-        coeffs[key] = GradedMatrix.from_rows(sc.n, sc.m, rows)
-    return GradedForm.of(sc, p, coeffs)
+        triples.setdefault(key, []).append((r, c, x))
+    return GradedForm.of(sc, p, {
+        key: GradedMatrix(sc.n, sc.m, got) for key, got in triples.items()
+    })
 
 
 @dataclass
@@ -214,25 +208,27 @@ def _tuple_index(sc: StructureConstants, p: int) -> Dict[Tuple[int, ...], int]:
 def _columns(
     labels: Sequence[Label],
     per_tuple: Callable[[Tuple[int, ...]], tuple],
-    unit_terms: Callable[[tuple, int, int], Dict[int, Fraction]],
+    unit_terms: Callable[[tuple, int, int], Dict[int, int]],
+    den: int,
 ) -> List[Dict[int, Scalar]]:
     """Sparse columns over label order, each nonzero wrapped in a Scalar once.
 
     ``per_tuple(I)`` precomputes what every unit of the index tuple I
-    shares; ``unit_terms(shared, r, c)`` writes the column of (I, r, c).
+    shares; ``unit_terms(shared, r, c)`` writes the column of (I, r, c) as
+    integer numerators over ``den``, the kernel-table denominator.
     """
-    wrapped: Dict[Fraction, Scalar] = {}
+    wrapped: Dict[int, Scalar] = {}
     columns: List[Dict[int, Scalar]] = []
     prev = shared = None
     for key, r, c in labels:
         if key != prev:
             prev, shared = key, per_tuple(key)
         col: Dict[int, Scalar] = {}
-        for i, f in unit_terms(shared, r, c).items():
-            if f:
-                s = wrapped.get(f)
+        for i, v in unit_terms(shared, r, c).items():
+            if v:
+                s = wrapped.get(v)
                 if s is None:
-                    s = wrapped[f] = Scalar(f)
+                    s = wrapped[v] = Scalar(Fraction(v, den))
                 col[i] = s
         columns.append(col)
     return columns
@@ -248,6 +244,7 @@ def d_matrix(
     """
     k = sc.n + sc.m
     out_index = _tuple_index(sc, p + 1)
+    den = _kernel_tables(sc).den
 
     def per_tuple(key):
         moved, frame = _d_tuple(sc, key)
@@ -259,7 +256,7 @@ def d_matrix(
     def unit_terms(shared, r, c):
         moved, frame = shared
         u = r * k + c
-        col: Dict[int, Fraction] = {}
+        col: Dict[int, int] = {}
         for table, off, sign in moved:
             for i, v in table[u]:
                 _add(col, off + i, v if sign == 1 else -v)
@@ -268,7 +265,7 @@ def d_matrix(
         return col
 
     in_labels = form_basis_labels(sc, p, parity=parity)
-    columns = _columns(in_labels, per_tuple, unit_terms)
+    columns = _columns(in_labels, per_tuple, unit_terms, den)
     return LinearMapMatrix(in_labels, form_basis_labels(sc, p + 1), columns)
 
 
@@ -287,7 +284,7 @@ def lie_matrix(
     comm = t.comm[a]
 
     def per_tuple(key):
-        frame: Dict[int, Fraction] = {}
+        frame: Dict[int, int] = {}
         passed = 0
         for j, A in enumerate(key):
             passed += A >= ne
@@ -301,7 +298,7 @@ def lie_matrix(
     def unit_terms(shared, r, c):
         off_key, frame = shared
         u = r * k + c
-        col: Dict[int, Fraction] = {}
+        col: Dict[int, int] = {}
         for i, v in comm[u]:
             _add(col, off_key + i, v)
         for off, v in frame:
@@ -311,7 +308,7 @@ def lie_matrix(
         return col
 
     in_labels = form_basis_labels(sc, p, parity=parity)
-    columns = _columns(in_labels, per_tuple, unit_terms)
+    columns = _columns(in_labels, per_tuple, unit_terms, t.den)
     return LinearMapMatrix(in_labels, form_basis_labels(sc, p), columns)
 
 

@@ -92,7 +92,9 @@ class Factorization:
     ``transform`` holds the row operations T that bring A to reduced row
     echelon form, as sparse rows: row i < rank of T A has its leading 1
     in column ``pivots[i]``, the only nonzero of that column, and the rows
-    of T A past the rank are zero.
+    of T A past the rank are zero.  ``tail_rows[j]`` lists the rows of T
+    past the rank that are nonzero in column j: a right-hand side can only
+    be inconsistent through the rows that touch its support.
     """
 
     def __init__(self, nrows: int, ncols: int, pivots: List[int],
@@ -101,6 +103,10 @@ class Factorization:
         self.ncols = ncols
         self.pivots = pivots
         self.transform = transform
+        self.tail_rows: Dict[int, List[int]] = {}
+        for r in range(len(pivots), len(transform)):
+            for j in transform[r]:
+                self.tail_rows.setdefault(j, []).append(r)
 
     @property
     def rank(self) -> int:
@@ -111,14 +117,14 @@ class Factorization:
         if len(rhs) != self.nrows:
             raise ValueError("rhs length mismatch")
         b = {j: Scalar.of(v) for j, v in enumerate(rhs) if v}
-        tb = [_apply(row, b) for row in self.transform]
-        if any(tb[self.rank:]):
+        touched = {r for j in b for r in self.tail_rows.get(j, ())}
+        if any(_apply(self.transform[r], b) for r in sorted(touched)):
             raise ValueError("inconsistent linear system")
         if self.rank < self.ncols:
             raise ValueError("underdetermined linear system")
         x = [ZERO] * self.ncols
-        for c, v in zip(self.pivots, tb):
-            x[c] = v
+        for c, row in zip(self.pivots, self.transform):
+            x[c] = _apply(row, b)
         return x
 
 

@@ -6,48 +6,73 @@ in the same block are even, entries crossing blocks are odd.  The even
 and odd parts of the bracket operations below carry all sign conventions
 of the package, so everything downstream (structure constants, forms,
 connections) inherits exactness from this module.
+
+A ``GradedMatrix`` stores one thing: the row-major tuple of its nonzero
+(row, column, value) triples, never holding a zero.  That tuple is what
+``nonzeros`` returns and what equality and hashing compare; sums,
+products, brackets, the parity split and twist and the traces all run
+over it, since nearly every matrix the package handles is a basis element
+or a form coefficient with a few nonzero entries.  The dense rows
+(``entries``) and the flat row-major vector (``flat``) are views derived
+on demand, for printing, tests and the small dense solves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar
+
+Triple = Tuple[int, int, Scalar]
 
 
 def _index_parity(i: int, n: int) -> int:
     return 0 if i < n else 1
 
 
-@lru_cache(maxsize=None)
-def _zero_matrix(n: int, m: int) -> "GradedMatrix":
-    k = n + m
-    row = (ZERO,) * k
-    return GradedMatrix(n, m, (row,) * k)
+def _rows(triples: Iterable[Triple]) -> Dict[int, List[Tuple[int, Scalar]]]:
+    """Row index -> list of (column, value) over the triples."""
+    rows: Dict[int, List[Tuple[int, Scalar]]] = {}
+    for i, j, x in triples:
+        got = rows.get(i)
+        if got is None:
+            rows[i] = [(j, x)]
+        else:
+            got.append((j, x))
+    return rows
 
 
-def _empty_rows(k: int) -> list:
-    return [[ZERO] * k for _ in range(k)]
-
-
-@dataclass(frozen=True)
 class GradedMatrix:
     """An (n+m) x (n+m) matrix with the block Z2-grading.
 
-    ``entries`` is a tuple of rows, each a tuple of Scalar.  Instances are
-    immutable and hashable; all operations return new matrices.
-
-    Arithmetic runs over the nonzero entries only (``nonzeros``, computed
-    once per instance), since nearly every matrix the package handles is
-    a basis element with one or a few nonzero entries.  An entry's parity
-    is an index test, so the grading never needs dense copies.
+    ``GradedMatrix(n, m, triples)`` takes (row, column, value) triples in
+    any order, with values coercible to Scalar; it drops zeros and rejects
+    repeated or out-of-range positions.  Instances are immutable and
+    hashable; all operations return new matrices.  An entry's parity is
+    an index test, so the grading never needs dense copies.
     """
 
-    n: int
-    m: int
-    entries: tuple
+    __slots__ = ("n", "m", "_triples")
+
+    def __init__(self, n: int, m: int, triples: Iterable[Triple] = ()):
+        k = n + m
+        seen: Dict[Tuple[int, int], Scalar] = {}
+        for i, j, x in triples:
+            if not (0 <= i < k and 0 <= j < k):
+                raise ValueError(f"position ({i}, {j}) outside shape ({n}|{m})")
+            if (i, j) in seen:
+                raise ValueError(f"position ({i}, {j}) given twice")
+            seen[(i, j)] = Scalar.of(x)
+        _set_n(self, n)
+        _set_m(self, m)
+        _set_triples(self, tuple(
+            (i, j, x) for (i, j), x in sorted(seen.items()) if x is not ZERO
+        ))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedMatrix is immutable")
 
     # ---- constructors -------------------------------------------------
 
@@ -56,8 +81,24 @@ class GradedMatrix:
         k = n + m
         if len(rows) != k or any(len(r) != k for r in rows):
             raise ValueError(f"expected {k}x{k} rows for shape ({n}|{m})")
-        ent = tuple(tuple(Scalar.of(x) for x in row) for row in rows)
-        return GradedMatrix(n, m, ent)
+        triples = []
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                x = Scalar.of(x)
+                if x is not ZERO:
+                    triples.append((i, j, x))
+        return _new(n, m, tuple(triples))
+
+    @staticmethod
+    def from_units(n: int, m: int, values: Mapping[int, Scalar]) -> "GradedMatrix":
+        """The matrix with entry ``values[u]`` at unit u = row * (n + m) + col.
+
+        The values must be Scalars; zeros are dropped.
+        """
+        k = n + m
+        return _new(n, m, tuple(
+            (u // k, u % k, x) for u, x in sorted(values.items()) if x is not ZERO
+        ))
 
     @staticmethod
     def zero(n: int, m: int) -> "GradedMatrix":
@@ -65,17 +106,12 @@ class GradedMatrix:
 
     @staticmethod
     def identity(n: int, m: int) -> "GradedMatrix":
-        k = n + m
-        return GradedMatrix(
-            n, m, tuple(tuple(ONE if i == j else ZERO for j in range(k)) for i in range(k))
-        )
+        return _new(n, m, tuple((i, i, ONE) for i in range(n + m)))
 
     @staticmethod
     def unit(n: int, m: int, i: int, j: int, value=1) -> "GradedMatrix":
         """The matrix with a single entry ``value`` at position (i, j)."""
-        rows = _empty_rows(n + m)
-        rows[i][j] = Scalar.of(value)
-        return GradedMatrix(n, m, tuple(map(tuple, rows)))
+        return GradedMatrix(n, m, ((i, j, value),))
 
     # ---- basic queries ------------------------------------------------
 
@@ -83,38 +119,48 @@ class GradedMatrix:
     def size(self) -> int:
         return self.n + self.m
 
+    def nonzeros(self) -> Tuple[Triple, ...]:
+        """The nonzero entries as (row, column, value) triples, row major."""
+        return self._triples
+
+    def flat(self) -> List[Scalar]:
+        """The entries as one row-major list of (n+m)^2 Scalars."""
+        k = self.n + self.m
+        out = [ZERO] * (k * k)
+        for i, j, x in self._triples:
+            out[i * k + j] = x
+        return out
+
+    @property
+    def entries(self) -> tuple:
+        """The dense rows, a tuple of tuples of Scalar (derived, read only)."""
+        k = self.n + self.m
+        flat = self.flat()
+        return tuple(tuple(flat[i * k:(i + 1) * k]) for i in range(k))
+
     def __getitem__(self, rc) -> Scalar:
         r, c = rc
-        return self.entries[r][c]
-
-    def nonzeros(self) -> tuple:
-        """The nonzero entries as (row, column, value) triples, row major."""
-        nz = self.__dict__.get("_nz")
-        if nz is None:
-            nz = tuple(
-                (i, j, x)
-                for i, row in enumerate(self.entries)
-                for j, x in enumerate(row)
-                if x is not ZERO
-            )
-            self.__dict__["_nz"] = nz
-        return nz
-
-    def _row_nonzeros(self) -> dict:
-        """Row index -> list of (column, value) over the nonzero entries."""
-        rn = self.__dict__.get("_rn")
-        if rn is None:
-            rn = {}
-            for i, j, x in self.nonzeros():
-                rn.setdefault(i, []).append((j, x))
-            self.__dict__["_rn"] = rn
-        return rn
+        for i, j, x in self._triples:
+            if i == r and j == c:
+                return x
+        return ZERO
 
     def is_zero(self) -> bool:
-        return not self.nonzeros()
+        return not self._triples
 
     def entry_parity(self, i: int, j: int) -> int:
         return (_index_parity(i, self.n) + _index_parity(j, self.n)) % 2
+
+    def __eq__(self, other):
+        if type(other) is not GradedMatrix:
+            return NotImplemented
+        return (self is other or (
+            self.n == other.n and self.m == other.m
+            and self._triples == other._triples
+        ))
+
+    def __hash__(self):
+        return hash((self.n, self.m, self._triples))
 
     # ---- linear structure ---------------------------------------------
 
@@ -124,27 +170,32 @@ class GradedMatrix:
                 f"shape mismatch: ({self.n}|{self.m}) vs ({other.n}|{other.m})"
             )
 
+    def _sum(self, other: "GradedMatrix", negate: bool) -> "GradedMatrix":
+        """self + other, or self - other when ``negate``."""
+        k = self.n + self.m
+        acc = {i * k + j: x for i, j, x in self._triples}
+        for i, j, y in other._triples:
+            u = i * k + j
+            cur = acc.get(u)
+            if cur is None:
+                acc[u] = -y if negate else y
+            else:
+                acc[u] = cur - y if negate else cur + y
+        return GradedMatrix.from_units(self.n, self.m, acc)
+
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
         self._require_shape(other)
-        bnz = other.nonzeros()
-        if not bnz:
+        if not other._triples:
             return self
-        if not self.nonzeros():
+        if not self._triples:
             return other
-        rows = [list(r) for r in self.entries]
-        for i, j, x in bnz:
-            rows[i][j] = rows[i][j] + x
-        return GradedMatrix(self.n, self.m, tuple(map(tuple, rows)))
+        return self._sum(other, False)
 
     def __sub__(self, other: "GradedMatrix") -> "GradedMatrix":
         self._require_shape(other)
-        bnz = other.nonzeros()
-        if not bnz:
+        if not other._triples:
             return self
-        rows = [list(r) for r in self.entries]
-        for i, j, x in bnz:
-            rows[i][j] = rows[i][j] - x
-        return GradedMatrix(self.n, self.m, tuple(map(tuple, rows)))
+        return self._sum(other, True)
 
     def __neg__(self) -> "GradedMatrix":
         return self.scale(-1)
@@ -153,13 +204,10 @@ class GradedMatrix:
         s = Scalar.of(s)
         if s is ONE:
             return self
-        nz = self.nonzeros()
-        if s is ZERO or not nz:
+        if s is ZERO or not self._triples:
             return _zero_matrix(self.n, self.m)
-        rows = _empty_rows(self.size)
-        for i, j, x in nz:
-            rows[i][j] = s * x
-        return GradedMatrix(self.n, self.m, tuple(map(tuple, rows)))
+        # the Gaussian rationals are a field: no product of nonzeros is zero
+        return _new(self.n, self.m, tuple((i, j, s * x) for i, j, x in self._triples))
 
     def __rmul__(self, s):
         if isinstance(s, (int, Fraction, Scalar)):
@@ -168,39 +216,35 @@ class GradedMatrix:
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         self._require_shape(other)
-        anz = self.nonzeros()
-        brows = other._row_nonzeros()
-        if not anz or not brows:
+        if not self._triples or not other._triples:
             return _zero_matrix(self.n, self.m)
-        rows = _empty_rows(self.size)
-        for i, t, x in anz:
+        k = self.n + self.m
+        brows = _rows(other._triples)
+        acc: Dict[int, Scalar] = {}
+        for i, t, x in self._triples:
             for j, y in brows.get(t, ()):
-                rows[i][j] = rows[i][j] + x * y
-        return GradedMatrix(self.n, self.m, tuple(map(tuple, rows)))
+                u = i * k + j
+                cur = acc.get(u)
+                acc[u] = x * y if cur is None else cur + x * y
+        return GradedMatrix.from_units(self.n, self.m, acc)
 
     # ---- grading ------------------------------------------------------
 
     def parity_decompose(self) -> tuple["GradedMatrix", "GradedMatrix"]:
         """Split into (even part, odd part); the two always sum back to self."""
-        n, k = self.n, self.size
-        ev, od = _empty_rows(k), _empty_rows(k)
-        for i, j, x in self.nonzeros():
-            part = ev if (i < n) == (j < n) else od
-            part[i][j] = x
-        return (
-            GradedMatrix(self.n, self.m, tuple(map(tuple, ev))),
-            GradedMatrix(self.n, self.m, tuple(map(tuple, od))),
-        )
+        n = self.n
+        ev = tuple(t for t in self._triples if (t[0] < n) == (t[1] < n))
+        od = tuple(t for t in self._triples if (t[0] < n) != (t[1] < n))
+        return _new(self.n, self.m, ev), _new(self.n, self.m, od)
 
     def parity_twist(self) -> "GradedMatrix":
         """The even part minus the odd part."""
         if self.is_even():
             return self
         n = self.n
-        rows = _empty_rows(self.size)
-        for i, j, x in self.nonzeros():
-            rows[i][j] = x if (i < n) == (j < n) else -x
-        return GradedMatrix(self.n, self.m, tuple(map(tuple, rows)))
+        return _new(self.n, self.m, tuple(
+            (i, j, x if (i < n) == (j < n) else -x) for i, j, x in self._triples
+        ))
 
     def homogeneous_parity(self) -> Optional[int]:
         """0 or 1 for homogeneous matrices, None for mixed.
@@ -216,28 +260,54 @@ class GradedMatrix:
 
     def is_even(self) -> bool:
         n = self.n
-        return all((i < n) == (j < n) for i, j, _ in self.nonzeros())
+        return all((i < n) == (j < n) for i, j, _ in self._triples)
 
     def is_odd(self) -> bool:
         n = self.n
-        return all((i < n) != (j < n) for i, j, _ in self.nonzeros())
+        return all((i < n) != (j < n) for i, j, _ in self._triples)
 
     # ---- traces -------------------------------------------------------
 
     def trace(self) -> Scalar:
-        return sum((self.entries[i][i] for i in range(self.size)), ZERO)
+        t = ZERO
+        for i, j, x in self._triples:
+            if i == j:
+                t = t + x
+        return t
 
     def supertrace(self) -> Scalar:
         """Trace of the first diagonal block minus trace of the second."""
         t = ZERO
-        for i in range(self.size):
-            x = self.entries[i][i]
-            t = t + x if i < self.n else t - x
+        for i, j, x in self._triples:
+            if i == j:
+                t = t + x if i < self.n else t - x
         return t
 
     def __str__(self):
         rows = [" ".join(str(x) for x in row) for row in self.entries]
         return "[" + "; ".join(rows) + "]"
+
+    def __repr__(self):
+        return f"GradedMatrix({self.n}, {self.m}, {self._triples!r})"
+
+
+_set_n = GradedMatrix.n.__set__
+_set_m = GradedMatrix.m.__set__
+_set_triples = GradedMatrix._triples.__set__
+
+
+def _new(n: int, m: int, triples: Tuple[Triple, ...]) -> GradedMatrix:
+    """A matrix from row-major triples already free of zeros."""
+    g = object.__new__(GradedMatrix)
+    _set_n(g, n)
+    _set_m(g, m)
+    _set_triples(g, triples)
+    return g
+
+
+@lru_cache(maxsize=None)
+def _zero_matrix(n: int, m: int) -> GradedMatrix:
+    return _new(n, m, ())
 
 
 # ======================================================================
@@ -253,21 +323,20 @@ def _graded_bracket(a: GradedMatrix, b: GradedMatrix, commutator: bool) -> Grade
     mixed inputs needs no parity split.
     """
     ab = a @ b
-    bnz = b.nonzeros()
-    if not a.nonzeros() or not bnz:
+    if not a._triples or not b._triples:
         return ab
-    n = a.n
-    arows = a._row_nonzeros()
-    rows = [list(r) for r in ab.entries]
-    for i, t, y in bnz:
+    n, k = a.n, a.n + a.m
+    acc = {i * k + j: x for i, j, x in ab._triples}
+    arows = _rows(a._triples)
+    for i, t, y in b._triples:
         odd_b = (i < n) != (t < n)
         for j, x in arows.get(t, ()):
             both_odd = odd_b and (t < n) != (j < n)
-            if both_odd == commutator:
-                rows[i][j] = rows[i][j] + y * x
-            else:
-                rows[i][j] = rows[i][j] - y * x
-    return GradedMatrix(a.n, a.m, tuple(map(tuple, rows)))
+            term = y * x if both_odd == commutator else -(y * x)
+            u = i * k + j
+            cur = acc.get(u)
+            acc[u] = term if cur is None else cur + term
+    return GradedMatrix.from_units(a.n, a.m, acc)
 
 
 def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
@@ -330,20 +399,19 @@ class BodyMatrix:
 
     def as_graded(self) -> GradedMatrix:
         """View the body block as the full algebra of shape (size|0)."""
-        return GradedMatrix(self.size, 0, self.entries)
+        return GradedMatrix.from_rows(self.size, 0, self.entries)
 
 
 def body(a: GradedMatrix) -> BodyMatrix:
     """Project onto the larger diagonal block.  Requires n != m."""
     first = body_block_is_first(a.n, a.m)
-    if first:
-        idx = range(a.n)
-    else:
-        idx = range(a.n, a.n + a.m)
-    return BodyMatrix(
-        max(a.n, a.m),
-        tuple(tuple(a.entries[i][j] for j in idx) for i in idx),
-    )
+    nt = max(a.n, a.m)
+    off = 0 if first else a.n
+    rows = [[ZERO] * nt for _ in range(nt)]
+    for i, j, x in a.nonzeros():
+        if 0 <= i - off < nt and 0 <= j - off < nt:
+            rows[i - off][j - off] = x
+    return BodyMatrix(nt, tuple(map(tuple, rows)))
 
 
 def embed_body(mb: BodyMatrix, n: int, m: int) -> GradedMatrix:
@@ -357,15 +425,13 @@ def embed_body(mb: BodyMatrix, n: int, m: int) -> GradedMatrix:
     nt = max(n, m)
     if mb.size != nt:
         raise ValueError(f"body matrix has size {mb.size}, expected {nt}")
-    small = min(n, m)
-    k = n + m
-    rows = [[ZERO] * k for _ in range(k)]
     off = 0 if first else n
-    for i in range(nt):
-        for j in range(nt):
-            rows[off + i][off + j] = mb.entries[i][j]
+    triples = [
+        (off + i, off + j, x)
+        for i, row in enumerate(mb.entries)
+        for j, x in enumerate(row)
+    ]
     scal = mb.trace() / nt
     coff = n if first else 0
-    for i in range(small):
-        rows[coff + i][coff + i] = scal
-    return GradedMatrix(n, m, tuple(map(tuple, rows)))
+    triples += [(coff + i, coff + i, scal) for i in range(min(n, m))]
+    return GradedMatrix(n, m, triples)

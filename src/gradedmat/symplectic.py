@@ -182,10 +182,7 @@ def symplectic_uniqueness_holds(sc: StructureConstants) -> bool:
     ref = canonical_two_form(sc)
     gen = space[0]
     for key, mat in ref.coeffs.items():
-        other = gen.coefficient(key)
-        for r in range(mat.size):
-            for c in range(mat.size):
-                if mat.entries[r][c]:
-                    ratio = other.entries[r][c] / mat.entries[r][c]
-                    return bool(ratio) and gen == ref.scale(ratio)
+        r, c, x = mat.nonzeros()[0]
+        ratio = gen.coefficient(key)[r, c] / x
+        return bool(ratio) and gen == ref.scale(ratio)
     return False

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +183,27 @@ def test_flat_experiments_frozen():
     assert by_name["conjugated"]["flat"] is True
     second = run_cli("flat", "--n", "2", "--m", "1", "--seed", "0", check=True)
     assert second.stdout == proc.stdout
+
+
+# ---- report bytes pinned to the benchmark's reference digests ----------
+#
+# perfbench/workloads.json records, per workload, the sha256 of the report
+# as canonical JSON with config.build (a hash of the sources) masked and
+# the seed put back to 0.  Running the same commands here catches a change
+# that reorders or rewrites report bytes before any benchmark run.
+
+WORKLOADS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json")
+    .read_text()
+)["workloads"]
+
+
+@pytest.mark.parametrize("name", ["cohomology-2-1", "verify-2-1", "flat-3-2"])
+def test_report_matches_the_reference_digest(name, capsys):
+    spec = WORKLOADS[name]
+    argv = list(spec["args"]) + (["--seed", "0"] if spec["seeded"] else [])
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    report["config"]["build"] = "*"
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == spec["digest"]

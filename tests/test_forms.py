@@ -29,6 +29,7 @@ from gradedmat.forms import (
     wedge_form_matrix,
     wedge_matrix_form,
 )
+from gradedmat.formspace import form_basis_labels, form_to_sparse, lie_matrix
 from gradedmat.indexset import (
     commutation_factor,
     enumerate_multi_indices,
@@ -342,6 +343,50 @@ def test_oracle_rejects_a_complex_structure_constant(sc21):
     # the undoctored constants still run both
     exterior_derivative(sc21, frame_form(sc21, cc))
     lie_derivative(sc21, DerivationVector.basis(sc21, x), frame_form(sc21, cc))
+
+
+# ---- both routes on forms with denominators ----------------------------
+#
+# ``random_form`` draws Gaussian-integer entries, so the kernels' common
+# denominator is 1 on its forms until one d has run.  These forms have
+# entries a/q + i b/q' with mixed q, q' <= 12 from the first step.
+
+fraction_parts = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+gaussian_fractions = st.builds(Scalar, fraction_parts, fraction_parts)
+
+
+@st.composite
+def fractional_forms(draw, sc):
+    p = draw(st.integers(0, 2), label="degree")
+    keys = enumerate_multi_indices(sc.even_dim, sc.odd_dim, p)
+    k = sc.n + sc.m
+    coeffs = {}
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                             unique=True), label="keys"):
+        coeffs[key] = GradedMatrix(sc.n, sc.m, draw(st.lists(
+            st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
+                      gaussian_fractions),
+            min_size=1, max_size=4, unique_by=lambda t: t[:2],
+        ), label="entries"))
+    return GradedForm.of(sc, p, coeffs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_routes_agree_on_forms_with_denominators(request, data):
+    for name in ("sc21", "sc12", "sc31"):
+        sc = request.getfixturevalue(name)
+        w = data.draw(fractional_forms(sc), label=name)
+        dw = exterior_derivative(sc, w)
+        assert exterior_derivative_generators(sc, w) == dw, name
+        assert exterior_derivative(sc, dw).is_zero(), name
+        assert exterior_derivative_generators(sc, dw).is_zero(), name
+        a = data.draw(st.integers(0, sc.dim - 1), label="a")
+        labels = form_basis_labels(sc, w.degree)
+        index = {lab: i for i, lab in enumerate(labels)}
+        want = lie_derivative(sc, DerivationVector.basis(sc, a), w)
+        got = lie_matrix(sc, a, w.degree).apply(form_to_sparse(w, index))
+        assert got == form_to_sparse(want, index), (name, a)
 
 
 def test_derivative_squares_to_zero(sc21):

@@ -196,3 +196,19 @@ def test_factored_solve_raises_like_the_rref_solve():
         flat.solve([Scalar.of(1), Scalar.of(2)])
     with pytest.raises(ValueError, match="length"):
         tall.solve([Scalar.of(1)])
+
+
+def test_factored_solve_tests_only_the_touched_tail_rows(monkeypatch):
+    # A = e_0 as a 6 x 1 column: rank 1, and the five rows of T past the
+    # rank are the unit rows 1..5, each touching one entry of b
+    fact = linalg.factor(_mat([[1], [0], [0], [0], [0], [0]]))
+    assert fact.tail_rows == {j: [j] for j in range(1, 6)}
+    calls = []
+    real_apply = linalg._apply
+    monkeypatch.setattr(linalg, "_apply",
+                        lambda row, b: calls.append(row) or real_apply(row, b))
+    assert fact.solve(_mat([[2, 0, 0, 0, 0, 0]])[0]) == _mat([[2]])[0]
+    assert len(calls) == 1
+    # inconsistent through the last tail row alone
+    with pytest.raises(ValueError, match="inconsistent"):
+        fact.solve(_mat([[2, 0, 0, 0, 0, 5]])[0])

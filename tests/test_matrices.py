@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedmat.matrices import (
     BodyMatrix,
@@ -24,6 +26,12 @@ def test_shapes_and_units():
     assert GradedMatrix.identity(2, 1).homogeneous_parity() == 0
     with pytest.raises(ValueError):
         GradedMatrix.from_rows(2, 1, [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="twice"):
+        GradedMatrix(2, 1, [(0, 2, 1), (0, 2, 0)])
+    with pytest.raises(ValueError, match="outside"):
+        GradedMatrix(2, 1, [(3, 0, 1)])
+    with pytest.raises(AttributeError):
+        u.n = 3
 
 
 def test_parity_decompose_splits_blocks():
@@ -204,3 +212,145 @@ def test_brackets_match_parity_split_definition():
             assert graded_anticommutator(a, b) == anti
         even, odd = a.parity_decompose()
         assert a.parity_twist() == even - odd
+
+
+# ---- the sparse representation against dense references ----------------
+#
+# A matrix stores only its row-major nonzero triples.  Each example draws
+# dense rows, about half of them zero, and holds every operation to the
+# dense definition on pairs (re, im), read back through ``mat[i, j]``.
+
+SPARSE_SHAPES = ((2, 1), (1, 2))
+gaussians = st.builds(
+    lambda a, q, b: Scalar(Fraction(a, q), b),
+    st.integers(-3, 3), st.integers(1, 4), st.sampled_from([0, 0, 1, -2]),
+)
+entries_or_zero = st.one_of(st.just(ZERO), st.just(ZERO), gaussians)
+
+
+@st.composite
+def dense_rows(draw, n, m):
+    k = n + m
+    return draw(st.lists(st.lists(entries_or_zero, min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+
+
+def _add_pairs(x, y, sign=1):
+    return (x[0] + sign * y[0], x[1] + sign * y[1])
+
+
+def _dense_mul(a, b):
+    k = len(a)
+    out = []
+    for i in range(k):
+        row = []
+        for j in range(k):
+            acc = (Fraction(0), Fraction(0))
+            for t in range(k):
+                acc = _add_pairs(acc, _pmul(a[i][t], b[t][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _dense_part(a, n, parity):
+    k = len(a)
+    zero = (Fraction(0), Fraction(0))
+    return [[a[i][j] if ((i < n) != (j < n)) == parity else zero
+             for j in range(k)] for i in range(k)]
+
+
+def _dense_bracket(a, b, n, commutator):
+    # sum over the homogeneous parts: ab -/+ (-1)^{|a||b|} ba
+    k = len(a)
+    out = [[(Fraction(0), Fraction(0))] * k for _ in range(k)]
+    for pa in (0, 1):
+        for pb in (0, 1):
+            ah, bh = _dense_part(a, n, pa), _dense_part(b, n, pb)
+            sign = -1 if (pa and pb) else 1
+            if commutator:
+                sign = -sign
+            ab, ba = _dense_mul(ah, bh), _dense_mul(bh, ah)
+            out = [[_add_pairs(_add_pairs(out[i][j], ab[i][j]), ba[i][j], sign)
+                    for j in range(k)] for i in range(k)]
+    return out
+
+
+def _assert_stored_form(mat):
+    triples = mat.nonzeros()
+    k = mat.size
+    assert all(x is not ZERO and type(x) is Scalar for _, _, x in triples)
+    assert all(0 <= i < k and 0 <= j < k for i, j, _ in triples)
+    assert [t[:2] for t in triples] == sorted({t[:2] for t in triples})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_form_is_canonical(data):
+    n, m = data.draw(st.sampled_from(SPARSE_SHAPES), label="shape")
+    rows = data.draw(dense_rows(n, m), label="rows")
+    a = GradedMatrix.from_rows(n, m, rows)
+    _assert_stored_form(a)
+    zero = GradedMatrix.zero(n, m)
+    assert a + (-a) == zero and hash(a + (-a)) == hash(zero)
+    assert a - a == zero and (a - a).nonzeros() == ()
+    # the same entries reached by units, by triples in any order, by
+    # arithmetic and by units keyed u = i * (n + m) + j
+    k = n + m
+    nz = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+    by_units = zero
+    for i, j, x in nz:
+        by_units = by_units + GradedMatrix.unit(n, m, i, j, x)
+    shuffled = data.draw(st.permutations(nz), label="order")
+    built = [
+        by_units,
+        GradedMatrix(n, m, shuffled),
+        GradedMatrix.from_units(n, m, {i * k + j: x for i, j, x in nz}),
+        (a + a) - a,
+        a.scale(2).scale(Fraction(1, 2)),
+        GradedMatrix.identity(n, m) @ a,
+    ]
+    for b in built:
+        _assert_stored_form(b)
+        assert b == a and hash(b) == hash(a)
+        assert b.entries == a.entries
+    assert [[a[i, j] for j in range(k)] for i in range(k)] == [
+        [Scalar.of(x) for x in row] for row in rows
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_operations_match_dense_reference(data):
+    n, m = data.draw(st.sampled_from(SPARSE_SHAPES), label="shape")
+    a = GradedMatrix.from_rows(n, m, data.draw(dense_rows(n, m), label="a"))
+    b = GradedMatrix.from_rows(n, m, data.draw(dense_rows(n, m), label="b"))
+    s = data.draw(st.one_of(st.just(ZERO), gaussians), label="s")
+    da, db = _entries(a), _entries(b)
+    k = n + m
+    results = {
+        "scale": (a.scale(s), _dense_scale(s, a)),
+        "sum": (a + b, [[_add_pairs(da[i][j], db[i][j]) for j in range(k)]
+                        for i in range(k)]),
+        "difference": (a - b, [[_add_pairs(da[i][j], db[i][j], -1)
+                                for j in range(k)] for i in range(k)]),
+        "product": (a @ b, _dense_mul(da, db)),
+        "commutator": (graded_commutator(a, b), _dense_bracket(da, db, n, True)),
+        "anticommutator": (graded_anticommutator(a, b),
+                           _dense_bracket(da, db, n, False)),
+        "even": (a.parity_decompose()[0], _dense_part(da, n, 0)),
+        "odd": (a.parity_decompose()[1], _dense_part(da, n, 1)),
+        "twist": (a.parity_twist(),
+                  [[_add_pairs(_dense_part(da, n, 0)[i][j],
+                               _dense_part(da, n, 1)[i][j], -1)
+                    for j in range(k)] for i in range(k)]),
+    }
+    for name, (got, want) in results.items():
+        _assert_stored_form(got)
+        assert _entries(got) == want, name
+    diag = [da[i][i] for i in range(k)]
+    assert _pair(a.trace()) == (sum(x[0] for x in diag), sum(x[1] for x in diag))
+    sdiag = [x if i < n else (-x[0], -x[1]) for i, x in enumerate(diag)]
+    assert _pair(a.supertrace()) == (
+        sum(x[0] for x in sdiag), sum(x[1] for x in sdiag)
+    )
