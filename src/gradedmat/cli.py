@@ -5,8 +5,14 @@ stdout.  Fixed flags and an unchanged source tree give byte-identical
 bytes; the build identifier ties a report to the sources that made it.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded: n + m above ``MATRIX_SIZE_CAP`` (checked first), a form degree
-above the built-in cap, or a differential with more entries (rows x columns)
-than ``DIFFERENTIAL_ENTRIES_CAP``; ``cohomology`` then reports what it built.
+above the built-in cap, or a differential with more rows than
+``DIFFERENTIAL_ROWS_CAP``; ``cohomology`` then reports what it built.
+
+``cohomology`` ranks each differential through the weight grading
+(``cohomology.ChainDegreeData``): the zero-weight block by exact
+elimination with its modular check, every other weight by a checked Cartan
+homotopy, with d_p d_(p-1) = 0 checked as well.  A failed check exits 1,
+naming the degree and the label on stderr, with no report.
 """
 from __future__ import annotations
 
@@ -30,6 +36,7 @@ from .bundles import (
 from .cohomology import (
     DEFAULT_DEGREE_CAP,
     MATRIX_SIZE_CAP,
+    CertificateError,
     DegreeCapExceeded,
     DifferentialTooLarge,
     differential_matrix,
@@ -526,7 +533,11 @@ def cmd_cohomology(args) -> int:
         except (DegreeCapExceeded, DifferentialTooLarge) as exc:
             capped = str(exc)
             break
-        b = data.kernel_dim() - prev_rank
+        try:
+            b = data.kernel_dim() - prev_rank
+        except CertificateError as exc:
+            print(f"gradedmat cohomology: {exc}", file=sys.stderr)
+            return 1
         betti.append(b)
         degrees.append({
             "p": p,

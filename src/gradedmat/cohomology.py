@@ -1,36 +1,46 @@
 """Cohomology of the graded form complex and its classical body.
 
 The exterior derivative turns the form spaces into a cochain complex; its
-cohomology is computed through exact ranks.  For cross-validation the
-module carries a small self-contained Chevalley-Eilenberg solver for
-ordinary Lie algebras (own elimination code on purpose, so the comparison
-does not share a line of linear algebra with the main path), plus the
-body maps that relate the graded complex at (n|m) to the classical one
-of the dominant diagonal block.
+cohomology is computed through exact ranks, block by block in the weight
+grading of the diagonal Cartan subalgebra.  Only the zero-weight block of
+each d_p is eliminated (exactly, with the modular cross-check); every other
+weight is acyclic by the Cartan homotopy d i_h + i_h d = lambda(h), which
+is checked on each of its columns together with d_p d_(p-1) = 0, and
+contributes dim C^p_lambda minus the rank of d_(p-1) on it.  The
+elimination of all of d_p (``LinearMapMatrix.rank``) is kept as the test
+oracle.
+
+For cross-validation the module carries a small self-contained
+Chevalley-Eilenberg solver for ordinary Lie algebras (own elimination code
+on purpose, so the comparison does not share a line of linear algebra with
+the main path), plus the body maps that relate the graded complex at (n|m)
+to the classical one of the dominant diagonal block.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .basis import body_adapted_basis
 from .constants import StructureConstants, compute_constants
-from .forms import DerivationVector, GradedForm
+from .forms import DerivationVector, GradedForm, _kernel_tables
 from .formspace import (
-    Label, LinearMapMatrix, basis_form, d_matrix, form_basis_labels,
-    form_to_sparse,
+    Label, LinearMapMatrix, _tuple_index, basis_form, d_matrix,
+    form_basis_labels, form_to_sparse,
 )
-from .indexset import index_count
+from .indexset import enumerate_multi_indices, index_count
 from .matrices import GradedMatrix, body, embed_body
 from .scalars import Scalar
 
 DEFAULT_DEGREE_CAP = 4
 
-# Largest rows x columns of one differential, estimated before it is built.
-DIFFERENTIAL_ENTRIES_CAP = 2**32
+# Largest number of rows of one differential (the dimension of degree p+1),
+# counted before it is built.  d_3 at (3|2) has 350400 rows and (4|1) 321750;
+# d_3 at (4|2) has 2232576, (5|1) 2101140, and d_2 at (5|2) 894544.
+DIFFERENTIAL_ROWS_CAP = 400_000
 
 # Largest n + m the CLI admits: `verify` takes about 35 s at (4|1) and grows
 # about 3.5x per unit of n; the constants alone at (40|1) take about an hour.
@@ -42,34 +52,52 @@ class DegreeCapExceeded(Exception):
 
 
 class DifferentialTooLarge(Exception):
-    """Raised when d_p would have more entries than the cap allows."""
+    """Raised when d_p would have more rows than the cap allows."""
 
 
-def differential_entries(sc: StructureConstants, p: int) -> int:
-    """Rows x columns of d_p, from the label counts alone."""
-    units = (sc.n + sc.m) ** 2
-    rows = index_count(sc.even_dim, sc.odd_dim, p + 1) * units
-    cols = index_count(sc.even_dim, sc.odd_dim, p) * units
-    return rows * cols
+class CertificateError(Exception):
+    """Raised when d_p fails its weight, homotopy or d o d = 0 check."""
+
+
+def differential_rows(sc: StructureConstants, p: int) -> int:
+    """Rows of d_p, the dimension of degree p+1, from the label counts alone."""
+    return index_count(sc.even_dim, sc.odd_dim, p + 1) * (sc.n + sc.m) ** 2
 
 
 @dataclass
 class ChainDegreeData:
-    """One degree of the complex: labels of the p-form basis and d_p."""
+    """One degree of the complex: labels of the p-form basis and d_p.
+
+    ``rank()`` goes through the weight grading (see "Weights and the
+    Cartan homotopy" below): only the zero-weight block is eliminated,
+    every other weight is certified acyclic column by column.
+    ``matrix.rank()``, the elimination of all of d_p, is the test oracle
+    for it.
+    """
 
     p: int
     labels: List[Label]
     matrix: LinearMapMatrix
+    sc: StructureConstants = field(repr=False, compare=False)
+    # weight code -> rank of d_p on the columns of that weight
+    _weight_ranks: Optional[Dict[int, int]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
+    def weight_ranks(self) -> Dict[int, int]:
+        if self._weight_ranks is None:
+            self._weight_ranks = _certified_ranks(self)
+        return self._weight_ranks
+
     def rank(self) -> int:
-        return self.matrix.rank()
+        return sum(self.weight_ranks().values())
 
     def kernel_dim(self) -> int:
-        return self.dim - self.matrix.rank()
+        return self.dim - self.rank()
 
 
 def differential_matrix(
@@ -79,7 +107,7 @@ def differential_matrix(
 
     Written by the sparse column kernel ``formspace.d_matrix``, built once
     per constants object and kept in ``sc.cache``.  Refused up front when
-    it would have more than ``DIFFERENTIAL_ENTRIES_CAP`` entries.
+    it would have more than ``DIFFERENTIAL_ROWS_CAP`` rows.
     """
     if p < 0:
         raise ValueError("degree must be nonnegative")
@@ -87,17 +115,17 @@ def differential_matrix(
         raise DegreeCapExceeded(
             f"d at degree {p} needs degree-{p + 1} forms, cap is {max_degree}"
         )
-    need = differential_entries(sc, p)
-    if need > DIFFERENTIAL_ENTRIES_CAP:
+    need = differential_rows(sc, p)
+    if need > DIFFERENTIAL_ROWS_CAP:
         raise DifferentialTooLarge(
-            f"d at degree {p} has {need} entries (rows x columns), "
-            f"cap is {DIFFERENTIAL_ENTRIES_CAP}"
+            f"d at degree {p} has {need} rows (the dimension of degree "
+            f"{p + 1}), cap is {DIFFERENTIAL_ROWS_CAP}"
         )
     key = ("differential", p)
     got = sc.cache.get(key)
     if got is None:
         mat = d_matrix(sc, p)
-        got = ChainDegreeData(p, list(mat.in_labels), mat)
+        got = ChainDegreeData(p, list(mat.in_labels), mat, sc)
         sc.cache[key] = got
     return got
 
@@ -113,6 +141,239 @@ def betti_numbers(
         out.append(data.kernel_dim() - prev_rank)
         prev_rank = data.rank()
     return out
+
+
+# ======================================================================
+# Weights and the Cartan homotopy
+# ======================================================================
+#
+# Every basis element is a weight vector of the diagonal Cartan
+# subalgebra: the unit e_rc has weight eps_r - eps_c, a diagonal element
+# weight 0.  So the label (I, r, c), the form E_rc theta^I, has weight
+#   lambda = eps_r - eps_c - sum_(A in I) wt(E_A),
+# and d preserves it.  For a diagonal basis element h the graded Cartan
+# calculus gives L_h = d i_h + i_h d, and L_h acts on weight lambda as
+# lambda(h); here h is even, so
+#   i_h (E_rc theta^I) = (-1)^j E_rc theta^(I without h)
+# for h at position j of I (only even entries precede it), and 0 when h
+# is not in I.  Where lambda(h) != 0, i_h / lambda(h) contracts the
+# weight-lambda subcomplex, so it is acyclic:
+#   rank d_p on lambda = dim C^p_lambda - rank d_(p-1) on lambda.
+# A weight of coordinate sum 0 that vanishes on every supertraceless
+# diagonal h is a multiple of the supertrace, hence 0 when n != m
+# (Hochschild and Serre, Ann. Math. 57, 1953).  So only the zero-weight
+# block needs elimination.
+#
+# ``_certified_ranks`` does not take this on trust.  It checks, in ints over
+# the kernel denominator, that every entry of every column of d_p lies in
+# the column's weight, and that the homotopy identity holds on every column
+# of every nonzero weight: on that weight, ker d_p lies within im d_(p-1).
+# It also checks d_p d_(p-1) = 0 on every column of d_(p-1), the reverse
+# inclusion, without which a wrong entry in a row the identity never reads
+# (a row whose tuple lacks h) could pass and leave the rank too low.  The
+# Betti numbers rest on the same composition.
+#
+# A weight is stored as one int code, sum_i lambda_i * 2^(16 i), so adding
+# weights adds codes; the coordinates of a label weight are bounded by its
+# degree plus one.
+
+_WEIGHT_BITS = 16
+
+
+def _unit_code(r: int, c: int) -> int:
+    return (1 << (_WEIGHT_BITS * r)) - (1 << (_WEIGHT_BITS * c))
+
+
+def _decode(code: int, size: int) -> List[int]:
+    """The coordinates over eps_0 .. eps_(size-1) of a weight code."""
+    half, mask = 1 << (_WEIGHT_BITS - 1), (1 << _WEIGHT_BITS) - 1
+    out = []
+    for _ in range(size):
+        x = code & mask
+        if x >= half:
+            x -= 1 << _WEIGHT_BITS
+        out.append(x)
+        code = (code - x) >> _WEIGHT_BITS
+    return out
+
+
+def _element_weights(sc: StructureConstants) -> List[int]:
+    """The weight code of each basis element, kept in ``sc.cache``.
+
+    Raises ValueError for an element whose nonzero entries sit at
+    positions of different weights.
+    """
+    got = sc.cache.get(("element_weights",))
+    if got is None:
+        got = []
+        for a, e in enumerate(sc.basis.elements):
+            codes = {_unit_code(r, c) for r, c, _ in e.nonzeros()}
+            if len(codes) != 1:
+                raise ValueError(f"basis element {a} is not a weight vector")
+            got.append(codes.pop())
+        sc.cache[("element_weights",)] = got
+    return got
+
+
+def _tuple_weights(sc: StructureConstants, q: int) -> List[int]:
+    """-sum wt(E_A) per canonical q-tuple, in label order, kept in ``sc.cache``."""
+    key = ("tuple_weights", q)
+    got = sc.cache.get(key)
+    if got is None:
+        ew = _element_weights(sc)
+        got = [-sum(ew[A] for A in I)
+               for I in enumerate_multi_indices(sc.even_dim, sc.odd_dim, q)]
+        sc.cache[key] = got
+    return got
+
+
+def _cartan_elements(sc: StructureConstants) -> List[Tuple[int, List[Fraction]]]:
+    """(index, diagonal) of each diagonal basis element."""
+    out = []
+    for a, e in enumerate(sc.basis.elements):
+        if all(r == c for r, c, _ in e.nonzeros()):
+            diag = [Fraction(0)] * (sc.n + sc.m)
+            for r, _, v in e.nonzeros():
+                diag[r] = v.as_fraction()
+            out.append((a, diag))
+    return out
+
+
+def _contracting_element(
+    weight: List[int], cartan: List[Tuple[int, List[Fraction]]]
+) -> Optional[Tuple[int, Fraction]]:
+    """The first diagonal basis element h with lambda(h) != 0, and lambda(h)."""
+    for h, diag in cartan:
+        val = sum(x * y for x, y in zip(weight, diag))
+        if val:
+            return h, val
+    return None
+
+
+def _contractions(sc: StructureConstants, q: int) -> List[Dict[int, Tuple[int, int]]]:
+    """For each canonical q-tuple J: diagonal h in J -> (index of J without h, sign).
+
+    The sign is (-1)^j for h at position j; kept in ``sc.cache``.
+    """
+    key = ("cartan_contractions", q)
+    got = sc.cache.get(key)
+    if got is None:
+        cartan = {a for a, _ in _cartan_elements(sc)}
+        lower = _tuple_index(sc, q - 1)
+        got = []
+        for J in enumerate_multi_indices(sc.even_dim, sc.odd_dim, q):
+            got.append({
+                h: (lower[J[:j] + J[j + 1:]], -1 if j % 2 else 1)
+                for j, h in enumerate(J) if h in cartan
+            })
+        sc.cache[key] = got
+    return got
+
+
+def _certified_ranks(data: ChainDegreeData) -> Dict[int, int]:
+    """Rank of d_p on each weight: exact on weight 0, by the homotopy elsewhere.
+
+    Raises ``CertificateError`` naming the degree and label of the first
+    column that leaves its weight, fails the homotopy identity, or is not
+    killed by d_p d_(p-1); there is no fallback to full elimination.
+    """
+    sc, p, mat = data.sc, data.p, data.matrix
+    k = sc.n + sc.m
+    kk = k * k
+    den = _kernel_tables(sc).den
+    unit_w = [_unit_code(r, c) for r in range(k) for c in range(k)]
+    in_w = _tuple_weights(sc, p)
+    out_w = _tuple_weights(sc, p + 1)
+    out_contr = _contractions(sc, p + 1)
+    if p > 0:
+        # d_p passed the degree cap, so d_(p-1) is admitted under it
+        prev = differential_matrix(sc, p - 1, max_degree=p)
+        prev_ranks = prev.weight_ranks()
+        in_contr = _contractions(sc, p)
+    cartan = _cartan_elements(sc)
+    # Scalar object -> its numerator over ``den``; d_matrix shares one
+    # Scalar per distinct value, so this stays small
+    nums: Dict[int, int] = {}
+
+    def num(s: Scalar) -> int:
+        got = nums.get(id(s))
+        if got is None:
+            f = s.as_fraction() * den
+            if f.denominator != 1:
+                raise CertificateError(
+                    f"d at degree {p}: entry {f / den} is not over the kernel "
+                    f"denominator {den}"
+                )
+            got = nums[id(s)] = f.numerator
+        return got
+
+    def fail(j: int, why: str):
+        raise CertificateError(
+            f"d at degree {p}, column {data.labels[j]}: {why}"
+        )
+
+    homotopy: Dict[int, Optional[Tuple[int, Fraction]]] = {}
+    counts: Dict[int, int] = {}
+    zero_cols: List[int] = []
+    for j, col in enumerate(mat.columns):
+        t, u = divmod(j, kk)
+        lam = in_w[t] + unit_w[u]
+        counts[lam] = counts.get(lam, 0) + 1
+        h = None
+        if lam:
+            if lam not in homotopy:
+                homotopy[lam] = _contracting_element(_decode(lam, k), cartan)
+            if homotopy[lam] is None:
+                fail(j, f"no diagonal basis element acts on weight {_decode(lam, k)}")
+            h, val = homotopy[lam]
+        else:
+            zero_cols.append(j)
+        # i_h (d_p x), in ints over den; on weight 0 (h None) only the
+        # weight of each row is checked
+        acc: Dict[int, int] = {}
+        for i, s in col.items():
+            ti, ui = divmod(i, kk)
+            if out_w[ti] + unit_w[ui] != lam:
+                fail(j, f"row {i} lies outside the column's weight")
+            hit = out_contr[ti].get(h)
+            if hit is not None:
+                row = hit[0] * kk + ui
+                acc[row] = acc.get(row, 0) + hit[1] * num(s)
+        if h is None:
+            continue
+        # + d_(p-1) (i_h x)
+        if p > 0:
+            hit = in_contr[t].get(h)
+            if hit is not None:
+                for i, s in prev.matrix.columns[hit[0] * kk + u].items():
+                    acc[i] = acc.get(i, 0) + hit[1] * num(s)
+        if val * den != acc.pop(j, 0) or any(acc.values()):
+            fail(j, f"i_h d + d i_h is not {val} times the identity (h = {h})")
+    if p > 0:
+        # d_p d_(p-1) = 0 on every column of d_(p-1): with the homotopy it
+        # gives dim ker d_p = rank d_(p-1) on each nonzero weight
+        known = nums.get  # inlines the common case of num()
+        for y, col in enumerate(prev.matrix.columns):
+            acc = {}
+            for i, s in col.items():
+                a = num(s)
+                for row, t in mat.columns[i].items():
+                    v = known(id(t))
+                    acc[row] = acc.get(row, 0) + a * (num(t) if v is None else v)
+            if any(acc.values()):
+                raise CertificateError(
+                    f"d at degree {p}: d_p d_(p-1) is not 0 on column "
+                    f"{prev.labels[y]} of degree {p - 1}"
+                )
+    block = LinearMapMatrix(
+        [data.labels[j] for j in zero_cols], mat.out_labels,
+        [mat.columns[j] for j in zero_cols],
+    )
+    ranks = {0: block.rank()} if zero_cols else {}
+    for lam, dim in counts.items():
+        if lam:
+            ranks[lam] = dim - (prev_ranks.get(lam, 0) if p > 0 else 0)
+    return ranks
 
 
 # ======================================================================

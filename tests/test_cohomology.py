@@ -1,10 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedmat import cohomology
+from gradedmat.basis import HomogeneousBasis, build_sl_basis
+from gradedmat.cli import main
 from gradedmat.cohomology import (
-    DIFFERENTIAL_ENTRIES_CAP,
+    DIFFERENTIAL_ROWS_CAP,
+    CertificateError,
+    ChainDegreeData,
     DegreeCapExceeded,
     DifferentialTooLarge,
     betti_numbers,
@@ -14,7 +21,7 @@ from gradedmat.cohomology import (
     body_vector_field,
     ce_oracle,
     cocycle_representatives,
-    differential_entries,
+    differential_rows,
     differential_matrix,
     embed_vector_field,
     ensure_body_adapted,
@@ -22,9 +29,15 @@ from gradedmat.cohomology import (
     ordinary_direct_sum,
     ordinary_sl_basis,
 )
-from gradedmat.constants import constants_for
-from gradedmat.formspace import form_basis_labels
-from gradedmat.forms import DerivationVector, exterior_derivative
+from gradedmat.constants import compute_constants, constants_for
+from gradedmat.formspace import LinearMapMatrix, basis_form, form_basis_labels
+from gradedmat.forms import (
+    DerivationVector,
+    GradedForm,
+    exterior_derivative,
+    interior_product,
+)
+from gradedmat.indexset import enumerate_multi_indices
 from gradedmat.linalg import SparseEchelon, sparse_row_from_fractions
 from gradedmat.scalars import Scalar
 from tests.test_forms import rand_form
@@ -65,6 +78,14 @@ def test_even_only_complex_matches_sl3_oracle(sc30):
     assert betti_numbers(sc30, 3) == want
 
 
+def test_even_only_complex_through_degree_5_matches_sl3_oracle():
+    # the top class of sl(3) sits in degree 5 and 8, past the CLI's cap
+    sc = constants_for(3, 0)
+    want = ce_oracle(ordinary_sl_basis(3), 5)
+    assert want == [1, 0, 0, 1, 0, 1]
+    assert betti_numbers(sc, 5, max_degree=6) == want
+
+
 def test_graded_complex_at_3_1_matches_body_sl3_oracle(sc31):
     assert betti_numbers(sc31, 3) == ce_oracle(ordinary_sl_basis(3), 3) == [1, 0, 0, 1]
 
@@ -90,19 +111,29 @@ def test_degree_cap_is_enforced(sc21):
 
 
 def test_oversized_differential_is_refused_up_front(sc21, sc31, monkeypatch):
-    assert differential_entries(sc21, 3) == 1728 * 792 <= DIFFERENTIAL_ENTRIES_CAP
-    assert differential_entries(sc31, 3) == 32256 * 8720 <= DIFFERENTIAL_ENTRIES_CAP
-    sc32 = constants_for(3, 2)
-    assert differential_entries(sc32, 3) == 350400 * 57800 > DIFFERENTIAL_ENTRIES_CAP
+    assert differential_rows(sc21, 3) == 1728 <= DIFFERENTIAL_ROWS_CAP
+    assert differential_rows(sc31, 3) == 32256 <= DIFFERENTIAL_ROWS_CAP
+    sc52 = constants_for(5, 2)
+    assert differential_rows(sc52, 2) == 894544 > DIFFERENTIAL_ROWS_CAP
     with pytest.raises(DifferentialTooLarge):
-        differential_matrix(sc32, 3)
-    assert ("differential", 3) not in sc32.cache
-    limit = differential_entries(sc21, 3)
-    monkeypatch.setattr(cohomology, "DIFFERENTIAL_ENTRIES_CAP", limit)
+        differential_matrix(sc52, 2)
+    assert ("differential", 2) not in sc52.cache
+    limit = differential_rows(sc21, 3)
+    monkeypatch.setattr(cohomology, "DIFFERENTIAL_ROWS_CAP", limit)
     assert differential_matrix(sc21, 3).dim == 792
-    monkeypatch.setattr(cohomology, "DIFFERENTIAL_ENTRIES_CAP", limit - 1)
+    monkeypatch.setattr(cohomology, "DIFFERENTIAL_ROWS_CAP", limit - 1)
     with pytest.raises(DifferentialTooLarge):
         differential_matrix(sc21, 3)
+
+
+def test_rows_cap_admits_degree_3_up_to_3_2_and_4_1():
+    # the guard counts rows of d_p: d_3 runs at (3|2) and (4|1), not beyond
+    for n, m, rows in [(3, 2, 350400), (4, 1, 321750)]:
+        assert differential_rows(constants_for(n, m), 3) == rows
+        assert rows <= DIFFERENTIAL_ROWS_CAP
+    for n, m, rows in [(4, 2, 2232576), (5, 1, 2101140)]:
+        assert differential_rows(constants_for(n, m), 3) == rows
+        assert rows > DIFFERENTIAL_ROWS_CAP
 
 
 def test_caches_belong_to_their_constants(sc20, sc30):
@@ -185,3 +216,230 @@ def test_vector_field_descent_round_trip(sc21, sc20):
     odd = DerivationVector.basis(sc21, 5)
     with pytest.raises(ValueError):
         body_vector_field(sc21, sc20, odd)
+
+
+# ---- ranks through the weight grading ------------------------------------
+
+
+def weight_of_label(sc, label):
+    """eps_r - eps_c - sum wt(E_A), each wt read off the element's entries."""
+    key, r, c = label
+    k = sc.n + sc.m
+    out = [0] * k
+    out[r] += 1
+    out[c] -= 1
+    for A in key:
+        (wt,) = {(i, j) for i, j, _ in sc.basis.elements[A].nonzeros()
+                 if i != j} or {None}
+        if wt is not None:
+            out[wt[0]] -= 1
+            out[wt[1]] += 1
+    return tuple(out)
+
+
+def first_contracting_element(sc, weight):
+    """The first diagonal basis element h with weight(h) != 0, and weight(h)."""
+    for h, e in enumerate(sc.basis.elements):
+        nz = e.nonzeros()
+        if all(i == j for i, j, _ in nz):
+            val = sum(weight[i] * v.as_fraction() for i, _, v in nz)
+            if val:
+                return h, val
+    raise AssertionError(f"no diagonal element acts on {weight}")
+
+
+def table_weight(sc, q, index):
+    """The weight of label ``index`` of degree q from the certificate's tables."""
+    k = sc.n + sc.m
+    t, u = divmod(index, k * k)
+    code = cohomology._tuple_weights(sc, q)[t] + cohomology._unit_code(*divmod(u, k))
+    return tuple(cohomology._decode(code, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_column_of_d_stays_in_its_weight(sc21, sc12, sc31, sc20, data):
+    sc = data.draw(st.sampled_from([sc21, sc12, sc31, sc20]), label="algebra")
+    p = data.draw(st.integers(0, 3), label="p")
+    mat = differential_matrix(sc, p).matrix
+    j = data.draw(st.integers(0, mat.ncols - 1), label="column")
+    want = weight_of_label(sc, mat.in_labels[j])
+    assert table_weight(sc, p, j) == want
+    for i in mat.columns[j]:
+        assert weight_of_label(sc, mat.out_labels[i]) == want
+        assert table_weight(sc, p + 1, i) == want
+
+
+@pytest.mark.parametrize("name, top", [
+    ("sc21", 3), ("sc12", 3), ("sc20", 3), ("sc30", 3), ("sc31", 2),
+])
+def test_certified_ranks_equal_full_elimination(name, top, request):
+    sc = request.getfixturevalue(name)
+    k = sc.n + sc.m
+    for p in range(top + 1):
+        data = differential_matrix(sc, p)
+        assert data.rank() == data.matrix.rank(), (name, p)
+        # weight by weight, against the exact rank of each column block
+        blocks = {}
+        for j, lab in enumerate(data.labels):
+            blocks.setdefault(weight_of_label(sc, lab), []).append(j)
+        got = {tuple(cohomology._decode(code, k)): r
+               for code, r in data.weight_ranks().items()}
+        assert set(got) == set(blocks)
+        for wt, cols in blocks.items():
+            block = LinearMapMatrix(
+                [data.labels[j] for j in cols], data.matrix.out_labels,
+                [data.matrix.columns[j] for j in cols],
+            )
+            assert got[wt] == block.rank(), (name, p, wt)
+
+
+def test_closed_form_contraction_matches_interior_product(sc21):
+    cartan = [h for h, e in enumerate(sc21.basis.elements)
+              if all(i == j for i, j, _ in e.nonzeros())]
+    assert cartan == [2, 3]
+    checked = 0
+    for p in range(1, 4):
+        tuples = enumerate_multi_indices(sc21.even_dim, sc21.odd_dim, p)
+        lower = enumerate_multi_indices(sc21.even_dim, sc21.odd_dim, p - 1)
+        table = cohomology._contractions(sc21, p)
+        for h in cartan:
+            dh = DerivationVector.basis(sc21, h)
+            for lab in form_basis_labels(sc21, p):
+                key, r, c = lab
+                hit = table[tuples.index(key)].get(h)
+                if hit is None:
+                    assert h not in key
+                    want = GradedForm.zero(sc21, p - 1)
+                else:
+                    want = basis_form(sc21, (lower[hit[0]], r, c)).scale(hit[1])
+                assert interior_product(dh, basis_form(sc21, lab)) == want, (lab, h)
+                checked += 1
+    assert checked == 2 * (72 + 288 + 792)
+
+
+def mutated(data, j, i, value):
+    """A copy of ``data`` whose column j holds ``value`` at row i."""
+    cols = list(data.matrix.columns)
+    cols[j] = dict(cols[j])
+    cols[j][i] = value
+    mat = LinearMapMatrix(data.matrix.in_labels, data.matrix.out_labels, cols)
+    return ChainDegreeData(data.p, data.labels, mat, data.sc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_changing_one_entry_of_a_column_fails_the_certificate(
+    sc21, data
+):
+    p = data.draw(st.integers(0, 3), label="p")
+    chain = differential_matrix(sc21, p)
+    j = data.draw(st.integers(0, chain.dim - 1), label="column")
+    weight = weight_of_label(sc21, chain.labels[j])
+    # a new entry in a row of another weight, on any column
+    other = [i for i, lab in enumerate(chain.matrix.out_labels)
+             if weight_of_label(sc21, lab) != weight]
+    i = data.draw(st.sampled_from(other), label="foreign row")
+    with pytest.raises(CertificateError, match="outside the column's weight"):
+        mutated(chain, j, i, Scalar.of(1)).weight_ranks()
+    if any(weight):
+        h, _ = first_contracting_element(sc21, weight)
+        key, r, c = chain.labels[j]
+        col = chain.matrix.columns[j]
+        out = chain.matrix.out_labels
+        # the entries the homotopy identity reads (their row's tuple holds
+        # h): the one it compares with lambda(h) x, and those that cancel
+        read = sorted(i for i in col if h in out[i][0])
+        assert read
+        diagonal = (tuple(sorted(key + (h,))), r, c)
+        for group in ([i for i in read if out[i] == diagonal],
+                      [i for i in read if out[i] != diagonal]):
+            if not group:
+                continue
+            i = data.draw(st.sampled_from(group), label="row")
+            delta = data.draw(st.sampled_from([1, -1, Fraction(1, 2)]),
+                              label="delta")
+            with pytest.raises(CertificateError, match=f"d at degree {p}, column"):
+                mutated(chain, j, i, col[i] + delta).weight_ranks()
+    # the unmutated degree still certifies
+    assert sum(ChainDegreeData(p, chain.labels, chain.matrix, sc21)
+               .weight_ranks().values()) == chain.matrix.rank()
+
+
+def test_the_homotopy_check_reads_the_terms_that_must_cancel(sc21):
+    # rows holding h other than the one compared with lambda(h) x: their
+    # images under i_h must cancel against d_(p-1) (i_h x)
+    for p in (2, 3):
+        chain = differential_matrix(sc21, p)
+        out = chain.matrix.out_labels
+        tried = 0
+        for j, (key, r, c) in enumerate(chain.labels):
+            weight = weight_of_label(sc21, (key, r, c))
+            if not any(weight):
+                continue
+            h, _ = first_contracting_element(sc21, weight)
+            col = chain.matrix.columns[j]
+            diagonal = (tuple(sorted(key + (h,))), r, c)
+            cancelling = [i for i in col if h in out[i][0] and out[i] != diagonal]
+            if not cancelling:
+                continue
+            i = cancelling[0]
+            with pytest.raises(CertificateError, match="i_h d \\+ d i_h"):
+                mutated(chain, j, i, col[i] + 1).weight_ranks()
+            tried += 1
+            if tried == 8:
+                break
+        assert tried == 8
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_changed_entry_that_passes_the_certificate_keeps_the_rank_exact(
+    sc21, data
+):
+    # d_p d_(p-1) = 0 closes what the homotopy leaves open: an entry in a row
+    # the identity never reads either fails the certificate or leaves the
+    # certified rank equal to full elimination of the changed matrix
+    p = data.draw(st.integers(1, 3), label="p")
+    chain = differential_matrix(sc21, p)
+    j = data.draw(st.integers(0, chain.dim - 1), label="column")
+    weight = weight_of_label(sc21, chain.labels[j])
+    same = [i for i, lab in enumerate(chain.matrix.out_labels)
+            if weight_of_label(sc21, lab) == weight]
+    i = data.draw(st.sampled_from(same), label="row")
+    old = chain.matrix.columns[j].get(i, Scalar.of(0))
+    delta = data.draw(st.sampled_from([1, -1, Fraction(1, 2)]), label="delta")
+    changed = mutated(chain, j, i, old + delta)
+    try:
+        got = changed.rank()
+    except CertificateError:
+        return
+    assert got == changed.matrix.rank()
+
+
+def test_a_basis_element_that_is_not_a_weight_vector_is_refused():
+    std = build_sl_basis(2, 1)
+    e01, e10 = std.elements[0], std.elements[1]
+    elements = (e01 + e10, e01 - e10) + std.elements[2:]
+    basis = HomogeneousBasis(2, 1, elements, std.parities)
+    basis.validate()
+    sc = compute_constants(basis)
+    data = differential_matrix(sc, 1)
+    with pytest.raises(ValueError, match="basis element 0 is not a weight vector"):
+        data.rank()
+    assert data.matrix.rank() == 64
+
+
+def test_failed_certificate_exits_1_naming_degree_and_label(monkeypatch, capsys):
+    real = cohomology._cartan_elements
+
+    def doubled(sc):
+        return [(h, [2 * x for x in diag]) for h, diag in real(sc)]
+
+    monkeypatch.setattr(cohomology, "_cartan_elements", doubled)
+    code = main(["cohomology", "--n", "2", "--m", "1", "--max-degree", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("gradedmat cohomology: d at degree 0, column ((), 0, 1): ")
+    assert "i_h d + d i_h" in err
