@@ -34,12 +34,11 @@ from .bundles import (
     rho_map_injective,
 )
 from .cohomology import (
-    DEFAULT_DEGREE_CAP,
     MATRIX_SIZE_CAP,
     CertificateError,
     DegreeCapExceeded,
     DifferentialTooLarge,
-    differential_matrix,
+    chain_degrees,
 )
 from .constants import StructureConstants, constants_for, verify_appendix
 from .forms import (
@@ -524,39 +523,25 @@ def cmd_cohomology(args) -> int:
         raise ValueError(f"--max-degree must be nonnegative, got {args.max_degree}")
     sc = constants_for(args.n, args.m)
     degrees = []
-    betti = []
-    prev_rank = 0
     capped = None
-    for p in range(args.max_degree + 1):
-        try:
-            data = differential_matrix(sc, p, max_degree=DEFAULT_DEGREE_CAP)
-        except (DegreeCapExceeded, DifferentialTooLarge) as exc:
-            capped = str(exc)
-            break
-        try:
-            b = data.kernel_dim() - prev_rank
-        except CertificateError as exc:
-            print(f"gradedmat cohomology: {exc}", file=sys.stderr)
-            return 1
-        betti.append(b)
-        degrees.append({
-            "p": p,
-            "dim": data.dim,
-            "rank": data.rank(),
-            "kernel_dim": data.kernel_dim(),
-            "betti": b,
-        })
-        prev_rank = data.rank()
+    try:
+        for data, b in chain_degrees(sc, args.max_degree):
+            degrees.append({"p": data.p, "dim": data.dim, "rank": data.rank(),
+                            "kernel_dim": data.kernel_dim(), "betti": b})
+    except (DegreeCapExceeded, DifferentialTooLarge) as exc:
+        capped = str(exc)
+    except CertificateError as exc:
+        print(f"gradedmat cohomology: {exc}", file=sys.stderr)
+        return 1
     obj = {
         "config": _config_obj(args, max_degree=args.max_degree),
-        "betti": betti,
+        "betti": [d["betti"] for d in degrees],
         "degrees": degrees,
     }
     if capped:
         obj["cap_exceeded"] = capped
-    rows = [[d["p"], d["dim"], d["rank"], d["kernel_dim"], d["betti"]]
-            for d in degrees]
-    _emit(args, obj, ["p", "dim", "rank", "kernel_dim", "betti"], rows)
+    _emit(args, obj, ["p", "dim", "rank", "kernel_dim", "betti"],
+          [list(d.values()) for d in degrees])
     return 3 if capped else 0
 
 

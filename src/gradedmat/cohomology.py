@@ -6,9 +6,10 @@ grading of the diagonal Cartan subalgebra.  Only the zero-weight block of
 each d_p is eliminated (exactly, with the modular cross-check); every other
 weight is acyclic by the Cartan homotopy d i_h + i_h d = lambda(h), which
 is checked on each of its columns together with d_p d_(p-1) = 0, and
-contributes dim C^p_lambda minus the rank of d_(p-1) on it.  The
-elimination of all of d_p (``LinearMapMatrix.rank``) is kept as the test
-oracle.
+contributes dim C^p_lambda minus the rank of d_(p-1) on it.  So every
+class of H^p lives in the zero-weight block, and the cocycle representatives
+and the body map on cohomology read that block alone.  The elimination of
+all of d_p (``LinearMapMatrix.rank``, ``kernel``) is kept as the test oracle.
 
 For cross-validation the module carries a small self-contained
 Chevalley-Eilenberg solver for ordinary Lie algebras (own elimination code
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .basis import body_adapted_basis
@@ -70,9 +71,9 @@ class ChainDegreeData:
 
     ``rank()`` goes through the weight grading (see "Weights and the
     Cartan homotopy" below): only the zero-weight block is eliminated,
-    every other weight is certified acyclic column by column.
-    ``matrix.rank()``, the elimination of all of d_p, is the test oracle
-    for it.
+    every other weight is certified acyclic column by column, so that
+    block (``zero_block()``) holds every class of H^p.  ``matrix.rank()``,
+    the elimination of all of d_p, is the test oracle for it.
     """
 
     p: int
@@ -83,6 +84,8 @@ class ChainDegreeData:
     _weight_ranks: Optional[Dict[int, int]] = field(
         default=None, repr=False, compare=False
     )
+    # indices of the zero-weight columns, set once the certificate passed
+    zero_cols: Optional[List[int]] = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -90,8 +93,20 @@ class ChainDegreeData:
 
     def weight_ranks(self) -> Dict[int, int]:
         if self._weight_ranks is None:
-            self._weight_ranks = _certified_ranks(self)
+            self.zero_cols, ranks = _certified_ranks(self)
+            if self.zero_cols:
+                ranks[0] = self.zero_block().rank()
+            self._weight_ranks = ranks
         return self._weight_ranks
+
+    def zero_block(self) -> LinearMapMatrix:
+        """d_p on its zero-weight columns, certifying the degree first."""
+        if self.zero_cols is None:
+            self.weight_ranks()
+        return LinearMapMatrix(
+            [self.labels[j] for j in self.zero_cols], self.matrix.out_labels,
+            [self.matrix.columns[j] for j in self.zero_cols],
+        )
 
     def rank(self) -> int:
         return sum(self.weight_ranks().values())
@@ -130,17 +145,26 @@ def differential_matrix(
     return got
 
 
-def betti_numbers(
+def chain_degrees(
     sc: StructureConstants, max_p: int, max_degree: int = DEFAULT_DEGREE_CAP
-) -> List[int]:
-    """b_p = dim ker d_p - rank d_(p-1) for p = 0..max_p, exact."""
-    out = []
+) -> Iterator[Tuple[ChainDegreeData, int]]:
+    """(d_p, b_p) for p = 0..max_p in turn; b_p = dim ker d_p - rank d_(p-1).
+
+    Degree p is built and certified only after degree p-1 was yielded, so a
+    caller stopped by a cap or a failed certificate keeps the degrees before.
+    """
     prev_rank = 0
     for p in range(max_p + 1):
         data = differential_matrix(sc, p, max_degree=max_degree)
-        out.append(data.kernel_dim() - prev_rank)
+        yield data, data.kernel_dim() - prev_rank
         prev_rank = data.rank()
-    return out
+
+
+def betti_numbers(
+    sc: StructureConstants, max_p: int, max_degree: int = DEFAULT_DEGREE_CAP
+) -> List[int]:
+    """b_p for p = 0..max_p, exact."""
+    return [b for _, b in chain_degrees(sc, max_p, max_degree)]
 
 
 # ======================================================================
@@ -270,8 +294,8 @@ def _contractions(sc: StructureConstants, q: int) -> List[Dict[int, Tuple[int, i
     return got
 
 
-def _certified_ranks(data: ChainDegreeData) -> Dict[int, int]:
-    """Rank of d_p on each weight: exact on weight 0, by the homotopy elsewhere.
+def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
+    """The zero-weight columns of d_p, and its rank on each other weight.
 
     Raises ``CertificateError`` naming the degree and label of the first
     column that leaves its weight, fails the homotopy identity, or is not
@@ -365,15 +389,9 @@ def _certified_ranks(data: ChainDegreeData) -> Dict[int, int]:
                     f"d at degree {p}: d_p d_(p-1) is not 0 on column "
                     f"{prev.labels[y]} of degree {p - 1}"
                 )
-    block = LinearMapMatrix(
-        [data.labels[j] for j in zero_cols], mat.out_labels,
-        [mat.columns[j] for j in zero_cols],
-    )
-    ranks = {0: block.rank()} if zero_cols else {}
-    for lam, dim in counts.items():
-        if lam:
-            ranks[lam] = dim - (prev_ranks.get(lam, 0) if p > 0 else 0)
-    return ranks
+    ranks = {lam: dim - (prev_ranks.get(lam, 0) if p > 0 else 0)
+             for lam, dim in counts.items() if lam}
+    return zero_cols, ranks
 
 
 # ======================================================================
@@ -665,37 +683,38 @@ def body_map_matrix(
 # ======================================================================
 
 
-def _int_row_of_fracs(vec: Sequence[Fraction]) -> linalg.SparseIntRow:
-    return linalg.sparse_row_from_fractions(
-        {i: x for i, x in enumerate(vec) if x}
-    )
+def _independent_modulo_image(
+    sc: StructureConstants, p: int, vectors: Iterable[linalg.SparseIntRow]
+) -> List[int]:
+    """Positions of the vectors independent of im d_(p-1) and of those before them.
 
-
-def cocycle_representatives(
-    sc: StructureConstants, p: int, max_degree: int = DEFAULT_DEGREE_CAP
-) -> List[List[Fraction]]:
-    """Kernel vectors of d_p completing the image of d_(p-1) to ker d_p.
-
-    Their classes form a basis of H^p; the list length equals b_p.
+    The image is read on weight 0, where the classes of H^p lie.
     """
-    data = differential_matrix(sc, p, max_degree=max_degree)
-    ech = linalg.SparseEchelon(data.dim)
+    ech = linalg.SparseEchelon(differential_rows(sc, p - 1))  # dim of degree p
     if p > 0:
-        prev = differential_matrix(sc, p - 1, max_degree=max_degree)
-        for col in prev.matrix.columns:
+        for col in differential_matrix(sc, p - 1).zero_block().columns:
             ech.add_row(linalg.sparse_row_from_scalars(col))
-    reps = []
-    for vec in data.matrix.kernel():
-        if ech.add_row(_int_row_of_fracs(vec)):
-            reps.append(vec)
-    return reps
+    return [t for t, row in enumerate(vectors) if ech.add_row(row)]
+
+
+def cocycle_representatives(sc: StructureConstants, p: int) -> List[List[Fraction]]:
+    """Cocycles of d_p whose classes form a basis of H^p; the list length is b_p.
+
+    Every class lives in the zero-weight block, since the certificate of
+    ``ChainDegreeData.rank`` shows the other weights acyclic.  So the
+    kernel of that block is completed past the zero-weight image of
+    d_(p-1), and each vector kept is lifted to the full label coordinates.
+    """
+    data = differential_matrix(sc, p)
+    lifted = [dict(zip(data.zero_cols, vec)) for vec in data.zero_block().kernel()]
+    kept = _independent_modulo_image(
+        sc, p, map(linalg.sparse_row_from_fractions, lifted)
+    )
+    return [[lifted[t].get(j, Fraction(0)) for j in range(data.dim)] for t in kept]
 
 
 def body_h_map_injective(
-    sc: StructureConstants,
-    sc_body: StructureConstants,
-    p: int,
-    max_degree: int = DEFAULT_DEGREE_CAP,
+    sc: StructureConstants, sc_body: StructureConstants, p: int
 ) -> bool:
     """Whether the body map is injective on H^p classes.
 
@@ -703,19 +722,12 @@ def body_h_map_injective(
     by exact rank, that no nontrivial combination lands in the body
     coboundaries.
     """
-    reps = cocycle_representatives(sc, p, max_degree=max_degree)
-    labels = form_basis_labels(sc, p)
+    reps = cocycle_representatives(sc, p)
     bm = body_map_matrix(sc, sc_body, p)
-    assert bm.in_labels == labels
-    ech = linalg.SparseEchelon(bm.nrows)
-    if p > 0:
-        prev_body = differential_matrix(sc_body, p - 1, max_degree=max_degree)
-        for col in prev_body.matrix.columns:
-            ech.add_row(linalg.sparse_row_from_scalars(col))
-    for vec in reps:
-        img = bm.apply(
-            {i: Scalar.of(x) for i, x in enumerate(vec) if x}
+    images = [
+        linalg.sparse_row_from_scalars(
+            bm.apply({i: Scalar.of(x) for i, x in enumerate(vec) if x})
         )
-        if not ech.add_row(linalg.sparse_row_from_scalars(img)):
-            return False
-    return True
+        for vec in reps
+    ]
+    return len(_independent_modulo_image(sc_body, p, images)) == len(reps)

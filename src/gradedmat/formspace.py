@@ -120,7 +120,8 @@ class LinearMapMatrix:
 
     def kernel(self) -> List[List[Fraction]]:
         vecs = linalg.sparse_kernel(self.int_rows(), self.ncols)
-        assert linalg.verify_kernel(self.int_rows(), vecs)
+        if not linalg.verify_kernel(self.int_rows(), vecs):
+            raise AssertionError("a kernel vector is not killed by the matrix")
         return vecs
 
     def apply(self, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:

@@ -151,7 +151,8 @@ def is_symplectic(sc: StructureConstants, form: GradedForm) -> bool:
 
 def canonical_symplectic(sc: StructureConstants) -> SymplecticForm:
     built, cert = analyze(sc, canonical_two_form(sc))
-    assert built is not None, cert
+    if built is None:
+        raise AssertionError(f"the canonical two-form is not symplectic: {cert}")
     return built
 
 

@@ -183,30 +183,35 @@ def test_body_projection_is_surjective(sc21, sc20):
     assert [body_map_matrix(sc21, sc20, p).nrows for p in range(4)] == [4, 12, 12, 4]
 
 
-def test_cocycle_representatives_span_cohomology(sc21):
+@pytest.mark.parametrize("name", ["sc21", "sc12", "sc30"])
+def test_cocycle_representatives_span_cohomology(name, request):
+    # the representatives come from the zero-weight block; hold them to all
+    # of d_p and to the whole image of d_(p-1)
+    sc = request.getfixturevalue(name)
+    betti = betti_numbers(sc, 3)
     for p in range(4):
-        reps = cocycle_representatives(sc21, p)
-        assert len(reps) == betti_numbers(sc21, p)[p]
-    # top representatives are honest cocycles independent of coboundaries
-    data = differential_matrix(sc21, 3)
-    prev = differential_matrix(sc21, 2)
-    ech = SparseEchelon(data.dim)
-    for col in prev.matrix.columns:
-        ech.add_row(
-            sparse_row_from_fractions(
-                {i: v.as_fraction() for i, v in col.items()}
-            )
-        )
-    for vec in cocycle_representatives(sc21, 3):
-        sparse = {i: Scalar.of(x) for i, x in enumerate(vec) if x}
-        assert data.matrix.apply(sparse) == {}
-        row = sparse_row_from_fractions({i: x for i, x in enumerate(vec) if x})
-        assert ech.add_row(row)
+        data = differential_matrix(sc, p)
+        reps = cocycle_representatives(sc, p)
+        assert len(reps) == betti[p], (name, p)
+        ech = SparseEchelon(data.dim)
+        if p > 0:
+            for col in differential_matrix(sc, p - 1).matrix.columns:
+                ech.add_row(sparse_row_from_fractions(
+                    {i: v.as_fraction() for i, v in col.items()}
+                ))
+        for vec in reps:
+            assert len(vec) == data.dim
+            sparse = {i: Scalar.of(x) for i, x in enumerate(vec) if x}
+            assert data.matrix.apply(sparse) == {}, (name, p)
+            row = sparse_row_from_fractions({i: x for i, x in enumerate(vec) if x})
+            assert ech.add_row(row), (name, p)
 
 
-def test_body_map_is_injective_on_top_cohomology(sc21, sc20):
-    assert body_h_map_injective(sc21, sc20, 3)
-    assert body_h_map_injective(sc21, sc20, 0)
+@pytest.mark.parametrize("name", ["sc21", "sc12_adapted"])
+def test_body_map_is_injective_on_top_cohomology(name, sc20, request):
+    sc = request.getfixturevalue(name)
+    for p in range(4):
+        assert body_h_map_injective(sc, sc20, p), (name, p)
 
 
 def test_vector_field_descent_round_trip(sc21, sc20):
@@ -442,4 +447,31 @@ def test_failed_certificate_exits_1_naming_degree_and_label(monkeypatch, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("gradedmat cohomology: d at degree 0, column ((), 0, 1): ")
+    assert "i_h d + d i_h" in err
+
+
+def test_certificate_failing_at_degree_2_exits_1_after_two_degrees(
+    monkeypatch, capsys
+):
+    # flip the contraction signs of 3-tuples: only the certificate of d_2,
+    # which contracts its rows, reads them before d_3 does
+    real = cohomology._contractions
+
+    def flipped(sc, q):
+        got = real(sc, q)
+        if q != 3:
+            return got
+        return [{h: (i, -sign) for h, (i, sign) in t.items()} for t in got]
+
+    monkeypatch.setattr(cohomology, "_contractions", flipped)
+    seen = []
+    with pytest.raises(CertificateError, match="d at degree 2, column"):
+        for data, _ in cohomology.chain_degrees(constants_for(2, 1), 3):
+            seen.append(data.p)
+    assert seen == [0, 1]
+    code = main(["cohomology", "--n", "2", "--m", "1", "--max-degree", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("gradedmat cohomology: d at degree 2, column ")
     assert "i_h d + d i_h" in err

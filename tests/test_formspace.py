@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedmat import cohomology, forms, formspace, symplectic
+from gradedmat import cohomology, forms, formspace, linalg, symplectic
 from gradedmat.constants import constants_for
 from gradedmat.formspace import (
     LinearMapMatrix,
@@ -223,3 +223,13 @@ def test_both_generator_callers_share_one_set_of_tables():
     assert other.cache[("column_kernel",)] is not tables
     assert other.cache[("column_kernel",)].comm is not tables.comm
     assert other.cache[("d_tuple", (1, 5))] is not per_tuple
+
+
+def test_kernel_refuses_a_vector_the_matrix_does_not_kill(monkeypatch):
+    # columns e0 -> f0, e1 -> 0: the kernel is spanned by e1
+    labels = [((), 0, 0), ((), 0, 1)]
+    mat = LinearMapMatrix(labels, labels[:1], [{0: Scalar.of(1)}, {}])
+    assert mat.kernel() == [[0, 1]]
+    monkeypatch.setattr(linalg, "sparse_kernel", lambda rows, ncols: [[1, 0]])
+    with pytest.raises(AssertionError, match="not killed by the matrix"):
+        mat.kernel()

@@ -155,3 +155,9 @@ def test_production_callers_skip_the_evaluation_oracle(monkeypatch):
     for a in range(sc.dim):
         field = omega.hamiltonian_field(sc.basis.elements[a])
         assert field.coords == DerivationVector.basis(sc, a).coords
+
+
+def test_canonical_symplectic_raises_when_the_form_is_refused(sc21, monkeypatch):
+    monkeypatch.setattr(symplectic, "analyze", lambda sc, form: (None, "refused"))
+    with pytest.raises(AssertionError, match="not symplectic: refused"):
+        canonical_symplectic(sc21)
