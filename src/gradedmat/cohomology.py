@@ -6,10 +6,13 @@ grading of the diagonal Cartan subalgebra.  Only the zero-weight block of
 each d_p is eliminated (exactly, with the modular cross-check); every other
 weight is acyclic by the Cartan homotopy d i_h + i_h d = lambda(h), which
 is checked on each of its columns together with d_p d_(p-1) = 0, and
-contributes dim C^p_lambda minus the rank of d_(p-1) on it.  So every
-class of H^p lives in the zero-weight block, and the cocycle representatives
-and the body map on cohomology read that block alone.  The elimination of
-all of d_p (``LinearMapMatrix.rank``, ``kernel``) is kept as the test oracle.
+contributes dim C^p_lambda minus the rank of d_(p-1) on it.  Both the
+certificate and the elimination read the integer numerators that
+``formspace.d_matrix`` keeps over the kernel denominator.  So every class
+of H^p lives in the zero-weight block, built once per degree, and the
+cocycle representatives and the body map on cohomology read that block
+alone.  The elimination of all of d_p (``LinearMapMatrix.rank``,
+``kernel``) is kept as the test oracle.
 
 For cross-validation the module carries a small self-contained
 Chevalley-Eilenberg solver for ordinary Lie algebras (own elimination code
@@ -27,7 +30,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from . import linalg
 from .basis import body_adapted_basis
 from .constants import StructureConstants, compute_constants
-from .forms import DerivationVector, GradedForm, _kernel_tables
+from .forms import DerivationVector, GradedForm
 from .formspace import (
     Label, LinearMapMatrix, _tuple_index, basis_form, d_matrix,
     form_basis_labels, form_to_sparse,
@@ -84,8 +87,12 @@ class ChainDegreeData:
     _weight_ranks: Optional[Dict[int, int]] = field(
         default=None, repr=False, compare=False
     )
-    # indices of the zero-weight columns, set once the certificate passed
+    # indices of the zero-weight columns and d_p on them, set once the
+    # certificate passed
     zero_cols: Optional[List[int]] = field(default=None, repr=False, compare=False)
+    _zero_block: Optional[LinearMapMatrix] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -93,20 +100,23 @@ class ChainDegreeData:
 
     def weight_ranks(self) -> Dict[int, int]:
         if self._weight_ranks is None:
-            self.zero_cols, ranks = _certified_ranks(self)
-            if self.zero_cols:
-                ranks[0] = self.zero_block().rank()
+            zero_cols, ranks = _certified_ranks(self)
+            mat = self.matrix
+            self._zero_block = LinearMapMatrix(
+                [self.labels[j] for j in zero_cols], mat.out_labels,
+                [mat.columns[j] for j in zero_cols], mat.den,
+            )
+            self.zero_cols = zero_cols
+            if zero_cols:
+                ranks[0] = self._zero_block.rank()
             self._weight_ranks = ranks
         return self._weight_ranks
 
     def zero_block(self) -> LinearMapMatrix:
         """d_p on its zero-weight columns, certifying the degree first."""
-        if self.zero_cols is None:
+        if self._zero_block is None:
             self.weight_ranks()
-        return LinearMapMatrix(
-            [self.labels[j] for j in self.zero_cols], self.matrix.out_labels,
-            [self.matrix.columns[j] for j in self.zero_cols],
-        )
+        return self._zero_block
 
     def rank(self) -> int:
         return sum(self.weight_ranks().values())
@@ -140,7 +150,7 @@ def differential_matrix(
     got = sc.cache.get(key)
     if got is None:
         mat = d_matrix(sc, p)
-        got = ChainDegreeData(p, list(mat.in_labels), mat, sc)
+        got = ChainDegreeData(p, mat.in_labels, mat, sc)
         sc.cache[key] = got
     return got
 
@@ -188,10 +198,11 @@ def betti_numbers(
 # (Hochschild and Serre, Ann. Math. 57, 1953).  So only the zero-weight
 # block needs elimination.
 #
-# ``_certified_ranks`` does not take this on trust.  It checks, in ints over
-# the kernel denominator, that every entry of every column of d_p lies in
-# the column's weight, and that the homotopy identity holds on every column
-# of every nonzero weight: on that weight, ker d_p lies within im d_(p-1).
+# ``_certified_ranks`` does not take this on trust.  It checks, on the
+# integer numerators of d_p and d_(p-1) over their shared denominator, that
+# every entry of every column of d_p lies in the column's weight, and that
+# the homotopy identity holds on every column of every nonzero weight: on
+# that weight, ker d_p lies within im d_(p-1).
 # It also checks d_p d_(p-1) = 0 on every column of d_(p-1), the reverse
 # inclusion, without which a wrong entry in a row the identity never reads
 # (a row whose tuple lacks h) could pass and leave the rank too low.  The
@@ -304,7 +315,7 @@ def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
     sc, p, mat = data.sc, data.p, data.matrix
     k = sc.n + sc.m
     kk = k * k
-    den = _kernel_tables(sc).den
+    den = mat.den
     unit_w = [_unit_code(r, c) for r in range(k) for c in range(k)]
     in_w = _tuple_weights(sc, p)
     out_w = _tuple_weights(sc, p + 1)
@@ -312,24 +323,14 @@ def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
     if p > 0:
         # d_p passed the degree cap, so d_(p-1) is admitted under it
         prev = differential_matrix(sc, p - 1, max_degree=p)
+        if prev.matrix.den != den:
+            raise CertificateError(
+                f"d at degree {p} is over the denominator {den}, d at degree "
+                f"{p - 1} over {prev.matrix.den}"
+            )
         prev_ranks = prev.weight_ranks()
         in_contr = _contractions(sc, p)
     cartan = _cartan_elements(sc)
-    # Scalar object -> its numerator over ``den``; d_matrix shares one
-    # Scalar per distinct value, so this stays small
-    nums: Dict[int, int] = {}
-
-    def num(s: Scalar) -> int:
-        got = nums.get(id(s))
-        if got is None:
-            f = s.as_fraction() * den
-            if f.denominator != 1:
-                raise CertificateError(
-                    f"d at degree {p}: entry {f / den} is not over the kernel "
-                    f"denominator {den}"
-                )
-            got = nums[id(s)] = f.numerator
-        return got
 
     def fail(j: int, why: str):
         raise CertificateError(
@@ -355,35 +356,32 @@ def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
         # i_h (d_p x), in ints over den; on weight 0 (h None) only the
         # weight of each row is checked
         acc: Dict[int, int] = {}
-        for i, s in col.items():
+        for i, v in col.items():
             ti, ui = divmod(i, kk)
             if out_w[ti] + unit_w[ui] != lam:
                 fail(j, f"row {i} lies outside the column's weight")
             hit = out_contr[ti].get(h)
             if hit is not None:
                 row = hit[0] * kk + ui
-                acc[row] = acc.get(row, 0) + hit[1] * num(s)
+                acc[row] = acc.get(row, 0) + hit[1] * v
         if h is None:
             continue
         # + d_(p-1) (i_h x)
         if p > 0:
             hit = in_contr[t].get(h)
             if hit is not None:
-                for i, s in prev.matrix.columns[hit[0] * kk + u].items():
-                    acc[i] = acc.get(i, 0) + hit[1] * num(s)
+                for i, v in prev.matrix.columns[hit[0] * kk + u].items():
+                    acc[i] = acc.get(i, 0) + hit[1] * v
         if val * den != acc.pop(j, 0) or any(acc.values()):
             fail(j, f"i_h d + d i_h is not {val} times the identity (h = {h})")
     if p > 0:
         # d_p d_(p-1) = 0 on every column of d_(p-1): with the homotopy it
         # gives dim ker d_p = rank d_(p-1) on each nonzero weight
-        known = nums.get  # inlines the common case of num()
         for y, col in enumerate(prev.matrix.columns):
             acc = {}
-            for i, s in col.items():
-                a = num(s)
-                for row, t in mat.columns[i].items():
-                    v = known(id(t))
-                    acc[row] = acc.get(row, 0) + a * (num(t) if v is None else v)
+            for i, a in col.items():
+                for row, v in mat.columns[i].items():
+                    acc[row] = acc.get(row, 0) + a * v
             if any(acc.values()):
                 raise CertificateError(
                     f"d at degree {p}: d_p d_(p-1) is not 0 on column "
@@ -671,11 +669,9 @@ def body_map_matrix(
     in_labels = form_basis_labels(sc, p)
     out_labels = form_basis_labels(sc_body, p)
     index = {lab: i for i, lab in enumerate(out_labels)}
-    cols = []
-    for lab in in_labels:
-        img = body_map_forms(sc, sc_body, basis_form(sc, lab))
-        cols.append(form_to_sparse(img, index))
-    return LinearMapMatrix(in_labels, out_labels, cols)
+    images = [form_to_sparse(body_map_forms(sc, sc_body, basis_form(sc, lab)), index)
+              for lab in in_labels]
+    return LinearMapMatrix.from_images(in_labels, out_labels, images)
 
 
 # ======================================================================
@@ -690,10 +686,10 @@ def _independent_modulo_image(
 
     The image is read on weight 0, where the classes of H^p lie.
     """
-    ech = linalg.SparseEchelon(differential_rows(sc, p - 1))  # dim of degree p
+    ech = linalg.SparseEchelon()
     if p > 0:
         for col in differential_matrix(sc, p - 1).zero_block().columns:
-            ech.add_row(linalg.sparse_row_from_scalars(col))
+            ech.add_row(col)
     return [t for t, row in enumerate(vectors) if ech.add_row(row)]
 
 
@@ -725,9 +721,7 @@ def body_h_map_injective(
     reps = cocycle_representatives(sc, p)
     bm = body_map_matrix(sc, sc_body, p)
     images = [
-        linalg.sparse_row_from_scalars(
-            bm.apply({i: Scalar.of(x) for i, x in enumerate(vec) if x})
-        )
+        linalg.sparse_row_from_fractions(bm.apply({i: x for i, x in enumerate(vec) if x}))
         for vec in reps
     ]
     return len(_independent_modulo_image(sc_body, p, images)) == len(reps)

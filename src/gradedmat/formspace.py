@@ -6,21 +6,22 @@ unit).  Labels are ordered index-tuple major, matrix units row major;
 everything downstream (differential matrices, rank computations, kernel
 bases) refers to this ordering.
 
-The matrices of d_p and of the basis Lie derivatives are written column
-by column straight from the structure constants (``d_matrix``,
+A ``LinearMapMatrix`` holds integer numerators over one denominator
+``den``.  The matrices of d_p and of the basis Lie derivatives are written
+column by column straight from the structure constants (``d_matrix``,
 ``lie_matrix``): each column is summed in ints from the kernel tables of
-``forms``, whose values are numerators over one table denominator, and
-each distinct nonzero entry is divided back and wrapped in a Scalar once.
-Form coefficients are read through their sparse triples.
-``matrix_of_map`` runs any form-level map over the basis instead; with
-``exterior_derivative`` and ``lie_derivative`` it is the oracle the tests
-hold the column kernel to.
+``forms``, and those sums are kept as they are, over the table
+denominator.  Form coefficients are read through their sparse triples.
+``matrix_of_map`` runs any form-level map over the basis instead and puts
+the images over the lcm of their denominators; with ``exterior_derivative``
+and ``lie_derivative`` it is the oracle the tests hold the column kernel to.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .constants import StructureConstants
@@ -76,20 +77,35 @@ def vector_to_form(
 
 @dataclass
 class LinearMapMatrix:
-    """A linear map between form spaces, stored column-sparse.
+    """A linear map between form spaces, stored column-sparse in integers.
 
     ``columns[j]`` is the image of input basis vector j as a sparse vector
-    over the output labels.  Rank goes through fraction-free elimination
-    with a multi-prime modular cross-check.
+    over the output labels, holding nonzero integer numerators over the
+    common denominator ``den``.  Rank goes through fraction-free
+    elimination with a multi-prime modular cross-check.
     """
 
     in_labels: List[Label]
     out_labels: List[Label]
-    columns: List[Dict[int, Scalar]]
+    columns: List[Dict[int, int]]
+    den: int = 1
     _int_rows: Optional[List[linalg.SparseIntRow]] = field(
         default=None, repr=False, compare=False
     )
     _rank: Optional[int] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_images(
+        cls, in_labels: List[Label], out_labels: List[Label],
+        images: Sequence[Dict[int, Scalar]],
+    ) -> "LinearMapMatrix":
+        """The map with the given sparse column images, over the lcm of their
+        denominators; raises ValueError on a value that is not real."""
+        fracs = [{i: v.as_fraction() for i, v in img.items()} for img in images]
+        den = lcm(*(f.denominator for col in fracs for f in col.values()))
+        columns = [{i: f.numerator * (den // f.denominator) for i, f in col.items()}
+                   for col in fracs]
+        return cls(in_labels, out_labels, columns, den)
 
     @property
     def ncols(self) -> int:
@@ -102,15 +118,11 @@ class LinearMapMatrix:
     def int_rows(self) -> List[linalg.SparseIntRow]:
         """The matrix as integer rows with per-row content cleared."""
         if self._int_rows is None:
-            rows: Dict[int, Dict[int, Fraction]] = {}
+            rows: Dict[int, Dict[int, int]] = {}
             for j, col in enumerate(self.columns):
                 for i, v in col.items():
-                    f = v.as_fraction()
-                    if f:
-                        rows.setdefault(i, {})[j] = f
-            self._int_rows = [
-                linalg.sparse_row_from_fractions(rows[i]) for i in sorted(rows)
-            ]
+                    rows.setdefault(i, {})[j] = v
+            self._int_rows = [linalg.strip_content(rows[i]) for i in sorted(rows)]
         return self._int_rows
 
     def rank(self) -> int:
@@ -124,17 +136,14 @@ class LinearMapMatrix:
             raise AssertionError("a kernel vector is not killed by the matrix")
         return vecs
 
-    def apply(self, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        out: Dict[int, Scalar] = {}
+    def apply(self, vec: Dict[int, Any]) -> Dict[int, Any]:
+        """The image of a sparse vector of Scalars or Fractions, in their type."""
+        acc: Dict[int, Any] = {}
         for j, x in vec.items():
             for i, v in self.columns[j].items():
-                cur = out.get(i)
-                s = x * v if cur is None else cur + x * v
-                if s:
-                    out[i] = s
-                elif cur is not None:
-                    del out[i]
-        return out
+                acc[i] = acc.get(i, 0) + x * v
+        inv = Fraction(1, self.den)
+        return {i: s * inv for i, s in acc.items() if s}
 
     def compose_is_zero(self, inner: "LinearMapMatrix") -> bool:
         """Whether self applied after ``inner`` kills every basis column."""
@@ -154,8 +163,8 @@ def matrix_of_map(
     in_labels = form_basis_labels(sc, p_in, parity=in_parity)
     out_labels = form_basis_labels(sc, p_out)
     index = {lab: i for i, lab in enumerate(out_labels)}
-    columns = [form_to_sparse(fn(basis_form(sc, lab)), index) for lab in in_labels]
-    return LinearMapMatrix(in_labels, out_labels, columns)
+    images = [form_to_sparse(fn(basis_form(sc, lab)), index) for lab in in_labels]
+    return LinearMapMatrix.from_images(in_labels, out_labels, images)
 
 
 def stack_maps(maps: Sequence[LinearMapMatrix]) -> LinearMapMatrix:
@@ -168,16 +177,18 @@ def stack_maps(maps: Sequence[LinearMapMatrix]) -> LinearMapMatrix:
     for mp in maps:
         if mp.in_labels != first.in_labels:
             raise ValueError("stacked maps must share the input space")
+    den = lcm(*(mp.den for mp in maps))
     out_labels: List[Label] = []
-    columns: List[Dict[int, Scalar]] = [dict() for _ in first.in_labels]
+    columns: List[Dict[int, int]] = [dict() for _ in first.in_labels]
     offset = 0
     for mp in maps:
         out_labels.extend(mp.out_labels)
+        scale = den // mp.den
         for j, col in enumerate(mp.columns):
             for i, v in col.items():
-                columns[j][offset + i] = v
+                columns[j][offset + i] = v * scale
         offset += mp.nrows
-    return LinearMapMatrix(list(first.in_labels), out_labels, columns)
+    return LinearMapMatrix(list(first.in_labels), out_labels, columns, den)
 
 
 # ======================================================================
@@ -210,28 +221,22 @@ def _columns(
     labels: Sequence[Label],
     per_tuple: Callable[[Tuple[int, ...]], tuple],
     unit_terms: Callable[[tuple, int, int], Dict[int, int]],
-    den: int,
-) -> List[Dict[int, Scalar]]:
-    """Sparse columns over label order, each nonzero wrapped in a Scalar once.
+) -> List[Dict[int, int]]:
+    """Sparse integer columns over label order, nonzero entries only.
 
     ``per_tuple(I)`` precomputes what every unit of the index tuple I
     shares; ``unit_terms(shared, r, c)`` writes the column of (I, r, c) as
-    integer numerators over ``den``, the kernel-table denominator.
+    integer numerators over the kernel-table denominator.  Equal values
+    share one int object, which keeps large matrices small.
     """
-    wrapped: Dict[int, Scalar] = {}
-    columns: List[Dict[int, Scalar]] = []
+    shared_ints: Dict[int, int] = {}
+    columns: List[Dict[int, int]] = []
     prev = shared = None
     for key, r, c in labels:
         if key != prev:
             prev, shared = key, per_tuple(key)
-        col: Dict[int, Scalar] = {}
-        for i, v in unit_terms(shared, r, c).items():
-            if v:
-                s = wrapped.get(v)
-                if s is None:
-                    s = wrapped[v] = Scalar(Fraction(v, den))
-                col[i] = s
-        columns.append(col)
+        columns.append({i: shared_ints.setdefault(v, v)
+                        for i, v in unit_terms(shared, r, c).items() if v})
     return columns
 
 
@@ -266,8 +271,8 @@ def d_matrix(
         return col
 
     in_labels = form_basis_labels(sc, p, parity=parity)
-    columns = _columns(in_labels, per_tuple, unit_terms, den)
-    return LinearMapMatrix(in_labels, form_basis_labels(sc, p + 1), columns)
+    columns = _columns(in_labels, per_tuple, unit_terms)
+    return LinearMapMatrix(in_labels, form_basis_labels(sc, p + 1), columns, den)
 
 
 def lie_matrix(
@@ -309,8 +314,8 @@ def lie_matrix(
         return col
 
     in_labels = form_basis_labels(sc, p, parity=parity)
-    columns = _columns(in_labels, per_tuple, unit_terms, t.den)
-    return LinearMapMatrix(in_labels, form_basis_labels(sc, p), columns)
+    columns = _columns(in_labels, per_tuple, unit_terms)
+    return LinearMapMatrix(in_labels, form_basis_labels(sc, p), columns, t.den)
 
 
 def invariant_forms(

@@ -177,7 +177,8 @@ def matvec(rows: Sequence[Sequence[Scalar]], x: Sequence[Scalar]) -> List[Scalar
 SparseIntRow = Dict[int, int]
 
 
-def _strip_content(row: SparseIntRow) -> SparseIntRow:
+def strip_content(row: SparseIntRow) -> SparseIntRow:
+    """The row divided by the gcd of its entries; scaling keeps rank and kernel."""
     if not row:
         return row
     g = 0
@@ -199,13 +200,7 @@ def sparse_row_from_fractions(entries: Dict[int, Fraction]) -> SparseIntRow:
     for v in entries.values():
         d = v.denominator
         lcm = lcm * d // gcd(lcm, d)
-    return _strip_content({c: v.numerator * (lcm // v.denominator) for c, v in entries.items()})
-
-
-def sparse_row_from_scalars(entries: Dict[int, Scalar]) -> SparseIntRow:
-    return sparse_row_from_fractions(
-        {c: v.as_fraction() for c, v in entries.items() if v}
-    )
+    return strip_content({c: v.numerator * (lcm // v.denominator) for c, v in entries.items()})
 
 
 class SparseEchelon:
@@ -216,8 +211,7 @@ class SparseEchelon:
     so every intermediate row stays integral.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.pivot_rows: Dict[int, SparseIntRow] = {}
 
     @property
@@ -231,7 +225,7 @@ class SparseEchelon:
             lead = min(r)
             piv = self.pivot_rows.get(lead)
             if piv is None:
-                return _strip_content(r)
+                return strip_content(r)
             pv = piv[lead]
             rv = r[lead]
             merged = {}
@@ -241,7 +235,7 @@ class SparseEchelon:
                 nv = pv * r.get(c, 0) - rv * piv.get(c, 0)
                 if nv:
                     merged[c] = nv
-            r = _strip_content(merged)
+            r = strip_content(merged)
         return r
 
     def add_row(self, row: SparseIntRow) -> bool:
@@ -253,8 +247,8 @@ class SparseEchelon:
         return True
 
 
-def sparse_rank(rows: Sequence[SparseIntRow], ncols: int) -> int:
-    ech = SparseEchelon(ncols)
+def sparse_rank(rows: Sequence[SparseIntRow]) -> int:
+    ech = SparseEchelon()
     for row in sorted(rows, key=len):
         ech.add_row(row)
     return ech.rank
@@ -262,7 +256,7 @@ def sparse_rank(rows: Sequence[SparseIntRow], ncols: int) -> int:
 
 def sparse_kernel(rows: Sequence[SparseIntRow], ncols: int) -> List[List[Fraction]]:
     """Exact basis of {x : A x = 0}, one vector per free column."""
-    ech = SparseEchelon(ncols)
+    ech = SparseEchelon()
     for row in sorted(rows, key=len):
         ech.add_row(row)
     pivots = sorted(ech.pivot_rows)
@@ -323,7 +317,7 @@ def exact_rank(rows: Sequence[SparseIntRow], ncols: int) -> int:
     The modular rank can only undershoot (an unlucky prime), so agreement of
     the maximum with the exact elimination is required.
     """
-    r = sparse_rank(rows, ncols)
+    r = sparse_rank(rows)
     mods = [modular_rank(rows, ncols, p) for p in _CHECK_PRIMES]
     if max(mods) != r:
         raise AssertionError(f"modular ranks {mods} disagree with exact rank {r}")

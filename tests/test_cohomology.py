@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -193,12 +192,10 @@ def test_cocycle_representatives_span_cohomology(name, request):
         data = differential_matrix(sc, p)
         reps = cocycle_representatives(sc, p)
         assert len(reps) == betti[p], (name, p)
-        ech = SparseEchelon(data.dim)
+        ech = SparseEchelon()
         if p > 0:
             for col in differential_matrix(sc, p - 1).matrix.columns:
-                ech.add_row(sparse_row_from_fractions(
-                    {i: v.as_fraction() for i, v in col.items()}
-                ))
+                ech.add_row(col)
         for vec in reps:
             assert len(vec) == data.dim
             sparse = {i: Scalar.of(x) for i, x in enumerate(vec) if x}
@@ -294,7 +291,7 @@ def test_certified_ranks_equal_full_elimination(name, top, request):
         for wt, cols in blocks.items():
             block = LinearMapMatrix(
                 [data.labels[j] for j in cols], data.matrix.out_labels,
-                [data.matrix.columns[j] for j in cols],
+                [data.matrix.columns[j] for j in cols], data.matrix.den,
             )
             assert got[wt] == block.rank(), (name, p, wt)
 
@@ -324,11 +321,15 @@ def test_closed_form_contraction_matches_interior_product(sc21):
 
 
 def mutated(data, j, i, value):
-    """A copy of ``data`` whose column j holds ``value`` at row i."""
+    """A copy of ``data`` whose column j holds the numerator ``value`` at row i."""
     cols = list(data.matrix.columns)
     cols[j] = dict(cols[j])
     cols[j][i] = value
-    mat = LinearMapMatrix(data.matrix.in_labels, data.matrix.out_labels, cols)
+    if not value:
+        del cols[j][i]  # columns hold nonzero numerators only
+    mat = LinearMapMatrix(
+        data.matrix.in_labels, data.matrix.out_labels, cols, data.matrix.den
+    )
     return ChainDegreeData(data.p, data.labels, mat, data.sc)
 
 
@@ -339,6 +340,7 @@ def test_changing_one_entry_of_a_column_fails_the_certificate(
 ):
     p = data.draw(st.integers(0, 3), label="p")
     chain = differential_matrix(sc21, p)
+    den = chain.matrix.den
     j = data.draw(st.integers(0, chain.dim - 1), label="column")
     weight = weight_of_label(sc21, chain.labels[j])
     # a new entry in a row of another weight, on any column
@@ -346,7 +348,7 @@ def test_changing_one_entry_of_a_column_fails_the_certificate(
              if weight_of_label(sc21, lab) != weight]
     i = data.draw(st.sampled_from(other), label="foreign row")
     with pytest.raises(CertificateError, match="outside the column's weight"):
-        mutated(chain, j, i, Scalar.of(1)).weight_ranks()
+        mutated(chain, j, i, den).weight_ranks()
     if any(weight):
         h, _ = first_contracting_element(sc21, weight)
         key, r, c = chain.labels[j]
@@ -362,7 +364,7 @@ def test_changing_one_entry_of_a_column_fails_the_certificate(
             if not group:
                 continue
             i = data.draw(st.sampled_from(group), label="row")
-            delta = data.draw(st.sampled_from([1, -1, Fraction(1, 2)]),
+            delta = data.draw(st.sampled_from([den, -den, den // 2]),
                               label="delta")
             with pytest.raises(CertificateError, match=f"d at degree {p}, column"):
                 mutated(chain, j, i, col[i] + delta).weight_ranks()
@@ -390,7 +392,7 @@ def test_the_homotopy_check_reads_the_terms_that_must_cancel(sc21):
                 continue
             i = cancelling[0]
             with pytest.raises(CertificateError, match="i_h d \\+ d i_h"):
-                mutated(chain, j, i, col[i] + 1).weight_ranks()
+                mutated(chain, j, i, col[i] + chain.matrix.den).weight_ranks()
             tried += 1
             if tried == 8:
                 break
@@ -412,14 +414,41 @@ def test_a_changed_entry_that_passes_the_certificate_keeps_the_rank_exact(
     same = [i for i, lab in enumerate(chain.matrix.out_labels)
             if weight_of_label(sc21, lab) == weight]
     i = data.draw(st.sampled_from(same), label="row")
-    old = chain.matrix.columns[j].get(i, Scalar.of(0))
-    delta = data.draw(st.sampled_from([1, -1, Fraction(1, 2)]), label="delta")
+    old = chain.matrix.columns[j].get(i, 0)
+    den = chain.matrix.den
+    delta = data.draw(st.sampled_from([den, -den, den // 2]), label="delta")
     changed = mutated(chain, j, i, old + delta)
     try:
         got = changed.rank()
     except CertificateError:
         return
     assert got == changed.matrix.rank()
+
+
+def test_the_certificate_refuses_d_over_another_denominator():
+    # the same values of d_0 over twice the denominator: the homotopy sums
+    # numerators of d_0 and d_1, so they must share one denominator
+    sc = constants_for(2, 0)
+    prev = differential_matrix(sc, 0)
+    mat = prev.matrix
+    doubled = LinearMapMatrix(
+        mat.in_labels, mat.out_labels,
+        [{i: 2 * v for i, v in col.items()} for col in mat.columns], 2 * mat.den,
+    )
+    sc.cache[("differential", 0)] = ChainDegreeData(0, prev.labels, doubled, sc)
+    with pytest.raises(CertificateError, match="denominator 2, d at degree 0 over 4"):
+        differential_matrix(sc, 1).weight_ranks()
+
+
+def test_one_zero_block_per_degree(sc21):
+    data = differential_matrix(sc21, 3)
+    block = data.zero_block()
+    assert data.zero_block() is block
+    assert block.den == data.matrix.den
+    assert block.columns == [data.matrix.columns[j] for j in data.zero_cols]
+    rows = block.int_rows()
+    assert len(cocycle_representatives(sc21, 3)) == 1
+    assert data.zero_block().int_rows() is rows
 
 
 def test_a_basis_element_that_is_not_a_weight_vector_is_refused():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +25,13 @@ from gradedmat.forms import (
     exterior_derivative,
     lie_derivative,
 )
-from gradedmat.scalars import Scalar
+from gradedmat.scalars import I, Scalar
 from tests.test_forms import rand_form
+
+
+def column_values(mat, j):
+    """Column j of ``mat`` as exact values: its numerators over ``mat.den``."""
+    return {i: Fraction(v, mat.den) for i, v in mat.columns[j].items()}
 
 
 def test_label_counts(sc21):
@@ -91,6 +97,56 @@ def test_stacked_kernel_is_joint_kernel(sc21):
     w = vector_to_form(sc21, 1, vecs[0], stacked.in_labels)
     for a in range(sc21.dim):
         assert lie_derivative(sc21, DerivationVector.basis(sc21, a), w).is_zero()
+
+
+def test_stack_over_different_denominators_keeps_the_values(sc21):
+    # even a from the column kernel (over 4), odd a from the oracle (over
+    # 1 or 2): the stack rescales each block to the lcm of the denominators
+    maps = [
+        lie_matrix(sc21, a, 1) if a % 2 == 0 else matrix_of_map(
+            lambda f, a=a: lie_derivative(sc21, DerivationVector.basis(sc21, a), f),
+            sc21, 1, 1,
+        )
+        for a in range(sc21.dim)
+    ]
+    assert {mp.den for mp in maps} == {1, 2, 4}
+    stacked = stack_maps(maps)
+    assert stacked.den == 4
+    images = [{} for _ in stacked.in_labels]
+    offset = 0
+    for mp in maps:
+        for j in range(mp.ncols):
+            for i, v in column_values(mp, j).items():
+                images[j][offset + i] = Scalar.of(v)
+        offset += mp.nrows
+    by_value = LinearMapMatrix.from_images(
+        stacked.in_labels, stacked.out_labels, images
+    )
+    for j in range(stacked.ncols):
+        assert column_values(stacked, j) == column_values(by_value, j)
+    assert len(stacked.kernel()) == 1
+    assert stacked.kernel() == by_value.kernel()
+
+
+def test_map_images_must_be_real(sc21):
+    with pytest.raises(ValueError, match="not real"):
+        matrix_of_map(lambda f: f.scale(I), sc21, 0, 0)
+    labels = [((), 0, 0), ((), 0, 1)]
+    got = LinearMapMatrix.from_images(
+        labels, labels, [{0: Scalar(Fraction(1, 6))}, {1: Scalar(Fraction(-3, 4))}]
+    )
+    assert (got.columns, got.den) == ([{0: 2}, {1: -9}], 12)
+
+
+def test_kernel_matrices_hold_nonzero_ints_over_the_table_denominator(sc21, sc31):
+    for sc in (sc21, sc31):
+        den = forms._kernel_tables(sc).den
+        mats = [d_matrix(sc, p) for p in range(3)]
+        mats += [lie_matrix(sc, a, p) for a in (0, sc.dim - 1) for p in (1, 2)]
+        for mat in mats:
+            assert mat.den == den
+            for col in mat.columns:
+                assert all(type(v) is int and v for v in col.values())
 
 
 def test_invariant_one_forms_span_the_canonical_form(sc21):
@@ -160,7 +216,7 @@ def test_d_matrix_columns_match_values_route(
             out_index = {lab: i for i, lab in enumerate(mat.out_labels)}
             w = basis_form(sc, mat.in_labels[j])
             want = form_to_sparse(exterior_derivative(sc, w), out_index)
-            assert mat.columns[j] == want, (sc.n, sc.m, mat.in_labels[j])
+            assert column_values(mat, j) == want, (sc.n, sc.m, mat.in_labels[j])
 
 
 @settings(max_examples=30, deadline=None)
@@ -177,7 +233,7 @@ def test_lie_matrix_columns_match_values_route(sc21, kernel_memo, data):
         )
         assert mat.in_labels == labels
         want = lie_derivative(sc21, DerivationVector.basis(sc21, a), w)
-        assert mat.columns[j] == form_to_sparse(want, out_index), (a, labels[j])
+        assert column_values(mat, j) == form_to_sparse(want, out_index), (a, labels[j])
 
 
 def test_kernel_callers_skip_the_form_level_routes(monkeypatch):
@@ -228,7 +284,7 @@ def test_both_generator_callers_share_one_set_of_tables():
 def test_kernel_refuses_a_vector_the_matrix_does_not_kill(monkeypatch):
     # columns e0 -> f0, e1 -> 0: the kernel is spanned by e1
     labels = [((), 0, 0), ((), 0, 1)]
-    mat = LinearMapMatrix(labels, labels[:1], [{0: Scalar.of(1)}, {}])
+    mat = LinearMapMatrix(labels, labels[:1], [{0: 1}, {}])
     assert mat.kernel() == [[0, 1]]
     monkeypatch.setattr(linalg, "sparse_kernel", lambda rows, ncols: [[1, 0]])
     with pytest.raises(AssertionError, match="not killed by the matrix"):

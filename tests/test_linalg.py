@@ -53,14 +53,14 @@ def test_sparse_rank_matches_dense():
         for i, row in enumerate(rows):
             for j, v in row.items():
                 dense[i][j] = Scalar.of(Fraction(v))
-        assert linalg.sparse_rank(rows, ncols) == linalg.rank_dense(dense)
+        assert linalg.sparse_rank(rows) == linalg.rank_dense(dense)
 
 
 def test_exact_rank_cross_check():
     rng = random.Random(23)
     rows = _random_sparse(rng, 10, 7)
     r = linalg.exact_rank(rows, 7)
-    assert r == linalg.sparse_rank(rows, 7)
+    assert r == linalg.sparse_rank(rows)
 
 
 def test_sparse_kernel_verifies():
@@ -69,13 +69,13 @@ def test_sparse_kernel_verifies():
         rows = _random_sparse(rng, 4, 7)
         vecs = linalg.sparse_kernel(rows, 7)
         assert linalg.verify_kernel(rows, vecs)
-        assert len(vecs) == 7 - linalg.sparse_rank(rows, 7)
+        assert len(vecs) == 7 - linalg.sparse_rank(rows)
 
 
 def test_modular_rank_agrees():
     rng = random.Random(31)
     rows = _random_sparse(rng, 9, 9)
-    exact = linalg.sparse_rank(rows, 9)
+    exact = linalg.sparse_rank(rows)
     assert linalg.modular_rank(rows, 9, 1000003) == exact
 
 
@@ -101,7 +101,7 @@ small_int_rows = st.integers(1, 6).flatmap(
 @given(small_int_rows)
 def test_modular_rank_property(case):
     ncols, rows = case
-    exact = linalg.sparse_rank(rows, ncols)
+    exact = linalg.sparse_rank(rows)
     mods = [linalg.modular_rank(rows, ncols, p) for p in linalg._CHECK_PRIMES]
     assert all(r <= exact for r in mods)
     assert max(mods) == exact
@@ -120,7 +120,7 @@ def test_unlucky_prime_undershoots_but_exact_rank_passes():
 def test_exact_rank_rejects_a_short_modular_rank(monkeypatch):
     rng = random.Random(37)
     rows = _random_sparse(rng, 6, 6)
-    rank = linalg.sparse_rank(rows, 6)
+    rank = linalg.sparse_rank(rows)
     assert rank > 0
     monkeypatch.setattr(
         linalg, "modular_rank", lambda rows, ncols, prime: rank - 1
