@@ -57,7 +57,7 @@ from .forms import (
     wedge_form_matrix,
     wedge_matrix_form,
 )
-from .formspace import basis_form, form_basis_labels, invariant_forms
+from .formspace import FormBasis, basis_form, invariant_forms
 from .indexset import commutation_factor
 from .matrices import GradedMatrix, graded_commutator
 from .report import VerificationReport
@@ -177,7 +177,7 @@ def suite_cartan(sc: StructureConstants, seed: int) -> VerificationReport:
 
     labels = []
     for p in range(3):
-        degree_labels = form_basis_labels(sc, p)
+        degree_labels = FormBasis(sc, p)
         if len(degree_labels) > 400:
             degree_labels = sorted(rng.sample(degree_labels, 120))
         labels.extend(degree_labels)
@@ -206,7 +206,7 @@ def suite_cartan(sc: StructureConstants, seed: int) -> VerificationReport:
 
     ok = True
     for p in range(3):
-        all_labels = form_basis_labels(sc, p)
+        all_labels = FormBasis(sc, p)
         for lab in rng.sample(all_labels, min(10, len(all_labels))):
             w = basis_form(sc, lab)
             if exterior_derivative(sc, w) != exterior_derivative_generators(sc, w):
@@ -503,6 +503,8 @@ def cmd_constants(args) -> int:
 
 def cmd_verify(args) -> int:
     sc = constants_for(args.n, args.m)
+    if not sc.dim:
+        raise ValueError(f"sl({args.n}|{args.m}) is zero: it has no derivations to verify")
     reports = run_verify(sc, args.seed, args.flip_commutation_sign)
     obj = {
         "config": _config_obj(args),

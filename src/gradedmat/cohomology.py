@@ -8,7 +8,9 @@ weight is acyclic by the Cartan homotopy d i_h + i_h d = lambda(h), which
 is checked on each of its columns together with d_p d_(p-1) = 0, and
 contributes dim C^p_lambda minus the rank of d_(p-1) on it.  Both the
 certificate and the elimination read the integer numerators that
-``formspace.d_matrix`` keeps over the kernel denominator.  So every class
+``formspace.d_matrix`` keeps over the kernel denominator, at positions of
+``formspace.FormBasis``: the certificate splits a position into its index
+tuple and matrix unit, and no list of labels is built.  So every class
 of H^p lives in the zero-weight block, built once per degree, and the
 cocycle representatives and the body map on cohomology read that block
 alone.  The elimination of all of d_p (``LinearMapMatrix.rank``,
@@ -31,11 +33,8 @@ from . import linalg
 from .basis import body_adapted_basis
 from .constants import StructureConstants, compute_constants
 from .forms import DerivationVector, GradedForm
-from .formspace import (
-    Label, LinearMapMatrix, _tuple_index, basis_form, d_matrix,
-    form_basis_labels, form_to_sparse,
-)
-from .indexset import enumerate_multi_indices, index_count
+from .formspace import FormBasis, LinearMapMatrix, basis_form, d_matrix, form_to_sparse
+from .indexset import index_count
 from .matrices import GradedMatrix, body, embed_body
 from .scalars import Scalar
 
@@ -70,7 +69,7 @@ def differential_rows(sc: StructureConstants, p: int) -> int:
 
 @dataclass
 class ChainDegreeData:
-    """One degree of the complex: labels of the p-form basis and d_p.
+    """One degree of the complex: d_p, whose columns are the degree-p basis.
 
     ``rank()`` goes through the weight grading (see "Weights and the
     Cartan homotopy" below): only the zero-weight block is eliminated,
@@ -80,7 +79,6 @@ class ChainDegreeData:
     """
 
     p: int
-    labels: List[Label]
     matrix: LinearMapMatrix
     sc: StructureConstants = field(repr=False, compare=False)
     # weight code -> rank of d_p on the columns of that weight
@@ -96,14 +94,14 @@ class ChainDegreeData:
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return self.matrix.ncols
 
     def weight_ranks(self) -> Dict[int, int]:
         if self._weight_ranks is None:
             zero_cols, ranks = _certified_ranks(self)
             mat = self.matrix
             self._zero_block = LinearMapMatrix(
-                [self.labels[j] for j in zero_cols], mat.out_labels,
+                mat.basis.restrict(zero_cols), mat.nrows,
                 [mat.columns[j] for j in zero_cols], mat.den,
             )
             self.zero_cols = zero_cols
@@ -128,7 +126,7 @@ class ChainDegreeData:
 def differential_matrix(
     sc: StructureConstants, p: int, max_degree: int = DEFAULT_DEGREE_CAP
 ) -> ChainDegreeData:
-    """The matrix of d_p: degree p to degree p+1, in the label bases.
+    """The matrix of d_p: degree p to degree p+1, over the form bases.
 
     Written by the sparse column kernel ``formspace.d_matrix``, built once
     per constants object and kept in ``sc.cache``.  Refused up front when
@@ -149,8 +147,7 @@ def differential_matrix(
     key = ("differential", p)
     got = sc.cache.get(key)
     if got is None:
-        mat = d_matrix(sc, p)
-        got = ChainDegreeData(p, mat.in_labels, mat, sc)
+        got = ChainDegreeData(p, d_matrix(sc, p), sc)
         sc.cache[key] = got
     return got
 
@@ -251,13 +248,12 @@ def _element_weights(sc: StructureConstants) -> List[int]:
 
 
 def _tuple_weights(sc: StructureConstants, q: int) -> List[int]:
-    """-sum wt(E_A) per canonical q-tuple, in label order, kept in ``sc.cache``."""
+    """-sum wt(E_A) per tuple of ``FormBasis(sc, q).tuples``, kept in ``sc.cache``."""
     key = ("tuple_weights", q)
     got = sc.cache.get(key)
     if got is None:
         ew = _element_weights(sc)
-        got = [-sum(ew[A] for A in I)
-               for I in enumerate_multi_indices(sc.even_dim, sc.odd_dim, q)]
+        got = [-sum(ew[A] for A in I) for I in FormBasis(sc, q).tuples]
         sc.cache[key] = got
     return got
 
@@ -286,19 +282,20 @@ def _contracting_element(
 
 
 def _contractions(sc: StructureConstants, q: int) -> List[Dict[int, Tuple[int, int]]]:
-    """For each canonical q-tuple J: diagonal h in J -> (index of J without h, sign).
+    """For each canonical q-tuple J: diagonal h in J -> (offset of J without h, sign).
 
-    The sign is (-1)^j for h at position j; kept in ``sc.cache``.
+    The offset is that tuple's ``FormBasis.offset`` in degree q-1, and the
+    sign is (-1)^j for h at position j; kept in ``sc.cache``.
     """
     key = ("cartan_contractions", q)
     got = sc.cache.get(key)
     if got is None:
         cartan = {a for a, _ in _cartan_elements(sc)}
-        lower = _tuple_index(sc, q - 1)
+        lower = FormBasis(sc, q - 1)
         got = []
-        for J in enumerate_multi_indices(sc.even_dim, sc.odd_dim, q):
+        for J in FormBasis(sc, q).tuples:
             got.append({
-                h: (lower[J[:j] + J[j + 1:]], -1 if j % 2 else 1)
+                h: (lower.offset(J[:j] + J[j + 1:]), -1 if j % 2 else 1)
                 for j, h in enumerate(J) if h in cartan
             })
         sc.cache[key] = got
@@ -314,9 +311,9 @@ def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
     """
     sc, p, mat = data.sc, data.p, data.matrix
     k = sc.n + sc.m
-    kk = k * k
     den = mat.den
-    unit_w = [_unit_code(r, c) for r in range(k) for c in range(k)]
+    basis, split = mat.basis, FormBasis(sc, p + 1).split
+    unit_w = [_unit_code(r, c) for r, c in basis.cells]
     in_w = _tuple_weights(sc, p)
     out_w = _tuple_weights(sc, p + 1)
     out_contr = _contractions(sc, p + 1)
@@ -333,15 +330,13 @@ def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
     cartan = _cartan_elements(sc)
 
     def fail(j: int, why: str):
-        raise CertificateError(
-            f"d at degree {p}, column {data.labels[j]}: {why}"
-        )
+        raise CertificateError(f"d at degree {p}, column {basis[j]}: {why}")
 
     homotopy: Dict[int, Optional[Tuple[int, Fraction]]] = {}
     counts: Dict[int, int] = {}
     zero_cols: List[int] = []
     for j, col in enumerate(mat.columns):
-        t, u = divmod(j, kk)
+        t, u = basis.split(j)
         lam = in_w[t] + unit_w[u]
         counts[lam] = counts.get(lam, 0) + 1
         h = None
@@ -357,12 +352,12 @@ def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
         # weight of each row is checked
         acc: Dict[int, int] = {}
         for i, v in col.items():
-            ti, ui = divmod(i, kk)
+            ti, ui = split(i)
             if out_w[ti] + unit_w[ui] != lam:
                 fail(j, f"row {i} lies outside the column's weight")
             hit = out_contr[ti].get(h)
             if hit is not None:
-                row = hit[0] * kk + ui
+                row = hit[0] + ui
                 acc[row] = acc.get(row, 0) + hit[1] * v
         if h is None:
             continue
@@ -370,7 +365,7 @@ def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
         if p > 0:
             hit = in_contr[t].get(h)
             if hit is not None:
-                for i, v in prev.matrix.columns[hit[0] * kk + u].items():
+                for i, v in prev.matrix.columns[hit[0] + u].items():
                     acc[i] = acc.get(i, 0) + hit[1] * v
         if val * den != acc.pop(j, 0) or any(acc.values()):
             fail(j, f"i_h d + d i_h is not {val} times the identity (h = {h})")
@@ -385,7 +380,7 @@ def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
             if any(acc.values()):
                 raise CertificateError(
                     f"d at degree {p}: d_p d_(p-1) is not 0 on column "
-                    f"{prev.labels[y]} of degree {p - 1}"
+                    f"{prev.matrix.basis[y]} of degree {p - 1}"
                 )
     ranks = {lam: dim - (prev_ranks.get(lam, 0) if p > 0 else 0)
              for lam, dim in counts.items() if lam}
@@ -401,67 +396,42 @@ def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
 # cross-check and not a tautology.
 
 
-def _dense_rank(rows: List[List[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
+def _dense_reduce(rows: List[List[Fraction]], ncols: int) -> List[int]:
+    """Gauss-Jordan reduce ``rows`` in place on their first ``ncols`` columns.
+
+    Returns the pivot columns; pivot i sits in row i, scaled to 1.
+    """
+    pivots: List[int] = []
     for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        inv = 1 / pr[col]
-        rows[rank] = pr = [x * inv for x in pr]
+        inv = 1 / rows[rank][col]
+        rows[rank] = pr = [x * inv for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def _dense_rank(rows: List[List[Fraction]]) -> int:
+    rows = [list(r) for r in rows]
+    return len(_dense_reduce(rows, len(rows[0]) if rows else 0))
 
 
 def _dense_solve(mat: List[List[Fraction]], rhs: List[Fraction]) -> List[Fraction]:
-    nr = len(mat)
-    nc = len(mat[0])
+    nr, nc = len(mat), len(mat[0])
     aug = [list(mat[i]) + [rhs[i]] for i in range(nr)]
-    pivots = []
-    rank = 0
-    for col in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if aug[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        pr = aug[rank]
-        inv = 1 / pr[col]
-        aug[rank] = pr = [x * inv for x in pr]
-        for i in range(nr):
-            if i != rank and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], pr)]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, nr):
-        if aug[i][nc]:
-            raise ValueError("inconsistent system")
+    rank = len(_dense_reduce(aug, nc))
+    if any(aug[i][nc] for i in range(rank, nr)):
+        raise ValueError("inconsistent system")
     if rank < nc:
         raise ValueError("underdetermined system")
-    out = [Fraction(0)] * nc
-    for i, col in enumerate(pivots):
-        out[col] = aug[i][nc]
-    return out
+    return [aug[i][nc] for i in range(nc)]
 
 
 def _ordinary_constants(basis: Sequence[Sequence[Sequence]]) -> List[List[List[Fraction]]]:
@@ -666,12 +636,10 @@ def body_map_matrix(
     sc: StructureConstants, sc_body: StructureConstants, p: int
 ) -> LinearMapMatrix:
     """The body projection as a matrix between form spaces at degree p."""
-    in_labels = form_basis_labels(sc, p)
-    out_labels = form_basis_labels(sc_body, p)
-    index = {lab: i for i, lab in enumerate(out_labels)}
-    images = [form_to_sparse(body_map_forms(sc, sc_body, basis_form(sc, lab)), index)
-              for lab in in_labels]
-    return LinearMapMatrix.from_images(in_labels, out_labels, images)
+    basis, out = FormBasis(sc, p), FormBasis(sc_body, p)
+    images = [form_to_sparse(body_map_forms(sc, sc_body, basis_form(sc, lab)), out)
+              for lab in basis]
+    return LinearMapMatrix.from_images(basis, len(out), images)
 
 
 # ======================================================================
@@ -699,7 +667,7 @@ def cocycle_representatives(sc: StructureConstants, p: int) -> List[List[Fractio
     Every class lives in the zero-weight block, since the certificate of
     ``ChainDegreeData.rank`` shows the other weights acyclic.  So the
     kernel of that block is completed past the zero-weight image of
-    d_(p-1), and each vector kept is lifted to the full label coordinates.
+    d_(p-1), and each vector kept is lifted to the full degree-p basis.
     """
     data = differential_matrix(sc, p)
     lifted = [dict(zip(data.zero_cols, vec)) for vec in data.zero_block().kernel()]

@@ -1,54 +1,109 @@
 """Coordinates on spaces of graded forms.
 
 A degree-p form is determined by one matrix per canonical index tuple, so
-the space of p-forms has a basis labeled by pairs (index tuple, matrix
-unit).  Labels are ordered index-tuple major, matrix units row major;
-everything downstream (differential matrices, rank computations, kernel
-bases) refers to this ordering.
+the p-forms have a basis labeled (index tuple I, row r, column c), the form
+E_rc theta^I.  ``FormBasis`` is that basis and the only code that knows its
+order: index-tuple major, matrix units row major.  Label (I, r, c) sits at
+position t * (n+m)^2 + u for I the t-th canonical tuple and u = r * (n+m)
++ c, the unit numbering of the kernel tables of ``forms``.  Positions are
+computed from one cached tuple list per degree; no list of labels is built.
 
-A ``LinearMapMatrix`` holds integer numerators over one denominator
-``den``.  The matrices of d_p and of the basis Lie derivatives are written
-column by column straight from the structure constants (``d_matrix``,
-``lie_matrix``): each column is summed in ints from the kernel tables of
-``forms``, and those sums are kept as they are, over the table
-denominator.  Form coefficients are read through their sparse triples.
-``matrix_of_map`` runs any form-level map over the basis instead and puts
-the images over the lcm of their denominators; with ``exterior_derivative``
-and ``lie_derivative`` it is the oracle the tests hold the column kernel to.
+A ``LinearMapMatrix`` holds its column basis, its row count and integer
+numerators over one denominator ``den``.  The matrices of d_p and of the
+basis Lie derivatives are written column by column straight from the
+structure constants (``d_matrix``, ``lie_matrix``): each column is summed
+in ints from the kernel tables of ``forms``, and those sums are kept as
+they are, over the table denominator.  Form coefficients are read through
+their sparse triples.  ``matrix_of_map`` runs any form-level map over the
+basis instead and puts the images over the lcm of their denominators;
+with ``exterior_derivative`` and ``lie_derivative`` it is the oracle the
+tests hold the column kernel to.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import linalg
 from .constants import StructureConstants
 from .forms import GradedForm, _add, _d_tuple, _kernel_tables
 from .indexset import canonicalize, enumerate_multi_indices, tuple_parity
-from .matrices import GradedMatrix, _index_parity
+from .matrices import GradedMatrix
 from .scalars import Scalar
 
 Label = Tuple[Tuple[int, ...], int, int]
 
 
-def form_basis_labels(
-    sc: StructureConstants, p: int, parity: Optional[int] = None
-) -> List[Label]:
-    """Basis labels of the p-form space, optionally one total parity only."""
-    k = sc.n + sc.m
-    out: List[Label] = []
-    for key in enumerate_multi_indices(sc.even_dim, sc.odd_dim, p):
-        kp = tuple_parity(key, sc.even_dim)
-        for r in range(k):
-            for c in range(k):
-                if parity is not None:
-                    mp = (_index_parity(r, sc.n) + _index_parity(c, sc.n)) % 2
-                    if (kp + mp) % 2 != parity:
-                        continue
-                out.append((key, r, c))
-    return out
+class FormBasis(Sequence[Label]):
+    """The basis of the degree-p forms in label order, as a read-only sequence.
+
+    ``parity`` keeps the labels of one total parity, ``restrict`` a sorted
+    subset of positions; either way the basis holds full-basis positions,
+    not labels.  Bases are equal when they hold the same labels in order.
+    """
+
+    def __init__(self, sc: StructureConstants, p: int, parity: Optional[int] = None,
+                 _positions: Optional[Sequence[int]] = None):
+        key = ("form_tuples", p)
+        if key not in sc.cache:
+            tuples = enumerate_multi_indices(sc.even_dim, sc.odd_dim, p)
+            sc.cache[key] = (tuples, {t: i for i, t in enumerate(tuples)})
+        self.sc, self.p, self.k = sc, p, sc.n + sc.m
+        self.tuples, self._numbers = sc.cache[key]
+        self.units = self.k * self.k
+        self.cells = [divmod(u, self.k) for u in range(self.units)]  # (r, c) of u
+        if parity is not None:
+            _positions = [
+                t * self.units + u for t, I in enumerate(self.tuples)
+                for u, (r, c) in enumerate(self.cells)
+                if (tuple_parity(I, sc.even_dim) + (r >= sc.n) + (c >= sc.n)) % 2 == parity
+            ]
+        self._kept = range(len(self.tuples) * self.units) if _positions is None else _positions
+
+    def restrict(self, js: Sequence[int]) -> "FormBasis":
+        """The labels at the sorted positions ``js`` of this basis."""
+        return FormBasis(self.sc, self.p, _positions=[self._kept[j] for j in js])
+
+    def offset(self, key: Tuple[int, ...]) -> int:
+        """The full-basis position of the first label of index tuple ``key``."""
+        return self._numbers[key] * self.units
+
+    def split(self, i: int) -> Tuple[int, int]:
+        """(tuple number, unit number) of full-basis position ``i``."""
+        return divmod(i, self.units)
+
+    def _label(self, i: int) -> Label:
+        t, u = self.split(i)
+        return (self.tuples[t],) + self.cells[u]
+
+    def __len__(self) -> int:
+        return len(self._kept)
+
+    def __getitem__(self, j: int) -> Label:
+        return self._label(self._kept[j])
+
+    def __iter__(self) -> Iterator[Label]:
+        return map(self._label, self._kept)
+
+    def index(self, label: Label) -> int:
+        key, r, c = label
+        if key in self._numbers and 0 <= r < self.k and 0 <= c < self.k:
+            i = self.offset(key) + r * self.k + c
+            j = bisect_left(self._kept, i)
+            if j < len(self._kept) and self._kept[j] == i:
+                return j
+        raise ValueError(f"{label} is not in this basis")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FormBasis):
+            return NotImplemented
+        return (self.p, self.k, self.sc.even_dim, self.sc.odd_dim) == (
+            other.p, other.k, other.sc.even_dim, other.sc.odd_dim
+        ) and list(self._kept) == list(other._kept)
 
 
 def basis_form(sc: StructureConstants, label: Label) -> GradedForm:
@@ -56,22 +111,22 @@ def basis_form(sc: StructureConstants, label: Label) -> GradedForm:
     return GradedForm.of(sc, len(key), {key: GradedMatrix.unit(sc.n, sc.m, r, c)})
 
 
-def form_to_sparse(form: GradedForm, index: Dict[Label, int]) -> Dict[int, Scalar]:
+def form_to_sparse(form: GradedForm, basis: FormBasis) -> Dict[int, Scalar]:
+    """The coordinates of ``form`` over ``basis``, nonzero entries only."""
     out: Dict[int, Scalar] = {}
     for key, mat in form.coeffs.items():
         for r, c, v in mat.nonzeros():
-            out[index[(key, r, c)]] = v
+            out[basis.index((key, r, c))] = v
     return out
 
 
-def vector_to_form(
-    sc: StructureConstants, p: int, vec: Sequence, labels: Sequence[Label]
-) -> GradedForm:
+def vector_to_form(vec: Sequence, basis: FormBasis) -> GradedForm:
+    """The form with coordinates ``vec`` over ``basis``."""
     triples: Dict[Tuple[int, ...], list] = {}
-    for x, (key, r, c) in zip(vec, labels):
+    for x, (key, r, c) in zip(vec, basis):
         triples.setdefault(key, []).append((r, c, x))
-    return GradedForm.of(sc, p, {
-        key: GradedMatrix(sc.n, sc.m, got) for key, got in triples.items()
+    return GradedForm.of(basis.sc, basis.p, {
+        key: GradedMatrix(basis.sc.n, basis.sc.m, got) for key, got in triples.items()
     })
 
 
@@ -79,14 +134,14 @@ def vector_to_form(
 class LinearMapMatrix:
     """A linear map between form spaces, stored column-sparse in integers.
 
-    ``columns[j]`` is the image of input basis vector j as a sparse vector
-    over the output labels, holding nonzero integer numerators over the
-    common denominator ``den``.  Rank goes through fraction-free
+    ``columns[j]`` is the image of ``basis[j]`` as a sparse vector over
+    the ``nrows`` output positions, holding nonzero integer numerators over
+    the common denominator ``den``.  Rank goes through fraction-free
     elimination with a multi-prime modular cross-check.
     """
 
-    in_labels: List[Label]
-    out_labels: List[Label]
+    basis: FormBasis
+    nrows: int
     columns: List[Dict[int, int]]
     den: int = 1
     _int_rows: Optional[List[linalg.SparseIntRow]] = field(
@@ -96,8 +151,7 @@ class LinearMapMatrix:
 
     @classmethod
     def from_images(
-        cls, in_labels: List[Label], out_labels: List[Label],
-        images: Sequence[Dict[int, Scalar]],
+        cls, basis: FormBasis, nrows: int, images: Sequence[Dict[int, Scalar]],
     ) -> "LinearMapMatrix":
         """The map with the given sparse column images, over the lcm of their
         denominators; raises ValueError on a value that is not real."""
@@ -105,15 +159,11 @@ class LinearMapMatrix:
         den = lcm(*(f.denominator for col in fracs for f in col.values()))
         columns = [{i: f.numerator * (den // f.denominator) for i, f in col.items()}
                    for col in fracs]
-        return cls(in_labels, out_labels, columns, den)
+        return cls(basis, nrows, columns, den)
 
     @property
     def ncols(self) -> int:
-        return len(self.in_labels)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.out_labels)
+        return len(self.basis)
 
     def int_rows(self) -> List[linalg.SparseIntRow]:
         """The matrix as integer rows with per-row content cleared."""
@@ -160,35 +210,31 @@ def matrix_of_map(
     p_out: int,
     in_parity: Optional[int] = None,
 ) -> LinearMapMatrix:
-    in_labels = form_basis_labels(sc, p_in, parity=in_parity)
-    out_labels = form_basis_labels(sc, p_out)
-    index = {lab: i for i, lab in enumerate(out_labels)}
-    images = [form_to_sparse(fn(basis_form(sc, lab)), index) for lab in in_labels]
-    return LinearMapMatrix.from_images(in_labels, out_labels, images)
+    basis = FormBasis(sc, p_in, parity=in_parity)
+    out = FormBasis(sc, p_out)
+    images = [form_to_sparse(fn(basis_form(sc, lab)), out) for lab in basis]
+    return LinearMapMatrix.from_images(basis, len(out), images)
 
 
 def stack_maps(maps: Sequence[LinearMapMatrix]) -> LinearMapMatrix:
     """Stack maps with a shared input space into one tall matrix.
 
-    The kernel of the stack is the joint kernel; output labels are tagged
-    by block through plain offsetting and are not meaningful as labels.
+    The kernel of the stack is the joint kernel; the rows of each block
+    follow those of the blocks before it.
     """
     first = maps[0]
-    for mp in maps:
-        if mp.in_labels != first.in_labels:
-            raise ValueError("stacked maps must share the input space")
+    if any(mp.basis != first.basis for mp in maps):
+        raise ValueError("stacked maps must share the input space")
     den = lcm(*(mp.den for mp in maps))
-    out_labels: List[Label] = []
-    columns: List[Dict[int, int]] = [dict() for _ in first.in_labels]
+    columns: List[Dict[int, int]] = [dict() for _ in range(first.ncols)]
     offset = 0
     for mp in maps:
-        out_labels.extend(mp.out_labels)
         scale = den // mp.den
         for j, col in enumerate(mp.columns):
             for i, v in col.items():
                 columns[j][offset + i] = v * scale
         offset += mp.nrows
-    return LinearMapMatrix(list(first.in_labels), out_labels, columns, den)
+    return LinearMapMatrix(first.basis, offset, columns, den)
 
 
 # ======================================================================
@@ -203,22 +249,11 @@ def stack_maps(maps: Sequence[LinearMapMatrix]) -> LinearMapMatrix:
 #               E_rc theta^I_1 .. L_a theta^I_j .. theta^I_p ).
 #
 # The frame part depends on I alone, so it is summed once per index tuple;
-# a term lands in row (index of its tuple) * (n+m)^2 + r' * (n+m) + c'.
-
-
-def _tuple_index(sc: StructureConstants, p: int) -> Dict[Tuple[int, ...], int]:
-    """Position of each canonical p-tuple in label order, kept in ``sc.cache``."""
-    key = ("tuple_index", p)
-    got = sc.cache.get(key)
-    if got is None:
-        tuples = enumerate_multi_indices(sc.even_dim, sc.odd_dim, p)
-        got = {t: i for i, t in enumerate(tuples)}
-        sc.cache[key] = got
-    return got
+# a term of unit u' in tuple I' lands in row ``out.offset(I') + u'``.
 
 
 def _columns(
-    labels: Sequence[Label],
+    basis: FormBasis,
     per_tuple: Callable[[Tuple[int, ...]], tuple],
     unit_terms: Callable[[tuple, int, int], Dict[int, int]],
 ) -> List[Dict[int, int]]:
@@ -232,7 +267,7 @@ def _columns(
     shared_ints: Dict[int, int] = {}
     columns: List[Dict[int, int]] = []
     prev = shared = None
-    for key, r, c in labels:
+    for key, r, c in basis:
         if key != prev:
             prev, shared = key, per_tuple(key)
         columns.append({i: shared_ints.setdefault(v, v)
@@ -249,14 +284,14 @@ def d_matrix(
     space is all of degree p+1.
     """
     k = sc.n + sc.m
-    out_index = _tuple_index(sc, p + 1)
+    out = FormBasis(sc, p + 1)
     den = _kernel_tables(sc).den
 
     def per_tuple(key):
         moved, frame = _d_tuple(sc, key)
         return (
-            [(table, out_index[out] * k * k, sign) for table, out, sign in moved],
-            [(out_index[out] * k * k, v) for out, v in frame],
+            [(table, out.offset(I), sign) for table, I, sign in moved],
+            [(out.offset(I), v) for I, v in frame],
         )
 
     def unit_terms(shared, r, c):
@@ -270,9 +305,8 @@ def d_matrix(
             _add(col, off + u, v)
         return col
 
-    in_labels = form_basis_labels(sc, p, parity=parity)
-    columns = _columns(in_labels, per_tuple, unit_terms)
-    return LinearMapMatrix(in_labels, form_basis_labels(sc, p + 1), columns, den)
+    basis = FormBasis(sc, p, parity=parity)
+    return LinearMapMatrix(basis, len(out), _columns(basis, per_tuple, unit_terms), den)
 
 
 def lie_matrix(
@@ -286,7 +320,8 @@ def lie_matrix(
     t = _kernel_tables(sc)
     k, ne, n = sc.n + sc.m, sc.even_dim, sc.n
     pa = sc.parity(a)
-    index = _tuple_index(sc, p)
+    basis = FormBasis(sc, p, parity=parity)
+    full = FormBasis(sc, p)
     comm = t.comm[a]
 
     def per_tuple(key):
@@ -298,8 +333,8 @@ def lie_matrix(
             for D, v in t.coad[a][A]:
                 canon = canonicalize(key[:j] + (D,) + key[j + 1:], ne)
                 if canon is not None:
-                    _add(frame, index[canon[0]] * k * k, sign_j * canon[1] * v)
-        return index[key] * k * k, [(off, v) for off, v in frame.items() if v]
+                    _add(frame, full.offset(canon[0]), sign_j * canon[1] * v)
+        return full.offset(key), [(off, v) for off, v in frame.items() if v]
 
     def unit_terms(shared, r, c):
         off_key, frame = shared
@@ -313,9 +348,7 @@ def lie_matrix(
             col = {i: -v for i, v in col.items()}
         return col
 
-    in_labels = form_basis_labels(sc, p, parity=parity)
-    columns = _columns(in_labels, per_tuple, unit_terms)
-    return LinearMapMatrix(in_labels, form_basis_labels(sc, p), columns, t.den)
+    return LinearMapMatrix(basis, len(full), _columns(basis, per_tuple, unit_terms), t.den)
 
 
 def invariant_forms(
@@ -323,4 +356,4 @@ def invariant_forms(
 ) -> List[GradedForm]:
     """Basis of the degree-p forms killed by every basis Lie derivative."""
     stacked = stack_maps([lie_matrix(sc, a, p, parity=parity) for a in range(sc.dim)])
-    return [vector_to_form(sc, p, v, stacked.in_labels) for v in stacked.kernel()]
+    return [vector_to_form(v, stacked.basis) for v in stacked.kernel()]

@@ -12,7 +12,8 @@ from typing import List, Optional
 
 from .constants import StructureConstants
 from .forms import GradedForm
-from .indexset import enumerate_multi_indices, tuple_parity
+from .formspace import FormBasis
+from .indexset import tuple_parity
 from .matrices import GradedMatrix
 from .scalars import Scalar
 
@@ -44,7 +45,7 @@ def random_form(
     terms: int = 4,
 ) -> GradedForm:
     """A sparse random form, optionally parity-homogeneous."""
-    keys = enumerate_multi_indices(sc.even_dim, sc.odd_dim, degree)
+    keys = FormBasis(sc, degree).tuples
     picks = rng.sample(keys, min(terms, len(keys)))
     coeffs = {}
     for key in picks:

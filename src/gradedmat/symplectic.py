@@ -30,8 +30,7 @@ from .forms import (
     exterior_derivative_generators, interior_product,
 )
 from .formspace import (
-    d_matrix, form_basis_labels, form_to_sparse, lie_matrix, stack_maps,
-    vector_to_form,
+    FormBasis, d_matrix, form_to_sparse, lie_matrix, stack_maps, vector_to_form,
 )
 from .matrices import GradedMatrix
 from .scalars import ZERO
@@ -79,8 +78,8 @@ class SymplecticForm:
     def hamiltonian_field(self, mat: GradedMatrix) -> DerivationVector:
         """The unique derivation with  iota_D omega = -dM."""
         sc = self.sc
-        system, index = self._system
-        coords = system.solve(_minus_differential(sc, mat, index))
+        system, basis = self._system
+        coords = system.solve(_minus_differential(sc, mat, basis))
         return DerivationVector(sc.even_dim, sc.odd_dim, tuple(coords))
 
     def poisson_bracket(self, m1: GradedMatrix, m2: GradedMatrix) -> GradedMatrix:
@@ -90,28 +89,24 @@ class SymplecticForm:
         return evaluate(self.form, [d1, d2])
 
 
-def _minus_differential(sc: StructureConstants, mat: GradedMatrix, index) -> list:
-    """-dM on the 1-form labels: the right-hand side for the field of M."""
+def _minus_differential(sc: StructureConstants, mat: GradedMatrix, basis) -> list:
+    """-dM over the 1-form basis: the right-hand side for the field of M."""
     dm = exterior_derivative_generators(sc, GradedForm.from_matrix(sc, mat))
-    rhs = [ZERO] * len(index)
-    for i, v in form_to_sparse(dm, index).items():
+    rhs = [ZERO] * len(basis)
+    for i, v in form_to_sparse(dm, basis).items():
         rhs[i] = -v
     return rhs
 
 
 def _contraction_system(sc: StructureConstants, form: GradedForm):
-    """The factored contraction system and the index of its 1-form labels."""
-    labels = form_basis_labels(sc, 1)
-    index = {lab: i for i, lab in enumerate(labels)}
-    cols = []
+    """The factored contraction system and the 1-form basis of its rows."""
+    basis = FormBasis(sc, 1)
+    rows = [[ZERO] * sc.dim for _ in range(len(basis))]
     for b in range(sc.dim):
         w = interior_product(DerivationVector.basis(sc, b), form)
-        cols.append(form_to_sparse(w, index))
-    rows = [[ZERO] * sc.dim for _ in labels]
-    for b, col in enumerate(cols):
-        for i, v in col.items():
+        for i, v in form_to_sparse(w, basis).items():
             rows[i][b] = v
-    return linalg.factor(rows), index
+    return linalg.factor(rows), basis
 
 
 def analyze(
@@ -124,7 +119,7 @@ def analyze(
     if not degree_ok:
         return None, SymplecticCertificate(False, False, False, 0, sc.dim, False,
                                            note="degree must be 2")
-    system, index = _contraction_system(sc, form)
+    system, basis = _contraction_system(sc, form)
     rank = system.rank
     consistent = True
     note = ""
@@ -133,7 +128,7 @@ def analyze(
         probes.append(GradedMatrix.identity(sc.n, sc.m))
         for mat in probes:
             try:
-                system.solve(_minus_differential(sc, mat, index))
+                system.solve(_minus_differential(sc, mat, basis))
             except ValueError:
                 consistent = False
                 note = "contraction system inconsistent for a basis matrix"
@@ -142,7 +137,7 @@ def analyze(
                                  note=note)
     if not cert.ok:
         return None, cert
-    return SymplecticForm(sc, form, _trusted=(system, index)), cert
+    return SymplecticForm(sc, form, _trusted=(system, basis)), cert
 
 
 def is_symplectic(sc: StructureConstants, form: GradedForm) -> bool:
@@ -170,9 +165,7 @@ def closed_invariant_even_two_forms(sc: StructureConstants) -> List[GradedForm]:
     d_map = d_matrix(sc, 2, parity=0)
     lie_maps = [lie_matrix(sc, a, 2, parity=0) for a in range(sc.dim)]
     stacked = stack_maps([d_map] + lie_maps)
-    kernel = stacked.kernel()
-    labels = d_map.in_labels
-    return [vector_to_form(sc, 2, vec, labels) for vec in kernel]
+    return [vector_to_form(vec, stacked.basis) for vec in stacked.kernel()]
 
 
 def symplectic_uniqueness_holds(sc: StructureConstants) -> bool:

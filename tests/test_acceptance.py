@@ -27,8 +27,8 @@ from gradedmat.cohomology import (
 )
 from gradedmat.constants import verify_appendix
 from gradedmat.formspace import (
+    FormBasis,
     basis_form,
-    form_basis_labels,
     form_to_sparse,
     invariant_forms,
     vector_to_form,
@@ -99,7 +99,7 @@ def test_criterion_2_cartan_calculus(sc21):
     # degree 4, and seeded degree-4 monomials pin the two routes against
     # each other at the one degree where only the sweep's inner step runs.
     for p in range(0, 4):
-        for lab in form_basis_labels(sc21, p):
+        for lab in FormBasis(sc21, p):
             w = basis_form(sc21, lab)
             dd = exterior_derivative_generators(
                 sc21, exterior_derivative_generators(sc21, w)
@@ -115,13 +115,11 @@ def test_criterion_2_cartan_calculus(sc21):
     for j in [rng.randrange(data3.dim) for _ in range(40)]:
         col = column_values(data3.matrix, j)
         w4 = vector_to_form(
-            sc21, 4,
-            [col.get(i, 0) for i in range(len(data3.matrix.out_labels))],
-            data3.matrix.out_labels,
+            [col.get(i, 0) for i in range(data3.matrix.nrows)], FormBasis(sc21, 4)
         )
         if not exterior_derivative(sc21, w4).is_zero():
             failures.append(f"d.d != 0 (values) at degree-3 column {j}")
-    labels4 = form_basis_labels(sc21, 4)
+    labels4 = FormBasis(sc21, 4)
     for lab in rng.sample(labels4, 40):
         w = basis_form(sc21, lab)
         if exterior_derivative(sc21, w) != exterior_derivative_generators(sc21, w):
@@ -179,7 +177,7 @@ def test_criterion_2_cartan_calculus(sc21):
 
     # the same three relations on seeded basis monomials
     all_labels = [
-        lab for p in range(1, 4) for lab in form_basis_labels(sc21, p)
+        lab for p in range(1, 4) for lab in FormBasis(sc21, p)
     ]
     for lab in rng.sample(all_labels, 40):
         w = basis_form(sc21, lab)
@@ -246,13 +244,11 @@ def test_criterion_3_derivative_route_agreement(sc21, sc20):
     for sc in (sc21, sc20):
         for p in range(0, 4):
             data = differential_matrix(sc, p)
-            out_index = {
-                lab: i for i, lab in enumerate(data.matrix.out_labels)
-            }
-            for j, lab in enumerate(data.labels):
+            out = FormBasis(sc, p + 1)
+            for j, lab in enumerate(data.matrix.basis):
                 w = basis_form(sc, lab)
                 for name, route in routes:
-                    got = form_to_sparse(route(sc, w), out_index)
+                    got = form_to_sparse(route(sc, w), out)
                     if got != column_values(data.matrix, j):
                         failures.append(
                             f"({sc.n}|{sc.m}) p={p} label {lab}: {name} route"
@@ -334,19 +330,16 @@ def test_criterion_6_body_projection(sc21, sc20):
     for p in range(0, 4):
         up = differential_matrix(sc21, p)
         down = differential_matrix(sc20, p)
-        down_index = {lab: j for j, lab in enumerate(down.labels)}
-        body_out = {
-            lab: i for i, lab in enumerate(down.matrix.out_labels)
-        }
-        for j, lab in enumerate(up.labels):
+        up_out, body_out = FormBasis(sc21, p + 1), FormBasis(sc20, p + 1)
+        for j, lab in enumerate(up.matrix.basis):
             col = column_values(up.matrix, j)
             lhs = {}
             for i, v in col.items():
-                out_lab = up.matrix.out_labels[i]
+                out_lab = up_out[i]
                 if survives(out_lab):
-                    lhs[body_out[out_lab]] = v
+                    lhs[body_out.index(out_lab)] = v
             if survives(lab):
-                rhs = column_values(down.matrix, down_index[lab])
+                rhs = column_values(down.matrix, down.matrix.basis.index(lab))
             else:
                 rhs = {}
             if lhs != rhs:
@@ -354,7 +347,7 @@ def test_criterion_6_body_projection(sc21, sc20):
     # exact surjectivity in every degree
     for p in range(0, 4):
         bm = body_map_matrix(sc21, sc20, p)
-        if bm.rank() != len(form_basis_labels(sc20, p)):
+        if bm.rank() != len(FormBasis(sc20, p)):
             failures.append(f"body map not surjective at p={p}")
     conclude(6, "body projection is a surjective chain map", failures, t0, 300)
 

@@ -57,6 +57,20 @@ def test_equal_split_is_rejected():
     assert "not supported" in proc.stderr
 
 
+def test_verify_refuses_an_algebra_with_no_derivations(capsys):
+    # sl(1|0) is zero: no suite has a derivation to sample or check
+    assert main(["verify", "--n", "1", "--m", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("gradedmat verify: sl(1|0) is zero: it has no derivations "
+                   "to verify\n")
+    for command in ("cohomology", "flat", "constants"):
+        assert main([command, "--n", "1", "--m", "0"]) == 0, command
+        out, err = capsys.readouterr()
+        assert json.loads(out)["config"]["command"] == command
+        assert err == ""
+
+
 def test_unknown_subcommand_is_usage_error():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2

@@ -29,7 +29,7 @@ from gradedmat.cohomology import (
     ordinary_sl_basis,
 )
 from gradedmat.constants import compute_constants, constants_for
-from gradedmat.formspace import LinearMapMatrix, basis_form, form_basis_labels
+from gradedmat.formspace import FormBasis, LinearMapMatrix, basis_form
 from gradedmat.forms import (
     DerivationVector,
     GradedForm,
@@ -117,6 +117,7 @@ def test_oversized_differential_is_refused_up_front(sc21, sc31, monkeypatch):
     with pytest.raises(DifferentialTooLarge):
         differential_matrix(sc52, 2)
     assert ("differential", 2) not in sc52.cache
+    assert ("form_tuples", 3) not in sc52.cache
     limit = differential_rows(sc21, 3)
     monkeypatch.setattr(cohomology, "DIFFERENTIAL_ROWS_CAP", limit)
     assert differential_matrix(sc21, 3).dim == 792
@@ -177,7 +178,7 @@ def test_body_projection_is_a_chain_map(sc21, sc20):
 def test_body_projection_is_surjective(sc21, sc20):
     for p in range(4):
         bm = body_map_matrix(sc21, sc20, p)
-        assert bm.nrows == len(form_basis_labels(sc20, p))
+        assert bm.nrows == len(FormBasis(sc20, p))
         assert bm.rank() == bm.nrows
     assert [body_map_matrix(sc21, sc20, p).nrows for p in range(4)] == [4, 12, 12, 4]
 
@@ -265,10 +266,11 @@ def test_every_column_of_d_stays_in_its_weight(sc21, sc12, sc31, sc20, data):
     p = data.draw(st.integers(0, 3), label="p")
     mat = differential_matrix(sc, p).matrix
     j = data.draw(st.integers(0, mat.ncols - 1), label="column")
-    want = weight_of_label(sc, mat.in_labels[j])
+    want = weight_of_label(sc, mat.basis[j])
     assert table_weight(sc, p, j) == want
+    out = FormBasis(sc, p + 1)
     for i in mat.columns[j]:
-        assert weight_of_label(sc, mat.out_labels[i]) == want
+        assert weight_of_label(sc, out[i]) == want
         assert table_weight(sc, p + 1, i) == want
 
 
@@ -283,14 +285,14 @@ def test_certified_ranks_equal_full_elimination(name, top, request):
         assert data.rank() == data.matrix.rank(), (name, p)
         # weight by weight, against the exact rank of each column block
         blocks = {}
-        for j, lab in enumerate(data.labels):
+        for j, lab in enumerate(data.matrix.basis):
             blocks.setdefault(weight_of_label(sc, lab), []).append(j)
         got = {tuple(cohomology._decode(code, k)): r
                for code, r in data.weight_ranks().items()}
         assert set(got) == set(blocks)
         for wt, cols in blocks.items():
             block = LinearMapMatrix(
-                [data.labels[j] for j in cols], data.matrix.out_labels,
+                data.matrix.basis.restrict(cols), data.matrix.nrows,
                 [data.matrix.columns[j] for j in cols], data.matrix.den,
             )
             assert got[wt] == block.rank(), (name, p, wt)
@@ -303,18 +305,18 @@ def test_closed_form_contraction_matches_interior_product(sc21):
     checked = 0
     for p in range(1, 4):
         tuples = enumerate_multi_indices(sc21.even_dim, sc21.odd_dim, p)
-        lower = enumerate_multi_indices(sc21.even_dim, sc21.odd_dim, p - 1)
+        lower = FormBasis(sc21, p - 1)
         table = cohomology._contractions(sc21, p)
         for h in cartan:
             dh = DerivationVector.basis(sc21, h)
-            for lab in form_basis_labels(sc21, p):
+            for lab in FormBasis(sc21, p):
                 key, r, c = lab
                 hit = table[tuples.index(key)].get(h)
                 if hit is None:
                     assert h not in key
                     want = GradedForm.zero(sc21, p - 1)
                 else:
-                    want = basis_form(sc21, (lower[hit[0]], r, c)).scale(hit[1])
+                    want = basis_form(sc21, (lower[hit[0]][0], r, c)).scale(hit[1])
                 assert interior_product(dh, basis_form(sc21, lab)) == want, (lab, h)
                 checked += 1
     assert checked == 2 * (72 + 288 + 792)
@@ -327,10 +329,8 @@ def mutated(data, j, i, value):
     cols[j][i] = value
     if not value:
         del cols[j][i]  # columns hold nonzero numerators only
-    mat = LinearMapMatrix(
-        data.matrix.in_labels, data.matrix.out_labels, cols, data.matrix.den
-    )
-    return ChainDegreeData(data.p, data.labels, mat, data.sc)
+    mat = LinearMapMatrix(data.matrix.basis, data.matrix.nrows, cols, data.matrix.den)
+    return ChainDegreeData(data.p, mat, data.sc)
 
 
 @settings(max_examples=30, deadline=None)
@@ -342,18 +342,17 @@ def test_changing_one_entry_of_a_column_fails_the_certificate(
     chain = differential_matrix(sc21, p)
     den = chain.matrix.den
     j = data.draw(st.integers(0, chain.dim - 1), label="column")
-    weight = weight_of_label(sc21, chain.labels[j])
+    weight = weight_of_label(sc21, chain.matrix.basis[j])
+    out = FormBasis(sc21, p + 1)
     # a new entry in a row of another weight, on any column
-    other = [i for i, lab in enumerate(chain.matrix.out_labels)
-             if weight_of_label(sc21, lab) != weight]
+    other = [i for i, lab in enumerate(out) if weight_of_label(sc21, lab) != weight]
     i = data.draw(st.sampled_from(other), label="foreign row")
     with pytest.raises(CertificateError, match="outside the column's weight"):
         mutated(chain, j, i, den).weight_ranks()
     if any(weight):
         h, _ = first_contracting_element(sc21, weight)
-        key, r, c = chain.labels[j]
+        key, r, c = chain.matrix.basis[j]
         col = chain.matrix.columns[j]
-        out = chain.matrix.out_labels
         # the entries the homotopy identity reads (their row's tuple holds
         # h): the one it compares with lambda(h) x, and those that cancel
         read = sorted(i for i in col if h in out[i][0])
@@ -369,7 +368,7 @@ def test_changing_one_entry_of_a_column_fails_the_certificate(
             with pytest.raises(CertificateError, match=f"d at degree {p}, column"):
                 mutated(chain, j, i, col[i] + delta).weight_ranks()
     # the unmutated degree still certifies
-    assert sum(ChainDegreeData(p, chain.labels, chain.matrix, sc21)
+    assert sum(ChainDegreeData(p, chain.matrix, sc21)
                .weight_ranks().values()) == chain.matrix.rank()
 
 
@@ -378,9 +377,9 @@ def test_the_homotopy_check_reads_the_terms_that_must_cancel(sc21):
     # images under i_h must cancel against d_(p-1) (i_h x)
     for p in (2, 3):
         chain = differential_matrix(sc21, p)
-        out = chain.matrix.out_labels
+        out = FormBasis(sc21, p + 1)
         tried = 0
-        for j, (key, r, c) in enumerate(chain.labels):
+        for j, (key, r, c) in enumerate(chain.matrix.basis):
             weight = weight_of_label(sc21, (key, r, c))
             if not any(weight):
                 continue
@@ -410,8 +409,8 @@ def test_a_changed_entry_that_passes_the_certificate_keeps_the_rank_exact(
     p = data.draw(st.integers(1, 3), label="p")
     chain = differential_matrix(sc21, p)
     j = data.draw(st.integers(0, chain.dim - 1), label="column")
-    weight = weight_of_label(sc21, chain.labels[j])
-    same = [i for i, lab in enumerate(chain.matrix.out_labels)
+    weight = weight_of_label(sc21, chain.matrix.basis[j])
+    same = [i for i, lab in enumerate(FormBasis(sc21, p + 1))
             if weight_of_label(sc21, lab) == weight]
     i = data.draw(st.sampled_from(same), label="row")
     old = chain.matrix.columns[j].get(i, 0)
@@ -432,10 +431,10 @@ def test_the_certificate_refuses_d_over_another_denominator():
     prev = differential_matrix(sc, 0)
     mat = prev.matrix
     doubled = LinearMapMatrix(
-        mat.in_labels, mat.out_labels,
+        mat.basis, mat.nrows,
         [{i: 2 * v for i, v in col.items()} for col in mat.columns], 2 * mat.den,
     )
-    sc.cache[("differential", 0)] = ChainDegreeData(0, prev.labels, doubled, sc)
+    sc.cache[("differential", 0)] = ChainDegreeData(0, doubled, sc)
     with pytest.raises(CertificateError, match="denominator 2, d at degree 0 over 4"):
         differential_matrix(sc, 1).weight_ranks()
 

@@ -29,7 +29,7 @@ from gradedmat.forms import (
     wedge_form_matrix,
     wedge_matrix_form,
 )
-from gradedmat.formspace import form_basis_labels, form_to_sparse, lie_matrix
+from gradedmat.formspace import FormBasis, form_to_sparse, lie_matrix
 from gradedmat.indexset import (
     commutation_factor,
     enumerate_multi_indices,
@@ -382,11 +382,10 @@ def test_routes_agree_on_forms_with_denominators(request, data):
         assert exterior_derivative(sc, dw).is_zero(), name
         assert exterior_derivative_generators(sc, dw).is_zero(), name
         a = data.draw(st.integers(0, sc.dim - 1), label="a")
-        labels = form_basis_labels(sc, w.degree)
-        index = {lab: i for i, lab in enumerate(labels)}
+        basis = FormBasis(sc, w.degree)
         want = lie_derivative(sc, DerivationVector.basis(sc, a), w)
-        got = lie_matrix(sc, a, w.degree).apply(form_to_sparse(w, index))
-        assert got == form_to_sparse(want, index), (name, a)
+        got = lie_matrix(sc, a, w.degree).apply(form_to_sparse(w, basis))
+        assert got == form_to_sparse(want, basis), (name, a)
 
 
 def test_derivative_squares_to_zero(sc21):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from gradedmat import cohomology, forms, formspace, linalg, symplectic
 from gradedmat.constants import constants_for
 from gradedmat.formspace import (
+    FormBasis,
     LinearMapMatrix,
     basis_form,
     d_matrix,
-    form_basis_labels,
     form_to_sparse,
     invariant_forms,
     lie_matrix,
@@ -25,6 +25,8 @@ from gradedmat.forms import (
     exterior_derivative,
     lie_derivative,
 )
+from gradedmat.indexset import enumerate_multi_indices, index_count, tuple_parity
+from gradedmat.matrices import _index_parity
 from gradedmat.scalars import I, Scalar
 from tests.test_forms import rand_form
 
@@ -34,27 +36,88 @@ def column_values(mat, j):
     return {i: Fraction(v, mat.den) for i, v in mat.columns[j].items()}
 
 
+def reference_labels(sc, p, parity=None):
+    """The label order written out: index tuples in canonical order, matrix
+    units row major, optionally one total parity only."""
+    k = sc.n + sc.m
+    out = []
+    for key in enumerate_multi_indices(sc.even_dim, sc.odd_dim, p):
+        kp = tuple_parity(key, sc.even_dim)
+        for r in range(k):
+            for c in range(k):
+                if parity is not None:
+                    mp = (_index_parity(r, sc.n) + _index_parity(c, sc.n)) % 2
+                    if (kp + mp) % 2 != parity:
+                        continue
+                out.append((key, r, c))
+    return out
+
+
 def test_label_counts(sc21):
-    assert [len(form_basis_labels(sc21, p)) for p in range(4)] == [9, 72, 288, 792]
+    assert [len(FormBasis(sc21, p)) for p in range(4)] == [9, 72, 288, 792]
     # parity split partitions the space; at degree 1 the halves are equal
-    even = form_basis_labels(sc21, 1, parity=0)
-    odd = form_basis_labels(sc21, 1, parity=1)
+    even = FormBasis(sc21, 1, parity=0)
+    odd = FormBasis(sc21, 1, parity=1)
     assert (len(even), len(odd)) == (36, 36)
-    assert sorted(even + odd) == sorted(form_basis_labels(sc21, 1))
+    assert sorted(list(even) + list(odd)) == sorted(FormBasis(sc21, 1))
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (1, 2), (3, 1), (2, 0)])
+def test_form_basis_matches_the_reference_enumeration(n, m):
+    sc = constants_for(n, m)
+    k = n + m
+    for p in range(5):
+        for parity in (None, 0, 1):
+            basis = FormBasis(sc, p, parity=parity)
+            want = reference_labels(sc, p, parity)
+            assert list(basis) == want, (n, m, p, parity)
+            assert len(basis) == len(want)
+            if parity is None:
+                assert len(basis) == index_count(sc.even_dim, sc.odd_dim, p) * k * k
+            assert [basis[j] for j in range(len(basis))] == want
+            assert all(basis.index(basis[j]) == j for j in range(len(basis)))
+            if want:
+                assert basis[-1] == want[-1]
+            # random.sample draws positions from the same RNG stream
+            for s in range(3):
+                size = min(len(want), 3 + 40 * s)
+                assert (random.Random(s).sample(basis, size)
+                        == random.Random(s).sample(want, size)), (n, m, p, parity)
+
+
+def test_form_basis_positions_and_restrictions(sc21):
+    full = FormBasis(sc21, 2)
+    assert full.tuples == enumerate_multi_indices(sc21.even_dim, sc21.odd_dim, 2)
+    for j in range(0, len(full), 7):
+        t, u = full.split(j)
+        assert full.offset(full.tuples[t]) + u == j
+        assert full[j] == (full.tuples[t],) + full.cells[u]
+    picked = list(range(3, len(full), 11))
+    sub = full.restrict(picked)
+    assert list(sub) == [full[j] for j in picked]
+    assert sub.restrict([0, 2]) == full.restrict(picked[:3:2])
+    assert full.restrict(range(len(full))) == full
+    odd = FormBasis(sc21, 2, parity=1)
+    for lab in (full[0], ((0, 1), 5, 5)):
+        with pytest.raises(ValueError):
+            odd.index(lab)
+    with pytest.raises(IndexError):
+        full[len(full)]
+    assert FormBasis(sc21, 2) == full != odd
 
 
 def test_basis_form_sparse_round_trip(sc21):
-    labels = form_basis_labels(sc21, 2)
-    index = {lab: i for i, lab in enumerate(labels)}
-    for lab in labels[::37]:
-        sparse = form_to_sparse(basis_form(sc21, lab), index)
-        assert sparse == {index[lab]: Scalar(1)}
+    labels = FormBasis(sc21, 2)
+    for j in range(0, len(labels), 37):
+        lab = labels[j]
+        sparse = form_to_sparse(basis_form(sc21, lab), labels)
+        assert sparse == {labels.index(lab): Scalar(1)}
     rng = random.Random(5)
     for _ in range(4):
         w = rand_form(rng, sc21, 2)
-        sparse = form_to_sparse(w, index)
+        sparse = form_to_sparse(w, labels)
         dense = [sparse.get(i, 0) for i in range(len(labels))]
-        assert vector_to_form(sc21, 2, dense, labels) == w
+        assert vector_to_form(dense, labels) == w
 
 
 def test_matrix_of_map_applies_like_the_map(sc21):
@@ -62,13 +125,12 @@ def test_matrix_of_map_applies_like_the_map(sc21):
         lambda f: exterior_derivative(sc21, f), sc21, 1, 2
     )
     assert (d1.ncols, d1.nrows) == (72, 288)
-    out_index = {lab: i for i, lab in enumerate(d1.out_labels)}
-    in_index = {lab: i for i, lab in enumerate(d1.in_labels)}
+    assert d1.basis == FormBasis(sc21, 1)
     rng = random.Random(9)
     for _ in range(3):
         w = rand_form(rng, sc21, 1)
-        got = d1.apply(form_to_sparse(w, in_index))
-        want = form_to_sparse(exterior_derivative(sc21, w), out_index)
+        got = d1.apply(form_to_sparse(w, d1.basis))
+        want = form_to_sparse(exterior_derivative(sc21, w), FormBasis(sc21, 2))
         assert got == want
 
 
@@ -77,6 +139,15 @@ def test_stack_maps_requires_shared_input(sc21):
     d1 = matrix_of_map(lambda f: exterior_derivative(sc21, f), sc21, 1, 2)
     with pytest.raises(ValueError):
         stack_maps([d0, d1])
+
+
+def test_stack_maps_refuses_different_bases_of_equal_size(sc21):
+    # at (2|1) degree 2 has as many even labels as odd ones
+    even = lie_matrix(sc21, 0, 2, parity=0)
+    odd = lie_matrix(sc21, 5, 2, parity=1)
+    assert even.ncols == odd.ncols == 144
+    with pytest.raises(ValueError, match="share the input space"):
+        stack_maps([even, odd])
 
 
 def test_stacked_kernel_is_joint_kernel(sc21):
@@ -94,7 +165,7 @@ def test_stacked_kernel_is_joint_kernel(sc21):
     stacked = stack_maps(maps)
     vecs = stacked.kernel()
     assert len(vecs) == 1
-    w = vector_to_form(sc21, 1, vecs[0], stacked.in_labels)
+    w = vector_to_form(vecs[0], stacked.basis)
     for a in range(sc21.dim):
         assert lie_derivative(sc21, DerivationVector.basis(sc21, a), w).is_zero()
 
@@ -112,16 +183,14 @@ def test_stack_over_different_denominators_keeps_the_values(sc21):
     assert {mp.den for mp in maps} == {1, 2, 4}
     stacked = stack_maps(maps)
     assert stacked.den == 4
-    images = [{} for _ in stacked.in_labels]
+    images = [{} for _ in stacked.basis]
     offset = 0
     for mp in maps:
         for j in range(mp.ncols):
             for i, v in column_values(mp, j).items():
                 images[j][offset + i] = Scalar.of(v)
         offset += mp.nrows
-    by_value = LinearMapMatrix.from_images(
-        stacked.in_labels, stacked.out_labels, images
-    )
+    by_value = LinearMapMatrix.from_images(stacked.basis, stacked.nrows, images)
     for j in range(stacked.ncols):
         assert column_values(stacked, j) == column_values(by_value, j)
     assert len(stacked.kernel()) == 1
@@ -131,9 +200,10 @@ def test_stack_over_different_denominators_keeps_the_values(sc21):
 def test_map_images_must_be_real(sc21):
     with pytest.raises(ValueError, match="not real"):
         matrix_of_map(lambda f: f.scale(I), sc21, 0, 0)
-    labels = [((), 0, 0), ((), 0, 1)]
+    labels = FormBasis(sc21, 0).restrict([0, 1])
+    assert list(labels) == [((), 0, 0), ((), 0, 1)]
     got = LinearMapMatrix.from_images(
-        labels, labels, [{0: Scalar(Fraction(1, 6))}, {1: Scalar(Fraction(-3, 4))}]
+        labels, 2, [{0: Scalar(Fraction(1, 6))}, {1: Scalar(Fraction(-3, 4))}]
     )
     assert (got.columns, got.den) == ([{0: 2}, {1: -9}], 12)
 
@@ -207,33 +277,33 @@ def test_d_matrix_columns_match_values_route(
                 ("d", sc.n, sc.m, p, parity),
                 lambda: d_matrix(sc, p, parity=parity),
             )
-            assert mat.in_labels == form_basis_labels(sc, p, parity=parity)
-            assert mat.out_labels == form_basis_labels(sc, p + 1)
+            assert list(mat.basis) == reference_labels(sc, p, parity)
+            assert mat.nrows == len(reference_labels(sc, p + 1))
             if not mat.ncols:
                 continue
             j = data.draw(st.integers(0, mat.ncols - 1),
                           label=f"({sc.n}|{sc.m}) p={p} column")
-            out_index = {lab: i for i, lab in enumerate(mat.out_labels)}
-            w = basis_form(sc, mat.in_labels[j])
-            want = form_to_sparse(exterior_derivative(sc, w), out_index)
-            assert column_values(mat, j) == want, (sc.n, sc.m, mat.in_labels[j])
+            w = basis_form(sc, mat.basis[j])
+            want = form_to_sparse(exterior_derivative(sc, w), FormBasis(sc, p + 1))
+            assert column_values(mat, j) == want, (sc.n, sc.m, mat.basis[j])
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_lie_matrix_columns_match_values_route(sc21, kernel_memo, data):
     p, parity = data.draw(st.sampled_from([(1, None), (2, 0)]), label="degree")
-    labels = form_basis_labels(sc21, p, parity=parity)
+    labels = FormBasis(sc21, p, parity=parity)
     j = data.draw(st.integers(0, len(labels) - 1), label="column")
     w = basis_form(sc21, labels[j])
-    out_index = {lab: i for i, lab in enumerate(form_basis_labels(sc21, p))}
+    out = FormBasis(sc21, p)
     for a in range(sc21.dim):
         mat = kernel_memo(
             ("lie", a, p, parity), lambda: lie_matrix(sc21, a, p, parity=parity)
         )
-        assert mat.in_labels == labels
+        assert list(mat.basis) == reference_labels(sc21, p, parity)
+        assert mat.nrows == len(out)
         want = lie_derivative(sc21, DerivationVector.basis(sc21, a), w)
-        assert column_values(mat, j) == form_to_sparse(want, out_index), (a, labels[j])
+        assert column_values(mat, j) == form_to_sparse(want, out), (a, labels[j])
 
 
 def test_kernel_callers_skip_the_form_level_routes(monkeypatch):
@@ -283,8 +353,9 @@ def test_both_generator_callers_share_one_set_of_tables():
 
 def test_kernel_refuses_a_vector_the_matrix_does_not_kill(monkeypatch):
     # columns e0 -> f0, e1 -> 0: the kernel is spanned by e1
-    labels = [((), 0, 0), ((), 0, 1)]
-    mat = LinearMapMatrix(labels, labels[:1], [{0: 1}, {}])
+    labels = FormBasis(constants_for(2, 1), 0).restrict([0, 1])
+    assert list(labels) == [((), 0, 0), ((), 0, 1)]
+    mat = LinearMapMatrix(labels, 1, [{0: 1}, {}])
     assert mat.kernel() == [[0, 1]]
     monkeypatch.setattr(linalg, "sparse_kernel", lambda rows, ncols: [[1, 0]])
     with pytest.raises(AssertionError, match="not killed by the matrix"):
