@@ -27,10 +27,13 @@ runs the kernel route; the evaluation sum is run only by the verify suites
 and the tests.  The symplectic contraction system is factored once per
 form, in ``symplectic``.
 
-Both routes accumulate in Python ints over one common denominator: the
-kernel tables hold integer numerators over one table denominator, a
-form's entries are scaled once to integers over the lcm of their
-denominators, and each nonzero output entry is divided back once.
+Both routes accumulate in Python ints over one common denominator.  Each
+route reads its own tables, built once per ``StructureConstants`` and
+kept in its ``cache``: the kernel's (``_kernel_tables``, ``_d_tuple``)
+and the oracle's (``_oracle_tables``, ``_oracle_reach``), each holding
+integer numerators over one table denominator.  A form's entries are
+scaled once to integers over the lcm of their denominators, and each
+nonzero output entry is divided back once.
 """
 from __future__ import annotations
 
@@ -439,7 +442,7 @@ def interior_product(d: DerivationVector, form: GradedForm) -> GradedForm:
         return out
 
     coeffs: Dict[IndexTuple, GradedMatrix] = {}
-    for key in enumerate_multi_indices(form.n_even, form.m_odd, form.degree - 1):
+    for key in _interior_support(d, form):
         raw = cb(key)
         mat = raw.scale(extraction_prefactor(key, form.n_even))
         if not mat.is_zero():
@@ -447,6 +450,14 @@ def interior_product(d: DerivationVector, form: GradedForm) -> GradedForm:
     return GradedForm(
         form.n, form.m, form.n_even, form.m_odd, form.degree - 1, coeffs
     )
+
+
+def _interior_support(d: DerivationVector, form: GradedForm) -> List[IndexTuple]:
+    """The canonical (p-1)-tuples the contraction can reach, in sorted
+    order: each key K with one entry a of ``d.support()`` removed."""
+    sup = set(d.support())
+    return sorted({key[:j] + key[j + 1:] for key in form.coeffs
+                   for j, a in enumerate(key) if a in sup})
 
 
 def lie_derivative(
@@ -485,18 +496,27 @@ def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
 # ======================================================================
 #
 # Each output tuple takes its value from the alternating evaluation sum,
-# term for term.  Every term is a real weight (canonical sign times
-# self-evaluation factor, times a structure constant) on a stored
-# coefficient M_K or on a bracket [E_b, M_K], so the weights are summed
-# first and each tuple's matrix is built once.  Only the tuples that some
-# stored key can reach are visited; the reach tables are read off ``sc.c``
-# alone, so this route shares no table with the column kernel below.
+# term for term.  Every term is an integer weight (canonical sign times
+# self-evaluation factor, times a structure-constant numerator) on a
+# stored coefficient M_K or on a bracket [E_b, M_K], so the weights are
+# summed first and each tuple's matrix is built once, divided back once by
+# the table denominator and the tuple's own self-evaluation factor.  Only
+# the tuples that some stored key can reach are visited.
+#
+# The route reads only its own tables (``_oracle_tables``,
+# ``_oracle_reach``), built once per constants object from ``sc.c`` and
+# the basis elements: it shares no table with the column kernel below, and
+# it brackets by its own entry-wise rule (``_unit_brackets``), not by
+# ``graded_commutator``.  Within one call each argument tuple is
+# canonicalised once (``_ValueWeights``) and each [E_b, M_K] is summed
+# once from the unit brackets of E_b, one table row per entry of M_K.
 #
 # Both routes sum in ints: ``_scaled`` clears a form's denominators once
 # and ``_matrix_over`` divides each nonzero output entry back once.
 
-# (b, K) -> real weight of [E_b, M_K] in one tuple's value; b None for M_K
-Weights = Dict[Tuple[Optional[int], IndexTuple], Fraction]
+# (b, K) -> weight of [E_b, M_K] in one tuple's value, an integer over the
+# oracle's table denominator; b None for M_K
+Weights = Dict[Tuple[Optional[int], IndexTuple], int]
 
 
 def _real(v: Scalar) -> Fraction:
@@ -547,35 +567,109 @@ def _matrix_over(
     return GradedMatrix.from_units(n, m, vals)
 
 
-def _bracket_entries(e: GradedMatrix, entries: IntEntries, n: int) -> IntEntries:
-    """[e, M] from the ``IntEntries`` of M, for a real integral e.
+def _unit_brackets(e: GradedMatrix, n: int) -> List[List[Tuple[int, int]]]:
+    """[e, E_u] for each unit matrix E_u, for an integral e: the list at u
+    holds (v, x) over the nonzero entries x at unit v.
 
-    Entry by entry as in ``matrices.graded_commutator``: a product
-    M_it e_tj enters with sign + when both factors are odd, else -.
+    Entry by entry as in ``matrices.graded_commutator``: with E_u at
+    (i, t), e E_u has e_ri at (r, t), and E_u e has e_tj at (i, j), which
+    enters with sign + when E_u and e_tj are both odd, else -.
     """
     k = e.n + e.m
     erows: Dict[int, List[Tuple[int, int]]] = {}
-    for i, j, x in e.nonzeros():
+    ecols: Dict[int, List[Tuple[int, int]]] = {}
+    for r, j, x in e.nonzeros():
         if x.im or x.re.denominator != 1:
             raise ValueError(f"basis element entry {x} is not an integer")
-        erows.setdefault(i, []).append((j, x.re.numerator))
-    mrows: Dict[int, List[Tuple[int, int, int]]] = {}
-    for u, part, y in entries:
-        mrows.setdefault(u // k, []).append((u % k, part, y))
+        erows.setdefault(r, []).append((j, x.re.numerator))
+        ecols.setdefault(j, []).append((r, x.re.numerator))
+    out = []
+    for i in range(k):
+        for t in range(k):
+            acc: Dict[int, int] = {}
+            for r, x in ecols.get(i, ()):
+                _add(acc, r * k + t, x)
+            odd_u = (i < n) != (t < n)
+            for j, x in erows.get(t, ()):
+                _add(acc, i * k + j, x if odd_u and (t < n) != (j < n) else -x)
+            out.append([(v, x) for v, x in acc.items() if x])
+    return out
+
+
+class _SelfEvaluation(dict):
+    """Canonical tuple -> ``self_evaluation_factor``, filled on first use."""
+
+    def __init__(self, n_even: int):
+        super().__init__()
+        self.n_even = n_even
+
+    def __missing__(self, key: IndexTuple) -> int:
+        got = self[key] = self_evaluation_factor(key, self.n_even)
+        return got
+
+
+@dataclass(frozen=True)
+class _OracleTables:
+    """Integer tables read by the evaluation oracle.
+
+    ``c[x][y]`` lists (cc, c_(x,y)^cc * den), the real structure constants
+    as integer numerators over the one denominator ``den``;
+    ``bracket[b]`` is ``_unit_brackets`` of E_b; ``sef`` holds the
+    self-evaluation factor of each output tuple met so far.
+    """
+
+    den: int
+    c: List[List[List[Tuple[int, int]]]]
+    bracket: List[List[List[Tuple[int, int]]]]
+    sef: _SelfEvaluation
+
+
+def _oracle_tables(sc: StructureConstants) -> _OracleTables:
+    """The oracle's tables, built on first use and kept in ``sc.cache``."""
+    got = sc.cache.get(("oracle_tables",))
+    if got is not None:
+        return got
+    real = {xy: [(cc, _real(v)) for cc, v in row.items()]
+            for xy, row in sc.c.items()}
+    den = lcm(*(v.denominator for row in real.values() for _, v in row))
+    c: List[List[List[Tuple[int, int]]]] = [
+        [[] for _ in range(sc.dim)] for _ in range(sc.dim)
+    ]
+    for (x, y), row in real.items():
+        c[x][y] = [(cc, v.numerator * (den // v.denominator)) for cc, v in row]
+    got = _OracleTables(
+        den, c, [_unit_brackets(e, sc.n) for e in sc.basis.elements],
+        _SelfEvaluation(sc.even_dim),
+    )
+    sc.cache[("oracle_tables",)] = got
+    return got
+
+
+class _ValueWeights(dict):
+    """``_value_weight`` on one form, memoised for one call of the oracle.
+
+    Keyed by the argument tuple as given, not sorted: the canonical sign
+    depends on the order.
+    """
+
+    def __init__(self, form: GradedForm):
+        super().__init__()
+        self.form = form
+
+    def __missing__(self, args: IndexTuple) -> Tuple[Optional[IndexTuple], int]:
+        got = self[args] = _value_weight(self.form, args)
+        return got
+
+
+def _bracketed(units: List[List[Tuple[int, int]]], entries: IntEntries) -> IntEntries:
+    """[E_b, M] from the ``IntEntries`` of M, with ``units`` the unit
+    brackets of E_b: one table row per entry of M."""
     acc: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
-    for i, ts in erows.items():
-        for t, x in ts:
-            for j, part, y in mrows.get(t, ()):
-                ap = acc[part]
-                ap[i * k + j] = ap.get(i * k + j, 0) + x * y
     for u, part, y in entries:
-        i, t = divmod(u, k)
-        odd_m = (i < n) != (t < n)
         ap = acc[part]
-        for j, x in erows.get(t, ()):
-            term = y * x if odd_m and (t < n) != (j < n) else -y * x
-            ap[i * k + j] = ap.get(i * k + j, 0) + term
-    return [(u, part, v) for part in (0, 1) for u, v in acc[part].items() if v]
+        for v, x in units[u]:
+            ap[v] = ap.get(v, 0) + x * y
+    return [(v, part, s) for part in (0, 1) for v, s in acc[part].items() if s]
 
 
 def _oracle_reach(sc: StructureConstants) -> tuple:
@@ -633,18 +727,18 @@ def _lie_support(
 
 
 def _weighted_matrix(
-    sc: StructureConstants, form: GradedForm, scaled: Tuple[Dict, int],
-    weights: Weights, memo: Dict, pref: Fraction,
+    form: GradedForm, scaled: Tuple[Dict, int], weights: Weights, memo: Dict,
+    bracket: List[List[List[Tuple[int, int]]]], div: int,
 ) -> GradedMatrix:
-    """pref * sum of the weighted M_K and [E_b, M_K].
+    """The sum of the weighted M_K and [E_b, M_K], divided by ``div`` (the
+    weights' denominator times the tuple's self-evaluation factor) and by
+    the form's denominator.
 
     ``scaled`` is ``_scaled(form)``; ``memo`` keeps, for one call of the
-    route, the ``IntEntries`` of each [E_b, M_K] over the same denominator.
-    The weights are cleared to integers over the lcm of their own
-    denominators, so the sum runs in ints.
+    route, the ``IntEntries`` of each [E_b, M_K] over the same denominator,
+    summed from the unit brackets ``bracket[b]``.
     """
     ints, den = scaled
-    wden = lcm(*(w.denominator for w in weights.values()))
     parts: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
     for bk, w in weights.items():
         if not w:
@@ -655,14 +749,11 @@ def _weighted_matrix(
         else:
             entries = memo.get(bk)
             if entries is None:
-                entries = memo[bk] = _bracket_entries(
-                    sc.basis.elements[b], ints[key], form.n
-                )
-        w = w.numerator * (wden // w.denominator) * pref.numerator
+                entries = memo[bk] = _bracketed(bracket[b], ints[key])
         for u, part, y in entries:
             acc = parts[part]
             acc[u] = acc.get(u, 0) + w * y
-    return _matrix_over(form.n, form.m, *parts, den * wden * pref.denominator)
+    return _matrix_over(form.n, form.m, *parts, den * div)
 
 
 def _lie_basis_homogeneous(
@@ -675,25 +766,28 @@ def _lie_basis_homogeneous(
     pa = sc.parity(a)
     p = form.degree
     ne = form.n_even
+    t = _oracle_tables(sc)
+    ca, den = t.c[a], t.den
+    value = _ValueWeights(form)
     scaled = _scaled(form)
     memo: Dict = {}
     coeffs: Dict[IndexTuple, GradedMatrix] = {}
     for key in _lie_support(sc, a, form):
         weights: Weights = {}
-        got, f = _value_weight(form, key)
+        got, f = value[key]
         if got is not None:
-            weights[(a, got)] = Fraction(f)
+            weights[(a, got)] = f * den
         acc = form_parity
         for l in range(p):
             sign = -1 if (pa and acc % 2) else 1
-            for cc, v in sc.c_row(a, key[l]).items():
-                c = _real(v)
-                got, f = _value_weight(form, key[:l] + (cc,) + key[l + 1:])
+            for cc, v in ca[key[l]]:
+                got, f = value[key[:l] + (cc,) + key[l + 1:]]
                 if got is not None:
-                    _add(weights, (None, got), -sign * f * c)
+                    _add(weights, (None, got), -sign * f * v)
             acc += index_parity(key[l], ne)
-        pref = extraction_prefactor(key, ne)
-        coeffs[key] = _weighted_matrix(sc, form, scaled, weights, memo, pref)
+        coeffs[key] = _weighted_matrix(
+            form, scaled, weights, memo, t.bracket, den * t.sef[key]
+        )
     return GradedForm(form.n, form.m, form.n_even, form.m_odd, p, coeffs)
 
 
@@ -707,6 +801,9 @@ def _exterior_derivative_homogeneous(
     """
     p = form.degree
     ne = form.n_even
+    t = _oracle_tables(sc)
+    c, den = t.c, t.den
+    value = _ValueWeights(form)
     scaled = _scaled(form)
     memo: Dict = {}
     coeffs: Dict[IndexTuple, GradedMatrix] = {}
@@ -715,24 +812,25 @@ def _exterior_derivative_homogeneous(
         degs = [index_parity(i, ne) for i in key]
         acc = 0
         for l in range(p + 1):
-            got, f = _value_weight(form, key[:l] + key[l + 1:])
+            got, f = value[key[:l] + key[l + 1:]]
             if got is not None:
                 exp = l + degs[l] * (form_parity + acc)
-                _add(weights, (key[l], got), Fraction(-f if exp % 2 else f))
+                _add(weights, (key[l], got), -f * den if exp % 2 else f * den)
             acc += degs[l]
         for l in range(p + 1):
+            cl = c[key[l]]
+            between = 0  # odd entries strictly between l and l'
             for lp in range(l + 1, p + 1):
-                between = sum(degs[t] for t in range(l + 1, lp))
-                exp = lp + degs[lp] * between
-                sign = -1 if exp % 2 else 1
-                for cc, v in sc.c_row(key[l], key[lp]).items():
-                    c = _real(v)
+                sign = -1 if (lp + degs[lp] * between) % 2 else 1
+                for cc, v in cl[key[lp]]:
                     args = key[:l] + (cc,) + key[l + 1: lp] + key[lp + 1:]
-                    got, f = _value_weight(form, args)
+                    got, f = value[args]
                     if got is not None:
-                        _add(weights, (None, got), sign * f * c)
-        pref = extraction_prefactor(key, ne)
-        coeffs[key] = _weighted_matrix(sc, form, scaled, weights, memo, pref)
+                        _add(weights, (None, got), sign * f * v)
+                between += degs[lp]
+        coeffs[key] = _weighted_matrix(
+            form, scaled, weights, memo, t.bracket, den * t.sef[key]
+        )
     return GradedForm(form.n, form.m, form.n_even, form.m_odd, p + 1, coeffs)
 
 

@@ -36,7 +36,7 @@ from gradedmat.indexset import (
     index_parity,
     permutation_sign,
 )
-from gradedmat.matrices import GradedMatrix
+from gradedmat.matrices import GradedMatrix, graded_commutator
 from gradedmat.sampling import random_form
 from gradedmat.scalars import Scalar
 
@@ -306,22 +306,94 @@ def test_oracle_tuple_filter_misses_nothing(request, seed, p, parity):
         assert filtered == full, (name, p, parity)
 
 
+def _every_interior_tuple(d, w):
+    return enumerate_multi_indices(w.n_even, w.m_odd, w.degree - 1)
+
+
+@settings(max_examples=20, deadline=None)
+@random_forms
+def test_interior_tuple_filter_misses_nothing(request, seed, p, parity):
+    # contraction along a derivation with several basis components, on
+    # forms of degree 1-3, against every canonical (p-1)-tuple
+    for name in ("sc21", "sc12", "sc31"):
+        sc = request.getfixturevalue(name)
+        rng = random.Random(seed)
+        w = random_form(rng, sc, p + 1, parity=parity)
+        d = DerivationVector.from_coords(
+            sc, [rng.choice((0, 0, 1, -2)) for _ in range(sc.dim)]
+        )
+        filtered = interior_product(d, w)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forms, "_interior_support", _every_interior_tuple)
+            full = interior_product(d, w)
+        assert filtered == full, (name, p, parity)
+
+
 def test_oracle_reads_no_kernel_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("kernel table read by the oracle")
 
     monkeypatch.setattr(forms, "_d_tuple", refuse)
     monkeypatch.setattr(forms, "_kernel_tables", refuse)
+    # the oracle's unit brackets come from its own entry-wise rule
+    monkeypatch.setattr(forms, "graded_commutator", refuse)
     sc = constants_for(2, 1)
     rng = random.Random(71)
     for p in range(3):
         w = random_form(rng, sc, p)
         dw = exterior_derivative(sc, w)
         assert exterior_derivative(sc, dw).is_zero()
-        lie_derivative(sc, DerivationVector.basis(sc, rng.randrange(sc.dim)), w)
+        da = DerivationVector.basis(sc, rng.randrange(sc.dim))
+        lie_derivative(sc, da, w)
+        interior_product(da, dw)
     assert not [k for k in sc.cache if k[0] in ("column_kernel", "d_tuple")]
     with pytest.raises(AssertionError):
         exterior_derivative_generators(sc, w)
+
+
+def test_oracle_tables_are_built_once_per_constants(sc21):
+    sc = constants_for(2, 1)
+    assert sc.cache == {}
+    w = random_form(random.Random(3), sc21, 1)
+    dw = exterior_derivative(sc, w)
+    tables = sc.cache[("oracle_tables",)]
+    assert set(sc.cache) == {("oracle_tables",), ("oracle_reach",)}
+    exterior_derivative(sc, dw)
+    lie_derivative(sc, DerivationVector.basis(sc, 4), w)
+    assert sc.cache[("oracle_tables",)] is tables
+    assert set(sc.cache) == {("oracle_tables",), ("oracle_reach",)}
+    # the tables hold c over one denominator and [E_b, E_u] entry by entry
+    for (x, y), row in sc.c.items():
+        assert {cc: Fraction(v, tables.den) for cc, v in tables.c[x][y]} == {
+            cc: v.re for cc, v in row.items()
+        }
+    k = sc.n + sc.m
+    for b, e in enumerate(sc.basis.elements):
+        for u in range(k * k):
+            unit = GradedMatrix.unit(sc.n, sc.m, u // k, u % k)
+            assert GradedMatrix.from_units(
+                sc.n, sc.m, {v: Scalar.of(x) for v, x in tables.bracket[b][u]}
+            ) == graded_commutator(e, unit), (b, u)
+    # a second constants object owns its own tables
+    other = constants_for(2, 1)
+    exterior_derivative(other, w)
+    assert other.cache[("oracle_tables",)] is not tables
+    assert other.cache[("oracle_tables",)].bracket is not tables.bracket
+    assert other.cache[("oracle_tables",)].sef is not tables.sef
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 2), Scalar(0, 1)])
+def test_oracle_refuses_a_basis_element_that_is_not_integral(sc21, factor):
+    elements = list(sc21.basis.elements)
+    elements[5] = elements[5].scale(factor)
+    sc = dataclasses.replace(
+        sc21, basis=dataclasses.replace(sc21.basis, elements=tuple(elements))
+    )
+    theta = frame_form(sc, 0)
+    with pytest.raises(ValueError, match="not an integer"):
+        exterior_derivative(sc, theta)
+    with pytest.raises(ValueError, match="not an integer"):
+        lie_derivative(sc, DerivationVector.basis(sc, 0), theta)
 
 
 def test_oracle_rejects_a_complex_structure_constant(sc21):
