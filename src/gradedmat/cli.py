@@ -4,9 +4,9 @@ Every command emits one report, as JSON (default) or CSV, to --out or
 stdout.  Fixed flags and an unchanged source tree give byte-identical
 bytes; the build identifier ties a report to the sources that made it.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-cap exceeded: n + m above ``MATRIX_SIZE_CAP`` (checked first), a form degree
-above the built-in cap, or a differential with more rows than
-``DIFFERENTIAL_ROWS_CAP``; ``cohomology`` then reports what it built.
+cap exceeded: n + m above ``MATRIX_SIZE_CAP`` (checked first), or a
+differential whose run would hold more than ``HELD_LABELS_CAP`` labels;
+``cohomology`` then reports the degrees it built.
 
 ``cohomology`` ranks each differential through the weight grading
 (``cohomology.ChainDegreeData``): the zero-weight block by exact
@@ -36,7 +36,6 @@ from .bundles import (
 from .cohomology import (
     MATRIX_SIZE_CAP,
     CertificateError,
-    DegreeCapExceeded,
     DifferentialTooLarge,
     chain_degrees,
 )
@@ -530,7 +529,7 @@ def cmd_cohomology(args) -> int:
         for data, b in chain_degrees(sc, args.max_degree):
             degrees.append({"p": data.p, "dim": data.dim, "rank": data.rank(),
                             "kernel_dim": data.kernel_dim(), "betti": b})
-    except (DegreeCapExceeded, DifferentialTooLarge) as exc:
+    except DifferentialTooLarge as exc:
         capped = str(exc)
     except CertificateError as exc:
         print(f"gradedmat cohomology: {exc}", file=sys.stderr)

@@ -38,33 +38,36 @@ from .indexset import index_count
 from .matrices import GradedMatrix, body, embed_body
 from .scalars import Scalar
 
-DEFAULT_DEGREE_CAP = 4
+# Largest number of labels (I, r, c) a run may hold, by ``held_labels``: d_3 at
+# (3|2) holds 416025, d_15 at (2|1) 450441; d_16 there 569169, (5|2) d_2 953197.
+HELD_LABELS_CAP = 500_000
+# Labels an empty degree counts at least: it holds 3.4 KB, a label 0.83 KB.
+EMPTY_DEGREE_LABELS = 5
 
-# Largest number of rows of one differential (the dimension of degree p+1),
-# counted before it is built.  d_3 at (3|2) has 350400 rows and (4|1) 321750;
-# d_3 at (4|2) has 2232576, (5|1) 2101140, and d_2 at (5|2) 894544.
-DIFFERENTIAL_ROWS_CAP = 400_000
-
-# Largest n + m the CLI admits: `verify` takes about 35 s at (4|1) and grows
+# Largest n + m the CLI admits: `verify` takes about 7 s at (4|1) and grows
 # about 3.5x per unit of n; the constants alone at (40|1) take about an hour.
 MATRIX_SIZE_CAP = 8
 
 
-class DegreeCapExceeded(Exception):
-    """Raised when a computation would build forms above the degree cap."""
-
-
 class DifferentialTooLarge(Exception):
-    """Raised when d_p would have more rows than the cap allows."""
+    """Raised when building d_p would hold more labels than the cap allows."""
 
 
 class CertificateError(Exception):
     """Raised when d_p fails its weight, homotopy or d o d = 0 check."""
 
 
-def differential_rows(sc: StructureConstants, p: int) -> int:
-    """Rows of d_p, the dimension of degree p+1, from the label counts alone."""
-    return index_count(sc.even_dim, sc.odd_dim, p + 1) * (sc.n + sc.m) ** 2
+def held_labels(sc: StructureConstants, p: int) -> int:
+    """Labels of degrees 0..p+1, what a run holds once d_p is built.
+
+    Every d_q stays in ``sc.cache``.  An empty degree counts as (n+m)^2
+    labels, at least ``EMPTY_DEGREE_LABELS``, so empty runs are bounded too.
+    """
+    ev, od, units = sc.even_dim, sc.odd_dim, (sc.n + sc.m) ** 2
+    # with no odd elements every degree above even_dim is empty
+    top = p + 1 if od else min(p + 1, ev)
+    tuples = sum(index_count(ev, od, q) for q in range(top + 1))
+    return tuples * units + (p + 1 - top) * max(units, EMPTY_DEGREE_LABELS)
 
 
 @dataclass
@@ -123,26 +126,20 @@ class ChainDegreeData:
         return self.dim - self.rank()
 
 
-def differential_matrix(
-    sc: StructureConstants, p: int, max_degree: int = DEFAULT_DEGREE_CAP
-) -> ChainDegreeData:
+def differential_matrix(sc: StructureConstants, p: int) -> ChainDegreeData:
     """The matrix of d_p: degree p to degree p+1, over the form bases.
 
     Written by the sparse column kernel ``formspace.d_matrix``, built once
     per constants object and kept in ``sc.cache``.  Refused up front when
-    it would have more than ``DIFFERENTIAL_ROWS_CAP`` rows.
+    the run would then hold more than ``HELD_LABELS_CAP`` labels.
     """
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    if p + 1 > max_degree:
-        raise DegreeCapExceeded(
-            f"d at degree {p} needs degree-{p + 1} forms, cap is {max_degree}"
-        )
-    need = differential_rows(sc, p)
-    if need > DIFFERENTIAL_ROWS_CAP:
+    need = held_labels(sc, p)
+    if need > HELD_LABELS_CAP:
         raise DifferentialTooLarge(
-            f"d at degree {p} has {need} rows (the dimension of degree "
-            f"{p + 1}), cap is {DIFFERENTIAL_ROWS_CAP}"
+            f"d at degree {p} needs the labels of degrees 0..{p + 1}, "
+            f"{need} in all, cap is {HELD_LABELS_CAP}"
         )
     key = ("differential", p)
     got = sc.cache.get(key)
@@ -153,25 +150,23 @@ def differential_matrix(
 
 
 def chain_degrees(
-    sc: StructureConstants, max_p: int, max_degree: int = DEFAULT_DEGREE_CAP
+    sc: StructureConstants, max_p: int
 ) -> Iterator[Tuple[ChainDegreeData, int]]:
     """(d_p, b_p) for p = 0..max_p in turn; b_p = dim ker d_p - rank d_(p-1).
 
     Degree p is built and certified only after degree p-1 was yielded, so a
-    caller stopped by a cap or a failed certificate keeps the degrees before.
+    caller stopped by the cap or a failed certificate keeps the degrees before.
     """
     prev_rank = 0
     for p in range(max_p + 1):
-        data = differential_matrix(sc, p, max_degree=max_degree)
+        data = differential_matrix(sc, p)
         yield data, data.kernel_dim() - prev_rank
         prev_rank = data.rank()
 
 
-def betti_numbers(
-    sc: StructureConstants, max_p: int, max_degree: int = DEFAULT_DEGREE_CAP
-) -> List[int]:
+def betti_numbers(sc: StructureConstants, max_p: int) -> List[int]:
     """b_p for p = 0..max_p, exact."""
-    return [b for _, b in chain_degrees(sc, max_p, max_degree)]
+    return [b for _, b in chain_degrees(sc, max_p)]
 
 
 # ======================================================================
@@ -318,8 +313,8 @@ def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
     out_w = _tuple_weights(sc, p + 1)
     out_contr = _contractions(sc, p + 1)
     if p > 0:
-        # d_p passed the degree cap, so d_(p-1) is admitted under it
-        prev = differential_matrix(sc, p - 1, max_degree=p)
+        # held_labels rises with p, so d_p admitted admits d_(p-1)
+        prev = differential_matrix(sc, p - 1)
         if prev.matrix.den != den:
             raise CertificateError(
                 f"d at degree {p} is over the denominator {den}, d at degree "

@@ -25,6 +25,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -36,6 +37,11 @@ from .matrices import GradedMatrix
 from .scalars import Scalar
 
 Label = Tuple[Tuple[int, ...], int, int]
+
+
+@lru_cache(maxsize=None)
+def _unit_cells(k: int) -> Tuple[Tuple[int, int], ...]:
+    return tuple(divmod(u, k) for u in range(k * k))  # (r, c) of unit u
 
 
 class FormBasis(Sequence[Label]):
@@ -55,7 +61,7 @@ class FormBasis(Sequence[Label]):
         self.sc, self.p, self.k = sc, p, sc.n + sc.m
         self.tuples, self._numbers = sc.cache[key]
         self.units = self.k * self.k
-        self.cells = [divmod(u, self.k) for u in range(self.units)]  # (r, c) of u
+        self.cells = _unit_cells(self.k)
         if parity is not None:
             _positions = [
                 t * self.units + u for t, I in enumerate(self.tuples)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gradedmat import cohomology
 from gradedmat.cli import main
 from gradedmat.cohomology import MATRIX_SIZE_CAP
 
@@ -105,13 +106,22 @@ def test_cohomology_csv_for_even_only_algebra():
     ]
 
 
-def test_cohomology_degree_cap_gives_partial_report():
-    proc = run_cli("cohomology", "--n", "2", "--m", "0", "--max-degree", "4")
-    assert proc.returncode == 3
-    obj = json.loads(proc.stdout)
-    assert "cap_exceeded" in obj
+def test_cohomology_over_the_cap_gives_partial_report(monkeypatch, capsys):
+    # through degree 4 (2|0) holds 4 (1 + 3 + 3 + 1) + 5 = 37 labels, d_4 42
+    monkeypatch.setattr(cohomology, "HELD_LABELS_CAP", 39)
+    assert main(["cohomology", "--n", "2", "--m", "0", "--max-degree", "4"]) == 3
+    obj = json.loads(capsys.readouterr().out)
+    assert "d at degree 4" in obj["cap_exceeded"]
     assert obj["betti"] == [1, 0, 0, 1]
     assert len(obj["degrees"]) == 4
+
+
+def test_cohomology_at_2_1_through_degree_5():
+    proc = run_cli("cohomology", "--n", "2", "--m", "1", "--max-degree", "5",
+                   check=True)
+    obj = json.loads(proc.stdout)
+    assert obj["betti"] == [1, 0, 0, 1, 0, 0]
+    assert "cap_exceeded" not in obj
 
 
 def test_negative_max_degree_is_usage_error():

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,10 @@ from gradedmat import cohomology
 from gradedmat.basis import HomogeneousBasis, build_sl_basis
 from gradedmat.cli import main
 from gradedmat.cohomology import (
-    DIFFERENTIAL_ROWS_CAP,
+    EMPTY_DEGREE_LABELS,
+    HELD_LABELS_CAP,
     CertificateError,
     ChainDegreeData,
-    DegreeCapExceeded,
     DifferentialTooLarge,
     betti_numbers,
     body_h_map_injective,
@@ -19,11 +20,12 @@ from gradedmat.cohomology import (
     body_map_matrix,
     body_vector_field,
     ce_oracle,
+    chain_degrees,
     cocycle_representatives,
-    differential_rows,
     differential_matrix,
     embed_vector_field,
     ensure_body_adapted,
+    held_labels,
     ordinary_abelian_basis,
     ordinary_direct_sum,
     ordinary_sl_basis,
@@ -36,7 +38,7 @@ from gradedmat.forms import (
     exterior_derivative,
     interior_product,
 )
-from gradedmat.indexset import enumerate_multi_indices
+from gradedmat.indexset import enumerate_multi_indices, index_count
 from gradedmat.linalg import SparseEchelon, sparse_row_from_fractions
 from gradedmat.scalars import Scalar
 from tests.test_forms import rand_form
@@ -78,11 +80,11 @@ def test_even_only_complex_matches_sl3_oracle(sc30):
 
 
 def test_even_only_complex_through_degree_5_matches_sl3_oracle():
-    # the top class of sl(3) sits in degree 5 and 8, past the CLI's cap
+    # sl(3) has classes in degrees 0, 3, 5 and 8
     sc = constants_for(3, 0)
     want = ce_oracle(ordinary_sl_basis(3), 5)
     assert want == [1, 0, 0, 1, 0, 1]
-    assert betti_numbers(sc, 5, max_degree=6) == want
+    assert betti_numbers(sc, 5) == want
 
 
 def test_graded_complex_at_3_1_matches_body_sl3_oracle(sc31):
@@ -98,42 +100,137 @@ def test_oracle_frozen_values():
     assert ce_oracle(ordinary_direct_sum(sl2, sl2), 3) == [1, 0, 0, 2]
 
 
-def test_degree_cap_is_enforced(sc21):
-    with pytest.raises(DegreeCapExceeded):
-        differential_matrix(sc21, 4)
-    with pytest.raises(DegreeCapExceeded):
-        differential_matrix(sc21, 3, max_degree=3)
-    with pytest.raises(DegreeCapExceeded):
-        betti_numbers(sc21, 4)
+def dims(n, m):
+    """What ``held_labels`` reads of the constants of sl(n|m), by arithmetic."""
+    return SimpleNamespace(n=n, m=m, even_dim=n * n + m * m - 1, odd_dim=2 * n * m)
+
+
+def test_held_labels_counts_the_labels_of_degrees_0_to_p_plus_1(sc21, sc20):
+    assert (dims(2, 1).even_dim, dims(2, 1).odd_dim) == (sc21.even_dim, sc21.odd_dim)
+    for p in range(4):
+        assert held_labels(sc21, p) == sum(len(FormBasis(sc21, q)) for q in range(p + 2))
+    # sl(2) has no forms above degree 3; each empty degree counts as 5 labels
+    assert [len(FormBasis(sc20, q)) for q in range(6)] == [4, 12, 12, 4, 0, 0]
+    assert [held_labels(sc20, p) for p in range(5)] == [16, 28, 32, 37, 42]
+
+
+def test_the_cap_is_enforced(sc21, monkeypatch):
     with pytest.raises(ValueError):
         differential_matrix(sc21, -1)
+    # d_16 at (2|1) is refused on its own, before any degree is built
+    with pytest.raises(DifferentialTooLarge, match="d at degree 16"):
+        differential_matrix(sc21, 16)
+    assert ("differential", 16) not in sc21.cache
+    assert ("form_tuples", 17) not in sc21.cache
+    # a run stopped by the cap keeps the degrees before
+    monkeypatch.setattr(cohomology, "HELD_LABELS_CAP", held_labels(sc21, 3) - 1)
+    got = []
+    with pytest.raises(DifferentialTooLarge, match="d at degree 3"):
+        for _, b in chain_degrees(sc21, 3):
+            got.append(b)
+    assert got == [1, 0, 0]
+    with pytest.raises(DifferentialTooLarge):
+        betti_numbers(sc21, 3)
 
 
-def test_oversized_differential_is_refused_up_front(sc21, sc31, monkeypatch):
-    assert differential_rows(sc21, 3) == 1728 <= DIFFERENTIAL_ROWS_CAP
-    assert differential_rows(sc31, 3) == 32256 <= DIFFERENTIAL_ROWS_CAP
+def test_oversized_differential_is_refused_up_front(sc21, monkeypatch):
     sc52 = constants_for(5, 2)
-    assert differential_rows(sc52, 2) == 894544 > DIFFERENTIAL_ROWS_CAP
+    assert held_labels(sc52, 1) <= HELD_LABELS_CAP < held_labels(sc52, 2) == 953197
     with pytest.raises(DifferentialTooLarge):
         differential_matrix(sc52, 2)
     assert ("differential", 2) not in sc52.cache
     assert ("form_tuples", 3) not in sc52.cache
-    limit = differential_rows(sc21, 3)
-    monkeypatch.setattr(cohomology, "DIFFERENTIAL_ROWS_CAP", limit)
+    limit = held_labels(sc21, 3)
+    monkeypatch.setattr(cohomology, "HELD_LABELS_CAP", limit)
     assert differential_matrix(sc21, 3).dim == 792
-    monkeypatch.setattr(cohomology, "DIFFERENTIAL_ROWS_CAP", limit - 1)
+    monkeypatch.setattr(cohomology, "HELD_LABELS_CAP", limit - 1)
     with pytest.raises(DifferentialTooLarge):
         differential_matrix(sc21, 3)
 
 
-def test_rows_cap_admits_degree_3_up_to_3_2_and_4_1():
-    # the guard counts rows of d_p: d_3 runs at (3|2) and (4|1), not beyond
-    for n, m, rows in [(3, 2, 350400), (4, 1, 321750)]:
-        assert differential_rows(constants_for(n, m), 3) == rows
-        assert rows <= DIFFERENTIAL_ROWS_CAP
-    for n, m, rows in [(4, 2, 2232576), (5, 1, 2101140)]:
-        assert differential_rows(constants_for(n, m), 3) == rows
-        assert rows > DIFFERENTIAL_ROWS_CAP
+def test_a_run_of_empty_degrees_is_refused(sc20, monkeypatch):
+    # 4 (1 + 3 + 3 + 1) + 5 (p - 2) labels through degree p + 1: 97 at p = 15
+    monkeypatch.setattr(cohomology, "HELD_LABELS_CAP", 100)
+    assert held_labels(sc20, 15) == 97 <= 100 < held_labels(sc20, 16) == 102
+    got = []
+    with pytest.raises(DifferentialTooLarge, match="d at degree 16"):
+        for _, b in chain_degrees(sc20, 10 ** 9):
+            got.append(b)
+    assert got == [1, 0, 0, 1] + [0] * 12
+    assert ("differential", 16) not in sc20.cache
+
+
+def test_an_empty_degree_is_charged_the_floor_at_1_0(monkeypatch):
+    # sl(1|0) is zero: degree 0 holds 1 label, every degree above is empty
+    sc10 = constants_for(1, 0)
+    assert [held_labels(sc10, p) for p in range(3)] == [6, 11, 16]
+    monkeypatch.setattr(cohomology, "HELD_LABELS_CAP", 30)
+    got = []
+    with pytest.raises(DifferentialTooLarge, match="d at degree 5"):
+        for _, b in chain_degrees(sc10, 10 ** 9):
+            got.append(b)
+    assert got == [1, 0, 0, 0, 0]
+
+
+def first_refused(sc):
+    """The first degree p whose d_p the cap refuses; the count rises with p."""
+    lo, hi = 0, HELD_LABELS_CAP
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if held_labels(sc, mid) > HELD_LABELS_CAP:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_runs_of_empty_degrees_stop_no_later_than_at_2_0():
+    # (2|0) to --max-degree 10**9 stopped at degree 124995 when an empty
+    # degree counted as 2^2 labels, and peaked at 447 MB
+    def charged_2_2(p):
+        return 4 * (1 + 3 + 3 + 1 + p - 2)
+
+    assert charged_2_2(124994) <= HELD_LABELS_CAP < charged_2_2(124995)
+    assert first_refused(dims(2, 0)) == 99996
+    assert first_refused(dims(1, 0)) == 99999 <= 124995
+    for n in range(1, 9):
+        assert first_refused(dims(n, 0)) <= HELD_LABELS_CAP // EMPTY_DEGREE_LABELS, n
+
+
+def test_the_guard_admits_every_run_the_old_caps_admitted():
+    # the old caps admitted d_p when p + 1 <= 4 and d_p had at most 400,000
+    # rows (the labels of degree p + 1)
+    largest = 0
+    for n in range(1, 9):
+        for m in range(0, 9 - n):
+            if n == m:
+                continue
+            sc = dims(n, m)
+            for p in range(4):
+                rows = index_count(sc.even_dim, sc.odd_dim, p + 1) * (n + m) ** 2
+                if rows <= 400_000:
+                    assert held_labels(sc, p) <= HELD_LABELS_CAP, (n, m, p)
+                    largest = max(largest, held_labels(sc, p))
+    assert largest == held_labels(dims(3, 2), 3) == held_labels(dims(2, 3), 3) == 416025
+
+
+def test_held_labels_edge_table():
+    for n, m, p, labels, admitted in [
+        (3, 2, 3, 416025, True),
+        (2, 3, 3, 416025, True),
+        (4, 1, 3, 384875, True),
+        (2, 1, 15, 450441, True),
+        (3, 1, 5, 387072, True),
+        (2, 1, 16, 569169, False),
+        (3, 1, 6, 944640, False),
+        (4, 2, 3, 2511648, False),
+        (5, 1, 3, 2372436, False),
+        (5, 2, 2, 953197, False),
+    ]:
+        assert held_labels(dims(n, m), p) == labels, (n, m, p)
+        assert (labels <= HELD_LABELS_CAP) == admitted, (n, m, p)
+        # the count rises with p, so admitting d_p admits every degree below
+        assert all(held_labels(dims(n, m), q) < labels for q in range(p))
 
 
 def test_caches_belong_to_their_constants(sc20, sc30):
