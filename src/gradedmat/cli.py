@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import random
 import sys
+from contextlib import nullcontext
 from itertools import permutations, product
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -96,13 +97,11 @@ def _config_obj(args, **extra) -> dict:
 
 
 def _emit(args, obj: dict, csv_header: Sequence[str], csv_rows: List[list]) -> None:
-    text = jsonio.dumps(obj) if args.format == "json" else jsonio.csv_text(
-        csv_header, csv_rows
-    )
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        if args.format == "json":
+            jsonio.dump(obj, fh)
+        else:
+            fh.write(jsonio.csv_text(csv_header, csv_rows))
 
 
 # ======================================================================

@@ -10,10 +10,14 @@ contributes dim C^p_lambda minus the rank of d_(p-1) on it.  Both the
 certificate and the elimination read the integer numerators that
 ``formspace.d_matrix`` keeps over the kernel denominator, at positions of
 ``formspace.FormBasis``: the certificate splits a position into its index
-tuple and matrix unit, and no list of labels is built.  So every class
-of H^p lives in the zero-weight block, built once per degree, and the
-cocycle representatives and the body map on cohomology read that block
-alone.  The elimination of all of d_p (``LinearMapMatrix.rank``,
+tuple and matrix unit, and no list of labels is built.
+
+A degree is one frozen record, ``ChainDegreeData``, made by
+``differential_matrix`` only once d_p was built, certified against the
+record of degree p-1 and its zero-weight block ranked; a degree that fails
+leaves nothing in the cache.  Every class of H^p lives in that block, so
+the integer cocycle representatives and the body map on cohomology read
+it alone.  The elimination of all of d_p (``LinearMapMatrix.rank``,
 ``kernel``) is kept as the test oracle.
 
 For cross-validation the module carries a small self-contained
@@ -25,7 +29,7 @@ to the classical one of the dominant diagonal block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -70,68 +74,44 @@ def held_labels(sc: StructureConstants, p: int) -> int:
     return tuples * units + (p + 1 - top) * max(units, EMPTY_DEGREE_LABELS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainDegreeData:
-    """One degree of the complex: d_p, whose columns are the degree-p basis.
+    """One certified degree of the complex: d_p, its columns the degree-p basis.
 
-    ``rank()`` goes through the weight grading (see "Weights and the
-    Cartan homotopy" below): only the zero-weight block is eliminated,
-    every other weight is certified acyclic column by column, so that
-    block (``zero_block()``) holds every class of H^p.  ``matrix.rank()``,
-    the elimination of all of d_p, is the test oracle for it.
+    Made only by ``differential_matrix``, once d_p passed its certificate
+    against d_(p-1) (see "Weights and the Cartan homotopy" below).
+    ``weight_ranks`` maps each weight code to the rank of d_p on the columns
+    of that weight: the zero weight by elimination of ``zero_block``, d_p on
+    its zero-weight columns ``zero_cols``, every other weight from the
+    certificate.  So ``zero_block`` holds every class of H^p.
+    ``matrix.rank()``, the elimination of all of d_p, is the test oracle.
     """
 
     p: int
     matrix: LinearMapMatrix
-    sc: StructureConstants = field(repr=False, compare=False)
-    # weight code -> rank of d_p on the columns of that weight
-    _weight_ranks: Optional[Dict[int, int]] = field(
-        default=None, repr=False, compare=False
-    )
-    # indices of the zero-weight columns and d_p on them, set once the
-    # certificate passed
-    zero_cols: Optional[List[int]] = field(default=None, repr=False, compare=False)
-    _zero_block: Optional[LinearMapMatrix] = field(
-        default=None, repr=False, compare=False
-    )
+    zero_cols: List[int]
+    zero_block: LinearMapMatrix
+    weight_ranks: Dict[int, int]
 
     @property
     def dim(self) -> int:
         return self.matrix.ncols
 
-    def weight_ranks(self) -> Dict[int, int]:
-        if self._weight_ranks is None:
-            zero_cols, ranks = _certified_ranks(self)
-            mat = self.matrix
-            self._zero_block = LinearMapMatrix(
-                mat.basis.restrict(zero_cols), mat.nrows,
-                [mat.columns[j] for j in zero_cols], mat.den,
-            )
-            self.zero_cols = zero_cols
-            if zero_cols:
-                ranks[0] = self._zero_block.rank()
-            self._weight_ranks = ranks
-        return self._weight_ranks
-
-    def zero_block(self) -> LinearMapMatrix:
-        """d_p on its zero-weight columns, certifying the degree first."""
-        if self._zero_block is None:
-            self.weight_ranks()
-        return self._zero_block
-
     def rank(self) -> int:
-        return sum(self.weight_ranks().values())
+        return sum(self.weight_ranks.values())
 
     def kernel_dim(self) -> int:
         return self.dim - self.rank()
 
 
 def differential_matrix(sc: StructureConstants, p: int) -> ChainDegreeData:
-    """The matrix of d_p: degree p to degree p+1, over the form bases.
+    """The certified degree p: d_p from degree p to degree p+1, over the form bases.
 
-    Written by the sparse column kernel ``formspace.d_matrix``, built once
-    per constants object and kept in ``sc.cache``.  Refused up front when
-    the run would then hold more than ``HELD_LABELS_CAP`` labels.
+    Refused up front when the run would then hold more than
+    ``HELD_LABELS_CAP`` labels.  Otherwise d_p is written by the sparse
+    column kernel ``formspace.d_matrix``, certified against d_(p-1), and its
+    zero-weight block ranked; the record is kept in ``sc.cache`` only once
+    all of that passed, so a failed certificate leaves nothing of degree p.
     """
     if p < 0:
         raise ValueError("degree must be nonnegative")
@@ -144,7 +124,15 @@ def differential_matrix(sc: StructureConstants, p: int) -> ChainDegreeData:
     key = ("differential", p)
     got = sc.cache.get(key)
     if got is None:
-        got = ChainDegreeData(p, d_matrix(sc, p), sc)
+        # held_labels rises with p, so d_p admitted admits d_(p-1)
+        prev = differential_matrix(sc, p - 1) if p > 0 else None
+        mat = d_matrix(sc, p)
+        zero_cols, ranks = _certified_ranks(sc, p, mat, prev)
+        block = LinearMapMatrix(mat.basis.restrict(zero_cols), mat.nrows,
+                                [mat.columns[j] for j in zero_cols], mat.den)
+        if zero_cols:
+            ranks[0] = block.rank()
+        got = ChainDegreeData(p, mat, zero_cols, block, ranks)
         sc.cache[key] = got
     return got
 
@@ -297,14 +285,17 @@ def _contractions(sc: StructureConstants, q: int) -> List[Dict[int, Tuple[int, i
     return got
 
 
-def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
-    """The zero-weight columns of d_p, and its rank on each other weight.
+def _certified_ranks(
+    sc: StructureConstants, p: int, mat: LinearMapMatrix,
+    prev: Optional[ChainDegreeData],
+) -> Tuple[List[int], Dict[int, int]]:
+    """The zero-weight columns of d_p = ``mat``, and its rank on each other weight.
 
-    Raises ``CertificateError`` naming the degree and label of the first
-    column that leaves its weight, fails the homotopy identity, or is not
-    killed by d_p d_(p-1); there is no fallback to full elimination.
+    ``prev`` is the certified degree p-1 (None at p = 0).  Raises
+    ``CertificateError`` naming the degree and label of the first column
+    that leaves its weight, fails the homotopy identity, or is not killed
+    by d_p d_(p-1); there is no fallback to full elimination.
     """
-    sc, p, mat = data.sc, data.p, data.matrix
     k = sc.n + sc.m
     den = mat.den
     basis, split = mat.basis, FormBasis(sc, p + 1).split
@@ -313,14 +304,11 @@ def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
     out_w = _tuple_weights(sc, p + 1)
     out_contr = _contractions(sc, p + 1)
     if p > 0:
-        # held_labels rises with p, so d_p admitted admits d_(p-1)
-        prev = differential_matrix(sc, p - 1)
         if prev.matrix.den != den:
             raise CertificateError(
                 f"d at degree {p} is over the denominator {den}, d at degree "
                 f"{p - 1} over {prev.matrix.den}"
             )
-        prev_ranks = prev.weight_ranks()
         in_contr = _contractions(sc, p)
     cartan = _cartan_elements(sc)
 
@@ -377,7 +365,7 @@ def _certified_ranks(data: ChainDegreeData) -> Tuple[List[int], Dict[int, int]]:
                     f"d at degree {p}: d_p d_(p-1) is not 0 on column "
                     f"{prev.matrix.basis[y]} of degree {p - 1}"
                 )
-    ranks = {lam: dim - (prev_ranks.get(lam, 0) if p > 0 else 0)
+    ranks = {lam: dim - (prev.weight_ranks.get(lam, 0) if p > 0 else 0)
              for lam, dim in counts.items() if lam}
     return zero_cols, ranks
 
@@ -577,16 +565,12 @@ def ensure_body_adapted(sc: StructureConstants, sc_body: StructureConstants):
         be = body(e)
         if embed_body(be, sc.n, sc.m) != e:
             raise ValueError(f"element {a} is not purely dominant-block")
-        if be.as_graded() != sc_body.basis.elements[a]:
+        if be != sc_body.basis.elements[a]:
             raise ValueError(f"element {a} does not project onto body element {a}")
     for a in range(blk, sc.even_dim):
         be = body(sc.basis.elements[a])
-        lead = be.entries[0][0]
-        for i in range(be.size):
-            for j in range(be.size):
-                want = lead if i == j else Scalar.of(0)
-                if be.entries[i][j] != want:
-                    raise ValueError(f"even element {a} has non-central body")
+        if be != GradedMatrix.identity(nt, 0).scale(be[0, 0]):
+            raise ValueError(f"even element {a} has non-central body")
     sc.cache[key] = sc_body
 
 
@@ -603,7 +587,7 @@ def body_map_forms(
     coeffs: Dict[Tuple[int, ...], GradedMatrix] = {}
     for key, mat in form.coeffs.items():
         if all(i < blk for i in key):
-            coeffs[key] = body(mat).as_graded()
+            coeffs[key] = body(mat)
     return GradedForm.of(sc_body, form.degree, coeffs)
 
 
@@ -651,25 +635,26 @@ def _independent_modulo_image(
     """
     ech = linalg.SparseEchelon()
     if p > 0:
-        for col in differential_matrix(sc, p - 1).zero_block().columns:
+        for col in differential_matrix(sc, p - 1).zero_block.columns:
             ech.add_row(col)
     return [t for t, row in enumerate(vectors) if ech.add_row(row)]
 
 
-def cocycle_representatives(sc: StructureConstants, p: int) -> List[List[Fraction]]:
-    """Cocycles of d_p whose classes form a basis of H^p; the list length is b_p.
+def cocycle_representatives(sc: StructureConstants, p: int) -> List[linalg.SparseIntRow]:
+    """Integer cocycles of d_p whose classes are a basis of H^p, b_p of them.
 
-    Every class lives in the zero-weight block, since the certificate of
-    ``ChainDegreeData.rank`` shows the other weights acyclic.  So the
-    kernel of that block is completed past the zero-weight image of
-    d_(p-1), and each vector kept is lifted to the full degree-p basis.
+    Each cocycle is sparse over the degree-p positions.  Every class lives
+    in the zero-weight block, since the certificate of the degree shows
+    the other weights acyclic.  So the kernel of that block is completed
+    past the zero-weight image of d_(p-1), and each vector kept is moved to
+    the positions of its zero-weight columns, with denominators cleared.
     """
     data = differential_matrix(sc, p)
-    lifted = [dict(zip(data.zero_cols, vec)) for vec in data.zero_block().kernel()]
-    kept = _independent_modulo_image(
-        sc, p, map(linalg.sparse_row_from_fractions, lifted)
-    )
-    return [[lifted[t].get(j, Fraction(0)) for j in range(data.dim)] for t in kept]
+    cocycles = [
+        linalg.sparse_row_from_fractions(dict(zip(data.zero_cols, vec)))
+        for vec in data.zero_block.kernel()
+    ]
+    return [cocycles[t] for t in _independent_modulo_image(sc, p, cocycles)]
 
 
 def body_h_map_injective(
@@ -683,8 +668,5 @@ def body_h_map_injective(
     """
     reps = cocycle_representatives(sc, p)
     bm = body_map_matrix(sc, sc_body, p)
-    images = [
-        linalg.sparse_row_from_fractions(bm.apply({i: x for i, x in enumerate(vec) if x}))
-        for vec in reps
-    ]
+    images = [linalg.sparse_row_from_fractions(bm.apply(vec)) for vec in reps]
     return len(_independent_modulo_image(sc_body, p, images)) == len(reps)

@@ -193,7 +193,10 @@ class LinearMapMatrix:
         return vecs
 
     def apply(self, vec: Dict[int, Any]) -> Dict[int, Any]:
-        """The image of a sparse vector of Scalars or Fractions, in their type."""
+        """The image of a sparse vector of ints, Fractions or Scalars.
+
+        Scalars give Scalars; ints and Fractions give Fractions.
+        """
         acc: Dict[int, Any] = {}
         for j, x in vec.items():
             for i, v in self.columns[j].items():

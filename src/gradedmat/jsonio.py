@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import List, Sequence
+from itertools import islice
+from typing import List, Sequence, TextIO
 
 from .constants import StructureConstants
 from .matrices import GradedMatrix
@@ -66,8 +67,17 @@ def constants_csv_rows(sc: StructureConstants) -> List[list]:
     return rows
 
 
-def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def dump(obj, fh: TextIO) -> None:
+    """Write ``obj`` to ``fh`` as indented JSON and a newline.
+
+    The encoder's chunks are written a few thousand at a time, so the whole
+    text is never held, and a stream that writes through (stdout) is not
+    called once per chunk, which takes three times as long.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    while batch := "".join(islice(chunks, 8192)):
+        fh.write(batch)
+    fh.write("\n")
 
 
 def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:

@@ -18,7 +18,6 @@ on demand, for printing, tests and the small dense solves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -359,7 +358,8 @@ def supertrace(a: GradedMatrix) -> Scalar:
 #
 # For n != m the "body" of the algebra is the larger diagonal block: the
 # first block when n > m, the second when m > n.  The body of a matrix is
-# that block alone; the embedding puts a body matrix back with the
+# that block alone, a ``GradedMatrix`` of shape (nt|0) with nt = max(n, m),
+# so it is an element of the body algebra; the embedding puts it back with the
 # complementary block filled by the unique scalar matrix making the result
 # supertrace-free relative to the original trace.
 
@@ -370,67 +370,33 @@ def body_block_is_first(n: int, m: int) -> bool:
     return n > m
 
 
-@dataclass(frozen=True)
-class BodyMatrix:
-    """A plain nt x nt matrix, nt = max(n, m), living on the body block."""
+def body(a: GradedMatrix) -> GradedMatrix:
+    """Project onto the larger diagonal block, of shape (nt|0), nt = max(n, m).
 
-    size: int
-    entries: tuple
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "BodyMatrix":
-        ent = tuple(tuple(Scalar.of(x) for x in row) for row in rows)
-        return BodyMatrix(len(ent), ent)
-
-    @staticmethod
-    def zero(size: int) -> "BodyMatrix":
-        row = (ZERO,) * size
-        return BodyMatrix(size, (row,) * size)
-
-    def __getitem__(self, rc) -> Scalar:
-        r, c = rc
-        return self.entries[r][c]
-
-    def trace(self) -> Scalar:
-        return sum((self.entries[i][i] for i in range(self.size)), ZERO)
-
-    def is_zero(self) -> bool:
-        return all(x is ZERO for row in self.entries for x in row)
-
-    def as_graded(self) -> GradedMatrix:
-        """View the body block as the full algebra of shape (size|0)."""
-        return GradedMatrix.from_rows(self.size, 0, self.entries)
-
-
-def body(a: GradedMatrix) -> BodyMatrix:
-    """Project onto the larger diagonal block.  Requires n != m."""
+    Requires n != m.
+    """
     first = body_block_is_first(a.n, a.m)
     nt = max(a.n, a.m)
     off = 0 if first else a.n
-    rows = [[ZERO] * nt for _ in range(nt)]
-    for i, j, x in a.nonzeros():
-        if 0 <= i - off < nt and 0 <= j - off < nt:
-            rows[i - off][j - off] = x
-    return BodyMatrix(nt, tuple(map(tuple, rows)))
+    return GradedMatrix(nt, 0, [
+        (i - off, j - off, x) for i, j, x in a.nonzeros()
+        if 0 <= i - off < nt and 0 <= j - off < nt
+    ])
 
 
-def embed_body(mb: BodyMatrix, n: int, m: int) -> GradedMatrix:
+def embed_body(mb: GradedMatrix, n: int, m: int) -> GradedMatrix:
     """Right inverse of ``body``, tracing the body into the small block.
 
-    The complementary block is (tr(mb)/nt) times the identity, nt = max(n, m).
-    This sends the body identity to the full identity and satisfies
-    body(embed_body(mb, n, m)) == mb.
+    ``mb`` has shape (nt|0), nt = max(n, m).  The complementary block is
+    (tr(mb)/nt) times the identity.  This sends the body identity to the
+    full identity and satisfies body(embed_body(mb, n, m)) == mb.
     """
     first = body_block_is_first(n, m)
     nt = max(n, m)
-    if mb.size != nt:
-        raise ValueError(f"body matrix has size {mb.size}, expected {nt}")
+    if (mb.n, mb.m) != (nt, 0):
+        raise ValueError(f"body matrix has shape ({mb.n}|{mb.m}), expected ({nt}|0)")
     off = 0 if first else n
-    triples = [
-        (off + i, off + j, x)
-        for i, row in enumerate(mb.entries)
-        for j, x in enumerate(row)
-    ]
+    triples = [(off + i, off + j, x) for i, j, x in mb.nonzeros()]
     scal = mb.trace() / nt
     coff = n if first else 0
     triples += [(coff + i, coff + i, scal) for i in range(min(n, m))]

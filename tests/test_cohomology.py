@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from types import SimpleNamespace
 
@@ -12,7 +14,6 @@ from gradedmat.cohomology import (
     EMPTY_DEGREE_LABELS,
     HELD_LABELS_CAP,
     CertificateError,
-    ChainDegreeData,
     DifferentialTooLarge,
     betti_numbers,
     body_h_map_injective,
@@ -31,7 +32,7 @@ from gradedmat.cohomology import (
     ordinary_sl_basis,
 )
 from gradedmat.constants import compute_constants, constants_for
-from gradedmat.formspace import FormBasis, LinearMapMatrix, basis_form
+from gradedmat.formspace import FormBasis, LinearMapMatrix, basis_form, d_matrix
 from gradedmat.forms import (
     DerivationVector,
     GradedForm,
@@ -39,8 +40,7 @@ from gradedmat.forms import (
     interior_product,
 )
 from gradedmat.indexset import enumerate_multi_indices, index_count
-from gradedmat.linalg import SparseEchelon, sparse_row_from_fractions
-from gradedmat.scalars import Scalar
+from gradedmat.linalg import SparseEchelon
 from tests.test_forms import rand_form
 
 
@@ -295,11 +295,28 @@ def test_cocycle_representatives_span_cohomology(name, request):
             for col in differential_matrix(sc, p - 1).matrix.columns:
                 ech.add_row(col)
         for vec in reps:
-            assert len(vec) == data.dim
-            sparse = {i: Scalar.of(x) for i, x in enumerate(vec) if x}
-            assert data.matrix.apply(sparse) == {}, (name, p)
-            row = sparse_row_from_fractions({i: x for i, x in enumerate(vec) if x})
-            assert ech.add_row(row), (name, p)
+            assert all(0 <= j < data.dim for j in vec)
+            assert data.matrix.apply(vec) == {}, (name, p)
+            assert ech.add_row(vec), (name, p)
+
+
+@pytest.mark.parametrize("name, p", [("sc21", 3), ("sc12", 3), ("sc31", 3)])
+def test_cocycle_representatives_are_integer_cocycles_of_d_p(name, p, request):
+    sc = request.getfixturevalue(name)
+    data = differential_matrix(sc, p)
+    reps = cocycle_representatives(sc, p)
+    assert len(reps) == 1
+    for vec in reps:
+        # nonzero ints at zero-weight positions of degree p, content cleared
+        assert vec and all(type(v) is int and v for v in vec.values())
+        assert set(vec) <= set(data.zero_cols)
+        assert math.gcd(*vec.values()) == 1
+        # d_p kills it exactly: the integer numerators sum to 0 in every row
+        image = {}
+        for j, x in vec.items():
+            for i, v in data.matrix.columns[j].items():
+                image[i] = image.get(i, 0) + x * v
+        assert not any(image.values()), (name, p)
 
 
 @pytest.mark.parametrize("name", ["sc21", "sc12_adapted"])
@@ -385,14 +402,10 @@ def test_certified_ranks_equal_full_elimination(name, top, request):
         for j, lab in enumerate(data.matrix.basis):
             blocks.setdefault(weight_of_label(sc, lab), []).append(j)
         got = {tuple(cohomology._decode(code, k)): r
-               for code, r in data.weight_ranks().items()}
+               for code, r in data.weight_ranks.items()}
         assert set(got) == set(blocks)
         for wt, cols in blocks.items():
-            block = LinearMapMatrix(
-                data.matrix.basis.restrict(cols), data.matrix.nrows,
-                [data.matrix.columns[j] for j in cols], data.matrix.den,
-            )
-            assert got[wt] == block.rank(), (name, p, wt)
+            assert got[wt] == column_block(data.matrix, cols).rank(), (name, p, wt)
 
 
 def test_closed_form_contraction_matches_interior_product(sc21):
@@ -419,15 +432,32 @@ def test_closed_form_contraction_matches_interior_product(sc21):
     assert checked == 2 * (72 + 288 + 792)
 
 
+def column_block(mat, cols):
+    """``mat`` on the columns ``cols``."""
+    return LinearMapMatrix(mat.basis.restrict(cols), mat.nrows,
+                           [mat.columns[j] for j in cols], mat.den)
+
+
 def mutated(data, j, i, value):
-    """A copy of ``data`` whose column j holds the numerator ``value`` at row i."""
+    """d_p of ``data`` with the numerator ``value`` at row i of column j."""
     cols = list(data.matrix.columns)
     cols[j] = dict(cols[j])
     cols[j][i] = value
     if not value:
         del cols[j][i]  # columns hold nonzero numerators only
-    mat = LinearMapMatrix(data.matrix.basis, data.matrix.nrows, cols, data.matrix.den)
-    return ChainDegreeData(data.p, mat, data.sc)
+    return LinearMapMatrix(data.matrix.basis, data.matrix.nrows, cols, data.matrix.den)
+
+
+def certify(sc, p, mat):
+    """The certificate of ``mat`` as d_p against the certified degree p-1."""
+    prev = differential_matrix(sc, p - 1) if p else None
+    return cohomology._certified_ranks(sc, p, mat, prev)
+
+
+def certified_rank(sc, p, mat):
+    """The rank of ``mat`` from the certificate and the zero-block elimination."""
+    zero_cols, ranks = certify(sc, p, mat)
+    return sum(ranks.values()) + column_block(mat, zero_cols).rank()
 
 
 @settings(max_examples=30, deadline=None)
@@ -445,7 +475,7 @@ def test_changing_one_entry_of_a_column_fails_the_certificate(
     other = [i for i, lab in enumerate(out) if weight_of_label(sc21, lab) != weight]
     i = data.draw(st.sampled_from(other), label="foreign row")
     with pytest.raises(CertificateError, match="outside the column's weight"):
-        mutated(chain, j, i, den).weight_ranks()
+        certify(sc21, p, mutated(chain, j, i, den))
     if any(weight):
         h, _ = first_contracting_element(sc21, weight)
         key, r, c = chain.matrix.basis[j]
@@ -463,10 +493,12 @@ def test_changing_one_entry_of_a_column_fails_the_certificate(
             delta = data.draw(st.sampled_from([den, -den, den // 2]),
                               label="delta")
             with pytest.raises(CertificateError, match=f"d at degree {p}, column"):
-                mutated(chain, j, i, col[i] + delta).weight_ranks()
-    # the unmutated degree still certifies
-    assert sum(ChainDegreeData(p, chain.matrix, sc21)
-               .weight_ranks().values()) == chain.matrix.rank()
+                certify(sc21, p, mutated(chain, j, i, col[i] + delta))
+    # the unmutated degree still certifies, to the record's ranks
+    zero_cols, ranks = certify(sc21, p, chain.matrix)
+    assert zero_cols == chain.zero_cols
+    assert ranks == {w: r for w, r in chain.weight_ranks.items() if w}
+    assert certified_rank(sc21, p, chain.matrix) == chain.matrix.rank()
 
 
 def test_the_homotopy_check_reads_the_terms_that_must_cancel(sc21):
@@ -488,7 +520,7 @@ def test_the_homotopy_check_reads_the_terms_that_must_cancel(sc21):
                 continue
             i = cancelling[0]
             with pytest.raises(CertificateError, match="i_h d \\+ d i_h"):
-                mutated(chain, j, i, col[i] + chain.matrix.den).weight_ranks()
+                certify(sc21, p, mutated(chain, j, i, col[i] + chain.matrix.den))
             tried += 1
             if tried == 8:
                 break
@@ -515,10 +547,10 @@ def test_a_changed_entry_that_passes_the_certificate_keeps_the_rank_exact(
     delta = data.draw(st.sampled_from([den, -den, den // 2]), label="delta")
     changed = mutated(chain, j, i, old + delta)
     try:
-        got = changed.rank()
+        got = certified_rank(sc21, p, changed)
     except CertificateError:
         return
-    assert got == changed.matrix.rank()
+    assert got == changed.rank()
 
 
 def test_the_certificate_refuses_d_over_another_denominator():
@@ -531,20 +563,46 @@ def test_the_certificate_refuses_d_over_another_denominator():
         mat.basis, mat.nrows,
         [{i: 2 * v for i, v in col.items()} for col in mat.columns], 2 * mat.den,
     )
-    sc.cache[("differential", 0)] = ChainDegreeData(0, doubled, sc)
     with pytest.raises(CertificateError, match="denominator 2, d at degree 0 over 4"):
-        differential_matrix(sc, 1).weight_ranks()
+        cohomology._certified_ranks(
+            sc, 1, d_matrix(sc, 1), dataclasses.replace(prev, matrix=doubled)
+        )
+    assert certify(sc, 1, d_matrix(sc, 1))
 
 
 def test_one_zero_block_per_degree(sc21):
     data = differential_matrix(sc21, 3)
-    block = data.zero_block()
-    assert data.zero_block() is block
+    assert differential_matrix(sc21, 3) is data
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.zero_block = None
+    block = data.zero_block
     assert block.den == data.matrix.den
     assert block.columns == [data.matrix.columns[j] for j in data.zero_cols]
     rows = block.int_rows()
     assert len(cocycle_representatives(sc21, 3)) == 1
-    assert data.zero_block().int_rows() is rows
+    assert data.zero_block.int_rows() is rows
+
+
+def test_a_failed_certificate_caches_nothing(monkeypatch):
+    # flipped contraction signs of 3-tuples fail the certificate of d_2
+    real = cohomology._contractions
+
+    def flipped(sc, q):
+        got = real(sc, q)
+        if q != 3:
+            return got
+        return [{h: (i, -sign) for h, (i, sign) in t.items()} for t in got]
+
+    monkeypatch.setattr(cohomology, "_contractions", flipped)
+    sc = constants_for(2, 1)
+    for _ in range(2):
+        with pytest.raises(CertificateError, match="d at degree 2, column"):
+            differential_matrix(sc, 2).rank()
+        assert ("differential", 2) not in sc.cache
+        assert ("differential", 1) in sc.cache
+    # with the fault gone the degree is built afresh, not read back
+    monkeypatch.undo()
+    assert differential_matrix(sc, 2).rank() == 224
 
 
 def test_a_basis_element_that_is_not_a_weight_vector_is_refused():
@@ -554,10 +612,10 @@ def test_a_basis_element_that_is_not_a_weight_vector_is_refused():
     basis = HomogeneousBasis(2, 1, elements, std.parities)
     basis.validate()
     sc = compute_constants(basis)
-    data = differential_matrix(sc, 1)
     with pytest.raises(ValueError, match="basis element 0 is not a weight vector"):
-        data.rank()
-    assert data.matrix.rank() == 64
+        differential_matrix(sc, 1)
+    assert not any(key[0] == "differential" for key in sc.cache)
+    assert d_matrix(sc, 1).rank() == 64
 
 
 def test_failed_certificate_exits_1_naming_degree_and_label(monkeypatch, capsys):

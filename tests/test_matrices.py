@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedmat.matrices import (
-    BodyMatrix,
     GradedMatrix,
     body,
     embed_body,
@@ -88,7 +87,7 @@ def test_body_round_trips():
     rng = random.Random(2)
     mat = random_matrix(rng, 2, 1)
     b = body(mat)
-    assert isinstance(b, BodyMatrix)
+    assert (b.n, b.m) == (2, 0)
     back = embed_body(b, 2, 1)
     assert body(back) == b
     # dominant block copied, complementary block is (tr/2) times identity
@@ -109,8 +108,19 @@ def test_body_round_trips():
 def test_body_picks_larger_block():
     mat = GradedMatrix.unit(1, 2, 1, 2)
     b = body(mat)
-    assert b.as_graded().size == 2
-    assert b[0, 1] == ONE
+    assert b == GradedMatrix.unit(2, 0, 0, 1)
+    assert embed_body(b, 1, 2) == GradedMatrix.unit(1, 2, 1, 2)
+
+
+def test_body_is_refused_at_n_equal_m_and_embed_body_checks_the_shape():
+    with pytest.raises(ValueError, match="undefined for n == m"):
+        body(GradedMatrix.identity(2, 2))
+    with pytest.raises(ValueError, match="undefined for n == m"):
+        embed_body(GradedMatrix.identity(2, 0), 2, 2)
+    with pytest.raises(ValueError, match=r"shape \(2\|1\), expected \(2\|0\)"):
+        embed_body(GradedMatrix.identity(2, 1), 2, 1)
+    with pytest.raises(ValueError, match=r"shape \(3\|0\), expected \(2\|0\)"):
+        embed_body(GradedMatrix.identity(3, 0), 1, 2)
 
 
 # ---- zero fast paths against the dense definitions --------------------
