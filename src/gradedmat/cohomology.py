@@ -242,15 +242,18 @@ def _tuple_weights(sc: StructureConstants, q: int) -> List[int]:
 
 
 def _cartan_elements(sc: StructureConstants) -> List[Tuple[int, List[Fraction]]]:
-    """(index, diagonal) of each diagonal basis element."""
-    out = []
-    for a, e in enumerate(sc.basis.elements):
-        if all(r == c for r, c, _ in e.nonzeros()):
-            diag = [Fraction(0)] * (sc.n + sc.m)
-            for r, _, v in e.nonzeros():
-                diag[r] = v.as_fraction()
-            out.append((a, diag))
-    return out
+    """(index, diagonal) of each diagonal basis element, kept in ``sc.cache``."""
+    got = sc.cache.get(("cartan_elements",))
+    if got is None:
+        got = []
+        for a, e in enumerate(sc.basis.elements):
+            if all(r == c for r, c, _ in e.nonzeros()):
+                diag = [Fraction(0)] * (sc.n + sc.m)
+                for r, _, v in e.nonzeros():
+                    diag[r] = v.as_fraction()
+                got.append((a, diag))
+        sc.cache[("cartan_elements",)] = got
+    return got
 
 
 def _contracting_element(

@@ -200,47 +200,22 @@ def verify_appendix(sc: StructureConstants) -> VerificationReport:
     sq = (sc.n - sc.m) ** 2
 
     # --- parity selection ------------------------------------------------
-    bad = None
-    for (a, b), row in sc.c.items():
-        for cc in row:
-            if (degs[a] + degs[b] + degs[cc]) % 2:
-                bad = f"c[{a},{b}]^{cc}"
-                break
-        if bad:
-            break
-    rep.add("parity selection for bracket constants", bad is None, bad)
-
-    bad = None
-    for (a, b), row in sc.d.items():
-        for cc in row:
-            if (degs[a] + degs[b] + degs[cc]) % 2:
-                bad = f"d[{a},{b}]^{cc}"
-                break
-        if bad:
-            break
-    rep.add("parity selection for anticommutator constants", bad is None, bad)
-
-    bad = None
-    for a in range(k):
-        for b in range(k):
-            if sc.g[a][b] and (degs[a] + degs[b]) % 2:
-                bad = f"g[{a},{b}] = {sc.g[a][b]}"
-                break
-        if bad:
-            break
-    rep.add("parity selection for unit pairing", bad is None, bad)
+    for t, label, tensor in (("c", "bracket", sc.c), ("d", "anticommutator", sc.d)):
+        rep.check(f"parity selection for {label} constants", (
+            f"{t}[{a},{b}]^{cc}" for (a, b), row in tensor.items() for cc in row
+            if (degs[a] + degs[b] + degs[cc]) % 2
+        ))
+    rep.check("parity selection for unit pairing", (
+        f"g[{a},{b}] = {sc.g[a][b]}" for a in range(k) for b in range(k)
+        if sc.g[a][b] and (degs[a] + degs[b]) % 2
+    ))
 
     # --- graded trace sums ----------------------------------------------
     for label, tensor in (("bracket", sc.c), ("anticommutator", sc.d)):
-        bad = None
-        for a in range(k):
-            s = ZERO
-            for b in range(k):
-                s = s + Scalar.of(_sign(degs[b])) * tensor.get((a, b), {}).get(b, ZERO)
-            if s:
-                bad = f"index {a}: sum = {s}"
-                break
-        rep.add(f"graded trace of {label} constants vanishes", bad is None, bad)
+        sums = (sum((Scalar.of(_sign(degs[b])) * tensor.get((a, b), {}).get(b, ZERO)
+                     for b in range(k)), ZERO) for a in range(k))
+        rep.check(f"graded trace of {label} constants vanishes",
+                  (f"index {a}: sum = {s}" for a, s in enumerate(sums) if s))
 
     # --- total graded symmetry of lowered tensors -----------------------
     c_low = _lowered(sc.c, sc.g)
@@ -254,12 +229,10 @@ def verify_appendix(sc: StructureConstants) -> VerificationReport:
     rep.add(*_quadratic_relations(sc, degs))
 
     # --- Killing expressions --------------------------------------------
-    for res in _killing_checks(sc, degs, sq):
-        rep.add(*res)
+    _killing_checks(rep, sc, degs, sq)
 
     # --- pairing-contracted sums vanish ---------------------------------
     for label, tensor in (("bracket", sc.c), ("anticommutator", sc.d)):
-        bad = None
         acc = [ZERO] * k
         for (b, cc), row in tensor.items():
             gv = sc.g_inv[b][cc]
@@ -267,21 +240,14 @@ def verify_appendix(sc: StructureConstants) -> VerificationReport:
                 continue
             for aa, v in row.items():
                 acc[aa] = acc[aa] + gv * v
-        for aa in range(k):
-            if acc[aa]:
-                bad = f"target index {aa}: sum = {acc[aa]}"
-                break
-        rep.add(
-            f"pairing-contracted {label} constants vanish", bad is None, bad
-        )
+        rep.check(f"pairing-contracted {label} constants vanish",
+                  (f"target index {aa}: sum = {x}" for aa, x in enumerate(acc) if x))
 
     # --- Casimir-type sums ----------------------------------------------
-    for res in _casimir_checks(sc, degs, sq):
-        rep.add(*res)
+    _casimir_checks(rep, sc, degs, sq)
 
     # --- quartic recoupling contractions --------------------------------
-    for res in _quartic_checks(sc, degs, sq):
-        rep.add(*res)
+    _quartic_checks(rep, sc, degs, sq)
 
     return rep
 
@@ -356,91 +322,59 @@ def _quadratic_relations(sc: StructureConstants, degs) -> Tuple[str, bool, Optio
     return name, True, None
 
 
-def _killing_checks(sc: StructureConstants, degs, sq: int):
+def _killing_checks(rep: VerificationReport, sc: StructureConstants, degs, sq: int):
     k = sc.dim
+    pairs = [(a, b) for a in range(k) for b in range(k)]
+
+    def graded_sum(terms) -> Scalar:
+        return sum((Scalar.of(_sign(degs[cc])) * v for cc, v in terms), ZERO)
+
     # operator supertrace of composed brackets, computed from the adjoint
     # matrices: an independent route to the Killing matrix
-    results = []
     ad = [sc.ad_matrix(a) for a in range(k)]
-    bad = None
-    for a in range(k):
-        for b in range(k):
-            tr = ZERO
-            for cc in range(k):
-                s = ZERO
-                for e in range(k):
-                    s = s + ad[a][cc][e] * ad[b][e][cc]
-                tr = tr + Scalar.of(_sign(degs[cc])) * s
-            if tr != sc.killing[a][b]:
-                bad = f"({a},{b}): operator trace {tr} != {sc.killing[a][b]}"
-                break
-        if bad:
-            break
-    results.append(("Killing matrix equals graded operator trace of double bracket",
-                    bad is None, bad))
 
-    bad = None
-    nm = sc.n - sc.m
-    for a in range(k):
-        for b in range(k):
-            st = (sc.basis.elements[a] @ sc.basis.elements[b]).supertrace()
-            if Scalar.of(2 * nm) * st != sc.killing[a][b]:
-                bad = f"({a},{b}): 2(n-m)*str = {Scalar.of(2 * nm) * st}"
-                break
-        if bad:
-            break
-    results.append(("Killing matrix equals 2(n-m) times supertrace of products",
-                    bad is None, bad))
+    def operator_trace(a, b) -> Scalar:
+        return graded_sum((cc, sum((ad[a][cc][e] * ad[b][e][cc] for e in range(k)), ZERO))
+                          for cc in range(k))
+
+    rep.check("Killing matrix equals graded operator trace of double bracket", (
+        f"({a},{b}): operator trace {tr} != {sc.killing[a][b]}"
+        for a, b in pairs if (tr := operator_trace(a, b)) != sc.killing[a][b]
+    ))
+
+    twice = Scalar.of(2 * (sc.n - sc.m))
+    rep.check("Killing matrix equals 2(n-m) times supertrace of products", (
+        f"({a},{b}): 2(n-m)*str = {st}" for a, b in pairs
+        if (st := twice * (sc.basis.elements[a] @ sc.basis.elements[b]).supertrace())
+        != sc.killing[a][b]
+    ))
+
+    def contraction(row, a, b) -> Scalar:
+        # sum over D, C of (-1)^|C| t_AD^C t_BC^D
+        return graded_sum((cc, v1 * v2) for dd in range(k)
+                          for cc, v1 in row(a, dd).items()
+                          if (v2 := row(b, cc).get(dd)))
 
     # contraction of two bracket tensors
-    bad = None
-    for a in range(k):
-        for b in range(k):
-            s = ZERO
-            for dd in range(k):
-                for cc, v1 in sc.c_row(a, dd).items():
-                    v2 = sc.c_row(b, cc).get(dd)
-                    if v2:
-                        s = s + Scalar.of(_sign(degs[cc])) * v1 * v2
-            if s != sc.killing[a][b]:
-                bad = f"({a},{b}): contraction {s} != {sc.killing[a][b]}"
-                break
-        if bad:
-            break
-    results.append(("Killing matrix equals graded double contraction of bracket constants",
-                    bad is None, bad))
+    rep.check("Killing matrix equals graded double contraction of bracket constants", (
+        f"({a},{b}): contraction {s} != {sc.killing[a][b]}"
+        for a, b in pairs if (s := contraction(sc.c_row, a, b)) != sc.killing[a][b]
+    ))
 
     # contraction of two anticommutator tensors, scaled; the prefactor is
     # undefined at (n-m)^2 = 4, where the check is skipped with a note
+    name = "Killing matrix equals scaled anticommutator contraction"
     if sq == 4:
-        results.append((
-            "Killing matrix equals scaled anticommutator contraction",
-            True,
-            None,
-            "skipped: prefactor undefined at (n-m)^2 = 4",
-        ))
+        rep.add(name, True, None, "skipped: prefactor undefined at (n-m)^2 = 4")
     else:
-        bad = None
         factor = Scalar.of(sq) / (sq - 4)
-        for a in range(k):
-            for b in range(k):
-                s = ZERO
-                for dd in range(k):
-                    for cc, v1 in sc.d_row(a, dd).items():
-                        v2 = sc.d_row(b, cc).get(dd)
-                        if v2:
-                            s = s + Scalar.of(_sign(degs[cc])) * v1 * v2
-                if factor * s != sc.killing[a][b]:
-                    bad = f"({a},{b}): scaled contraction {factor * s}"
-                    break
-            if bad:
-                break
-        results.append(("Killing matrix equals scaled anticommutator contraction",
-                        bad is None, bad))
-    return results
+        rep.check(name, (
+            f"({a},{b}): scaled contraction {s}" for a, b in pairs
+            if (s := factor * contraction(sc.d_row, a, b)) != sc.killing[a][b]
+        ))
 
 
-def _casimir_checks(sc: StructureConstants, degs, sq: int):
+def _casimir_checks(rep: VerificationReport, sc: StructureConstants, degs, sq: int):
     k = sc.dim
     cT = _transpose_last(sc.c)
     dT = _transpose_last(sc.d)
@@ -467,7 +401,6 @@ def _casimir_checks(sc: StructureConstants, degs, sq: int):
                             acc[aa][b] = acc[aa][b] + gv1 * v2
         return acc
 
-    results = []
     cases = [
         ("bracket-bracket Casimir sum", sc.c, cT, Scalar.of(sq)),
         ("bracket-anticommutator Casimir sum", sc.c, dT, ZERO),
@@ -475,20 +408,13 @@ def _casimir_checks(sc: StructureConstants, degs, sq: int):
     ]
     for name, x, yT, scale in cases:
         acc = contraction(x, yT)
-        bad = None
-        for aa in range(k):
-            for b in range(k):
-                want = scale if aa == b else ZERO
-                if acc[aa][b] != want:
-                    bad = f"({aa},{b}): {acc[aa][b]} != {want}"
-                    break
-            if bad:
-                break
-        results.append((name, bad is None, bad))
-    return results
+        rep.check(name, (
+            f"({aa},{b}): {acc[aa][b]} != {want}" for aa in range(k) for b in range(k)
+            if acc[aa][b] != (want := scale if aa == b else ZERO)
+        ))
 
 
-def _quartic_checks(sc: StructureConstants, degs, sq: int):
+def _quartic_checks(rep: VerificationReport, sc: StructureConstants, degs, sq: int):
     k = sc.dim
 
     def run(x, y, z, target, scale) -> Optional[str]:
@@ -564,8 +490,5 @@ def _quartic_checks(sc: StructureConstants, degs, sq: int):
         ("quartic recoupling of three anticommutators", sc.d, sc.d, sc.d, sc.d,
          Scalar.of(sq - 12) / 2),
     ]
-    results = []
     for name, x, y, z, target, scale in cases:
-        bad = run(x, y, z, target, scale)
-        results.append((name, bad is None, bad))
-    return results
+        rep.check(name, [run(x, y, z, target, scale)])

@@ -251,6 +251,18 @@ class GradedForm:
     def coefficient(self, key: IndexTuple) -> GradedMatrix:
         return self.coeffs.get(tuple(key), GradedMatrix.zero(self.n, self.m))
 
+    def is_nonzero_multiple_of(self, ref: "GradedForm") -> bool:
+        """Whether this form is c ref for a nonzero scalar c.
+
+        c is read off at the first nonzero entry of ``ref``, where ``ref`` is
+        sure to be nonzero; a zero ``ref`` has no nonzero multiple.
+        """
+        for key, mat in ref.coeffs.items():
+            r, c, x = mat.nonzeros()[0]
+            ratio = self.coefficient(key)[r, c] / x
+            return bool(ratio) and self == ref.scale(ratio)
+        return False
+
     def parity_parts(self) -> Tuple["GradedForm", "GradedForm"]:
         """Split into (even, odd) by total parity of coefficient and key."""
         ev: Dict[IndexTuple, GradedMatrix] = {}

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 
 @dataclass
@@ -31,6 +31,16 @@ class VerificationReport:
         res = CheckResult(name, bool(passed), counterexample, note)
         self.checks.append(res)
         return res
+
+    def check(self, name: str, cases: Iterable[Optional[str]],
+              note: str | None = None) -> CheckResult:
+        """Add ``name``, failing with the first counterexample in ``cases``.
+
+        ``cases`` yields None for each case that holds; it is read no further
+        than the first counterexample.
+        """
+        bad = next((c for c in cases if c is not None), None)
+        return self.add(name, bad is None, bad, note)
 
     @property
     def passed(self) -> bool:

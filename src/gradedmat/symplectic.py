@@ -171,12 +171,4 @@ def closed_invariant_even_two_forms(sc: StructureConstants) -> List[GradedForm]:
 def symplectic_uniqueness_holds(sc: StructureConstants) -> bool:
     """The closed invariant even 2-forms are exactly the multiples of dTheta."""
     space = closed_invariant_even_two_forms(sc)
-    if len(space) != 1:
-        return False
-    ref = canonical_two_form(sc)
-    gen = space[0]
-    for key, mat in ref.coeffs.items():
-        r, c, x = mat.nonzeros()[0]
-        ratio = gen.coefficient(key)[r, c] / x
-        return bool(ratio) and gen == ref.scale(ratio)
-    return False
+    return len(space) == 1 and space[0].is_nonzero_multiple_of(canonical_two_form(sc))

@@ -34,26 +34,33 @@ from gradedmat.formspace import (
     vector_to_form,
 )
 from gradedmat.forms import (
-    DerivationVector,
-    GradedForm,
     canonical_one_form,
-    derivation_bracket,
     exterior_derivative,
     exterior_derivative_generators,
-    frame_form,
-    frame_forms_from_differentials,
-    interior_product,
-    lie_derivative,
-    wedge,
 )
-from gradedmat.matrices import GradedMatrix, graded_commutator
 from gradedmat.sampling import random_even_invertible, random_form
-from gradedmat.scalars import Scalar
 from gradedmat.symplectic import (
     analyze,
     canonical_two_form,
     is_symplectic,
     symplectic_uniqueness_holds,
+)
+from gradedmat.verify import (
+    canonical_line,
+    contraction_anticommutation,
+    contraction_leibniz,
+    d_commutes_with_lie,
+    d_leibniz,
+    d_squared,
+    element_structure_equation,
+    frame_inversion,
+    hamiltonian_scaling,
+    homotopy_formula,
+    lie_leibniz,
+    mixed_relation,
+    poisson_commutator,
+    structure_equation,
+    theta_invariance,
 )
 from tests.test_bundles import brute_force_free, idempotent_cover_connection
 from tests.test_formspace import column_values
@@ -89,6 +96,7 @@ def test_criterion_2_cartan_calculus(sc21):
     failures = []
     rng = random.Random(0)
     dim = sc21.dim
+    gen = exterior_derivative_generators
 
     # d squares to zero on every theta-monomial basis form of degree <= 3.
     # The generator route carries the full sweep.  The cached differential
@@ -100,11 +108,7 @@ def test_criterion_2_cartan_calculus(sc21):
     # each other at the one degree where only the sweep's inner step runs.
     for p in range(0, 4):
         for lab in FormBasis(sc21, p):
-            w = basis_form(sc21, lab)
-            dd = exterior_derivative_generators(
-                sc21, exterior_derivative_generators(sc21, w)
-            )
-            if not dd.is_zero():
+            if d_squared(sc21, basis_form(sc21, lab), gen):
                 failures.append(f"d.d != 0 (generators) at {lab}")
     for p in range(0, 3):
         outer = differential_matrix(sc21, p + 1).matrix
@@ -131,14 +135,7 @@ def test_criterion_2_cartan_calculus(sc21):
         for _ in range(20):
             w = random_form(rng, sc21, p, parity=rng.randint(0, 1))
             a = rng.randrange(dim)
-            da = DerivationVector.basis(sc21, a)
-            lhs = lie_derivative(
-                sc21, da, exterior_derivative_generators(sc21, w)
-            )
-            rhs = exterior_derivative_generators(
-                sc21, lie_derivative(sc21, da, w)
-            )
-            if lhs != rhs:
+            if d_commutes_with_lie(sc21, a, w, gen):
                 failures.append(f"L d != d L at p={p} a={a}")
 
     # contraction anticommutation, the homotopy formula, and the mixed
@@ -148,49 +145,21 @@ def test_criterion_2_cartan_calculus(sc21):
             wpar = rng.randint(0, 1)
             w = random_form(rng, sc21, p, parity=wpar)
             a, b = rng.randrange(dim), rng.randrange(dim)
-            da = DerivationVector.basis(sc21, a)
-            db = DerivationVector.basis(sc21, b)
-            pa, pb = sc21.parity(a), sc21.parity(b)
-            if p >= 2:
-                lhs = interior_product(da, interior_product(db, w))
-                rhs = interior_product(db, interior_product(da, w)).scale(
-                    1 if (pa and pb) else -1
-                )
-                if lhs != rhs:
-                    failures.append(f"contraction anticommutation p={p}")
-            lhs = interior_product(da, exterior_derivative_generators(sc21, w))
-            if p >= 1:
-                lhs = lhs + exterior_derivative_generators(
-                    sc21, interior_product(da, w)
-                )
-            rhs = lie_derivative(sc21, da, w).scale(-1 if (pa and wpar) else 1)
-            if lhs != rhs:
+            if p >= 2 and contraction_anticommutation(sc21, a, b, w):
+                failures.append(f"contraction anticommutation p={p}")
+            if homotopy_formula(sc21, a, w, wpar, gen):
                 failures.append(f"homotopy formula p={p} a={a}")
-            if p >= 1:
-                lhs = lie_derivative(sc21, da, interior_product(db, w)) - (
-                    interior_product(db, lie_derivative(sc21, da, w))
-                )
-                br = derivation_bracket(sc21, da, db)
-                rhs = interior_product(br, w).scale(-1 if (pa and wpar) else 1)
-                if lhs != rhs:
-                    failures.append(f"mixed relation p={p} a={a} b={b}")
+            if p >= 1 and mixed_relation(sc21, a, b, w, wpar):
+                failures.append(f"mixed relation p={p} a={a} b={b}")
 
-    # the same three relations on seeded basis monomials
+    # the homotopy formula on seeded basis monomials
     all_labels = [
         lab for p in range(1, 4) for lab in FormBasis(sc21, p)
     ]
     for lab in rng.sample(all_labels, 40):
         w = basis_form(sc21, lab)
-        p = len(lab[0])
-        wpar = w.homogeneous_parity()
         a = rng.randrange(dim)
-        da = DerivationVector.basis(sc21, a)
-        pa = sc21.parity(a)
-        lhs = interior_product(
-            da, exterior_derivative_generators(sc21, w)
-        ) + exterior_derivative_generators(sc21, interior_product(da, w))
-        rhs = lie_derivative(sc21, da, w).scale(-1 if (pa and wpar) else 1)
-        if lhs != rhs:
+        if homotopy_formula(sc21, a, w, w.homogeneous_parity(), gen):
             failures.append(f"homotopy formula at monomial {lab}")
 
     # the three Leibniz rules on 20 seeded homogeneous pairs per total
@@ -203,33 +172,12 @@ def test_criterion_2_cartan_calculus(sc21):
             w1 = random_form(rng, sc21, p1, parity=par1)
             w2 = random_form(rng, sc21, p2, parity=par2)
             a = rng.randrange(dim)
-            da = DerivationVector.basis(sc21, a)
-            pa = sc21.parity(a)
-            lhs = exterior_derivative_generators(sc21, wedge(w1, w2))
-            rhs = wedge(exterior_derivative_generators(sc21, w1), w2) + wedge(
-                w1, exterior_derivative_generators(sc21, w2)
-            ).scale((-1) ** p1)
-            if lhs != rhs:
+            if d_leibniz(sc21, w1, w2, gen):
                 failures.append(f"derivative Leibniz p1={p1} p2={p2}")
-            lhs = lie_derivative(sc21, da, wedge(w1, w2))
-            rhs = wedge(lie_derivative(sc21, da, w1), w2) + wedge(
-                w1, lie_derivative(sc21, da, w2)
-            ).scale(-1 if (pa and par1) else 1)
-            if lhs != rhs:
+            if lie_leibniz(sc21, a, w1, par1, w2):
                 failures.append(f"Lie Leibniz p1={p1} p2={p2} a={a}")
-            if total >= 1:
-                lhs = interior_product(da, wedge(w1, w2))
-                rhs = GradedForm.zero(sc21, total - 1)
-                if p1 >= 1:
-                    rhs = rhs + wedge(interior_product(da, w1), w2).scale(
-                        -1 if (pa and par2) else 1
-                    )
-                if p2 >= 1:
-                    rhs = rhs + wedge(w1, interior_product(da, w2)).scale(
-                        (-1) ** p1
-                    )
-                if lhs != rhs:
-                    failures.append(f"contraction Leibniz p1={p1} p2={p2}")
+            if contraction_leibniz(sc21, a, w1, w2, par2):
+                failures.append(f"contraction Leibniz p1={p1} p2={p2}")
 
     conclude(2, "Cartan calculus identities at (2|1)", failures, t0, 120)
 
@@ -263,37 +211,16 @@ def test_criterion_4_canonical_form_suite(sc21, sc31):
     failures = []
     for sc in (sc21, sc31):
         tag = f"({sc.n}|{sc.m})"
-        th = canonical_one_form(sc)
-        for a in range(sc.dim):
-            if not lie_derivative(sc, DerivationVector.basis(sc, a), th).is_zero():
-                failures.append(f"{tag} L_bd{a} Theta != 0")
-        dth = exterior_derivative(sc, th)
-        if dth != wedge(th, th):
-            failures.append(f"{tag} dTheta != Theta^Theta")
-        for a in range(sc.dim):
-            w = GradedForm.from_matrix(sc, sc.basis.elements[a])
-            if exterior_derivative(sc, w) != wedge(th, w) - wedge(w, th):
+        checks = [
+            theta_invariance(sc),
+            structure_equation(sc, exterior_derivative),
+            canonical_line(sc, invariant_forms(sc, 1)),
+            frame_inversion(sc),
+        ]
+        failures += [f"{tag} {bad}" for bad in checks if bad]
+        for a, mat in enumerate(sc.basis.elements):
+            if element_structure_equation(sc, mat, exterior_derivative):
                 failures.append(f"{tag} dE_{a} != [Theta, E_{a}]")
-        inv = invariant_forms(sc, 1)
-        if len(inv) != 1:
-            failures.append(f"{tag} invariant 1-forms have dimension {len(inv)}")
-        else:
-            key = next(iter(th.coeffs))
-            mat = th.coeffs[key]
-            r, c = next(
-                (r, c)
-                for r in range(mat.size)
-                for c in range(mat.size)
-                if mat.entries[r][c]
-            )
-            ratio = inv[0].coefficient(key).entries[r][c] / mat.entries[r][c]
-            if not ratio or inv[0] != th.scale(ratio):
-                failures.append(f"{tag} invariant 1-form is not a multiple "
-                                f"of Theta")
-        rec = frame_forms_from_differentials(sc)
-        for a in range(sc.dim):
-            if rec[a] != frame_form(sc, a):
-                failures.append(f"{tag} frame inversion missed theta^{a}")
     conclude(4, "canonical 1-form: invariance, structure equation, "
                 "uniqueness, frame inversion at (2|1) and (3|1)",
              failures, t0, 300)
@@ -359,26 +286,12 @@ def test_criterion_7_symplectic_structure(sc21):
     if not is_symplectic(sc21, omega):
         failures.append("dTheta not certified symplectic")
     for c in (1, 2, -3):
-        built, cert = analyze(sc21, omega.scale(c))
-        if built is None:
-            failures.append(f"{c}.dTheta not symplectic: {cert}")
-            continue
-        inv = Scalar.of(1) / Scalar.of(c)
-        for a in range(sc21.dim):
-            field = built.hamiltonian_field(sc21.basis.elements[a])
-            want = DerivationVector.basis(sc21, a).scale(inv)
-            if field.coords != want.coords:
-                failures.append(f"hamiltonian field c={c} a={a}")
-    built, _ = analyze(sc21, omega)
-    for a in range(sc21.dim):
-        for b in range(sc21.dim):
-            got = built.poisson_bracket(
-                sc21.basis.elements[a], sc21.basis.elements[b]
-            )
-            if got != graded_commutator(
-                sc21.basis.elements[a], sc21.basis.elements[b]
-            ):
-                failures.append(f"poisson bracket ({a},{b})")
+        bad = hamiltonian_scaling(sc21, omega, c)
+        if bad:
+            failures.append(f"hamiltonian field: {bad}")
+    bad = poisson_commutator(sc21, analyze(sc21, omega)[0])
+    if bad:
+        failures.append(f"poisson bracket {bad}")
     if not symplectic_uniqueness_holds(sc21):
         failures.append("closed invariant even 2-forms exceed the dTheta line")
     conclude(7, "symplectic certificate, Hamiltonian fields, Poisson "

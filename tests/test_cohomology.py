@@ -583,6 +583,22 @@ def test_one_zero_block_per_degree(sc21):
     assert data.zero_block.int_rows() is rows
 
 
+def test_cartan_elements_are_built_once_per_constants(monkeypatch):
+    real = cohomology._cartan_elements
+    seen = []
+
+    def spy(sc):
+        seen.append(real(sc))
+        return seen[-1]
+
+    monkeypatch.setattr(cohomology, "_cartan_elements", spy)
+    sc = constants_for(2, 0)
+    assert [data.p for data, _ in chain_degrees(sc, 50)] == list(range(51))
+    # read twice per degree, built once: every read returns the cached list
+    assert len(seen) == 102
+    assert all(got is sc.cache[("cartan_elements",)] for got in seen)
+
+
 def test_a_failed_certificate_caches_nothing(monkeypatch):
     # flipped contraction signs of 3-tuples fail the certificate of d_2
     real = cohomology._contractions
