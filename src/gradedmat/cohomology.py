@@ -9,16 +9,17 @@ is checked on each of its columns together with d_p d_(p-1) = 0, and
 contributes dim C^p_lambda minus the rank of d_(p-1) on it.  Both the
 certificate and the elimination read the integer numerators that
 ``formspace.d_matrix`` keeps over the kernel denominator, at positions of
-``formspace.FormBasis``: the certificate splits a position into its index
-tuple and matrix unit, and no list of labels is built.
+``formspace.FormBasis``, which owns the label weights: the certificate
+reads the weight of each index tuple and matrix unit off the bases.
 
 A degree is one frozen record, ``ChainDegreeData``, made by
 ``differential_matrix`` only once d_p was built, certified against the
-record of degree p-1 and its zero-weight block ranked; a degree that fails
-leaves nothing in the cache.  Every class of H^p lives in that block, so
-the integer cocycle representatives and the body map on cohomology read
-it alone.  The elimination of all of d_p (``LinearMapMatrix.rank``,
-``kernel``) is kept as the test oracle.
+record of degree p-1 and its zero-weight block (d_p's columns on
+``FormBasis.zero_weight()``) ranked; a degree that fails leaves nothing in
+the cache.  Every class of H^p lives in that block, so the integer cocycle
+representatives and the body map on cohomology read it alone.  The
+elimination of all of d_p (``LinearMapMatrix.rank``, ``kernel``) is kept
+as the test oracle.
 
 For cross-validation the module carries a small self-contained
 Chevalley-Eilenberg solver for ordinary Lie algebras (own elimination code
@@ -37,7 +38,9 @@ from . import linalg
 from .basis import body_adapted_basis
 from .constants import StructureConstants, compute_constants
 from .forms import DerivationVector, GradedForm
-from .formspace import FormBasis, LinearMapMatrix, basis_form, d_matrix, form_to_sparse
+from .formspace import (
+    FormBasis, LinearMapMatrix, _decode, basis_form, d_matrix, form_to_sparse,
+)
 from .indexset import index_count
 from .matrices import GradedMatrix, body, embed_body
 from .scalars import Scalar
@@ -82,14 +85,13 @@ class ChainDegreeData:
     against d_(p-1) (see "Weights and the Cartan homotopy" below).
     ``weight_ranks`` maps each weight code to the rank of d_p on the columns
     of that weight: the zero weight by elimination of ``zero_block``, d_p on
-    its zero-weight columns ``zero_cols``, every other weight from the
+    the basis ``matrix.basis.zero_weight()``, every other weight from the
     certificate.  So ``zero_block`` holds every class of H^p.
     ``matrix.rank()``, the elimination of all of d_p, is the test oracle.
     """
 
     p: int
     matrix: LinearMapMatrix
-    zero_cols: List[int]
     zero_block: LinearMapMatrix
     weight_ranks: Dict[int, int]
 
@@ -126,13 +128,14 @@ def differential_matrix(sc: StructureConstants, p: int) -> ChainDegreeData:
     if got is None:
         # held_labels rises with p, so d_p admitted admits d_(p-1)
         prev = differential_matrix(sc, p - 1) if p > 0 else None
-        mat = d_matrix(sc, p)
-        zero_cols, ranks = _certified_ranks(sc, p, mat, prev)
-        block = LinearMapMatrix(mat.basis.restrict(zero_cols), mat.nrows,
-                                [mat.columns[j] for j in zero_cols], mat.den)
-        if zero_cols:
+        mat = d_matrix(FormBasis(sc, p))
+        ranks = _certified_ranks(sc, p, mat, prev)
+        zero = mat.basis.zero_weight()
+        block = LinearMapMatrix(zero, mat.nrows,
+                                [mat.columns[j] for j in zero.positions], mat.den)
+        if block.columns:
             ranks[0] = block.rank()
-        got = ChainDegreeData(p, mat, zero_cols, block, ranks)
+        got = ChainDegreeData(p, mat, block, ranks)
         sc.cache[key] = got
     return got
 
@@ -161,13 +164,10 @@ def betti_numbers(sc: StructureConstants, max_p: int) -> List[int]:
 # Weights and the Cartan homotopy
 # ======================================================================
 #
-# Every basis element is a weight vector of the diagonal Cartan
-# subalgebra: the unit e_rc has weight eps_r - eps_c, a diagonal element
-# weight 0.  So the label (I, r, c), the form E_rc theta^I, has weight
-#   lambda = eps_r - eps_c - sum_(A in I) wt(E_A),
-# and d preserves it.  For a diagonal basis element h the graded Cartan
-# calculus gives L_h = d i_h + i_h d, and L_h acts on weight lambda as
-# lambda(h); here h is even, so
+# d preserves the weight of a label (``formspace``, "Label weights").  For
+# a diagonal basis element h the graded Cartan calculus gives
+# L_h = d i_h + i_h d, and L_h acts on weight lambda as lambda(h); here h
+# is even, so
 #   i_h (E_rc theta^I) = (-1)^j E_rc theta^(I without h)
 # for h at position j of I (only even entries precede it), and 0 when h
 # is not in I.  Where lambda(h) != 0, i_h / lambda(h) contracts the
@@ -187,58 +187,6 @@ def betti_numbers(sc: StructureConstants, max_p: int) -> List[int]:
 # inclusion, without which a wrong entry in a row the identity never reads
 # (a row whose tuple lacks h) could pass and leave the rank too low.  The
 # Betti numbers rest on the same composition.
-#
-# A weight is stored as one int code, sum_i lambda_i * 2^(16 i), so adding
-# weights adds codes; the coordinates of a label weight are bounded by its
-# degree plus one.
-
-_WEIGHT_BITS = 16
-
-
-def _unit_code(r: int, c: int) -> int:
-    return (1 << (_WEIGHT_BITS * r)) - (1 << (_WEIGHT_BITS * c))
-
-
-def _decode(code: int, size: int) -> List[int]:
-    """The coordinates over eps_0 .. eps_(size-1) of a weight code."""
-    half, mask = 1 << (_WEIGHT_BITS - 1), (1 << _WEIGHT_BITS) - 1
-    out = []
-    for _ in range(size):
-        x = code & mask
-        if x >= half:
-            x -= 1 << _WEIGHT_BITS
-        out.append(x)
-        code = (code - x) >> _WEIGHT_BITS
-    return out
-
-
-def _element_weights(sc: StructureConstants) -> List[int]:
-    """The weight code of each basis element, kept in ``sc.cache``.
-
-    Raises ValueError for an element whose nonzero entries sit at
-    positions of different weights.
-    """
-    got = sc.cache.get(("element_weights",))
-    if got is None:
-        got = []
-        for a, e in enumerate(sc.basis.elements):
-            codes = {_unit_code(r, c) for r, c, _ in e.nonzeros()}
-            if len(codes) != 1:
-                raise ValueError(f"basis element {a} is not a weight vector")
-            got.append(codes.pop())
-        sc.cache[("element_weights",)] = got
-    return got
-
-
-def _tuple_weights(sc: StructureConstants, q: int) -> List[int]:
-    """-sum wt(E_A) per tuple of ``FormBasis(sc, q).tuples``, kept in ``sc.cache``."""
-    key = ("tuple_weights", q)
-    got = sc.cache.get(key)
-    if got is None:
-        ew = _element_weights(sc)
-        got = [-sum(ew[A] for A in I) for I in FormBasis(sc, q).tuples]
-        sc.cache[key] = got
-    return got
 
 
 def _cartan_elements(sc: StructureConstants) -> List[Tuple[int, List[Fraction]]]:
@@ -291,8 +239,8 @@ def _contractions(sc: StructureConstants, q: int) -> List[Dict[int, Tuple[int, i
 def _certified_ranks(
     sc: StructureConstants, p: int, mat: LinearMapMatrix,
     prev: Optional[ChainDegreeData],
-) -> Tuple[List[int], Dict[int, int]]:
-    """The zero-weight columns of d_p = ``mat``, and its rank on each other weight.
+) -> Dict[int, int]:
+    """The rank of d_p = ``mat`` on each nonzero weight, by weight code.
 
     ``prev`` is the certified degree p-1 (None at p = 0).  Raises
     ``CertificateError`` naming the degree and label of the first column
@@ -301,10 +249,8 @@ def _certified_ranks(
     """
     k = sc.n + sc.m
     den = mat.den
-    basis, split = mat.basis, FormBasis(sc, p + 1).split
-    unit_w = [_unit_code(r, c) for r, c in basis.cells]
-    in_w = _tuple_weights(sc, p)
-    out_w = _tuple_weights(sc, p + 1)
+    basis, out = mat.basis, FormBasis(sc, p + 1)
+    (in_w, unit_w), (out_w, _), split = basis.weights(), out.weights(), out.split
     out_contr = _contractions(sc, p + 1)
     if p > 0:
         if prev.matrix.den != den:
@@ -320,7 +266,6 @@ def _certified_ranks(
 
     homotopy: Dict[int, Optional[Tuple[int, Fraction]]] = {}
     counts: Dict[int, int] = {}
-    zero_cols: List[int] = []
     for j, col in enumerate(mat.columns):
         t, u = basis.split(j)
         lam = in_w[t] + unit_w[u]
@@ -332,8 +277,6 @@ def _certified_ranks(
             if homotopy[lam] is None:
                 fail(j, f"no diagonal basis element acts on weight {_decode(lam, k)}")
             h, val = homotopy[lam]
-        else:
-            zero_cols.append(j)
         # i_h (d_p x), in ints over den; on weight 0 (h None) only the
         # weight of each row is checked
         acc: Dict[int, int] = {}
@@ -370,7 +313,7 @@ def _certified_ranks(
                 )
     ranks = {lam: dim - (prev.weight_ranks.get(lam, 0) if p > 0 else 0)
              for lam, dim in counts.items() if lam}
-    return zero_cols, ranks
+    return ranks
 
 
 # ======================================================================
@@ -654,7 +597,7 @@ def cocycle_representatives(sc: StructureConstants, p: int) -> List[linalg.Spars
     """
     data = differential_matrix(sc, p)
     cocycles = [
-        linalg.sparse_row_from_fractions(dict(zip(data.zero_cols, vec)))
+        linalg.sparse_row_from_fractions(dict(zip(data.zero_block.basis.positions, vec)))
         for vec in data.zero_block.kernel()
     ]
     return [cocycles[t] for t in _independent_modulo_image(sc, p, cocycles)]

@@ -3,21 +3,24 @@
 A degree-p form is determined by one matrix per canonical index tuple, so
 the p-forms have a basis labeled (index tuple I, row r, column c), the form
 E_rc theta^I.  ``FormBasis`` is that basis and the only code that knows its
-order: index-tuple major, matrix units row major.  Label (I, r, c) sits at
-position t * (n+m)^2 + u for I the t-th canonical tuple and u = r * (n+m)
-+ c, the unit numbering of the kernel tables of ``forms``.  Positions are
-computed from one cached tuple list per degree; no list of labels is built.
+order and its label weights: index-tuple major, matrix units row major.
+Label (I, r, c) sits at position t * (n+m)^2 + u for I the t-th canonical
+tuple and u = r * (n+m) + c, the unit numbering of the kernel tables of
+``forms``.  Positions and weights are computed from one cached tuple list
+per degree; no list of labels is built.  A basis holds every label of its
+degree or, by ``zero_weight``, those of weight 0.
 
 A ``LinearMapMatrix`` holds its column basis, its row count and integer
-numerators over one denominator ``den``.  The matrices of d_p and of the
-basis Lie derivatives are written column by column straight from the
-structure constants (``d_matrix``, ``lie_matrix``): each column is summed
-in ints from the kernel tables of ``forms``, and those sums are kept as
-they are, over the table denominator.  Form coefficients are read through
-their sparse triples.  ``matrix_of_map`` runs any form-level map over the
-basis instead and puts the images over the lcm of their denominators;
-with ``exterior_derivative`` and ``lie_derivative`` it is the oracle the
-tests hold the column kernel to.
+numerators over one denominator ``den``.  The matrices of d and of the
+basis Lie derivatives on any ``FormBasis``, with every label of the output
+degree as rows, are written column by column straight from the structure
+constants (``d_matrix``, ``lie_matrix``): each column is summed in ints
+from the kernel tables of ``forms``, and those sums are kept as they are,
+over the table denominator.  Form coefficients are read through their
+sparse triples.  ``matrix_of_map`` runs any
+form-level map over the basis instead and puts the images over the lcm of
+their denominators; with ``exterior_derivative`` and ``lie_derivative`` it
+is the oracle the tests hold the column kernel to.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from . import linalg
 from .constants import StructureConstants
 from .forms import GradedForm, _add, _d_tuple, _kernel_tables
-from .indexset import canonicalize, enumerate_multi_indices, tuple_parity
+from .indexset import canonicalize, enumerate_multi_indices
 from .matrices import GradedMatrix
 from .scalars import Scalar
 
@@ -44,16 +47,64 @@ def _unit_cells(k: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(divmod(u, k) for u in range(k * k))  # (r, c) of unit u
 
 
+# ======================================================================
+# Label weights
+# ======================================================================
+#
+# Every basis element is a weight vector of the diagonal Cartan
+# subalgebra: the unit e_rc has weight eps_r - eps_c, a diagonal element
+# weight 0.  So the label (I, r, c), the form E_rc theta^I, has weight
+#   lambda = eps_r - eps_c - sum_(A in I) wt(E_A),
+# d preserves it and L_a adds the weight of E_a.  A weight is stored as one
+# int code, sum_i lambda_i * 2^(16 i), so adding weights adds codes; the
+# coordinates of a label weight are bounded by its degree plus one.
+
+_WEIGHT_BITS = 16
+
+
+def _unit_code(r: int, c: int) -> int:
+    return (1 << (_WEIGHT_BITS * r)) - (1 << (_WEIGHT_BITS * c))
+
+
+@lru_cache(maxsize=None)
+def _unit_weights(k: int) -> Tuple[int, ...]:
+    return tuple(_unit_code(r, c) for r, c in _unit_cells(k))  # code of unit u
+
+
+def _decode(code: int, size: int) -> List[int]:
+    """The coordinates over eps_0 .. eps_(size-1) of a weight code."""
+    half, mask = 1 << (_WEIGHT_BITS - 1), (1 << _WEIGHT_BITS) - 1
+    out = []
+    for _ in range(size):
+        out.append(((code + half) & mask) - half)  # the signed lowest digit
+        code = (code - out[-1]) >> _WEIGHT_BITS
+    return out
+
+
+def _element_weights(sc: StructureConstants) -> List[int]:
+    """The weight code of each basis element, kept in ``sc.cache``; raises
+    ValueError for an element with nonzero entries of different weights."""
+    got = sc.cache.get(("element_weights",))
+    if got is None:
+        got = []
+        for a, e in enumerate(sc.basis.elements):
+            codes = {_unit_code(r, c) for r, c, _ in e.nonzeros()}
+            if len(codes) != 1:
+                raise ValueError(f"basis element {a} is not a weight vector")
+            got.append(codes.pop())
+        sc.cache[("element_weights",)] = got
+    return got
+
+
 class FormBasis(Sequence[Label]):
     """The basis of the degree-p forms in label order, as a read-only sequence.
 
-    ``parity`` keeps the labels of one total parity, ``restrict`` a sorted
-    subset of positions; either way the basis holds full-basis positions,
-    not labels.  Bases are equal when they hold the same labels in order.
+    ``positions`` are the full-basis positions of its labels, all of them or
+    those of weight 0; no list of labels is built.  Bases are equal when
+    their (n|m), algebra basis, degree and positions are.
     """
 
-    def __init__(self, sc: StructureConstants, p: int, parity: Optional[int] = None,
-                 _positions: Optional[Sequence[int]] = None):
+    def __init__(self, sc: StructureConstants, p: int):
         key = ("form_tuples", p)
         if key not in sc.cache:
             tuples = enumerate_multi_indices(sc.even_dim, sc.odd_dim, p)
@@ -62,17 +113,38 @@ class FormBasis(Sequence[Label]):
         self.tuples, self._numbers = sc.cache[key]
         self.units = self.k * self.k
         self.cells = _unit_cells(self.k)
-        if parity is not None:
-            _positions = [
-                t * self.units + u for t, I in enumerate(self.tuples)
-                for u, (r, c) in enumerate(self.cells)
-                if (tuple_parity(I, sc.even_dim) + (r >= sc.n) + (c >= sc.n)) % 2 == parity
-            ]
-        self._kept = range(len(self.tuples) * self.units) if _positions is None else _positions
+        self.positions: Sequence[int] = range(len(self.tuples) * self.units)
 
-    def restrict(self, js: Sequence[int]) -> "FormBasis":
-        """The labels at the sorted positions ``js`` of this basis."""
-        return FormBasis(self.sc, self.p, _positions=[self._kept[j] for j in js])
+    def _weight_tables(self) -> Tuple[List[int], List[int]]:
+        """Per-tuple weight codes and the weight-0 positions, kept in ``sc.cache``
+        per degree; ValueError when a basis element is not a weight vector."""
+        key = ("label_weights", self.p)
+        got = self.sc.cache.get(key)
+        if got is None:
+            ew = _element_weights(self.sc)
+            tuple_w = [-sum(ew[A] for A in I) for I in self.tuples]
+            units_of: Dict[int, List[int]] = {}
+            for u, w in enumerate(_unit_weights(self.k)):
+                units_of.setdefault(-w, []).append(u)
+            zero = [t * self.units + u
+                    for t, w in enumerate(tuple_w) for u in units_of.get(w, ())]
+            got = self.sc.cache[key] = (tuple_w, zero)
+        return got
+
+    def weights(self) -> Tuple[List[int], Tuple[int, ...]]:
+        """(tuple codes, unit codes): position t * units + u weighs their sum."""
+        return self._weight_tables()[0], _unit_weights(self.k)
+
+    def zero_weight(self) -> "FormBasis":
+        """The labels of weight 0 of this degree, in label order.
+
+        L_h = d i_h + i_h d acts on weight lambda as lambda(h), and for n != m
+        only lambda = 0 vanishes on every diagonal h, so these labels hold
+        every invariant form and every class of H^p.  They are even: a label's
+        parity is its weight's coordinate sum over the odd block, mod 2."""
+        sub = FormBasis(self.sc, self.p)
+        sub.positions = self._weight_tables()[1]
+        return sub
 
     def offset(self, key: Tuple[int, ...]) -> int:
         """The full-basis position of the first label of index tuple ``key``."""
@@ -87,29 +159,29 @@ class FormBasis(Sequence[Label]):
         return (self.tuples[t],) + self.cells[u]
 
     def __len__(self) -> int:
-        return len(self._kept)
+        return len(self.positions)
 
     def __getitem__(self, j: int) -> Label:
-        return self._label(self._kept[j])
+        return self._label(self.positions[j])
 
     def __iter__(self) -> Iterator[Label]:
-        return map(self._label, self._kept)
+        return map(self._label, self.positions)
 
     def index(self, label: Label) -> int:
         key, r, c = label
         if key in self._numbers and 0 <= r < self.k and 0 <= c < self.k:
             i = self.offset(key) + r * self.k + c
-            j = bisect_left(self._kept, i)
-            if j < len(self._kept) and self._kept[j] == i:
+            j = bisect_left(self.positions, i)
+            if j < len(self.positions) and self.positions[j] == i:
                 return j
         raise ValueError(f"{label} is not in this basis")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormBasis):
             return NotImplemented
-        return (self.p, self.k, self.sc.even_dim, self.sc.odd_dim) == (
-            other.p, other.k, other.sc.even_dim, other.sc.odd_dim
-        ) and list(self._kept) == list(other._kept)
+        return ((self.sc.n, self.sc.m, self.p) == (other.sc.n, other.sc.m, other.p)
+                and self.sc.basis.elements == other.sc.basis.elements
+                and list(self.positions) == list(other.positions))
 
 
 def basis_form(sc: StructureConstants, label: Label) -> GradedForm:
@@ -212,14 +284,9 @@ class LinearMapMatrix:
         return True
 
 
-def matrix_of_map(
-    fn: Callable[[GradedForm], GradedForm],
-    sc: StructureConstants,
-    p_in: int,
-    p_out: int,
-    in_parity: Optional[int] = None,
-) -> LinearMapMatrix:
-    basis = FormBasis(sc, p_in, parity=in_parity)
+def matrix_of_map(fn: Callable[[GradedForm], GradedForm], sc: StructureConstants,
+                  p_in: int, p_out: int) -> LinearMapMatrix:
+    basis = FormBasis(sc, p_in)
     out = FormBasis(sc, p_out)
     images = [form_to_sparse(fn(basis_form(sc, lab)), out) for lab in basis]
     return LinearMapMatrix.from_images(basis, len(out), images)
@@ -284,16 +351,11 @@ def _columns(
     return columns
 
 
-def d_matrix(
-    sc: StructureConstants, p: int, parity: Optional[int] = None
-) -> LinearMapMatrix:
-    """The matrix of d_p, written column by column from the structure constants.
-
-    ``parity`` restricts the input labels to one total parity; the output
-    space is all of degree p+1.
-    """
-    k = sc.n + sc.m
-    out = FormBasis(sc, p + 1)
+def d_matrix(basis: FormBasis) -> LinearMapMatrix:
+    """The matrix of d on the labels of ``basis``, written column by column
+    from the structure constants; the rows are all of degree p+1."""
+    sc, k = basis.sc, basis.k
+    out = FormBasis(sc, basis.p + 1)
     den = _kernel_tables(sc).den
 
     def per_tuple(key):
@@ -314,23 +376,17 @@ def d_matrix(
             _add(col, off + u, v)
         return col
 
-    basis = FormBasis(sc, p, parity=parity)
     return LinearMapMatrix(basis, len(out), _columns(basis, per_tuple, unit_terms), den)
 
 
-def lie_matrix(
-    sc: StructureConstants, a: int, p: int, parity: Optional[int] = None
-) -> LinearMapMatrix:
-    """The matrix of the Lie derivative along basis derivation ``a`` on p-forms.
-
-    ``parity`` restricts the input labels to one total parity; the output
-    space is all of degree p.
-    """
+def lie_matrix(basis: FormBasis, a: int) -> LinearMapMatrix:
+    """The matrix of the Lie derivative along basis derivation ``a`` on the
+    labels of ``basis``; the rows are all of its degree."""
+    sc = basis.sc
     t = _kernel_tables(sc)
-    k, ne, n = sc.n + sc.m, sc.even_dim, sc.n
+    k, ne, n = basis.k, sc.even_dim, sc.n
     pa = sc.parity(a)
-    basis = FormBasis(sc, p, parity=parity)
-    full = FormBasis(sc, p)
+    full = FormBasis(sc, basis.p)
     comm = t.comm[a]
 
     def per_tuple(key):
@@ -360,9 +416,9 @@ def lie_matrix(
     return LinearMapMatrix(basis, len(full), _columns(basis, per_tuple, unit_terms), t.den)
 
 
-def invariant_forms(
-    sc: StructureConstants, p: int, parity: Optional[int] = None
-) -> List[GradedForm]:
-    """Basis of the degree-p forms killed by every basis Lie derivative."""
-    stacked = stack_maps([lie_matrix(sc, a, p, parity=parity) for a in range(sc.dim)])
+def invariant_forms(sc: StructureConstants, p: int) -> List[GradedForm]:
+    """Basis of the degree-p forms killed by every basis Lie derivative,
+    stacked over the weight-0 labels, where all of them lie."""
+    basis = FormBasis(sc, p).zero_weight()
+    stacked = stack_maps([lie_matrix(basis, a) for a in range(sc.dim)])
     return [vector_to_form(v, stacked.basis) for v in stacked.kernel()]

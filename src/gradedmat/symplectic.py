@@ -161,10 +161,10 @@ def closed_invariant_even_two_forms(sc: StructureConstants) -> List[GradedForm]:
 
     Every symplectic structure lies in this space, since it is invariant
     under its own Hamiltonian fields and those exhaust the derivations.
+    The stack runs over the weight-0 labels, where every invariant form lies.
     """
-    d_map = d_matrix(sc, 2, parity=0)
-    lie_maps = [lie_matrix(sc, a, 2, parity=0) for a in range(sc.dim)]
-    stacked = stack_maps([d_map] + lie_maps)
+    basis = FormBasis(sc, 2).zero_weight()
+    stacked = stack_maps([d_matrix(basis)] + [lie_matrix(basis, a) for a in range(sc.dim)])
     return [vector_to_form(vec, stacked.basis) for vec in stacked.kernel()]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedmat import cohomology
+from gradedmat import cohomology, linalg
 from gradedmat.basis import HomogeneousBasis, build_sl_basis
 from gradedmat.cli import main
 from gradedmat.cohomology import (
@@ -32,7 +32,7 @@ from gradedmat.cohomology import (
     ordinary_sl_basis,
 )
 from gradedmat.constants import compute_constants, constants_for
-from gradedmat.formspace import FormBasis, LinearMapMatrix, basis_form, d_matrix
+from gradedmat.formspace import FormBasis, LinearMapMatrix, _decode, basis_form, d_matrix
 from gradedmat.forms import (
     DerivationVector,
     GradedForm,
@@ -309,7 +309,7 @@ def test_cocycle_representatives_are_integer_cocycles_of_d_p(name, p, request):
     for vec in reps:
         # nonzero ints at zero-weight positions of degree p, content cleared
         assert vec and all(type(v) is int and v for v in vec.values())
-        assert set(vec) <= set(data.zero_cols)
+        assert set(vec) <= set(data.zero_block.basis.positions)
         assert math.gcd(*vec.values()) == 1
         # d_p kills it exactly: the integer numerators sum to 0 in every row
         image = {}
@@ -367,10 +367,10 @@ def first_contracting_element(sc, weight):
 
 def table_weight(sc, q, index):
     """The weight of label ``index`` of degree q from the certificate's tables."""
-    k = sc.n + sc.m
-    t, u = divmod(index, k * k)
-    code = cohomology._tuple_weights(sc, q)[t] + cohomology._unit_code(*divmod(u, k))
-    return tuple(cohomology._decode(code, k))
+    basis = FormBasis(sc, q)
+    t, u = basis.split(index)
+    tuple_w, unit_w = basis.weights()
+    return tuple(_decode(tuple_w[t] + unit_w[u], basis.k))
 
 
 @settings(max_examples=40, deadline=None)
@@ -401,11 +401,11 @@ def test_certified_ranks_equal_full_elimination(name, top, request):
         blocks = {}
         for j, lab in enumerate(data.matrix.basis):
             blocks.setdefault(weight_of_label(sc, lab), []).append(j)
-        got = {tuple(cohomology._decode(code, k)): r
+        got = {tuple(_decode(code, k)): r
                for code, r in data.weight_ranks.items()}
         assert set(got) == set(blocks)
         for wt, cols in blocks.items():
-            assert got[wt] == column_block(data.matrix, cols).rank(), (name, p, wt)
+            assert got[wt] == block_rank(data.matrix, cols), (name, p, wt)
 
 
 def test_closed_form_contraction_matches_interior_product(sc21):
@@ -432,10 +432,10 @@ def test_closed_form_contraction_matches_interior_product(sc21):
     assert checked == 2 * (72 + 288 + 792)
 
 
-def column_block(mat, cols):
-    """``mat`` on the columns ``cols``."""
-    return LinearMapMatrix(mat.basis.restrict(cols), mat.nrows,
-                           [mat.columns[j] for j in cols], mat.den)
+def block_rank(mat, cols):
+    """The exact rank of ``mat`` on the columns ``cols``: the rank of those
+    columns taken as rows."""
+    return linalg.exact_rank([mat.columns[j] for j in cols], mat.nrows)
 
 
 def mutated(data, j, i, value):
@@ -456,8 +456,8 @@ def certify(sc, p, mat):
 
 def certified_rank(sc, p, mat):
     """The rank of ``mat`` from the certificate and the zero-block elimination."""
-    zero_cols, ranks = certify(sc, p, mat)
-    return sum(ranks.values()) + column_block(mat, zero_cols).rank()
+    ranks = certify(sc, p, mat)
+    return sum(ranks.values()) + block_rank(mat, mat.basis.zero_weight().positions)
 
 
 @settings(max_examples=30, deadline=None)
@@ -495,8 +495,7 @@ def test_changing_one_entry_of_a_column_fails_the_certificate(
             with pytest.raises(CertificateError, match=f"d at degree {p}, column"):
                 certify(sc21, p, mutated(chain, j, i, col[i] + delta))
     # the unmutated degree still certifies, to the record's ranks
-    zero_cols, ranks = certify(sc21, p, chain.matrix)
-    assert zero_cols == chain.zero_cols
+    ranks = certify(sc21, p, chain.matrix)
     assert ranks == {w: r for w, r in chain.weight_ranks.items() if w}
     assert certified_rank(sc21, p, chain.matrix) == chain.matrix.rank()
 
@@ -565,9 +564,9 @@ def test_the_certificate_refuses_d_over_another_denominator():
     )
     with pytest.raises(CertificateError, match="denominator 2, d at degree 0 over 4"):
         cohomology._certified_ranks(
-            sc, 1, d_matrix(sc, 1), dataclasses.replace(prev, matrix=doubled)
+            sc, 1, d_matrix(FormBasis(sc, 1)), dataclasses.replace(prev, matrix=doubled)
         )
-    assert certify(sc, 1, d_matrix(sc, 1))
+    assert certify(sc, 1, d_matrix(FormBasis(sc, 1)))
 
 
 def test_one_zero_block_per_degree(sc21):
@@ -577,7 +576,8 @@ def test_one_zero_block_per_degree(sc21):
         data.zero_block = None
     block = data.zero_block
     assert block.den == data.matrix.den
-    assert block.columns == [data.matrix.columns[j] for j in data.zero_cols]
+    assert block.basis == data.matrix.basis.zero_weight()
+    assert block.columns == [data.matrix.columns[j] for j in block.basis.positions]
     rows = block.int_rows()
     assert len(cocycle_representatives(sc21, 3)) == 1
     assert data.zero_block.int_rows() is rows
@@ -631,7 +631,7 @@ def test_a_basis_element_that_is_not_a_weight_vector_is_refused():
     with pytest.raises(ValueError, match="basis element 0 is not a weight vector"):
         differential_matrix(sc, 1)
     assert not any(key[0] == "differential" for key in sc.cache)
-    assert d_matrix(sc, 1).rank() == 64
+    assert d_matrix(FormBasis(sc, 1)).rank() == 64
 
 
 def test_failed_certificate_exits_1_naming_degree_and_label(monkeypatch, capsys):

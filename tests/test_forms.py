@@ -468,7 +468,7 @@ def test_routes_agree_on_forms_with_denominators(request, data):
         a = data.draw(st.integers(0, sc.dim - 1), label="a")
         basis = FormBasis(sc, w.degree)
         want = lie_derivative(sc, DerivationVector.basis(sc, a), w)
-        got = lie_matrix(sc, a, w.degree).apply(form_to_sparse(w, basis))
+        got = lie_matrix(basis, a).apply(form_to_sparse(w, basis))
         assert got == form_to_sparse(want, basis), (name, a)
 
 

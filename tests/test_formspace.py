@@ -36,30 +36,31 @@ def column_values(mat, j):
     return {i: Fraction(v, mat.den) for i, v in mat.columns[j].items()}
 
 
-def reference_labels(sc, p, parity=None):
+def reference_labels(sc, p):
     """The label order written out: index tuples in canonical order, matrix
-    units row major, optionally one total parity only."""
+    units row major."""
     k = sc.n + sc.m
-    out = []
-    for key in enumerate_multi_indices(sc.even_dim, sc.odd_dim, p):
-        kp = tuple_parity(key, sc.even_dim)
-        for r in range(k):
-            for c in range(k):
-                if parity is not None:
-                    mp = (_index_parity(r, sc.n) + _index_parity(c, sc.n)) % 2
-                    if (kp + mp) % 2 != parity:
-                        continue
-                out.append((key, r, c))
-    return out
+    return [(key, r, c)
+            for key in enumerate_multi_indices(sc.even_dim, sc.odd_dim, p)
+            for r in range(k) for c in range(k)]
+
+
+def reference_zero_weight_labels(sc, p):
+    """The labels whose basis form the evaluation route's Lie derivative
+    along every diagonal basis element kills, in label order."""
+    diagonal = [DerivationVector.basis(sc, h) for h, e in enumerate(sc.basis.elements)
+                if all(r == c for r, c, _ in e.nonzeros())]
+    return [lab for lab in reference_labels(sc, p)
+            if all(lie_derivative(sc, h, basis_form(sc, lab)).is_zero()
+                   for h in diagonal)]
 
 
 def test_label_counts(sc21):
     assert [len(FormBasis(sc21, p)) for p in range(4)] == [9, 72, 288, 792]
-    # parity split partitions the space; at degree 1 the halves are equal
-    even = FormBasis(sc21, 1, parity=0)
-    odd = FormBasis(sc21, 1, parity=1)
-    assert (len(even), len(odd)) == (36, 36)
-    assert sorted(list(even) + list(odd)) == sorted(FormBasis(sc21, 1))
+    # the weight-0 labels: at degree 2 the 30 columns of the invariant stacks
+    zero = [FormBasis(sc21, p).zero_weight() for p in range(4)]
+    assert [len(basis) for basis in zero] == [3, 12, 30, 58]
+    assert set(zero[1]) < set(FormBasis(sc21, 1))
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (1, 2), (3, 1), (2, 0)])
@@ -67,13 +68,13 @@ def test_form_basis_matches_the_reference_enumeration(n, m):
     sc = constants_for(n, m)
     k = n + m
     for p in range(5):
-        for parity in (None, 0, 1):
-            basis = FormBasis(sc, p, parity=parity)
-            want = reference_labels(sc, p, parity)
-            assert list(basis) == want, (n, m, p, parity)
+        full = FormBasis(sc, p)
+        assert len(full) == index_count(sc.even_dim, sc.odd_dim, p) * k * k
+        zero = full.zero_weight()
+        for basis, want in ((full, reference_labels(sc, p)),
+                            (zero, reference_zero_weight_labels(sc, p))):
+            assert list(basis) == want, (n, m, p, len(basis))
             assert len(basis) == len(want)
-            if parity is None:
-                assert len(basis) == index_count(sc.even_dim, sc.odd_dim, p) * k * k
             assert [basis[j] for j in range(len(basis))] == want
             assert all(basis.index(basis[j]) == j for j in range(len(basis)))
             if want:
@@ -82,28 +83,40 @@ def test_form_basis_matches_the_reference_enumeration(n, m):
             for s in range(3):
                 size = min(len(want), 3 + 40 * s)
                 assert (random.Random(s).sample(basis, size)
-                        == random.Random(s).sample(want, size)), (n, m, p, parity)
+                        == random.Random(s).sample(want, size)), (n, m, p, len(basis))
+        # every weight-0 label is even
+        for key, r, c in zero:
+            parity = tuple_parity(key, sc.even_dim) + _index_parity(r, n) + _index_parity(c, n)
+            assert parity % 2 == 0, (n, m, key, r, c)
 
 
-def test_form_basis_positions_and_restrictions(sc21):
+def test_form_basis_positions_and_restrictions(sc21, sc12_adapted):
     full = FormBasis(sc21, 2)
     assert full.tuples == enumerate_multi_indices(sc21.even_dim, sc21.odd_dim, 2)
     for j in range(0, len(full), 7):
         t, u = full.split(j)
         assert full.offset(full.tuples[t]) + u == j
         assert full[j] == (full.tuples[t],) + full.cells[u]
-    picked = list(range(3, len(full), 11))
-    sub = full.restrict(picked)
-    assert list(sub) == [full[j] for j in picked]
-    assert sub.restrict([0, 2]) == full.restrict(picked[:3:2])
-    assert full.restrict(range(len(full))) == full
-    odd = FormBasis(sc21, 2, parity=1)
-    for lab in (full[0], ((0, 1), 5, 5)):
+    zero = full.zero_weight()
+    assert list(zero) == [full[i] for i in zero.positions]
+    tuple_w, unit_w = full.weights()
+    assert zero.positions == [i for i in full.positions
+                              if tuple_w[i // full.units] + unit_w[i % full.units] == 0]
+    # the positions are kept per degree, and weight 0 selects itself
+    assert FormBasis(sc21, 2).zero_weight().positions is zero.positions
+    assert zero.zero_weight() == zero
+    for lab in (full[1], ((0, 1), 5, 5)):
         with pytest.raises(ValueError):
-            odd.index(lab)
+            zero.index(lab)
     with pytest.raises(IndexError):
         full[len(full)]
-    assert FormBasis(sc21, 2) == full != odd
+    with pytest.raises(IndexError):
+        zero[len(zero)]
+    assert FormBasis(sc21, 2) == full != zero
+    # equal across constants objects of one basis, not across (n|m) or bases
+    assert FormBasis(constants_for(2, 1), 2) == full
+    assert FormBasis(constants_for(1, 2), 1) != FormBasis(sc21, 1)
+    assert FormBasis(sc12_adapted, 1) != FormBasis(constants_for(1, 2), 1)
 
 
 def test_basis_form_sparse_round_trip(sc21):
@@ -141,13 +154,18 @@ def test_stack_maps_requires_shared_input(sc21):
         stack_maps([d0, d1])
 
 
-def test_stack_maps_refuses_different_bases_of_equal_size(sc21):
-    # at (2|1) degree 2 has as many even labels as odd ones
-    even = lie_matrix(sc21, 0, 2, parity=0)
-    odd = lie_matrix(sc21, 5, 2, parity=1)
-    assert even.ncols == odd.ncols == 144
-    with pytest.raises(ValueError, match="share the input space"):
-        stack_maps([even, odd])
+def test_stack_maps_refuses_different_bases_of_equal_size(sc20, sc21, sc12):
+    # at (2|0) degrees 1 and 2 have 12 labels each; (2|1) and (1|2) have
+    # the same n + m and the same even and odd dimensions, so their
+    # degree-1 bases hold the same 72 labels, of another algebra
+    pairs = [(FormBasis(sc20, 1), FormBasis(sc20, 2)),
+             (FormBasis(sc21, 1), FormBasis(sc12, 1))]
+    assert list(pairs[1][0]) == list(pairs[1][1])
+    for pair in pairs:
+        one, two = (lie_matrix(basis, 0) for basis in pair)
+        assert one.ncols == two.ncols
+        with pytest.raises(ValueError, match="share the input space"):
+            stack_maps([one, two])
 
 
 def test_stacked_kernel_is_joint_kernel(sc21):
@@ -174,7 +192,7 @@ def test_stack_over_different_denominators_keeps_the_values(sc21):
     # even a from the column kernel (over 4), odd a from the oracle (over
     # 1 or 2): the stack rescales each block to the lcm of the denominators
     maps = [
-        lie_matrix(sc21, a, 1) if a % 2 == 0 else matrix_of_map(
+        lie_matrix(FormBasis(sc21, 1), a) if a % 2 == 0 else matrix_of_map(
             lambda f, a=a: lie_derivative(sc21, DerivationVector.basis(sc21, a), f),
             sc21, 1, 1,
         )
@@ -197,11 +215,11 @@ def test_stack_over_different_denominators_keeps_the_values(sc21):
     assert stacked.kernel() == by_value.kernel()
 
 
-def test_map_images_must_be_real(sc21):
+def test_map_images_must_be_real(sc21, sc20):
     with pytest.raises(ValueError, match="not real"):
         matrix_of_map(lambda f: f.scale(I), sc21, 0, 0)
-    labels = FormBasis(sc21, 0).restrict([0, 1])
-    assert list(labels) == [((), 0, 0), ((), 0, 1)]
+    labels = FormBasis(sc20, 0).zero_weight()
+    assert list(labels) == [((), 0, 0), ((), 1, 1)]
     got = LinearMapMatrix.from_images(
         labels, 2, [{0: Scalar(Fraction(1, 6))}, {1: Scalar(Fraction(-3, 4))}]
     )
@@ -211,8 +229,8 @@ def test_map_images_must_be_real(sc21):
 def test_kernel_matrices_hold_nonzero_ints_over_the_table_denominator(sc21, sc31):
     for sc in (sc21, sc31):
         den = forms._kernel_tables(sc).den
-        mats = [d_matrix(sc, p) for p in range(3)]
-        mats += [lie_matrix(sc, a, p) for a in (0, sc.dim - 1) for p in (1, 2)]
+        mats = [d_matrix(FormBasis(sc, p)) for p in range(3)]
+        mats += [lie_matrix(FormBasis(sc, p), a) for a in (0, sc.dim - 1) for p in (1, 2)]
         for mat in mats:
             assert mat.den == den
             for col in mat.columns:
@@ -221,9 +239,40 @@ def test_kernel_matrices_hold_nonzero_ints_over_the_table_denominator(sc21, sc31
 
 def test_invariant_one_forms_span_the_canonical_form(sc21):
     assert canonical_line(sc21, invariant_forms(sc21, 1)) is None
-    # the canonical form is even, so the odd invariant slice is empty
-    assert canonical_line(sc21, invariant_forms(sc21, 1, parity=0)) is None
-    assert invariant_forms(sc21, 1, parity=1) == []
+
+
+def full_stack_kernel(maps):
+    """The forms of the kernel of the stacked ``maps``, over their basis."""
+    stacked = stack_maps(maps)
+    return [vector_to_form(v, stacked.basis) for v in stacked.kernel()]
+
+
+@pytest.mark.parametrize("name", ["sc21", "sc12", "sc31", "sc20"])
+def test_invariant_spaces_equal_the_kernels_over_all_labels(name, request):
+    # the stacks run over the weight-0 labels; the reference stacks the
+    # same maps over every label of the degree
+    sc = request.getfixturevalue(name)
+    one, two = FormBasis(sc, 1), FormBasis(sc, 2)
+    want = full_stack_kernel([lie_matrix(one, a) for a in range(sc.dim)])
+    assert len(want) == 1
+    assert invariant_forms(sc, 1) == want
+    want = full_stack_kernel([d_matrix(two)] + [lie_matrix(two, a) for a in range(sc.dim)])
+    assert len(want) == 1
+    assert symplectic.closed_invariant_even_two_forms(sc) == want
+
+
+@pytest.mark.parametrize("name", ["sc21", "sc12", "sc31", "sc20"])
+def test_weight_zero_columns_equal_the_columns_of_the_full_maps(name, request):
+    sc = request.getfixturevalue(name)
+    for p in range(5):
+        full = FormBasis(sc, p)
+        zero = full.zero_weight()
+        pairs = [(d_matrix(full), d_matrix(zero))]
+        pairs += [(lie_matrix(full, a), lie_matrix(zero, a)) for a in range(sc.dim)]
+        for whole, part in pairs:
+            assert part.basis == zero
+            assert (part.nrows, part.den) == (whole.nrows, whole.den)
+            assert part.columns == [whole.columns[i] for i in zero.positions], (name, p)
 
 
 # ---- the sparse column kernel against the form-level routes -----------
@@ -252,14 +301,12 @@ def kernel_memo():
 def test_d_matrix_columns_match_values_route(
     sc21, sc12, sc31, sc20, kernel_memo, data
 ):
-    parity = data.draw(st.sampled_from([None, 0, 1]), label="parity")
+    zero = data.draw(st.booleans(), label="weight 0")
     for sc in (sc21, sc12, sc31, sc20):
         for p in range(4):
-            mat = kernel_memo(
-                ("d", sc.n, sc.m, p, parity),
-                lambda: d_matrix(sc, p, parity=parity),
-            )
-            assert list(mat.basis) == reference_labels(sc, p, parity)
+            basis = FormBasis(sc, p).zero_weight() if zero else FormBasis(sc, p)
+            mat = kernel_memo(("d", sc.n, sc.m, p, zero), lambda: d_matrix(basis))
+            assert mat.basis == basis
             assert mat.nrows == len(reference_labels(sc, p + 1))
             if not mat.ncols:
                 continue
@@ -273,16 +320,14 @@ def test_d_matrix_columns_match_values_route(
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_lie_matrix_columns_match_values_route(sc21, kernel_memo, data):
-    p, parity = data.draw(st.sampled_from([(1, None), (2, 0)]), label="degree")
-    labels = FormBasis(sc21, p, parity=parity)
+    p, zero = data.draw(st.sampled_from([(1, False), (2, True)]), label="degree")
+    labels = FormBasis(sc21, p).zero_weight() if zero else FormBasis(sc21, p)
     j = data.draw(st.integers(0, len(labels) - 1), label="column")
     w = basis_form(sc21, labels[j])
     out = FormBasis(sc21, p)
     for a in range(sc21.dim):
-        mat = kernel_memo(
-            ("lie", a, p, parity), lambda: lie_matrix(sc21, a, p, parity=parity)
-        )
-        assert list(mat.basis) == reference_labels(sc21, p, parity)
+        mat = kernel_memo(("lie", a, p, zero), lambda: lie_matrix(labels, a))
+        assert mat.basis == labels
         assert mat.nrows == len(out)
         want = lie_derivative(sc21, DerivationVector.basis(sc21, a), w)
         assert column_values(mat, j) == form_to_sparse(want, out), (a, labels[j])
@@ -306,9 +351,9 @@ def test_kernel_callers_skip_the_form_level_routes(monkeypatch):
 def test_kernel_tables_are_built_on_first_use():
     sc = constants_for(2, 1)
     assert sc.cache == {}
-    d_matrix(sc, 0)
+    d_matrix(FormBasis(sc, 0))
     tables = sc.cache[("column_kernel",)]
-    lie_matrix(sc, 0, 1)
+    lie_matrix(FormBasis(sc, 1), 0)
     assert sc.cache[("column_kernel",)] is tables
 
 
@@ -320,7 +365,7 @@ def test_both_generator_callers_share_one_set_of_tables():
     tables = sc.cache[("column_kernel",)]
     per_tuple = sc.cache[("d_tuple", (1, 5))]
     assert set(sc.cache) == {("column_kernel",), ("d_tuple", (1, 5))}
-    d_matrix(sc, 2)
+    d_matrix(FormBasis(sc, 2))
     assert sc.cache[("column_kernel",)] is tables
     assert sc.cache[("d_tuple", (1, 5))] is per_tuple
     assert len([k for k in sc.cache if k[0] == "d_tuple"]) == 32
@@ -335,8 +380,8 @@ def test_both_generator_callers_share_one_set_of_tables():
 
 def test_kernel_refuses_a_vector_the_matrix_does_not_kill(monkeypatch):
     # columns e0 -> f0, e1 -> 0: the kernel is spanned by e1
-    labels = FormBasis(constants_for(2, 1), 0).restrict([0, 1])
-    assert list(labels) == [((), 0, 0), ((), 0, 1)]
+    labels = FormBasis(constants_for(2, 0), 0).zero_weight()
+    assert list(labels) == [((), 0, 0), ((), 1, 1)]
     mat = LinearMapMatrix(labels, 1, [{0: 1}, {}])
     assert mat.kernel() == [[0, 1]]
     monkeypatch.setattr(linalg, "sparse_kernel", lambda rows, ncols: [[1, 0]])
