@@ -81,7 +81,7 @@ class HomogeneousBasis:
             hp = e.homogeneous_parity()
             if hp is None or hp != p or e.is_zero():
                 raise ValueError("basis element not homogeneous of declared parity")
-        if len(linalg.rref(self._vector_columns())[1]) != self.dim:
+        if linalg.rank_dense(self._vector_columns()) != self.dim:
             raise ValueError("basis elements are linearly dependent")
 
     def _vector_columns(self) -> List[List[Scalar]]:
@@ -212,8 +212,8 @@ def derivation_dimension(basis: HomogeneousBasis) -> Tuple[int, int]:
 
     even_idx = [a for a in range(basis.dim) if basis.parity(a) == 0]
     odd_idx = [a for a in range(basis.dim) if basis.parity(a) == 1]
-    even_rank = len(linalg.rref(columns(even_idx))[1]) if even_idx else 0
-    odd_rank = len(linalg.rref(columns(odd_idx))[1]) if odd_idx else 0
+    even_rank = linalg.rank_dense(columns(even_idx))
+    odd_rank = linalg.rank_dense(columns(odd_idx))
     if even_rank != len(even_idx) or odd_rank != len(odd_idx):
         raise AssertionError("adjoint map has a kernel on the traceless subalgebra")
     return even_rank, odd_rank

@@ -25,7 +25,8 @@ alternating evaluation sum (``exterior_derivative``, with
 oracle the tests hold it to.  Production code (``symplectic``, ``bundles``)
 runs the kernel route; the evaluation sum is run only by the verify suites
 and the tests.  The symplectic contraction system is factored once per
-form, in ``symplectic``.
+form, in ``symplectic``, and each of its solutions is checked on the
+whole system.
 
 Both routes accumulate in Python ints over one common denominator.  Each
 route reads its own tables, built once per ``StructureConstants`` and

@@ -4,7 +4,9 @@ Two layers:
 
 * routines over Scalar, for the small systems that may in principle be
   complex (basis expansions, Killing inverses, pairing solves); a system
-  solved for many right-hand sides is factored once (``factor``);
+  solved for many right-hand sides is factored once (``factor``) by
+  inverting a nonsingular rank-sized block of A, and every solution is
+  checked against all of A before it is returned;
 
 * sparse fraction-free integer elimination for the large real-rational
   systems coming from differentials and invariance constraints, with an
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -36,21 +38,14 @@ def _dense_copy(rows: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
     return [[Scalar.of(x) for x in row] for row in rows]
 
 
-def rref(
-    rows: Sequence[Sequence[Scalar]], limit: Optional[int] = None
-) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns).
-
-    With ``limit`` only the first ``limit`` columns take pivots; the
-    columns past it are carried along by the row operations.
-    """
+def rref(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
+    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
     a = _dense_copy(rows)
     if not a:
         return a, []
-    ncols = len(a[0]) if limit is None else limit
     pivots: List[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(a[0])):
         pr = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pr is None:
             continue
@@ -76,67 +71,50 @@ def _unit_row(i: int, k: int) -> List[Scalar]:
     return [ONE if i == j else ZERO for j in range(k)]
 
 
-def _apply(row: Dict[int, Scalar], b: Dict[int, Scalar]) -> Scalar:
-    """The product of two sparse vectors."""
-    acc = ZERO
-    for j, t in row.items():
-        v = b.get(j)
-        if v is not None:
-            acc = acc + t * v
-    return acc
-
-
 class Factorization:
-    """The elimination of A x = b, done once for every right-hand side.
+    """A x = b for many right-hand sides, each solution checked on all of A.
 
-    ``transform`` holds the row operations T that bring A to reduced row
-    echelon form, as sparse rows: row i < rank of T A has its leading 1
-    in column ``pivots[i]``, the only nonzero of that column, and the rows
-    of T A past the rank are zero.  ``tail_rows[j]`` lists the rows of T
-    past the rank that are nonzero in column j: a right-hand side can only
-    be inconsistent through the rows that touch its support.
+    ``pivot_rows`` are the first rank-many independent rows R of A and
+    ``pivot_cols`` the pivot columns C of A on R, so the block A_(R,C) is
+    nonsingular; ``block_inverse`` is its inverse.  The columns C span the
+    column space, so b lies in it exactly when b = A_(:,C) y for one y, and
+    the rows R force y = block_inverse b_R.  ``solve`` puts that y on C and
+    zero elsewhere and returns it only once A x = b holds on every row.
     """
 
-    def __init__(self, nrows: int, ncols: int, pivots: List[int],
-                 transform: List[Dict[int, Scalar]]):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.pivots = pivots
-        self.transform = transform
-        self.tail_rows: Dict[int, List[int]] = {}
-        for r in range(len(pivots), len(transform)):
-            for j in transform[r]:
-                self.tail_rows.setdefault(j, []).append(r)
+    def __init__(self, rows: Sequence[Sequence[Scalar]]):
+        self.matrix = _dense_copy(rows)
+        self.nrows = len(self.matrix)
+        self.ncols = len(self.matrix[0]) if self.matrix else 0
+        self.pivot_rows = rref(list(zip(*self.matrix)))[1]
+        self.pivot_cols = rref([self.matrix[i] for i in self.pivot_rows])[1]
+        self.block_inverse = inverse(
+            [[self.matrix[i][c] for c in self.pivot_cols] for i in self.pivot_rows]
+        )
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.pivot_rows)
 
     def solve(self, rhs: Sequence[Scalar]) -> List[Scalar]:
         """The unique x with A x = b; raises when none or many exist."""
         if len(rhs) != self.nrows:
             raise ValueError("rhs length mismatch")
-        b = {j: Scalar.of(v) for j, v in enumerate(rhs) if v}
-        touched = {r for j in b for r in self.tail_rows.get(j, ())}
-        if any(_apply(self.transform[r], b) for r in sorted(touched)):
+        b = [Scalar.of(v) for v in rhs]
+        y = matvec(self.block_inverse, [b[i] for i in self.pivot_rows])
+        x = [ZERO] * self.ncols
+        for c, v in zip(self.pivot_cols, y):
+            x[c] = v
+        if matvec(self.matrix, x) != b:
             raise ValueError("inconsistent linear system")
         if self.rank < self.ncols:
             raise ValueError("underdetermined linear system")
-        x = [ZERO] * self.ncols
-        for c, row in zip(self.pivots, self.transform):
-            x[c] = _apply(row, b)
         return x
 
 
 def factor(rows: Sequence[Sequence[Scalar]]) -> Factorization:
-    """The rref of [A | I], pivoting on the columns of A only."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = rref(
-        [list(row) + _unit_row(i, nrows) for i, row in enumerate(rows)], ncols
-    )
-    transform = [{j: v for j, v in enumerate(row[ncols:]) if v} for row in red]
-    return Factorization(nrows, ncols, pivots, transform)
+    """A factored once, for solves against many right-hand sides."""
+    return Factorization(rows)
 
 
 def solve_unique(

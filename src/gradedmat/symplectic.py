@@ -5,10 +5,12 @@ exactly one derivation solution D_M for every matrix M.  The solve runs
 over first-slot contractions against the basis derivations: the columns
 iota_(bd_B) omega are vectorized as 1-forms and the coordinate vector of
 D_M is the unique preimage of -dM.  That contraction system is factored
-once per form (``linalg.factor``); the rank test, the probes and every
-Hamiltonian field reuse the factorization.  The differentials dM and
-d omega come from the kernel route (``exterior_derivative_generators``);
-the evaluation sum is left to the verify suites and the tests.
+once per form (``linalg.factor``, which inverts one rank-sized block of
+it); the rank test, the probes and every Hamiltonian field reuse that
+inverse, and each field is returned only after it solves the whole
+system exactly.  The differentials dM and d omega come from the kernel
+route (``exterior_derivative_generators``); the evaluation sum is left to
+the verify suites and the tests.
 
 The canonical example is d Theta; its Hamiltonian map is M -> ad M and
 its Poisson bracket is the graded commutator, both of which the tests pin

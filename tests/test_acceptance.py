@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 
+from gradedmat import linalg
 from gradedmat.bundles import (
     conjugated_rho,
     connection_form_from_rho,
@@ -34,10 +35,13 @@ from gradedmat.formspace import (
     vector_to_form,
 )
 from gradedmat.forms import (
+    GradedForm,
     canonical_one_form,
     exterior_derivative,
     exterior_derivative_generators,
+    wedge_matrix_form,
 )
+from gradedmat.matrices import GradedMatrix
 from gradedmat.sampling import random_even_invertible, random_form
 from gradedmat.symplectic import (
     analyze,
@@ -366,3 +370,58 @@ def test_criterion_9_deterministic_reports(tmp_path):
             failures.append("missing build identifier")
     conclude(9, "verification reports are byte-identical across runs",
              failures, t0, 300)
+
+
+def universal_image_rank(sc, d):
+    """The rank of a (x) b -> a db over all pairs of matrix units."""
+    basis = FormBasis(sc, 1)
+    k = sc.n + sc.m
+    units = [GradedMatrix.unit(sc.n, sc.m, i, j) for i in range(k) for j in range(k)]
+    rows = []
+    for b in units:
+        db = d(sc, GradedForm.from_matrix(sc, b))
+        for a in units:
+            coords = form_to_sparse(wedge_matrix_form(a, db), basis)
+            rows.append(linalg.sparse_row_from_fractions(
+                {i: v.re for i, v in coords.items()}
+            ))
+    return linalg.exact_rank(rows, len(basis))
+
+
+def without_theta_0(d):
+    """A broken d: the route with the theta^0 terms of its output dropped."""
+    def broken(sc, form):
+        out = d(sc, form)
+        return GradedForm.of(sc, out.degree,
+                             {k: v for k, v in out.coeffs.items() if 0 not in k})
+    return broken
+
+
+def test_criterion_10_universality_of_the_first_order_calculus(sc21, sc12, sc31, sc20):
+    t0 = time.monotonic()
+    failures = []
+    routes = (
+        ("values", exterior_derivative),
+        ("generators", exterior_derivative_generators),
+    )
+    # the rank of the map with the theta^0 terms of db dropped
+    cases = ((sc21, 63), (sc12, 63), (sc31, 224), (sc20, 8))
+    for sc, broken_rank in cases:
+        big_n = sc.n + sc.m
+        one_forms = (big_n ** 2 - 1) * big_n ** 2
+        ident = GradedForm.from_matrix(sc, GradedMatrix.identity(sc.n, sc.m))
+        for name, d in routes:
+            tag = f"({sc.n}|{sc.m}) {name} route"
+            # onto the 1-forms, so the kernel has dimension N^2 and holds
+            # A (x) 1 because d1 = 0: the kernel is exactly A (x) 1
+            rank = universal_image_rank(sc, d)
+            if rank != one_forms:
+                failures.append(f"{tag}: rank {rank} of {one_forms}")
+            if not d(sc, ident).is_zero():
+                failures.append(f"{tag}: d1 != 0")
+            broken = universal_image_rank(sc, without_theta_0(d))
+            if broken != broken_rank:
+                failures.append(f"{tag}: d without theta^0 has rank {broken}")
+    conclude(10, "a (x) b -> a db maps onto the 1-forms with kernel A (x) 1 "
+                 "at (2|1), (1|2), (3|1) and (2|0), on both routes of d",
+             failures, t0, 120)

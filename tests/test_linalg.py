@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedmat import linalg
+from gradedmat import linalg, symplectic
+from gradedmat.forms import GradedForm
+from gradedmat.matrices import GradedMatrix
 from gradedmat.scalars import Scalar
+from gradedmat.symplectic import canonical_two_form
 
 
 def _mat(rows):
@@ -198,17 +201,31 @@ def test_factored_solve_raises_like_the_rref_solve():
         tall.solve([Scalar.of(1)])
 
 
-def test_factored_solve_tests_only_the_touched_tail_rows(monkeypatch):
-    # A = e_0 as a 6 x 1 column: rank 1, and the five rows of T past the
-    # rank are the unit rows 1..5, each touching one entry of b
-    fact = linalg.factor(_mat([[1], [0], [0], [0], [0], [0]]))
-    assert fact.tail_rows == {j: [j] for j in range(1, 6)}
-    calls = []
-    real_apply = linalg._apply
-    monkeypatch.setattr(linalg, "_apply",
-                        lambda row, b: calls.append(row) or real_apply(row, b))
-    assert fact.solve(_mat([[2, 0, 0, 0, 0, 0]])[0]) == _mat([[2]])[0]
-    assert len(calls) == 1
-    # inconsistent through the last tail row alone
-    with pytest.raises(ValueError, match="inconsistent"):
-        fact.solve(_mat([[2, 0, 0, 0, 0, 5]])[0])
+def test_a_corrupted_factorization_cannot_return_a_wrong_answer():
+    # b = A (1, 1) is in the column space and nonzero on both rows of the
+    # block, so a wrong entry of the block inverse gives a wrong candidate,
+    # which the check on all of A must refuse
+    a = _mat([[2, 1], [1, 1], [1, 0]])
+    b = linalg.matvec(a, _mat([[1, 1]])[0])
+    for i in range(2):
+        for j in range(2):
+            fact = linalg.factor(a)
+            assert fact.solve(b) == _mat([[1, 1]])[0]
+            fact.block_inverse[i][j] = fact.block_inverse[i][j] + Scalar.of(1)
+            with pytest.raises(ValueError, match="inconsistent"):
+                fact.solve(b)
+
+
+@pytest.mark.parametrize("algebra", ["sc21", "sc12", "sc31"])
+def test_factored_solve_of_contraction_systems(algebra, request):
+    sc = request.getfixturevalue(algebra)
+    mats = [sc.basis.elements[a] for a in range(sc.dim)]
+    mats.append(GradedMatrix.identity(sc.n, sc.m))
+    degenerate = GradedForm.of(sc, 2, {(0, 1): GradedMatrix.identity(sc.n, sc.m)})
+    for form in (canonical_two_form(sc), degenerate):
+        fact, basis = symplectic._contraction_system(sc, form)
+        assert (fact.nrows, fact.ncols) == (len(basis), sc.dim)
+        assert fact.rank == linalg.rank_dense(fact.matrix)
+        for mat in mats:
+            rhs = symplectic._minus_differential(sc, mat, basis)
+            assert _outcome(fact.solve, rhs) == _outcome(_rref_solve, fact.matrix, rhs)
