@@ -545,7 +545,7 @@ def body_vector_field(
     if d.homogeneous_parity() != 0 and not d.is_zero():
         raise ValueError("only even derivations descend to the body")
     blk = sc_body.dim
-    return DerivationVector(sc_body.even_dim, 0, tuple(d.coords[:blk]))
+    return DerivationVector(sc_body.basis, tuple(d.coords[:blk]))
 
 
 def embed_vector_field(
@@ -554,7 +554,7 @@ def embed_vector_field(
     """Lift a body derivation; right inverse to body_vector_field."""
     ensure_body_adapted(sc, sc_body)
     pad = (Scalar.of(0),) * (sc.dim - sc_body.dim)
-    return DerivationVector(sc.even_dim, sc.odd_dim, tuple(d.coords) + pad)
+    return DerivationVector(sc.basis, tuple(d.coords) + pad)
 
 
 def body_map_matrix(

@@ -2,7 +2,7 @@
 
 A p-form is a graded-alternating p-linear map from derivations to the
 algebra: antisymmetric under swapping two arguments unless both are odd,
-where the swap is symmetric.  Forms are stored through their coefficients
+where the swap is symmetric.  Forms are written through their coefficients
 on the canonical frame monomials
 
     omega = sum_I  omega_I ^ theta^(I_1) ^ ... ^ theta^(I_p),
@@ -17,6 +17,18 @@ of the basis derivations; a monomial takes the value
 on its own index tuple (p'' odd entries, multiplicities N_l), which is
 what ties evaluation and coefficient extraction together.
 
+A ``GradedForm`` stores, for each canonical key, the nonzero entries of
+omega_I as sorted (unit u = r * (n + m) + c, 0 for the real part or 1
+for the imaginary part, integer numerator) triples, all over one positive
+denominator in lowest terms.  That storage is unique, so equality is a
+dict and int comparison; sums, scalings, the parity split, the wedges,
+the contraction and both routes of d sum in Python ints and build each
+result through one normalising constructor (``_normal``), which divides
+out the common gcd and checks every key.  The coefficient matrices
+(``coeffs``) are a view derived on first use, for evaluation, coordinates
+and printing.  Every form records the algebra basis it is written on and
+every operation refuses a form written on another one.
+
 Everything here is exact.  The exterior derivative has two routes: the
 frame-generator route (``exterior_derivative_generators``) applies the
 column kernel that ``formspace.d_matrix`` writes d_p with, and the
@@ -26,23 +38,21 @@ oracle the tests hold it to.  Production code (``symplectic``, ``bundles``)
 runs the kernel route; the evaluation sum is run only by the verify suites
 and the tests.  The symplectic contraction system is factored once per
 form, in ``symplectic``, and each of its solutions is checked on the
-whole system.
-
-Both routes accumulate in Python ints over one common denominator.  Each
-route reads its own tables, built once per ``StructureConstants`` and
-kept in its ``cache``: the kernel's (``_kernel_tables``, ``_d_tuple``)
-and the oracle's (``_oracle_tables``, ``_oracle_reach``), each holding
-integer numerators over one table denominator.  A form's entries are
-scaled once to integers over the lcm of their denominators, and each
-nonzero output entry is divided back once.
+whole system.  Each route reads its own tables, built once per
+``StructureConstants`` and kept in its ``cache``: the kernel's
+(``_kernel_tables``, ``_d_tuple``) and the oracle's (``_oracle_tables``,
+``_oracle_reach``), each holding integer numerators over one table
+denominator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .basis import HomogeneousBasis
 from .constants import StructureConstants
 from .indexset import (
     canonicalize,
@@ -57,7 +67,22 @@ from .matrices import GradedMatrix, graded_commutator
 from .scalars import ONE, ZERO, Scalar
 
 IndexTuple = Tuple[int, ...]
-_F0 = Fraction(0)
+
+# the nonzero entries of a matrix times a common denominator, sorted, as
+# (unit u = r * (n + m) + c, 0 for the real part or 1 for the imaginary
+# part, integer numerator)
+IntEntries = List[Tuple[int, int, int]]
+# a matrix being summed: (real parts, imaginary parts), each unit -> numerator
+Parts = Tuple[Dict[int, int], Dict[int, int]]
+
+
+def _same_basis(a: HomogeneousBasis, b: HomogeneousBasis) -> bool:
+    return a is b or (a.n, a.m, a.elements) == (b.n, b.m, b.elements)
+
+
+def _require_basis(a: HomogeneousBasis, b: HomogeneousBasis) -> None:
+    if not _same_basis(a, b):
+        raise ValueError("forms and derivations are written on different bases")
 
 
 # ======================================================================
@@ -67,18 +92,20 @@ _F0 = Fraction(0)
 
 @dataclass(frozen=True)
 class DerivationVector:
-    """A derivation in basis coordinates: sum_A coords[A] * bd_A."""
+    """A derivation in basis coordinates: sum_A coords[A] * bd_A, with bd_A
+    the derivations of the elements of ``sl_basis``."""
 
-    n_even: int
-    m_odd: int
+    sl_basis: HomogeneousBasis
     coords: Tuple[Scalar, ...]
+
+    @property
+    def n_even(self) -> int:
+        return self.sl_basis.even_dim
 
     @staticmethod
     def basis(sc: StructureConstants, a: int) -> "DerivationVector":
-        k = sc.dim
         return DerivationVector(
-            sc.even_dim, sc.odd_dim,
-            tuple(ONE if i == a else ZERO for i in range(k)),
+            sc.basis, tuple(ONE if i == a else ZERO for i in range(sc.dim))
         )
 
     @staticmethod
@@ -86,7 +113,7 @@ class DerivationVector:
         co = tuple(Scalar.of(x) for x in coords)
         if len(co) != sc.dim:
             raise ValueError("coordinate vector has wrong length")
-        return DerivationVector(sc.even_dim, sc.odd_dim, co)
+        return DerivationVector(sc.basis, co)
 
     def support(self) -> List[int]:
         return [i for i, x in enumerate(self.coords) if x]
@@ -103,34 +130,31 @@ class DerivationVector:
         return None
 
     def parity_parts(self) -> Tuple["DerivationVector", "DerivationVector"]:
-        ev = tuple(
-            x if i < self.n_even else ZERO for i, x in enumerate(self.coords)
-        )
-        od = tuple(
-            x if i >= self.n_even else ZERO for i, x in enumerate(self.coords)
-        )
+        ne = self.n_even
+        ev = tuple(x if i < ne else ZERO for i, x in enumerate(self.coords))
+        od = tuple(x if i >= ne else ZERO for i, x in enumerate(self.coords))
         return (
-            DerivationVector(self.n_even, self.m_odd, ev),
-            DerivationVector(self.n_even, self.m_odd, od),
+            DerivationVector(self.sl_basis, ev),
+            DerivationVector(self.sl_basis, od),
         )
 
     def __add__(self, other: "DerivationVector") -> "DerivationVector":
+        _require_basis(self.sl_basis, other.sl_basis)
         return DerivationVector(
-            self.n_even, self.m_odd,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
+            self.sl_basis, tuple(a + b for a, b in zip(self.coords, other.coords)),
         )
 
     def scale(self, s) -> "DerivationVector":
         s = Scalar.of(s)
-        return DerivationVector(
-            self.n_even, self.m_odd, tuple(s * x for x in self.coords)
-        )
+        return DerivationVector(self.sl_basis, tuple(s * x for x in self.coords))
 
 
 def derivation_bracket(
     sc: StructureConstants, d1: DerivationVector, d2: DerivationVector
 ) -> DerivationVector:
     """Graded bracket of two derivations, expanded on the basis."""
+    _require_basis(sc.basis, d1.sl_basis)
+    _require_basis(sc.basis, d2.sl_basis)
     out = [ZERO] * sc.dim
     for a in d1.support():
         xa = d1.coords[a]
@@ -138,13 +162,14 @@ def derivation_bracket(
             f = xa * d2.coords[b]
             for cc, v in sc.c_row(a, b).items():
                 out[cc] = out[cc] + f * v
-    return DerivationVector(sc.even_dim, sc.odd_dim, tuple(out))
+    return DerivationVector(sc.basis, tuple(out))
 
 
 def apply_derivation(
     sc: StructureConstants, d: DerivationVector, mat: GradedMatrix
 ) -> GradedMatrix:
     """The derivation acting on an algebra element."""
+    _require_basis(sc.basis, d.sl_basis)
     out = GradedMatrix.zero(sc.n, sc.m)
     for a in d.support():
         out = out + graded_commutator(sc.basis.elements[a], mat).scale(d.coords[a])
@@ -157,97 +182,134 @@ def apply_derivation(
 
 
 class GradedForm:
-    """A graded p-form stored by canonical-monomial coefficients."""
+    """A graded p-form stored as integer numerators over one denominator.
 
-    __slots__ = ("n", "m", "n_even", "m_odd", "degree", "coeffs")
+    ``GradedForm(sl_basis, degree, coeffs)`` takes a coefficient matrix per
+    canonical key; ``ints`` maps each key with a nonzero coefficient to its
+    ``IntEntries`` over the positive denominator ``den``, with no zero
+    numerator and gcd(den, every numerator) = 1.  Operations return new
+    forms and never change one.
+    """
+
+    __slots__ = ("sl_basis", "n", "m", "n_even", "m_odd", "degree", "ints", "den",
+                 "_coeffs")
 
     def __init__(
         self,
-        n: int,
-        m: int,
-        n_even: int,
-        m_odd: int,
+        sl_basis: HomogeneousBasis,
         degree: int,
         coeffs: Mapping[IndexTuple, GradedMatrix],
     ):
-        clean: Dict[IndexTuple, GradedMatrix] = {}
+        coeffs = {tuple(key): mat for key, mat in coeffs.items()}
+        n, m = sl_basis.n, sl_basis.m
+        for mat in coeffs.values():
+            if (mat.n, mat.m) != (n, m):
+                raise ValueError(f"coefficient of shape ({mat.n}|{mat.m}) "
+                                 f"in a form over ({n}|{m})")
+        k = n + m
+        den = lcm(*(y.denominator for mat in coeffs.values()
+                    for _, _, x in mat.nonzeros() for y in (x.re, x.im)))
+        parts = {}
         for key, mat in coeffs.items():
-            key = tuple(key)
-            if len(key) != degree:
-                raise ValueError(f"key {key} does not match degree {degree}")
-            if not is_canonical(key, n_even):
-                raise ValueError(f"key {key} is not canonical")
-            if not mat.is_zero():
-                clean[key] = mat
-        self.n = n
-        self.m = m
-        self.n_even = n_even
-        self.m_odd = m_odd
-        self.degree = degree
-        self.coeffs = clean
+            re, im = parts[key] = ({}, {})
+            for r, c, x in mat.nonzeros():
+                for acc, y in ((re, x.re), (im, x.im)):
+                    if y:
+                        acc[r * k + c] = y.numerator * (den // y.denominator)
+        _fill(self, sl_basis, degree, parts, den)
+        self._coeffs = {key: mat for key, mat in coeffs.items() if not mat.is_zero()}
 
     # ---- constructors -------------------------------------------------
 
     @staticmethod
     def zero(sc: StructureConstants, degree: int) -> "GradedForm":
-        return GradedForm(sc.n, sc.m, sc.even_dim, sc.odd_dim, degree, {})
+        return _normal(sc.basis, degree, {}, 1)
 
     @staticmethod
     def of(
         sc: StructureConstants, degree: int, coeffs: Mapping[IndexTuple, GradedMatrix]
     ) -> "GradedForm":
-        return GradedForm(sc.n, sc.m, sc.even_dim, sc.odd_dim, degree, coeffs)
+        return GradedForm(sc.basis, degree, coeffs)
 
     @staticmethod
     def from_matrix(sc: StructureConstants, mat: GradedMatrix) -> "GradedForm":
         """A 0-form: the matrix itself, keyed by the empty tuple."""
         return GradedForm.of(sc, 0, {(): mat})
 
+    # ---- the coefficient view -----------------------------------------
+
+    @property
+    def coeffs(self) -> Dict[IndexTuple, GradedMatrix]:
+        """Key -> nonzero coefficient matrix, derived from ``ints`` on first
+        use (read only)."""
+        got = self._coeffs
+        if got is None:
+            n, m, den = self.n, self.m, self.den
+            got = self._coeffs = {
+                key: _matrix(n, m, entries, den) for key, entries in self.ints.items()
+            }
+        return got
+
     # ---- basic structure ----------------------------------------------
 
     def _require_compatible(self, other: "GradedForm"):
-        if (self.n, self.m, self.n_even, self.m_odd) != (
-            other.n, other.m, other.n_even, other.m_odd,
-        ):
-            raise ValueError("forms live over different algebras")
+        _require_basis(self.sl_basis, other.sl_basis)
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
 
-    def __add__(self, other: "GradedForm") -> "GradedForm":
+    def _sum(self, other: "GradedForm", sign: int) -> "GradedForm":
+        """self + sign * other."""
         self._require_compatible(other)
-        out = dict(self.coeffs)
-        for key, mat in other.coeffs.items():
-            cur = out.get(key)
-            out[key] = mat if cur is None else cur + mat
-        return GradedForm(self.n, self.m, self.n_even, self.m_odd, self.degree, out)
+        if not other.ints:
+            return self
+        if not self.ints and sign == 1:
+            return other
+        den = lcm(self.den, other.den)
+        parts: Dict[IndexTuple, Parts] = {}
+        for form, f in ((self, den // self.den), (other, sign * (den // other.den))):
+            for key, entries in form.ints.items():
+                got = parts.get(key)
+                if got is None:
+                    got = parts[key] = ({}, {})
+                for u, part, y in entries:
+                    acc = got[part]
+                    acc[u] = acc.get(u, 0) + f * y
+        return _normal(self.sl_basis, self.degree, parts, den)
+
+    def __add__(self, other: "GradedForm") -> "GradedForm":
+        return self._sum(other, 1)
 
     def __sub__(self, other: "GradedForm") -> "GradedForm":
-        return self + other.scale(-1)
+        return self._sum(other, -1)
 
     def __neg__(self) -> "GradedForm":
         return self.scale(-1)
 
     def scale(self, s) -> "GradedForm":
-        s = Scalar.of(s)
-        return GradedForm(
-            self.n, self.m, self.n_even, self.m_odd, self.degree,
-            {k: mat.scale(s) for k, mat in self.coeffs.items()},
-        )
+        """s times the form, for s an int, a Fraction or a Scalar."""
+        a, b, q = _gaussian(s)
+        if (a, b, q) == (1, 0, 1):
+            return self
+        parts: Dict[IndexTuple, Parts] = {}
+        for key, entries in self.ints.items():
+            parts[key] = ({}, {})
+            _add_times(parts[key], entries, a, b)
+        return _normal(self.sl_basis, self.degree, parts, self.den * q)
 
     def __eq__(self, other):
         if not isinstance(other, GradedForm):
             return NotImplemented
         return (
-            (self.n, self.m, self.n_even, self.m_odd, self.degree)
-            == (other.n, other.m, other.n_even, other.m_odd, other.degree)
-            and self.coeffs == other.coeffs
+            self.degree == other.degree and self.den == other.den
+            and self.ints == other.ints
+            and _same_basis(self.sl_basis, other.sl_basis)
         )
 
     def __hash__(self):
         raise TypeError("GradedForm is not hashable")
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def coefficient(self, key: IndexTuple) -> GradedMatrix:
         return self.coeffs.get(tuple(key), GradedMatrix.zero(self.n, self.m))
@@ -266,18 +328,20 @@ class GradedForm:
 
     def parity_parts(self) -> Tuple["GradedForm", "GradedForm"]:
         """Split into (even, odd) by total parity of coefficient and key."""
-        ev: Dict[IndexTuple, GradedMatrix] = {}
-        od: Dict[IndexTuple, GradedMatrix] = {}
-        for key, mat in self.coeffs.items():
-            me, mo = mat.parity_decompose()
-            if tuple_parity(key, self.n_even) == 0:
-                ev[key], od[key] = me, mo
-            else:
-                ev[key], od[key] = mo, me
-        mk = lambda d: GradedForm(
-            self.n, self.m, self.n_even, self.m_odd, self.degree, d
-        )
-        return mk(ev), mk(od)
+        odd = _odd_units(self.n, self.m)
+        split: Tuple[Dict[IndexTuple, Parts], ...] = ({}, {})
+        for key, entries in self.ints.items():
+            kp = tuple_parity(key, self.n_even)
+            ev, od = split[0][key], split[1][key] = ({}, {}), ({}, {})
+            for u, part, y in entries:
+                (od if odd[u] != kp else ev)[part][u] = y
+        zero = _normal(self.sl_basis, self.degree, {}, 1)
+        if not any(re or im for re, im in split[1].values()):
+            return self, zero
+        if not any(re or im for re, im in split[0].values()):
+            return zero, self
+        return (_normal(self.sl_basis, self.degree, split[0], self.den),
+                _normal(self.sl_basis, self.degree, split[1], self.den))
 
     def homogeneous_parity(self) -> Optional[int]:
         ev, od = self.parity_parts()
@@ -289,9 +353,102 @@ class GradedForm:
 
     def __repr__(self):
         return (
-            f"GradedForm(degree={self.degree}, keys={sorted(self.coeffs)[:4]}"
-            f"{'...' if len(self.coeffs) > 4 else ''})"
+            f"GradedForm(degree={self.degree}, keys={sorted(self.ints)[:4]}"
+            f"{'...' if len(self.ints) > 4 else ''})"
         )
+
+
+def _fill(form: GradedForm, sl_basis: HomogeneousBasis, degree: int,
+          parts: Dict[IndexTuple, Parts], den: int) -> None:
+    """Set the fields of ``form`` to the matrices ``parts`` over ``den`` > 0
+    in lowest terms: checks every key, divides out the gcd of ``den`` and
+    every numerator, drops zeros and sorts each key's entries."""
+    ne = sl_basis.even_dim
+    g = den
+    for re, im in parts.values():
+        if g == 1:
+            break
+        g = gcd(g, *re.values(), *im.values())
+    ints: Dict[IndexTuple, IntEntries] = {}
+    for key, (re, im) in parts.items():
+        if len(key) != degree:
+            raise ValueError(f"key {key} does not match degree {degree}")
+        if not is_canonical(key, ne):
+            raise ValueError(f"key {key} is not canonical")
+        if g == 1:
+            entries = [(u, 0, y) for u, y in re.items() if y]
+            if im:
+                entries += [(u, 1, y) for u, y in im.items() if y]
+        else:
+            entries = [(u, 0, y // g) for u, y in re.items() if y]
+            if im:
+                entries += [(u, 1, y // g) for u, y in im.items() if y]
+        if entries:
+            entries.sort()
+            ints[key] = entries
+    form.sl_basis = sl_basis
+    form.n, form.m = sl_basis.n, sl_basis.m
+    form.n_even, form.m_odd = ne, sl_basis.odd_dim
+    form.degree = degree
+    form.ints = ints
+    form.den = den // g
+    form._coeffs = None
+
+
+def _normal(sl_basis: HomogeneousBasis, degree: int,
+            parts: Dict[IndexTuple, Parts], den: int) -> GradedForm:
+    """The one normalising constructor: the form whose coefficient at each
+    key is the matrix ``parts[key]`` over ``den`` > 0, in lowest terms."""
+    form = object.__new__(GradedForm)
+    _fill(form, sl_basis, degree, parts, den)
+    return form
+
+
+def _matrix(n: int, m: int, entries: IntEntries, den: int) -> GradedMatrix:
+    """The matrix of ``entries`` over ``den``."""
+    re: Dict[int, int] = {}
+    im: Dict[int, int] = {}
+    for u, part, y in entries:
+        (im if part else re)[u] = y
+    return GradedMatrix.from_units(n, m, {
+        u: Scalar(Fraction(re.get(u, 0), den), Fraction(im.get(u, 0), den))
+        for u in re.keys() | im.keys()
+    })
+
+
+def _gaussian(s) -> Tuple[int, int, int]:
+    """(a, b, q) with s = (a + i b) / q and q > 0, for an int, a Fraction or
+    a Scalar s."""
+    if isinstance(s, int):
+        return s, 0, 1
+    if isinstance(s, Fraction):
+        return s.numerator, 0, s.denominator
+    if type(s) is Scalar:
+        x, y = s.re, s.im
+        q = lcm(x.denominator, y.denominator)
+        return x.numerator * (q // x.denominator), y.numerator * (q // y.denominator), q
+    raise TypeError(f"cannot scale a form by {type(s).__name__}")
+
+
+def _add_times(parts: Parts, entries: IntEntries, a: int, b: int) -> None:
+    """Add (a + i b) times the matrix of ``entries`` into ``parts``."""
+    re, im = parts
+    for u, part, y in entries:
+        if a:
+            acc = im if part else re
+            acc[u] = acc.get(u, 0) + a * y
+        if b:
+            if part:
+                re[u] = re.get(u, 0) - b * y
+            else:
+                im[u] = im.get(u, 0) + b * y
+
+
+@lru_cache(maxsize=None)
+def _odd_units(n: int, m: int) -> Tuple[int, ...]:
+    """The parity of each unit u = r * (n + m) + c."""
+    k = n + m
+    return tuple(int((u // k < n) != (u % k < n)) for u in range(k * k))
 
 
 # ======================================================================
@@ -304,12 +461,13 @@ def _value_weight(
 ) -> Tuple[Optional[IndexTuple], int]:
     """The value on basis derivations as (stored key, integer factor).
 
-    The value is ``factor * form.coeffs[key]``; a key of None means zero.
+    The value is ``factor`` times the coefficient at ``key``; a key of None
+    means zero.
     """
     # canonical order is plain ascending order, and stored keys are
     # canonical, so a sorted lookup finds the coefficient (or its absence)
     # before the sign-tracking sort runs
-    if tuple(sorted(indices)) not in form.coeffs:
+    if tuple(sorted(indices)) not in form.ints:
         return None, 0
     key, sign = canonicalize(indices, form.n_even)
     return key, sign * self_evaluation_factor(key, form.n_even)
@@ -329,6 +487,8 @@ def evaluate(form: GradedForm, derivations: Sequence[DerivationVector]) -> Grade
     """Multilinear evaluation on arbitrary derivation vectors."""
     if len(derivations) != form.degree:
         raise ValueError("argument count does not match degree")
+    for dv in derivations:
+        _require_basis(form.sl_basis, dv.sl_basis)
     out = GradedMatrix.zero(form.n, form.m)
     if form.degree == 0:
         return out + form.coefficient(())
@@ -393,6 +553,38 @@ def coefficients_from_values(
 # ======================================================================
 
 
+def _rows_of(entries: IntEntries, k: int, odd: Optional[Tuple[int, ...]] = None
+             ) -> Dict[int, List[Tuple[int, int, int]]]:
+    """Row t -> (column, part, numerator) over ``entries``; with ``odd``
+    (``_odd_units``) the odd entries are negated, the parity twist."""
+    rows: Dict[int, List[Tuple[int, int, int]]] = {}
+    for u, part, y in entries:
+        t, c = divmod(u, k)
+        rows.setdefault(t, []).append((c, part, -y if odd and odd[u] else y))
+    return rows
+
+
+def _add_product(parts: Parts, left: IntEntries,
+                 right: Dict[int, List[Tuple[int, int, int]]], k: int, sign: int) -> None:
+    """Add sign * L R into the parts, for L given by its entries and R by
+    its rows (``_rows_of``)."""
+    re, im = parts
+    for u, p, x in left:
+        t = u % k
+        row = right.get(t)
+        if row is None:
+            continue
+        base = u - t  # r * k for L's entry at (r, t)
+        x *= sign
+        for c, q, y in row:
+            v = base + c
+            if p and q:  # i * i
+                re[v] = re.get(v, 0) - x * y
+            else:
+                acc = im if (p or q) else re
+                acc[v] = acc.get(v, 0) + x * y
+
+
 def wedge(w1: GradedForm, w2: GradedForm) -> GradedForm:
     """Graded wedge product on coefficient level.
 
@@ -401,39 +593,34 @@ def wedge(w1: GradedForm, w2: GradedForm) -> GradedForm:
     (-1)^(|theta^I| * |coeff|); the concatenated index tuple is then sorted
     into canonical order with the same swap rule evaluation uses.
     """
-    if (w1.n, w1.m, w1.n_even, w1.m_odd) != (w2.n, w2.m, w2.n_even, w2.m_odd):
-        raise ValueError("forms live over different algebras")
-    degree = w1.degree + w2.degree
-    coeffs: Dict[IndexTuple, GradedMatrix] = {}
-    twisted = {k2: m2.parity_twist() for k2, m2 in w2.coeffs.items()}
-    for k1, m1 in w1.coeffs.items():
-        p1 = tuple_parity(k1, w1.n_even)
-        for k2, m2 in w2.coeffs.items():
-            canon = canonicalize(k1 + k2, w1.n_even)
+    _require_basis(w1.sl_basis, w2.sl_basis)
+    k, ne = w1.n + w1.m, w1.n_even
+    odd = _odd_units(w1.n, w1.m)
+    plain = {k2: _rows_of(e2, k) for k2, e2 in w2.ints.items()}
+    twisted = {k2: _rows_of(e2, k, odd) for k2, e2 in w2.ints.items()}
+    parts: Dict[IndexTuple, Parts] = {}
+    for k1, e1 in w1.ints.items():
+        rows = twisted if tuple_parity(k1, ne) else plain
+        for k2 in w2.ints:
+            canon = canonicalize(k1 + k2, ne)
             if canon is None:
                 continue
             key, csign = canon
-            mat = (m1 @ (twisted[k2] if p1 else m2)).scale(csign)
-            cur = coeffs.get(key)
-            coeffs[key] = mat if cur is None else cur + mat
-    return GradedForm(w1.n, w1.m, w1.n_even, w1.m_odd, degree, coeffs)
+            got = parts.get(key)
+            if got is None:
+                got = parts[key] = ({}, {})
+            _add_product(got, e1, rows[k2], k, csign)
+    return _normal(w1.sl_basis, w1.degree + w2.degree, parts, w1.den * w2.den)
 
 
 def wedge_matrix_form(mat: GradedMatrix, form: GradedForm) -> GradedForm:
     """Left module action: the 0-form ``mat`` wedged onto ``form``."""
-    return GradedForm(
-        form.n, form.m, form.n_even, form.m_odd, form.degree,
-        {k: mat @ v for k, v in form.coeffs.items()},
-    )
+    return wedge(GradedForm(form.sl_basis, 0, {(): mat}), form)
 
 
 def wedge_form_matrix(form: GradedForm, mat: GradedMatrix) -> GradedForm:
     """Right module action, with the frame factors passing the matrix."""
-    coeffs: Dict[IndexTuple, GradedMatrix] = {}
-    twisted = mat.parity_twist()
-    for key, v in form.coeffs.items():
-        coeffs[key] = v @ (twisted if tuple_parity(key, form.n_even) else mat)
-    return GradedForm(form.n, form.m, form.n_even, form.m_odd, form.degree, coeffs)
+    return wedge(form, GradedForm(form.sl_basis, 0, {(): mat}))
 
 
 # ======================================================================
@@ -442,34 +629,37 @@ def wedge_form_matrix(form: GradedForm, mat: GradedMatrix) -> GradedForm:
 
 
 def interior_product(d: DerivationVector, form: GradedForm) -> GradedForm:
-    """Contraction with a derivation in the first argument slot."""
+    """Contraction with a derivation in the first argument slot.
+
+    The coefficient at K is sum_a d_a w(a, K) over the self-evaluation
+    factor of K, summed in ints over the derivation's common denominator
+    times the lcm of those factors.
+    """
+    _require_basis(d.sl_basis, form.sl_basis)
     if form.degree == 0:
         raise ValueError("cannot contract a 0-form")
-
-    def cb(key: IndexTuple) -> GradedMatrix:
-        out = GradedMatrix.zero(form.n, form.m)
-        for a in d.support():
-            val = evaluate_on_basis(form, (a,) + key)
-            if not val.is_zero():
-                out = out + val.scale(d.coords[a])
-        return out
-
-    coeffs: Dict[IndexTuple, GradedMatrix] = {}
-    for key in _interior_support(d, form):
-        raw = cb(key)
-        mat = raw.scale(extraction_prefactor(key, form.n_even))
-        if not mat.is_zero():
-            coeffs[key] = mat
-    return GradedForm(
-        form.n, form.m, form.n_even, form.m_odd, form.degree - 1, coeffs
-    )
+    coords = {a: _gaussian(d.coords[a]) for a in d.support()}
+    q = lcm(*(cq for _, _, cq in coords.values()))
+    keys = _interior_support(d, form)
+    sef = {key: self_evaluation_factor(key, form.n_even) for key in keys}
+    div = lcm(*sef.values())
+    parts: Dict[IndexTuple, Parts] = {}
+    for key in keys:
+        parts[key] = ({}, {})
+        mult = div // sef[key]
+        for a, (ca, cb, cq) in coords.items():
+            got, f = _value_weight(form, (a,) + key)
+            if got is not None:
+                w = f * mult * (q // cq)
+                _add_times(parts[key], form.ints[got], ca * w, cb * w)
+    return _normal(form.sl_basis, form.degree - 1, parts, form.den * q * div)
 
 
 def _interior_support(d: DerivationVector, form: GradedForm) -> List[IndexTuple]:
     """The canonical (p-1)-tuples the contraction can reach, in sorted
     order: each key K with one entry a of ``d.support()`` removed."""
     sup = set(d.support())
-    return sorted({key[:j] + key[j + 1:] for key in form.coeffs
+    return sorted({key[:j] + key[j + 1:] for key in form.ints
                    for j, a in enumerate(key) if a in sup})
 
 
@@ -481,6 +671,8 @@ def lie_derivative(
     The sign-bearing formula applies to homogeneous data, so the derivation
     and the form are split into parity parts first and the results summed.
     """
+    _require_basis(sc.basis, d.sl_basis)
+    _require_basis(sc.basis, form.sl_basis)
     out = GradedForm.zero(sc, form.degree)
     for dpart in d.parity_parts():
         if dpart.is_zero():
@@ -497,6 +689,7 @@ def lie_derivative(
 
 def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
     """Exterior derivative via the alternating evaluation formula."""
+    _require_basis(sc.basis, form.sl_basis)
     out = GradedForm.zero(sc, form.degree + 1)
     for fpar, fpart in enumerate(form.parity_parts()):
         if not fpart.is_zero():
@@ -512,9 +705,11 @@ def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
 # term for term.  Every term is an integer weight (canonical sign times
 # self-evaluation factor, times a structure-constant numerator) on a
 # stored coefficient M_K or on a bracket [E_b, M_K], so the weights are
-# summed first and each tuple's matrix is built once, divided back once by
-# the table denominator and the tuple's own self-evaluation factor.  Only
-# the tuples that some stored key can reach are visited.
+# summed first and each tuple's entries are summed once in ints.  The
+# output is put over the form's denominator times the table denominator
+# times the lcm of the output tuples' self-evaluation factors, so each
+# tuple's weights are multiplied by that lcm over its own factor.  Only the
+# tuples that some stored key can reach are visited.
 #
 # The route reads only its own tables (``_oracle_tables``,
 # ``_oracle_reach``), built once per constants object from ``sc.c`` and
@@ -523,9 +718,6 @@ def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
 # ``graded_commutator``.  Within one call each argument tuple is
 # canonicalised once (``_ValueWeights``) and each [E_b, M_K] is summed
 # once from the unit brackets of E_b, one table row per entry of M_K.
-#
-# Both routes sum in ints: ``_scaled`` clears a form's denominators once
-# and ``_matrix_over`` divides each nonzero output entry back once.
 
 # (b, K) -> weight of [E_b, M_K] in one tuple's value, an integer over the
 # oracle's table denominator; b None for M_K
@@ -541,43 +733,6 @@ def _real(v: Scalar) -> Fraction:
 def _add(acc: Dict, i, v) -> None:
     cur = acc.get(i)
     acc[i] = v if cur is None else cur + v
-
-
-# the nonzero parts of a matrix times a common denominator, as (unit
-# u = r * (n + m) + c, 0 for the real part or 1 for the imaginary part,
-# integer numerator)
-IntEntries = List[Tuple[int, int, int]]
-
-
-def _scaled(form: GradedForm) -> Tuple[Dict[IndexTuple, IntEntries], int]:
-    """Each coefficient's ``IntEntries`` over the lcm of every entry
-    denominator of the form, and that lcm."""
-    den = 1
-    for mat in form.coeffs.values():
-        for _, _, x in mat.nonzeros():
-            den = lcm(den, x.re.denominator, x.im.denominator)
-    k = form.n + form.m
-    return {
-        key: [(r * k + c, part, y.numerator * (den // y.denominator))
-              for r, c, x in mat.nonzeros()
-              for part, y in enumerate((x.re, x.im)) if y]
-        for key, mat in form.coeffs.items()
-    }, den
-
-
-def _matrix_over(
-    n: int, m: int, re: Dict[int, int], im: Dict[int, int], den: int
-) -> GradedMatrix:
-    """The matrix with entry (re[u] + i im[u]) / den at unit u = r * (n + m) + c."""
-    vals = {}
-    for u in (re.keys() | im.keys()) if im else re.keys():
-        a, b = re.get(u, 0), im.get(u, 0)
-        if a or b:
-            vals[u] = Scalar(Fraction(a, den) if a else _F0,
-                             Fraction(b, den) if b else _F0)
-    if not vals:
-        return GradedMatrix.zero(n, m)
-    return GradedMatrix.from_units(n, m, vals)
 
 
 def _unit_brackets(e: GradedMatrix, n: int) -> List[List[Tuple[int, int]]]:
@@ -677,7 +832,7 @@ class _ValueWeights(dict):
 def _bracketed(units: List[List[Tuple[int, int]]], entries: IntEntries) -> IntEntries:
     """[E_b, M] from the ``IntEntries`` of M, with ``units`` the unit
     brackets of E_b: one table row per entry of M."""
-    acc: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
+    acc: Parts = ({}, {})
     for u, part, y in entries:
         ap = acc[part]
         for v, x in units[u]:
@@ -714,7 +869,7 @@ def _d_support(sc: StructureConstants, form: GradedForm) -> List[IndexTuple]:
     """
     pairs, _ = _oracle_reach(sc)
     out = set()
-    for key in form.coeffs:
+    for key in form.ints:
         for b in range(sc.dim):
             out.add(tuple(sorted(key + (b,))))
         for j, cc in enumerate(key):
@@ -731,28 +886,25 @@ def _lie_support(
     key K itself, and K with one entry cc replaced by an x with
     c_(a,x)^cc != 0."""
     _, moves = _oracle_reach(sc)
-    out = set(form.coeffs)
-    for key in form.coeffs:
+    out = set(form.ints)
+    for key in form.ints:
         for j, cc in enumerate(key):
             for x in moves[a][cc]:
                 out.add(tuple(sorted(key[:j] + (x,) + key[j + 1:])))
     return sorted(t for t in out if is_canonical(t, sc.even_dim))
 
 
-def _weighted_matrix(
-    form: GradedForm, scaled: Tuple[Dict, int], weights: Weights, memo: Dict,
-    bracket: List[List[List[Tuple[int, int]]]], div: int,
-) -> GradedMatrix:
-    """The sum of the weighted M_K and [E_b, M_K], divided by ``div`` (the
-    weights' denominator times the tuple's self-evaluation factor) and by
-    the form's denominator.
+def _weighted_parts(
+    ints: Dict[IndexTuple, IntEntries], weights: Weights, mult: int, memo: Dict,
+    bracket: List[List[List[Tuple[int, int]]]],
+) -> Parts:
+    """The sum of the weighted M_K and [E_b, M_K], times ``mult``.
 
-    ``scaled`` is ``_scaled(form)``; ``memo`` keeps, for one call of the
+    ``ints`` are the form's entries; ``memo`` keeps, for one call of the
     route, the ``IntEntries`` of each [E_b, M_K] over the same denominator,
     summed from the unit brackets ``bracket[b]``.
     """
-    ints, den = scaled
-    parts: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
+    parts: Parts = ({}, {})
     for bk, w in weights.items():
         if not w:
             continue
@@ -763,10 +915,11 @@ def _weighted_matrix(
             entries = memo.get(bk)
             if entries is None:
                 entries = memo[bk] = _bracketed(bracket[b], ints[key])
+        w *= mult
         for u, part, y in entries:
             acc = parts[part]
             acc[u] = acc.get(u, 0) + w * y
-    return _matrix_over(form.n, form.m, *parts, den * div)
+    return parts
 
 
 def _lie_basis_homogeneous(
@@ -782,10 +935,11 @@ def _lie_basis_homogeneous(
     t = _oracle_tables(sc)
     ca, den = t.c[a], t.den
     value = _ValueWeights(form)
-    scaled = _scaled(form)
     memo: Dict = {}
-    coeffs: Dict[IndexTuple, GradedMatrix] = {}
-    for key in _lie_support(sc, a, form):
+    out: Dict[IndexTuple, Parts] = {}
+    keys = _lie_support(sc, a, form)
+    div = lcm(*(t.sef[key] for key in keys))
+    for key in keys:
         weights: Weights = {}
         got, f = value[key]
         if got is not None:
@@ -798,10 +952,9 @@ def _lie_basis_homogeneous(
                 if got is not None:
                     _add(weights, (None, got), -sign * f * v)
             acc += index_parity(key[l], ne)
-        coeffs[key] = _weighted_matrix(
-            form, scaled, weights, memo, t.bracket, den * t.sef[key]
-        )
-    return GradedForm(form.n, form.m, form.n_even, form.m_odd, p, coeffs)
+        out[key] = _weighted_parts(form.ints, weights, div // t.sef[key], memo,
+                                   t.bracket)
+    return _normal(form.sl_basis, p, out, form.den * den * div)
 
 
 def _exterior_derivative_homogeneous(
@@ -817,10 +970,11 @@ def _exterior_derivative_homogeneous(
     t = _oracle_tables(sc)
     c, den = t.c, t.den
     value = _ValueWeights(form)
-    scaled = _scaled(form)
     memo: Dict = {}
-    coeffs: Dict[IndexTuple, GradedMatrix] = {}
-    for key in _d_support(sc, form):
+    out: Dict[IndexTuple, Parts] = {}
+    keys = _d_support(sc, form)
+    div = lcm(*(t.sef[key] for key in keys))
+    for key in keys:
         weights: Weights = {}
         degs = [index_parity(i, ne) for i in key]
         acc = 0
@@ -841,10 +995,9 @@ def _exterior_derivative_homogeneous(
                     if got is not None:
                         _add(weights, (None, got), sign * f * v)
                 between += degs[lp]
-        coeffs[key] = _weighted_matrix(
-            form, scaled, weights, memo, t.bracket, den * t.sef[key]
-        )
-    return GradedForm(form.n, form.m, form.n_even, form.m_odd, p + 1, coeffs)
+        out[key] = _weighted_parts(form.ints, weights, div // t.sef[key], memo,
+                                   t.bracket)
+    return _normal(form.sl_basis, p + 1, out, form.den * den * div)
 
 
 # ======================================================================
@@ -949,14 +1102,13 @@ def exterior_derivative_generators(
 
     The column kernel of ``formspace.d_matrix`` applied to a form, real
     and imaginary parts summed apart (the structure constants are real),
-    in ints over the form's common denominator times the table one.
+    in ints over the form's denominator times the table one.
     ``exterior_derivative`` is the independent oracle the tests hold it to.
     """
+    _require_basis(sc.basis, form.sl_basis)
     den = _kernel_tables(sc).den
-    ints, form_den = _scaled(form)
-    # output tuple -> (real part, imaginary part), each unit -> sum
-    parts: Dict[IndexTuple, Tuple[Dict[int, int], Dict[int, int]]] = {}
-    for key, entries in ints.items():
+    parts: Dict[IndexTuple, Parts] = {}  # output tuple -> its sums
+    for key, entries in form.ints.items():
         moved, frame = _d_tuple(sc, key)
         for table, out, sign in moved:
             got = parts.setdefault(out, ({}, {}))
@@ -970,9 +1122,7 @@ def exterior_derivative_generators(
             for u, part, y in entries:
                 acc = got[part]
                 acc[u] = acc.get(u, 0) + y * v
-    coeffs = {out: _matrix_over(form.n, form.m, re, im, form_den * den)
-              for out, (re, im) in parts.items()}
-    return GradedForm(form.n, form.m, form.n_even, form.m_odd, form.degree + 1, coeffs)
+    return _normal(form.sl_basis, form.degree + 1, parts, form.den * den)
 
 
 # ======================================================================

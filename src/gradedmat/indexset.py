@@ -113,9 +113,12 @@ def is_canonical(indices: Sequence[int], n_even: int) -> bool:
 
     Exactly the tuples that ``canonicalize`` returns unchanged, in one pass.
     """
-    for a, b in zip(indices, indices[1:]):
-        if a > b or (a == b and a < n_even):
+    rest = iter(indices)
+    prev = next(rest, None)
+    for a in rest:
+        if a < prev or (a == prev and a < n_even):
             return False
+        prev = a
     return True
 
 

@@ -82,7 +82,7 @@ class SymplecticForm:
         sc = self.sc
         system, basis = self._system
         coords = system.solve(_minus_differential(sc, mat, basis))
-        return DerivationVector(sc.even_dim, sc.odd_dim, tuple(coords))
+        return DerivationVector(sc.basis, tuple(coords))
 
     def poisson_bracket(self, m1: GradedMatrix, m2: GradedMatrix) -> GradedMatrix:
         """omega(D_M, D_M') for the two Hamiltonian fields."""

@@ -13,7 +13,9 @@ from gradedmat.constants import constants_for
 from gradedmat.forms import (
     DerivationVector,
     GradedForm,
+    canonical_one_form,
     coefficients_from_values,
+    derivation_bracket,
     differential_of_element,
     evaluate,
     evaluate_on_basis,
@@ -28,10 +30,12 @@ from gradedmat.forms import (
 )
 from gradedmat.formspace import FormBasis, form_to_sparse, lie_matrix
 from gradedmat.indexset import (
+    canonicalize,
     commutation_factor,
     enumerate_multi_indices,
     index_parity,
     permutation_sign,
+    self_evaluation_factor,
 )
 from gradedmat.matrices import GradedMatrix, graded_commutator
 from gradedmat.sampling import random_form
@@ -134,6 +138,13 @@ def test_odd_square_self_evaluation(sc21):
     # extraction undoes the self-evaluation factor exactly
     rt = coefficients_from_values(lambda K: evaluate_on_basis(w, K), 2, sc21)
     assert rt == w
+
+
+def test_forms_refuse_a_coefficient_of_another_shape(sc21):
+    with pytest.raises(ValueError, match="shape"):
+        GradedForm.of(sc21, 1, {(0,): GradedMatrix.identity(3, 1)})
+    with pytest.raises(ValueError, match="shape"):
+        wedge_matrix_form(GradedMatrix.identity(1, 2), frame_form(sc21, 0))
 
 
 def test_interior_product_rejects_zero_forms(sc21):
@@ -557,3 +568,231 @@ def test_evaluate_is_multilinear(sc21):
                 d1.coords[a] * d2.coords[b]
             )
     assert evaluate(w, [d1, d2]) == acc
+
+
+# ---- the integer storage against matrix arithmetic on the coeffs view ----
+#
+# A form stores sorted (unit, part, numerator) entries over one positive
+# denominator in lowest terms.  Each operation below runs on those ints;
+# the reference runs the same operation on the ``coeffs`` view with
+# GradedMatrix arithmetic, as the forms were computed before.
+
+STORAGE_SHAPES = ("sc21", "sc12", "sc20")
+
+
+def assert_lowest_terms(w):
+    assert w.den > 0
+    nums = []
+    for key, entries in w.ints.items():
+        assert entries, key
+        assert entries == sorted(entries), key
+        assert len({(u, part) for u, part, _ in entries}) == len(entries), key
+        nums += [y for _, _, y in entries]
+    assert all(nums)
+    assert math.gcd(w.den, *nums) == 1
+    # the view holds exactly the stored keys, each at its stored value
+    assert set(w.coeffs) == set(w.ints)
+    k = w.n + w.m
+    for key, mat in w.coeffs.items():
+        assert [(r * k + c, part, y) for r, c, x in mat.nonzeros()
+                for part, y in enumerate((x.re * w.den, x.im * w.den)) if y] \
+            == w.ints[key], key
+
+
+def nonzero(coeffs):
+    return {key: mat for key, mat in coeffs.items() if not mat.is_zero()}
+
+
+def ref_sum(w1, w2):
+    out = dict(w1.coeffs)
+    for key, mat in w2.coeffs.items():
+        out[key] = out[key] + mat if key in out else mat
+    return nonzero(out)
+
+
+def ref_parity_parts(w):
+    ev, od = {}, {}
+    for key, mat in w.coeffs.items():
+        me, mo = mat.parity_decompose()
+        if sum(index_parity(i, w.n_even) for i in key) % 2:
+            me, mo = mo, me
+        ev[key], od[key] = me, mo
+    return nonzero(ev), nonzero(od)
+
+
+def ref_wedge(w1, w2):
+    out = {}
+    for k1, m1 in w1.coeffs.items():
+        p1 = sum(index_parity(i, w1.n_even) for i in k1) % 2
+        for k2, m2 in w2.coeffs.items():
+            canon = canonicalize(k1 + k2, w1.n_even)
+            if canon is None:
+                continue
+            key, sign = canon
+            mat = (m1 @ (m2.parity_twist() if p1 else m2)).scale(sign)
+            out[key] = out[key] + mat if key in out else mat
+    return nonzero(out)
+
+
+def ref_wedge_form_matrix(w, mat):
+    return nonzero({
+        key: v @ (mat.parity_twist()
+                  if sum(index_parity(i, w.n_even) for i in key) % 2 else mat)
+        for key, v in w.coeffs.items()
+    })
+
+
+def ref_interior(d, w):
+    out = {}
+    for key in enumerate_multi_indices(w.n_even, w.m_odd, w.degree - 1):
+        acc = GradedMatrix.zero(w.n, w.m)
+        for a in d.support():
+            acc = acc + evaluate_on_basis(w, (a,) + key).scale(d.coords[a])
+        out[key] = acc.scale(Fraction(1, self_evaluation_factor(key, w.n_even)))
+    return nonzero(out)
+
+
+def gaussian_matrices(sc):
+    k = sc.n + sc.m
+    return st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), gaussian_fractions),
+        max_size=5, unique_by=lambda t: t[:2],
+    ).map(lambda t: GradedMatrix(sc.n, sc.m, t))
+
+
+@st.composite
+def forms_of_degree(draw, sc, p):
+    keys = enumerate_multi_indices(sc.even_dim, sc.odd_dim, p)
+    picked = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))
+    return GradedForm.of(sc, p, {key: draw(gaussian_matrices(sc)) for key in picked})
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_sums_scalings_and_parity_parts_match_the_view(request, data):
+    for name in STORAGE_SHAPES:
+        sc = request.getfixturevalue(name)
+        p = data.draw(st.integers(0, 2), label="p")
+        w1 = data.draw(forms_of_degree(sc, p), label="w1")
+        w2 = data.draw(forms_of_degree(sc, p), label="w2")
+        s = data.draw(gaussian_fractions, label="s")
+        for w in (w1, w2):
+            assert_lowest_terms(w)
+        total, diff = w1 + w2, w1 - w2
+        assert total.coeffs == ref_sum(w1, w2), name
+        assert diff.coeffs == ref_sum(w1, GradedForm.of(sc, p, {
+            key: -mat for key, mat in w2.coeffs.items()})), name
+        scaled = w1.scale(s)
+        assert scaled.coeffs == nonzero(
+            {key: mat.scale(s) for key, mat in w1.coeffs.items()}), name
+        ev, od = w1.parity_parts()
+        assert (ev.coeffs, od.coeffs) == ref_parity_parts(w1), name
+        for w in (total, diff, scaled, ev, od, -w1):
+            assert_lowest_terms(w)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_wedges_and_contraction_match_the_view(request, data):
+    for name in STORAGE_SHAPES:
+        sc = request.getfixturevalue(name)
+        p1 = data.draw(st.integers(0, 2), label="p1")
+        p2 = data.draw(st.integers(0, 2), label="p2")
+        w1 = data.draw(forms_of_degree(sc, p1), label="w1")
+        w2 = data.draw(forms_of_degree(sc, p2), label="w2")
+        mat = data.draw(gaussian_matrices(sc), label="mat")
+        coords = data.draw(st.lists(st.one_of(st.just(Scalar(0)), gaussian_fractions),
+                                    min_size=sc.dim, max_size=sc.dim), label="d")
+        d = DerivationVector.from_coords(sc, coords)
+        ww = wedge(w1, w2)
+        assert ww.coeffs == ref_wedge(w1, w2), name
+        left = wedge_matrix_form(mat, w2)
+        assert left.coeffs == nonzero({key: mat @ v for key, v in w2.coeffs.items()}), name
+        right = wedge_form_matrix(w1, mat)
+        assert right.coeffs == ref_wedge_form_matrix(w1, mat), name
+        results = [ww, left, right]
+        if p1 >= 1:
+            iw = interior_product(d, w1)
+            assert iw.coeffs == ref_interior(d, w1), name
+            results.append(iw)
+        for w in results:
+            assert_lowest_terms(w)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_equality_agrees_with_the_view(request, data):
+    for name in STORAGE_SHAPES:
+        sc = request.getfixturevalue(name)
+        p = data.draw(st.integers(0, 2), label="p")
+        w1 = data.draw(forms_of_degree(sc, p), label="w1")
+        w2 = data.draw(forms_of_degree(sc, p), label="w2")
+        s = data.draw(gaussian_fractions.filter(bool), label="s")
+        # the same form reached through other denominators
+        again = (w1 + w2).scale(s).scale(Scalar(1) / s) - w2
+        for a, b in ((w1, w2), (w1, again), (w2, w1 + w2)):
+            assert (a == b) == (a.coeffs == b.coeffs), name
+        assert w1 == again, name
+        assert_lowest_terms(again)
+        # a derivative's result against the same form built from its view
+        dw = exterior_derivative_generators(sc, w1)
+        assert dw == GradedForm.of(sc, p + 1, dw.coeffs), name
+        assert_lowest_terms(dw)
+        assert_lowest_terms(exterior_derivative(sc, w1))
+
+
+def test_prebuilt_forms_run_without_building_scalars(sc21, monkeypatch):
+    from gradedmat import scalars
+
+    rng = random.Random(5)
+    w1 = random_form(rng, sc21, 1).scale(Scalar(Fraction(1, 3), Fraction(2, 5)))
+    w2 = random_form(rng, sc21, 2)
+    mat = rand_matrix(rng, sc21)
+    d = DerivationVector.from_coords(sc21, [rand_scalar(rng) for _ in range(sc21.dim)])
+    s = Scalar(Fraction(-2, 3), Fraction(1, 7))
+    exterior_derivative_generators(sc21, w1)  # the tables build Scalars once
+    exterior_derivative(sc21, w1)
+
+    def refuse(*args):
+        raise AssertionError("a Scalar was built")
+
+    monkeypatch.setattr(scalars, "_make", refuse)
+    for route in (exterior_derivative_generators, exterior_derivative):
+        assert route(sc21, route(sc21, w1)).is_zero()
+        assert route(sc21, route(sc21, w2)).is_zero()
+    assert wedge(w1, w2) == wedge(w1, w2.scale(2)).scale(Fraction(1, 2))
+    wedge_matrix_form(mat, w2)
+    wedge_form_matrix(w2, mat)
+    w1.scale(s) - w1
+    w2.parity_parts()
+    interior_product(d, w2)
+    lie_derivative(sc21, d, w1)
+
+
+def test_forms_refuse_another_basis_of_the_same_algebra(sc12, sc12_adapted):
+    # the body-adapted basis of (1|2) orders the even elements differently
+    assert sc12.basis.elements != sc12_adapted.basis.elements
+    theta = canonical_one_form(sc12)
+    adapted = canonical_one_form(sc12_adapted)
+    da = DerivationVector.basis(sc12, 1)
+    refused = [
+        lambda: theta + adapted,
+        lambda: theta - adapted,
+        lambda: wedge(theta, adapted),
+        lambda: exterior_derivative_generators(sc12, adapted),
+        lambda: exterior_derivative(sc12, adapted),
+        lambda: lie_derivative(sc12, da, adapted),
+        lambda: lie_derivative(sc12_adapted, da, adapted),
+        lambda: interior_product(da, adapted),
+        lambda: evaluate(adapted, [da]),
+        lambda: derivation_bracket(sc12_adapted, da, da),
+    ]
+    for op in refused:
+        with pytest.raises(ValueError, match="different bases"):
+            op()
+    assert theta != adapted
+    # the same basis built again is the same basis
+    again = constants_for(1, 2)
+    assert again.basis is not sc12.basis
+    assert exterior_derivative_generators(again, theta) == wedge(theta, theta)
+    assert theta == canonical_one_form(again)

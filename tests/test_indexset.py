@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -54,9 +55,11 @@ def test_linear_key_check_matches_canonicalize(n_even, t):
     canon = canonicalize(t, n_even)
     canonical = canon is not None and canon[0] == t
     assert is_canonical(t, n_even) == canonical
-    # GradedForm accepts exactly the canonical keys
+    # GradedForm accepts exactly the canonical keys; the stand-in basis of
+    # shape (2|1) splits its 8 directions at n_even
     mat = GradedMatrix.identity(2, 1)
-    build = lambda: GradedForm(2, 1, n_even, 8 - n_even, len(t), {t: mat})
+    sl_basis = SimpleNamespace(n=2, m=1, even_dim=n_even, odd_dim=8 - n_even)
+    build = lambda: GradedForm(sl_basis, len(t), {t: mat})
     if canonical:
         assert build().coeffs == {t: mat}
     else:
