@@ -17,7 +17,9 @@ A degree is one frozen record, ``ChainDegreeData``, made by
 record of degree p-1 and its zero-weight block (d_p's columns on
 ``FormBasis.zero_weight()``) ranked; a degree that fails leaves nothing in
 the cache.  Every class of H^p lives in that block, so the integer cocycle
-representatives and the body map on cohomology read it alone.  The
+representatives and the body map on cohomology read it alone; the cocycles
+are the block's kernel, sparse integer vectors back-substituted from the
+echelon that ranked it, so the block is eliminated once.  The
 elimination of all of d_p (``LinearMapMatrix.rank``, ``kernel``) is kept
 as the test oracle.
 
@@ -591,15 +593,14 @@ def cocycle_representatives(sc: StructureConstants, p: int) -> List[linalg.Spars
 
     Each cocycle is sparse over the degree-p positions.  Every class lives
     in the zero-weight block, since the certificate of the degree shows
-    the other weights acyclic.  So the kernel of that block is completed
-    past the zero-weight image of d_(p-1), and each vector kept is moved to
-    the positions of its zero-weight columns, with denominators cleared.
+    the other weights acyclic.  So the kernel of that block, read off the
+    echelon of its rank, is completed past the zero-weight image of
+    d_(p-1), and each vector kept is moved to the positions of its
+    zero-weight columns.
     """
-    data = differential_matrix(sc, p)
-    cocycles = [
-        linalg.sparse_row_from_fractions(dict(zip(data.zero_block.basis.positions, vec)))
-        for vec in data.zero_block.kernel()
-    ]
+    block = differential_matrix(sc, p).zero_block
+    positions = block.basis.positions
+    cocycles = [{positions[j]: v for j, v in vec.items()} for vec in block.kernel()]
     return [cocycles[t] for t in _independent_modulo_image(sc, p, cocycles)]
 
 
@@ -614,5 +615,5 @@ def body_h_map_injective(
     """
     reps = cocycle_representatives(sc, p)
     bm = body_map_matrix(sc, sc_body, p)
-    images = [linalg.sparse_row_from_fractions(bm.apply(vec)) for vec in reps]
+    images = [linalg.combine(bm.columns, vec) for vec in reps]
     return len(_independent_modulo_image(sc_body, p, images)) == len(reps)

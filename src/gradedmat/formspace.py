@@ -16,8 +16,12 @@ basis Lie derivatives on any ``FormBasis``, with every label of the output
 degree as rows, are written column by column straight from the structure
 constants (``d_matrix``, ``lie_matrix``): each column is summed in ints
 from the kernel tables of ``forms``, and those sums are kept as they are,
-over the table denominator.  Form coefficients are read through their
-sparse triples.  ``matrix_of_map`` runs any
+over the table denominator.  Form coordinates are read off a form's integer
+numerators (``form_to_sparse``).  A map's rank and kernel come from one
+elimination of its integer rows, kept on the map: kernels are sparse,
+content-stripped integer vectors {column: value} back-substituted from the
+rank's echelon, and ``kernel_forms`` turns the kernel of a stack of maps
+into forms.  ``matrix_of_map`` runs any
 form-level map over the basis instead and puts the images over the lcm of
 their denominators; with ``exterior_derivative`` and ``lie_derivative`` it
 is the oracle the tests hold the column kernel to.
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from . import linalg
 from .constants import StructureConstants
@@ -190,18 +194,21 @@ def basis_form(sc: StructureConstants, label: Label) -> GradedForm:
 
 
 def form_to_sparse(form: GradedForm, basis: FormBasis) -> Dict[int, Scalar]:
-    """The coordinates of ``form`` over ``basis``, nonzero entries only."""
-    out: Dict[int, Scalar] = {}
-    for key, mat in form.coeffs.items():
-        for r, c, v in mat.nonzeros():
-            out[basis.index((key, r, c))] = v
-    return out
+    """The coordinates of ``form`` over ``basis``, nonzero entries only,
+    read off its integer numerators over ``form.den``."""
+    parts: Dict[int, List[int]] = {}
+    for key, entries in form.ints.items():
+        for u, part, y in entries:
+            parts.setdefault(basis.index((key,) + basis.cells[u]), [0, 0])[part] = y
+    den = form.den
+    return {i: Scalar(Fraction(re, den), Fraction(im, den)) for i, (re, im) in parts.items()}
 
 
-def vector_to_form(vec: Sequence, basis: FormBasis) -> GradedForm:
-    """The form with coordinates ``vec`` over ``basis``."""
+def vector_to_form(vec: Mapping[int, Any], basis: FormBasis) -> GradedForm:
+    """The form with the sparse coordinates ``vec``, {column: value}, over ``basis``."""
     triples: Dict[Tuple[int, ...], list] = {}
-    for x, (key, r, c) in zip(vec, basis):
+    for j, x in vec.items():
+        key, r, c = basis[j]
         triples.setdefault(key, []).append((r, c, x))
     return GradedForm.of(basis.sc, basis.p, {
         key: GradedMatrix(basis.sc.n, basis.sc.m, got) for key, got in triples.items()
@@ -214,8 +221,10 @@ class LinearMapMatrix:
 
     ``columns[j]`` is the image of ``basis[j]`` as a sparse vector over
     the ``nrows`` output positions, holding nonzero integer numerators over
-    the common denominator ``den``.  Rank goes through fraction-free
-    elimination with a multi-prime modular cross-check.
+    the common denominator ``den``.  Its integer rows are eliminated once,
+    fraction-free, into the ``echelon`` kept on the map: the rank is its
+    pivot count, checked mod three primes, and the kernel is back-substituted
+    from the same pivots.
     """
 
     basis: FormBasis
@@ -225,7 +234,7 @@ class LinearMapMatrix:
     _int_rows: Optional[List[linalg.SparseIntRow]] = field(
         default=None, repr=False, compare=False
     )
-    _rank: Optional[int] = field(default=None, repr=False, compare=False)
+    _echelon: Optional[linalg.SparseEchelon] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_images(
@@ -253,14 +262,22 @@ class LinearMapMatrix:
             self._int_rows = [linalg.strip_content(rows[i]) for i in sorted(rows)]
         return self._int_rows
 
-    def rank(self) -> int:
-        if self._rank is None:
-            self._rank = linalg.exact_rank(self.int_rows(), self.ncols)
-        return self._rank
+    def echelon(self) -> linalg.SparseEchelon:
+        """The one elimination of ``int_rows``, built and rank-checked on first use."""
+        if self._echelon is None:
+            ech = linalg.SparseEchelon()
+            linalg.exact_rank(self.int_rows(), self.ncols, ech)
+            self._echelon = ech
+        return self._echelon
 
-    def kernel(self) -> List[List[Fraction]]:
-        vecs = linalg.sparse_kernel(self.int_rows(), self.ncols)
-        if not linalg.verify_kernel(self.int_rows(), vecs):
+    def rank(self) -> int:
+        return self.echelon().rank
+
+    def kernel(self) -> List[linalg.SparseIntRow]:
+        """A basis of the kernel as content-stripped integer vectors {column:
+        value}, one per free column, each checked to be killed exactly."""
+        vecs = linalg.sparse_kernel(self.echelon(), self.ncols)
+        if not linalg.verify_kernel(self.columns, vecs):
             raise AssertionError("a kernel vector is not killed by the matrix")
         return vecs
 
@@ -269,19 +286,12 @@ class LinearMapMatrix:
 
         Scalars give Scalars; ints and Fractions give Fractions.
         """
-        acc: Dict[int, Any] = {}
-        for j, x in vec.items():
-            for i, v in self.columns[j].items():
-                acc[i] = acc.get(i, 0) + x * v
         inv = Fraction(1, self.den)
-        return {i: s * inv for i, s in acc.items() if s}
+        return {i: s * inv for i, s in linalg.combine(self.columns, vec).items()}
 
     def compose_is_zero(self, inner: "LinearMapMatrix") -> bool:
         """Whether self applied after ``inner`` kills every basis column."""
-        for col in inner.columns:
-            if self.apply(col):
-                return False
-        return True
+        return linalg.verify_kernel(self.columns, inner.columns)
 
 
 def matrix_of_map(fn: Callable[[GradedForm], GradedForm], sc: StructureConstants,
@@ -416,9 +426,15 @@ def lie_matrix(basis: FormBasis, a: int) -> LinearMapMatrix:
     return LinearMapMatrix(basis, len(full), _columns(basis, per_tuple, unit_terms), t.den)
 
 
+def kernel_forms(maps: Sequence[LinearMapMatrix]) -> List[GradedForm]:
+    """A basis of the forms killed by every one of ``maps``, over their shared
+    input space: the kernel of their stack."""
+    stacked = stack_maps(maps)
+    return [vector_to_form(v, stacked.basis) for v in stacked.kernel()]
+
+
 def invariant_forms(sc: StructureConstants, p: int) -> List[GradedForm]:
     """Basis of the degree-p forms killed by every basis Lie derivative,
     stacked over the weight-0 labels, where all of them lie."""
     basis = FormBasis(sc, p).zero_weight()
-    stacked = stack_maps([lie_matrix(basis, a) for a in range(sc.dim)])
-    return [vector_to_form(v, stacked.basis) for v in stacked.kernel()]
+    return kernel_forms([lie_matrix(basis, a) for a in range(sc.dim)])

@@ -10,7 +10,10 @@ Two layers:
 
 * sparse fraction-free integer elimination for the large real-rational
   systems coming from differentials and invariance constraints, with an
-  independent sparse modular cross-check of every rank.
+  independent sparse modular cross-check of every rank.  A kernel is read
+  off the echelon of that rank (``sparse_kernel``): sparse, content-stripped
+  integer vectors, back-substituted in ints, which ``verify_kernel`` checks
+  exactly against the columns of the matrix.
 
 Ranks and kernels returned here are exact; the modular pass is only a
 guard against elimination bugs, never a substitute.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -224,34 +227,43 @@ class SparseEchelon:
         self.pivot_rows[min(r)] = r
         return True
 
+    def eliminate(self, rows: Sequence[SparseIntRow]) -> int:
+        """Add ``rows``, shortest first; returns the rank."""
+        for row in sorted(rows, key=len):
+            self.add_row(row)
+        return self.rank
+
 
 def sparse_rank(rows: Sequence[SparseIntRow]) -> int:
-    ech = SparseEchelon()
-    for row in sorted(rows, key=len):
-        ech.add_row(row)
-    return ech.rank
+    return SparseEchelon().eliminate(rows)
 
 
-def sparse_kernel(rows: Sequence[SparseIntRow], ncols: int) -> List[List[Fraction]]:
-    """Exact basis of {x : A x = 0}, one vector per free column."""
-    ech = SparseEchelon()
-    for row in sorted(rows, key=len):
-        ech.add_row(row)
-    pivots = sorted(ech.pivot_rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+def sparse_kernel(echelon: SparseEchelon, ncols: int) -> List[SparseIntRow]:
+    """Integer basis of {x : A x = 0} for the A eliminated into ``echelon``.
+
+    One vector per free column f, back-substituted in ints: x_f = 1, then
+    each pivot c below f, highest first, takes the value that zeroes its
+    row, the vector scaled first so that the division is exact.  Content
+    stripped, with x_f > 0: the rational kernel with denominators cleared.
+    """
+    rows = echelon.pivot_rows
+    pivots = sorted(rows, reverse=True)
     basis = []
-    for f in free:
-        x: Dict[int, Fraction] = {f: Fraction(1)}
-        for c in reversed(pivots):
-            row = ech.pivot_rows[c]
-            s = Fraction(0)
-            for cc, v in row.items():
-                if cc != c and cc in x:
-                    s += v * x[cc]
+    for f in range(ncols):
+        if f in rows:
+            continue
+        x = {f: 1}
+        for c in pivots:
+            if c > f:
+                continue  # its row reads only columns above c > f, where x is 0
+            s = sum(v * x[j] for j, v in rows[c].items() if j in x)
             if s:
-                x[c] = -s / row[c]
-        basis.append([x.get(c, Fraction(0)) for c in range(ncols)])
+                pv = rows[c][c]
+                g = gcd(s, pv)
+                if abs(pv) != g:
+                    x = {j: v * (abs(pv) // g) for j, v in x.items()}
+                x[c] = -s // g if pv > 0 else s // g
+        basis.append(strip_content(x))
     return basis
 
 
@@ -289,29 +301,31 @@ def modular_rank(rows: Sequence[SparseIntRow], ncols: int, prime: int) -> int:
     return len(pivots)
 
 
-def exact_rank(rows: Sequence[SparseIntRow], ncols: int) -> int:
+def exact_rank(rows: Sequence[SparseIntRow], ncols: int,
+               echelon: Optional[SparseEchelon] = None) -> int:
     """Exact rank over the rationals, guarded by modular ranks.
 
+    The rows are eliminated, shortest first, into ``echelon`` (a fresh one
+    when None), so a caller that keeps it reads kernels off the same pivots.
     The modular rank can only undershoot (an unlucky prime), so agreement of
     the maximum with the exact elimination is required.
     """
-    r = sparse_rank(rows)
+    r = (SparseEchelon() if echelon is None else echelon).eliminate(rows)
     mods = [modular_rank(rows, ncols, p) for p in _CHECK_PRIMES]
     if max(mods) != r:
         raise AssertionError(f"modular ranks {mods} disagree with exact rank {r}")
     return r
 
 
-def verify_kernel(
-    rows: Sequence[SparseIntRow], vectors: Sequence[Sequence[Fraction]]
-) -> bool:
-    """Exact check that every vector is annihilated by every row."""
-    for v in vectors:
-        for row in rows:
-            s = Fraction(0)
-            for c, a in row.items():
-                if v[c]:
-                    s += a * v[c]
-            if s:
-                return False
-    return True
+def combine(columns: Sequence[SparseIntRow], vec: Dict[int, Any]) -> Dict[int, Any]:
+    """A v, the columns of A weighted by the entries of v; nonzero entries only."""
+    acc: Dict[int, Any] = {}
+    for j, x in vec.items():
+        for i, a in columns[j].items():
+            acc[i] = acc.get(i, 0) + x * a
+    return {i: s for i, s in acc.items() if s}
+
+
+def verify_kernel(columns: Sequence[SparseIntRow], vectors: Sequence[SparseIntRow]) -> bool:
+    """Exact check, in ints, that A v = 0 for every vector."""
+    return not any(combine(columns, v) for v in vectors)

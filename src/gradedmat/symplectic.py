@@ -32,7 +32,7 @@ from .forms import (
     exterior_derivative_generators, interior_product,
 )
 from .formspace import (
-    FormBasis, d_matrix, form_to_sparse, lie_matrix, stack_maps, vector_to_form,
+    FormBasis, d_matrix, form_to_sparse, kernel_forms, lie_matrix,
 )
 from .matrices import GradedMatrix
 from .scalars import ZERO
@@ -166,8 +166,7 @@ def closed_invariant_even_two_forms(sc: StructureConstants) -> List[GradedForm]:
     The stack runs over the weight-0 labels, where every invariant form lies.
     """
     basis = FormBasis(sc, 2).zero_weight()
-    stacked = stack_maps([d_matrix(basis)] + [lie_matrix(basis, a) for a in range(sc.dim)])
-    return [vector_to_form(vec, stacked.basis) for vec in stacked.kernel()]
+    return kernel_forms([d_matrix(basis)] + [lie_matrix(basis, a) for a in range(sc.dim)])
 
 
 def symplectic_uniqueness_holds(sc: StructureConstants) -> bool:

@@ -122,9 +122,7 @@ def test_criterion_2_cartan_calculus(sc21):
     data3 = differential_matrix(sc21, 3)
     for j in [rng.randrange(data3.dim) for _ in range(40)]:
         col = column_values(data3.matrix, j)
-        w4 = vector_to_form(
-            [col.get(i, 0) for i in range(data3.matrix.nrows)], FormBasis(sc21, 4)
-        )
+        w4 = vector_to_form(col, FormBasis(sc21, 4))
         if not exterior_derivative(sc21, w4).is_zero():
             failures.append(f"d.d != 0 (values) at degree-3 column {j}")
     labels4 = FormBasis(sc21, 4)

@@ -42,6 +42,7 @@ from gradedmat.forms import (
 from gradedmat.indexset import enumerate_multi_indices, index_count
 from gradedmat.linalg import SparseEchelon
 from tests.test_forms import rand_form
+from tests.test_linalg import reference_kernel
 
 
 def test_chain_data_shapes_and_ranks(sc21):
@@ -581,6 +582,34 @@ def test_one_zero_block_per_degree(sc21):
     rows = block.int_rows()
     assert len(cocycle_representatives(sc21, 3)) == 1
     assert data.zero_block.int_rows() is rows
+
+
+@pytest.mark.parametrize("name", ["sc21", "sc12", "sc31"])
+def test_zero_block_kernel_equals_the_rational_back_substitution(name, request):
+    block = differential_matrix(request.getfixturevalue(name), 3).zero_block
+    assert block.kernel() == reference_kernel(block.int_rows(), block.ncols)
+
+
+def test_cocycles_reuse_the_elimination_of_the_rank(sc21, monkeypatch):
+    data = differential_matrix(sc21, 3)
+    image_rank = differential_matrix(sc21, 2).zero_block.rank()
+    made = []
+    init = SparseEchelon.__init__
+
+    def counting(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(SparseEchelon, "__init__", counting)
+    assert len(cocycle_representatives(sc21, 3)) == 1
+    # the one echelon made is the independence test's: the zero-weight
+    # image of d_2 and the one class past it; the block is not eliminated
+    assert len(made) == 1
+    assert made[0].rank == image_rank + 1
+    # the block's rank and a second kernel read the echelon its rank built
+    block = data.zero_block
+    assert block.rank() == block.ncols - len(block.kernel())
+    assert len(made) == 1
 
 
 def test_cartan_elements_are_built_once_per_constants(monkeypatch):

@@ -129,8 +129,39 @@ def test_basis_form_sparse_round_trip(sc21):
     for _ in range(4):
         w = rand_form(rng, sc21, 2)
         sparse = form_to_sparse(w, labels)
-        dense = [sparse.get(i, 0) for i in range(len(labels))]
-        assert vector_to_form(dense, labels) == w
+        assert vector_to_form(sparse, labels) == w
+
+
+def test_form_to_sparse_reads_the_ints_without_building_the_view(sc21):
+    labels = FormBasis(sc21, 2)
+    rng = random.Random(7)
+    for _ in range(4):
+        # a sum is built on the ints, with its coefficient view unbuilt
+        w = rand_form(rng, sc21, 2) + rand_form(rng, sc21, 2).scale(I)
+        assert w._coeffs is None
+        sparse = form_to_sparse(w, labels)
+        assert w._coeffs is None
+        assert any(v.im for v in sparse.values())
+        assert vector_to_form(sparse, labels) == w
+        # the reference reads the view
+        assert sparse == {labels.index((key, r, c)): v
+                          for key, mat in w.coeffs.items() for r, c, v in mat.nonzeros()}
+
+
+def test_rank_then_kernel_eliminates_once(sc21, monkeypatch):
+    made = []
+    init = linalg.SparseEchelon.__init__
+
+    def counting(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(linalg.SparseEchelon, "__init__", counting)
+    mat = d_matrix(FormBasis(sc21, 2).zero_weight())
+    rank = mat.rank()
+    kernel = mat.kernel()
+    assert len(made) == 1 and mat.echelon() is made[0]
+    assert 0 < rank < mat.ncols and len(kernel) == mat.ncols - rank
 
 
 def test_matrix_of_map_applies_like_the_map(sc21):
@@ -241,22 +272,18 @@ def test_invariant_one_forms_span_the_canonical_form(sc21):
     assert canonical_line(sc21, invariant_forms(sc21, 1)) is None
 
 
-def full_stack_kernel(maps):
-    """The forms of the kernel of the stacked ``maps``, over their basis."""
-    stacked = stack_maps(maps)
-    return [vector_to_form(v, stacked.basis) for v in stacked.kernel()]
-
-
 @pytest.mark.parametrize("name", ["sc21", "sc12", "sc31", "sc20"])
 def test_invariant_spaces_equal_the_kernels_over_all_labels(name, request):
     # the stacks run over the weight-0 labels; the reference stacks the
     # same maps over every label of the degree
     sc = request.getfixturevalue(name)
     one, two = FormBasis(sc, 1), FormBasis(sc, 2)
-    want = full_stack_kernel([lie_matrix(one, a) for a in range(sc.dim)])
+    want = formspace.kernel_forms([lie_matrix(one, a) for a in range(sc.dim)])
     assert len(want) == 1
     assert invariant_forms(sc, 1) == want
-    want = full_stack_kernel([d_matrix(two)] + [lie_matrix(two, a) for a in range(sc.dim)])
+    want = formspace.kernel_forms(
+        [d_matrix(two)] + [lie_matrix(two, a) for a in range(sc.dim)]
+    )
     assert len(want) == 1
     assert symplectic.closed_invariant_even_two_forms(sc) == want
 
@@ -383,7 +410,7 @@ def test_kernel_refuses_a_vector_the_matrix_does_not_kill(monkeypatch):
     labels = FormBasis(constants_for(2, 0), 0).zero_weight()
     assert list(labels) == [((), 0, 0), ((), 1, 1)]
     mat = LinearMapMatrix(labels, 1, [{0: 1}, {}])
-    assert mat.kernel() == [[0, 1]]
-    monkeypatch.setattr(linalg, "sparse_kernel", lambda rows, ncols: [[1, 0]])
+    assert mat.kernel() == [{1: 1}]
+    monkeypatch.setattr(linalg, "sparse_kernel", lambda echelon, ncols: [{0: 1}])
     with pytest.raises(AssertionError, match="not killed by the matrix"):
         mat.kernel()

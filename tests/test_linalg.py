@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -66,12 +67,55 @@ def test_exact_rank_cross_check():
     assert r == linalg.sparse_rank(rows)
 
 
+def _columns(rows, ncols):
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
+
+
+def _kernel(rows, ncols):
+    ech = linalg.SparseEchelon()
+    linalg.exact_rank(rows, ncols, ech)
+    return linalg.sparse_kernel(ech, ncols)
+
+
+def reference_kernel(rows, ncols):
+    """The kernel by dense rational back-substitution, denominators cleared.
+
+    One vector per free column f of the echelon, with x_f = 1 and every
+    pivot value solved as a Fraction, highest pivot first; then scaled by
+    the lcm of its denominators and stripped of content.
+    """
+    ech = linalg.SparseEchelon()
+    for row in sorted(rows, key=len):
+        ech.add_row(row)
+    pivots = sorted(ech.pivot_rows)
+    out = []
+    for f in range(ncols):
+        if f in ech.pivot_rows:
+            continue
+        x = {f: Fraction(1)}
+        for c in reversed(pivots):
+            row = ech.pivot_rows[c]
+            s = Fraction(0)
+            for cc, v in row.items():
+                if cc != c and cc in x:
+                    s += v * x[cc]
+            if s:
+                x[c] = -s / row[c]
+        dense = [x.get(c, Fraction(0)) for c in range(ncols)]
+        out.append(linalg.sparse_row_from_fractions(dict(enumerate(dense))))
+    return out
+
+
 def test_sparse_kernel_verifies():
     rng = random.Random(29)
     for _ in range(5):
         rows = _random_sparse(rng, 4, 7)
-        vecs = linalg.sparse_kernel(rows, 7)
-        assert linalg.verify_kernel(rows, vecs)
+        vecs = _kernel(rows, 7)
+        assert linalg.verify_kernel(_columns(rows, 7), vecs)
         assert len(vecs) == 7 - linalg.sparse_rank(rows)
 
 
@@ -109,6 +153,33 @@ def test_modular_rank_property(case):
     assert all(r <= exact for r in mods)
     assert max(mods) == exact
     assert linalg.exact_rank(rows, ncols) == exact
+
+
+sparse_int_matrices = st.integers(1, 12).flatmap(
+    lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(
+            st.dictionaries(
+                st.integers(0, ncols - 1),
+                st.integers(-30, 30).filter(bool),
+                max_size=4,
+            ),
+            max_size=12,
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_int_matrices)
+def test_kernel_equals_the_rational_back_substitution(case):
+    ncols, rows = case
+    vecs = _kernel(rows, ncols)
+    assert vecs == reference_kernel(rows, ncols)
+    assert linalg.verify_kernel(_columns(rows, ncols), vecs)
+    for v in vecs:
+        assert all(type(x) is int and x for x in v.values())
+        assert math.gcd(*v.values()) == 1
 
 
 def test_unlucky_prime_undershoots_but_exact_rank_passes():
