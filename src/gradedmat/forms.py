@@ -17,14 +17,14 @@ of the basis derivations; a monomial takes the value
 on its own index tuple (p'' odd entries, multiplicities N_l), which is
 what ties evaluation and coefficient extraction together.
 
-A ``GradedForm`` stores, for each canonical key, the nonzero entries of
-omega_I as sorted (unit u = r * (n + m) + c, 0 for the real part or 1
-for the imaginary part, integer numerator) triples, all over one positive
-denominator in lowest terms.  That storage is unique, so equality is a
-dict and int comparison; sums, scalings, the parity split, the wedges,
-the contraction and both routes of d sum in Python ints and build each
-result through one normalising constructor (``_normal``), which divides
-out the common gcd and checks every key.  The coefficient matrices
+A ``GradedForm`` stores, for each canonical key, the entries of omega_I
+as a ``GradedMatrix`` stores them (sorted (unit, part, numerator)
+triples), all over one positive denominator in lowest terms.  That storage
+is unique, so equality is a dict and int comparison; sums, scalings, the
+parity split, the wedges, the contraction and both routes of d sum in
+Python ints through the integer kernels of ``matrices``, and build each
+result through one normalising constructor (``_form``), which divides out
+the common gcd and checks every key.  The coefficient matrices
 (``coeffs``) are a view derived on first use, for evaluation, coordinates
 and printing.  Every form records the algebra basis it is written on and
 every operation refuses a form written on another one.
@@ -48,8 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .basis import HomogeneousBasis
@@ -63,17 +62,25 @@ from .indexset import (
     self_evaluation_factor,
     tuple_parity,
 )
-from .matrices import GradedMatrix, graded_commutator
+from .matrices import (
+    GradedMatrix,
+    IntEntries,
+    Parts,
+    add_product,
+    add_times,
+    common_divisor,
+    divided,
+    entries_of,
+    gaussian,
+    graded_commutator,
+    odd_units,
+    parity_split,
+    rows_of,
+    twisted,
+)
 from .scalars import ONE, ZERO, Scalar
 
 IndexTuple = Tuple[int, ...]
-
-# the nonzero entries of a matrix times a common denominator, sorted, as
-# (unit u = r * (n + m) + c, 0 for the real part or 1 for the imaginary
-# part, integer numerator)
-IntEntries = List[Tuple[int, int, int]]
-# a matrix being summed: (real parts, imaginary parts), each unit -> numerator
-Parts = Tuple[Dict[int, int], Dict[int, int]]
 
 
 def _same_basis(a: HomogeneousBasis, b: HomogeneousBasis) -> bool:
@@ -194,8 +201,8 @@ class GradedForm:
     __slots__ = ("sl_basis", "n", "m", "n_even", "m_odd", "degree", "ints", "den",
                  "_coeffs")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         sl_basis: HomogeneousBasis,
         degree: int,
         coeffs: Mapping[IndexTuple, GradedMatrix],
@@ -206,24 +213,19 @@ class GradedForm:
             if (mat.n, mat.m) != (n, m):
                 raise ValueError(f"coefficient of shape ({mat.n}|{mat.m}) "
                                  f"in a form over ({n}|{m})")
-        k = n + m
-        den = lcm(*(y.denominator for mat in coeffs.values()
-                    for _, _, x in mat.nonzeros() for y in (x.re, x.im)))
-        parts = {}
-        for key, mat in coeffs.items():
-            re, im = parts[key] = ({}, {})
-            for r, c, x in mat.nonzeros():
-                for acc, y in ((re, x.re), (im, x.im)):
-                    if y:
-                        acc[r * k + c] = y.numerator * (den // y.denominator)
-        _fill(self, sl_basis, degree, parts, den)
-        self._coeffs = {key: mat for key, mat in coeffs.items() if not mat.is_zero()}
+        den = lcm(*(mat.den for mat in coeffs.values()))
+        form = _form(sl_basis, degree, {
+            key: [(u, part, y * (den // mat.den)) for u, part, y in mat.ints]
+            for key, mat in coeffs.items()
+        }, den)
+        form._coeffs = {key: mat for key, mat in coeffs.items() if not mat.is_zero()}
+        return form
 
     # ---- constructors -------------------------------------------------
 
     @staticmethod
     def zero(sc: StructureConstants, degree: int) -> "GradedForm":
-        return _normal(sc.basis, degree, {}, 1)
+        return _form(sc.basis, degree, {}, 1)
 
     @staticmethod
     def of(
@@ -246,7 +248,8 @@ class GradedForm:
         if got is None:
             n, m, den = self.n, self.m, self.den
             got = self._coeffs = {
-                key: _matrix(n, m, entries, den) for key, entries in self.ints.items()
+                key: GradedMatrix.from_ints(n, m, entries, den)
+                for key, entries in self.ints.items()
             }
         return got
 
@@ -268,12 +271,7 @@ class GradedForm:
         parts: Dict[IndexTuple, Parts] = {}
         for form, f in ((self, den // self.den), (other, sign * (den // other.den))):
             for key, entries in form.ints.items():
-                got = parts.get(key)
-                if got is None:
-                    got = parts[key] = ({}, {})
-                for u, part, y in entries:
-                    acc = got[part]
-                    acc[u] = acc.get(u, 0) + f * y
+                add_times(parts.setdefault(key, ({}, {})), entries, f)
         return _normal(self.sl_basis, self.degree, parts, den)
 
     def __add__(self, other: "GradedForm") -> "GradedForm":
@@ -287,13 +285,13 @@ class GradedForm:
 
     def scale(self, s) -> "GradedForm":
         """s times the form, for s an int, a Fraction or a Scalar."""
-        a, b, q = _gaussian(s)
+        a, b, q = gaussian(s)
         if (a, b, q) == (1, 0, 1):
             return self
         parts: Dict[IndexTuple, Parts] = {}
         for key, entries in self.ints.items():
             parts[key] = ({}, {})
-            _add_times(parts[key], entries, a, b)
+            add_times(parts[key], entries, a, b)
         return _normal(self.sl_basis, self.degree, parts, self.den * q)
 
     def __eq__(self, other):
@@ -328,20 +326,18 @@ class GradedForm:
 
     def parity_parts(self) -> Tuple["GradedForm", "GradedForm"]:
         """Split into (even, odd) by total parity of coefficient and key."""
-        odd = _odd_units(self.n, self.m)
-        split: Tuple[Dict[IndexTuple, Parts], ...] = ({}, {})
+        odd = odd_units(self.n, self.m)
+        ev: Dict[IndexTuple, IntEntries] = {}
+        od: Dict[IndexTuple, IntEntries] = {}
         for key, entries in self.ints.items():
-            kp = tuple_parity(key, self.n_even)
-            ev, od = split[0][key], split[1][key] = ({}, {}), ({}, {})
-            for u, part, y in entries:
-                (od if odd[u] != kp else ev)[part][u] = y
-        zero = _normal(self.sl_basis, self.degree, {}, 1)
-        if not any(re or im for re, im in split[1].values()):
+            ev[key], od[key] = parity_split(entries, odd, tuple_parity(key, self.n_even))
+        zero = _form(self.sl_basis, self.degree, {}, 1)
+        if not any(od.values()):
             return self, zero
-        if not any(re or im for re, im in split[0].values()):
+        if not any(ev.values()):
             return zero, self
-        return (_normal(self.sl_basis, self.degree, split[0], self.den),
-                _normal(self.sl_basis, self.degree, split[1], self.den))
+        return (_form(self.sl_basis, self.degree, ev, self.den),
+                _form(self.sl_basis, self.degree, od, self.den))
 
     def homogeneous_parity(self) -> Optional[int]:
         ev, od = self.parity_parts()
@@ -358,97 +354,36 @@ class GradedForm:
         )
 
 
-def _fill(form: GradedForm, sl_basis: HomogeneousBasis, degree: int,
-          parts: Dict[IndexTuple, Parts], den: int) -> None:
-    """Set the fields of ``form`` to the matrices ``parts`` over ``den`` > 0
-    in lowest terms: checks every key, divides out the gcd of ``den`` and
-    every numerator, drops zeros and sorts each key's entries."""
+def _form(sl_basis: HomogeneousBasis, degree: int,
+          ints: Dict[IndexTuple, IntEntries], den: int) -> GradedForm:
+    """The form whose coefficient at each key is the matrix ``ints[key]``
+    over ``den`` > 0, each key's entries as stored (sorted, no zero
+    numerator), put in lowest terms: checks every key, divides out the gcd
+    of ``den`` and every numerator and drops the keys with no entry."""
     ne = sl_basis.even_dim
-    g = den
-    for re, im in parts.values():
-        if g == 1:
-            break
-        g = gcd(g, *re.values(), *im.values())
-    ints: Dict[IndexTuple, IntEntries] = {}
-    for key, (re, im) in parts.items():
+    for key in ints:
         if len(key) != degree:
             raise ValueError(f"key {key} does not match degree {degree}")
         if not is_canonical(key, ne):
             raise ValueError(f"key {key} is not canonical")
-        if g == 1:
-            entries = [(u, 0, y) for u, y in re.items() if y]
-            if im:
-                entries += [(u, 1, y) for u, y in im.items() if y]
-        else:
-            entries = [(u, 0, y // g) for u, y in re.items() if y]
-            if im:
-                entries += [(u, 1, y // g) for u, y in im.items() if y]
-        if entries:
-            entries.sort()
-            ints[key] = entries
+    g = common_divisor(den, ints.values())
+    form = object.__new__(GradedForm)
     form.sl_basis = sl_basis
     form.n, form.m = sl_basis.n, sl_basis.m
     form.n_even, form.m_odd = ne, sl_basis.odd_dim
     form.degree = degree
-    form.ints = ints
+    form.ints = {key: divided(entries, g) for key, entries in ints.items() if entries}
     form.den = den // g
     form._coeffs = None
+    return form
 
 
 def _normal(sl_basis: HomogeneousBasis, degree: int,
             parts: Dict[IndexTuple, Parts], den: int) -> GradedForm:
-    """The one normalising constructor: the form whose coefficient at each
-    key is the matrix ``parts[key]`` over ``den`` > 0, in lowest terms."""
-    form = object.__new__(GradedForm)
-    _fill(form, sl_basis, degree, parts, den)
-    return form
-
-
-def _matrix(n: int, m: int, entries: IntEntries, den: int) -> GradedMatrix:
-    """The matrix of ``entries`` over ``den``."""
-    re: Dict[int, int] = {}
-    im: Dict[int, int] = {}
-    for u, part, y in entries:
-        (im if part else re)[u] = y
-    return GradedMatrix.from_units(n, m, {
-        u: Scalar(Fraction(re.get(u, 0), den), Fraction(im.get(u, 0), den))
-        for u in re.keys() | im.keys()
-    })
-
-
-def _gaussian(s) -> Tuple[int, int, int]:
-    """(a, b, q) with s = (a + i b) / q and q > 0, for an int, a Fraction or
-    a Scalar s."""
-    if isinstance(s, int):
-        return s, 0, 1
-    if isinstance(s, Fraction):
-        return s.numerator, 0, s.denominator
-    if type(s) is Scalar:
-        x, y = s.re, s.im
-        q = lcm(x.denominator, y.denominator)
-        return x.numerator * (q // x.denominator), y.numerator * (q // y.denominator), q
-    raise TypeError(f"cannot scale a form by {type(s).__name__}")
-
-
-def _add_times(parts: Parts, entries: IntEntries, a: int, b: int) -> None:
-    """Add (a + i b) times the matrix of ``entries`` into ``parts``."""
-    re, im = parts
-    for u, part, y in entries:
-        if a:
-            acc = im if part else re
-            acc[u] = acc.get(u, 0) + a * y
-        if b:
-            if part:
-                re[u] = re.get(u, 0) - b * y
-            else:
-                im[u] = im.get(u, 0) + b * y
-
-
-@lru_cache(maxsize=None)
-def _odd_units(n: int, m: int) -> Tuple[int, ...]:
-    """The parity of each unit u = r * (n + m) + c."""
-    k = n + m
-    return tuple(int((u // k < n) != (u % k < n)) for u in range(k * k))
+    """The form whose coefficient at each key is the matrix of the sums
+    ``parts[key]`` over ``den`` > 0, in lowest terms (``_form``)."""
+    return _form(sl_basis, degree,
+                 {key: entries_of(sums) for key, sums in parts.items()}, den)
 
 
 # ======================================================================
@@ -553,38 +488,6 @@ def coefficients_from_values(
 # ======================================================================
 
 
-def _rows_of(entries: IntEntries, k: int, odd: Optional[Tuple[int, ...]] = None
-             ) -> Dict[int, List[Tuple[int, int, int]]]:
-    """Row t -> (column, part, numerator) over ``entries``; with ``odd``
-    (``_odd_units``) the odd entries are negated, the parity twist."""
-    rows: Dict[int, List[Tuple[int, int, int]]] = {}
-    for u, part, y in entries:
-        t, c = divmod(u, k)
-        rows.setdefault(t, []).append((c, part, -y if odd and odd[u] else y))
-    return rows
-
-
-def _add_product(parts: Parts, left: IntEntries,
-                 right: Dict[int, List[Tuple[int, int, int]]], k: int, sign: int) -> None:
-    """Add sign * L R into the parts, for L given by its entries and R by
-    its rows (``_rows_of``)."""
-    re, im = parts
-    for u, p, x in left:
-        t = u % k
-        row = right.get(t)
-        if row is None:
-            continue
-        base = u - t  # r * k for L's entry at (r, t)
-        x *= sign
-        for c, q, y in row:
-            v = base + c
-            if p and q:  # i * i
-                re[v] = re.get(v, 0) - x * y
-            else:
-                acc = im if (p or q) else re
-                acc[v] = acc.get(v, 0) + x * y
-
-
 def wedge(w1: GradedForm, w2: GradedForm) -> GradedForm:
     """Graded wedge product on coefficient level.
 
@@ -595,12 +498,12 @@ def wedge(w1: GradedForm, w2: GradedForm) -> GradedForm:
     """
     _require_basis(w1.sl_basis, w2.sl_basis)
     k, ne = w1.n + w1.m, w1.n_even
-    odd = _odd_units(w1.n, w1.m)
-    plain = {k2: _rows_of(e2, k) for k2, e2 in w2.ints.items()}
-    twisted = {k2: _rows_of(e2, k, odd) for k2, e2 in w2.ints.items()}
+    odd = odd_units(w1.n, w1.m)
+    plain = {k2: rows_of(e2, k) for k2, e2 in w2.ints.items()}
+    twist = {k2: rows_of(twisted(e2, odd), k) for k2, e2 in w2.ints.items()}
     parts: Dict[IndexTuple, Parts] = {}
     for k1, e1 in w1.ints.items():
-        rows = twisted if tuple_parity(k1, ne) else plain
+        rows = twist if tuple_parity(k1, ne) else plain
         for k2 in w2.ints:
             canon = canonicalize(k1 + k2, ne)
             if canon is None:
@@ -609,7 +512,7 @@ def wedge(w1: GradedForm, w2: GradedForm) -> GradedForm:
             got = parts.get(key)
             if got is None:
                 got = parts[key] = ({}, {})
-            _add_product(got, e1, rows[k2], k, csign)
+            add_product(got, e1, rows[k2], k, csign)
     return _normal(w1.sl_basis, w1.degree + w2.degree, parts, w1.den * w2.den)
 
 
@@ -638,7 +541,7 @@ def interior_product(d: DerivationVector, form: GradedForm) -> GradedForm:
     _require_basis(d.sl_basis, form.sl_basis)
     if form.degree == 0:
         raise ValueError("cannot contract a 0-form")
-    coords = {a: _gaussian(d.coords[a]) for a in d.support()}
+    coords = {a: gaussian(d.coords[a]) for a in d.support()}
     q = lcm(*(cq for _, _, cq in coords.values()))
     keys = _interior_support(d, form)
     sef = {key: self_evaluation_factor(key, form.n_even) for key in keys}
@@ -651,7 +554,7 @@ def interior_product(d: DerivationVector, form: GradedForm) -> GradedForm:
             got, f = _value_weight(form, (a,) + key)
             if got is not None:
                 w = f * mult * (q // cq)
-                _add_times(parts[key], form.ints[got], ca * w, cb * w)
+                add_times(parts[key], form.ints[got], ca * w, cb * w)
     return _normal(form.sl_basis, form.degree - 1, parts, form.den * q * div)
 
 
@@ -915,10 +818,7 @@ def _weighted_parts(
             entries = memo.get(bk)
             if entries is None:
                 entries = memo[bk] = _bracketed(bracket[b], ints[key])
-        w *= mult
-        for u, part, y in entries:
-            acc = parts[part]
-            acc[u] = acc.get(u, 0) + w * y
+        add_times(parts, entries, w * mult)
     return parts
 
 
@@ -1118,10 +1018,7 @@ def exterior_derivative_generators(
                 for i, v in table[u]:
                     acc[i] = acc.get(i, 0) + f * v
         for out, v in frame:
-            got = parts.setdefault(out, ({}, {}))
-            for u, part, y in entries:
-                acc = got[part]
-                acc[u] = acc.get(u, 0) + y * v
+            add_times(parts.setdefault(out, ({}, {})), entries, v)
     return _normal(form.sl_basis, form.degree + 1, parts, form.den * den)
 
 

@@ -20,7 +20,6 @@ guard against elimination bugs, never a substitute.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -172,18 +171,6 @@ def strip_content(row: SparseIntRow) -> SparseIntRow:
     return row
 
 
-def sparse_row_from_fractions(entries: Dict[int, Fraction]) -> SparseIntRow:
-    """Clear denominators; row scaling does not change rank or kernel."""
-    entries = {c: v for c, v in entries.items() if v}
-    if not entries:
-        return {}
-    lcm = 1
-    for v in entries.values():
-        d = v.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return strip_content({c: v.numerator * (lcm // v.denominator) for c, v in entries.items()})
-
-
 class SparseEchelon:
     """Online fraction-free echelon of integer rows.
 
@@ -232,10 +219,6 @@ class SparseEchelon:
         for row in sorted(rows, key=len):
             self.add_row(row)
         return self.rank
-
-
-def sparse_rank(rows: Sequence[SparseIntRow]) -> int:
-    return SparseEchelon().eliminate(rows)
 
 
 def sparse_kernel(echelon: SparseEchelon, ncols: int) -> List[SparseIntRow]:

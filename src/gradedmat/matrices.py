@@ -1,4 +1,5 @@
-"""Block-graded square matrices and their bracket operations.
+"""Block-graded square matrices, their bracket operations, and the integer
+kernels that matrices and forms share.
 
 A matrix of shape (n|m) is an (n+m) x (n+m) matrix over the Gaussian
 rationals, graded by the two diagonal blocks: entries with row and column
@@ -7,68 +8,177 @@ and odd parts of the bracket operations below carry all sign conventions
 of the package, so everything downstream (structure constants, forms,
 connections) inherits exactness from this module.
 
-A ``GradedMatrix`` stores one thing: the row-major tuple of its nonzero
-(row, column, value) triples, never holding a zero.  That tuple is what
-``nonzeros`` returns and what equality and hashing compare; sums,
-products, brackets, the parity split and twist and the traces all run
-over it, since nearly every matrix the package handles is a basis element
-or a form coefficient with a few nonzero entries.  The dense rows
-(``entries``) and the flat row-major vector (``flat``) are views derived
-on demand, for printing, tests and the small dense solves.
+A ``GradedMatrix`` stores what a form coefficient stores: its nonzero
+entries (``ints``) as sorted (unit u = r * (n + m) + c, 0 for the real or 1
+for the imaginary part, integer numerator) triples over one positive
+denominator ``den``, in lowest terms; the zero matrix is over 1.  That
+storage is unique, so equality and hashing compare it.  Matrices and forms
+run one set of integer kernels: ``add_times`` sums and scales,
+``add_product`` multiplies, ``twisted`` and ``parity_split`` grade, and
+``entries_of`` with ``common_divisor`` normalise.  The Scalar entries
+(``nonzeros``, ``flat``, ``entries``, ``m[r, c]``) are views built from the
+ints on each call, for printing, evaluation and the small dense solves.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar
 
 Triple = Tuple[int, int, Scalar]
+# the nonzero entries of a matrix times a common denominator, sorted, as
+# (unit u = r * (n + m) + c, 0 for the real part or 1 for the imaginary
+# part, integer numerator)
+IntEntries = Sequence[Tuple[int, int, int]]
+# a matrix being summed: (real parts, imaginary parts), each unit -> numerator
+Parts = Tuple[Dict[int, int], Dict[int, int]]
 
 
-def _index_parity(i: int, n: int) -> int:
-    return 0 if i < n else 1
+# ======================================================================
+# Integer kernels, shared with forms
+# ======================================================================
 
 
-def _rows(triples: Iterable[Triple]) -> Dict[int, List[Tuple[int, Scalar]]]:
-    """Row index -> list of (column, value) over the triples."""
-    rows: Dict[int, List[Tuple[int, Scalar]]] = {}
-    for i, j, x in triples:
-        got = rows.get(i)
-        if got is None:
-            rows[i] = [(j, x)]
-        else:
-            got.append((j, x))
+def gaussian(s) -> Tuple[int, int, int]:
+    """(a, b, q) with s = (a + i b) / q and q > 0, for an int, a Fraction or
+    a Scalar s."""
+    if isinstance(s, int):
+        return s, 0, 1
+    if isinstance(s, Fraction):
+        return s.numerator, 0, s.denominator
+    if type(s) is Scalar:
+        x, y = s.re, s.im
+        q = lcm(x.denominator, y.denominator)
+        return x.numerator * (q // x.denominator), y.numerator * (q // y.denominator), q
+    raise TypeError(f"cannot read {type(s).__name__} as a Gaussian rational")
+
+
+@lru_cache(maxsize=None)
+def odd_units(n: int, m: int) -> Tuple[int, ...]:
+    """The parity of each unit u = r * (n + m) + c."""
+    k = n + m
+    return tuple(int((u // k < n) != (u % k < n)) for u in range(k * k))
+
+
+def add_times(sums: Parts, entries: IntEntries, a: int, b: int = 0) -> None:
+    """Add (a + i b) times the matrix of ``entries`` into ``sums``."""
+    re, im = sums
+    for u, part, y in entries:
+        if a:
+            acc = im if part else re
+            acc[u] = acc.get(u, 0) + a * y
+        if b:
+            if part:
+                re[u] = re.get(u, 0) - b * y
+            else:
+                im[u] = im.get(u, 0) + b * y
+
+
+def rows_of(entries: IntEntries, k: int) -> Dict[int, list]:
+    """Row t -> (column, part, numerator) over ``entries``."""
+    rows: Dict[int, list] = {}
+    for u, part, y in entries:
+        t, c = divmod(u, k)
+        rows.setdefault(t, []).append((c, part, y))
     return rows
+
+
+def add_product(sums: Parts, left: IntEntries, right: Dict[int, list], k: int,
+                sign: int) -> None:
+    """Add sign * L R into ``sums``, for L given by its entries and R by its
+    rows (``rows_of``)."""
+    re, im = sums
+    for u, p, x in left:
+        t = u % k
+        row = right.get(t)
+        if row is None:
+            continue
+        base = u - t  # r * k for L's entry at (r, t)
+        x *= sign
+        for c, q, y in row:
+            v = base + c
+            if p and q:  # i * i
+                re[v] = re.get(v, 0) - x * y
+            else:
+                acc = im if (p or q) else re
+                acc[v] = acc.get(v, 0) + x * y
+
+
+def twisted(entries: IntEntries, odd: Tuple[int, ...]) -> IntEntries:
+    """The parity twist: the entries with the odd ones (``odd_units``) negated."""
+    return [(u, part, -y) if odd[u] else (u, part, y) for u, part, y in entries]
+
+
+def parity_split(entries: IntEntries, odd: Tuple[int, ...], parity: int
+                 ) -> Tuple[IntEntries, IntEntries]:
+    """(even entries, odd entries), the entry at unit u having parity
+    odd[u] + ``parity``."""
+    return ([e for e in entries if odd[e[0]] == parity],
+            [e for e in entries if odd[e[0]] != parity])
+
+
+def entries_of(sums: Parts) -> List[Tuple[int, int, int]]:
+    """The nonzero numerators of ``sums`` as sorted entries."""
+    re, im = sums
+    out = [(u, 0, y) for u, y in re.items() if y]
+    if im:
+        out += [(u, 1, y) for u, y in im.items() if y]
+    out.sort()
+    return out
+
+
+def common_divisor(den: int, groups: Iterable[IntEntries]) -> int:
+    """The gcd of ``den`` and every numerator in ``groups``; dividing it out
+    puts them in lowest terms."""
+    g = den
+    for entries in groups:
+        if g == 1:
+            break
+        g = gcd(g, *[y for _, _, y in entries])
+    return g
+
+
+def divided(entries: IntEntries, g: int) -> IntEntries:
+    """The entries with every numerator divided by ``g``."""
+    return entries if g == 1 else [(u, part, y // g) for u, part, y in entries]
+
+
+# ======================================================================
+# Graded matrices
+# ======================================================================
 
 
 class GradedMatrix:
     """An (n+m) x (n+m) matrix with the block Z2-grading.
 
     ``GradedMatrix(n, m, triples)`` takes (row, column, value) triples in
-    any order, with values coercible to Scalar; it drops zeros and rejects
-    repeated or out-of-range positions.  Instances are immutable and
-    hashable; all operations return new matrices.  An entry's parity is
-    an index test, so the grading never needs dense copies.
+    any order, with values an int, a Fraction or a Scalar; it drops zeros
+    and raises ``ValueError`` on a repeated or out-of-range position.
+    Instances are immutable and hashable; all operations return new
+    matrices.  An entry's parity is an index test, so the grading never
+    needs dense copies.
     """
 
-    __slots__ = ("n", "m", "_triples")
+    __slots__ = ("n", "m", "ints", "den")
 
-    def __init__(self, n: int, m: int, triples: Iterable[Triple] = ()):
+    def __new__(cls, n: int, m: int, triples: Iterable[Triple] = ()):
         k = n + m
-        seen: Dict[Tuple[int, int], Scalar] = {}
+        values: Dict[int, Tuple[int, int, int]] = {}
         for i, j, x in triples:
             if not (0 <= i < k and 0 <= j < k):
                 raise ValueError(f"position ({i}, {j}) outside shape ({n}|{m})")
-            if (i, j) in seen:
+            u = i * k + j
+            if u in values:
                 raise ValueError(f"position ({i}, {j}) given twice")
-            seen[(i, j)] = Scalar.of(x)
-        _set_n(self, n)
-        _set_m(self, m)
-        _set_triples(self, tuple(
-            (i, j, x) for (i, j), x in sorted(seen.items()) if x is not ZERO
-        ))
+            values[u] = gaussian(x)
+        den = lcm(*(q for _, _, q in values.values()))
+        re, im = sums = ({}, {})
+        for u, (a, b, q) in values.items():
+            re[u], im[u] = a * (den // q), b * (den // q)
+        return _of_sums(n, m, sums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedMatrix is immutable")
@@ -80,24 +190,19 @@ class GradedMatrix:
         k = n + m
         if len(rows) != k or any(len(r) != k for r in rows):
             raise ValueError(f"expected {k}x{k} rows for shape ({n}|{m})")
-        triples = []
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                x = Scalar.of(x)
-                if x is not ZERO:
-                    triples.append((i, j, x))
-        return _new(n, m, tuple(triples))
+        return GradedMatrix(n, m, (
+            (i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
+        ))
 
     @staticmethod
-    def from_units(n: int, m: int, values: Mapping[int, Scalar]) -> "GradedMatrix":
-        """The matrix with entry ``values[u]`` at unit u = row * (n + m) + col.
+    def from_ints(n: int, m: int, entries: IntEntries, den: int) -> "GradedMatrix":
+        """The matrix of ``entries`` over ``den`` > 0, put in lowest terms.
 
-        The values must be Scalars; zeros are dropped.
+        The entries must be as stored: sorted, each (unit, part) at most
+        once, no zero numerator.
         """
-        k = n + m
-        return _new(n, m, tuple(
-            (u // k, u % k, x) for u, x in sorted(values.items()) if x is not ZERO
-        ))
+        g = common_divisor(den, (entries,))
+        return _new(n, m, tuple(divided(entries, g)), den // g)
 
     @staticmethod
     def zero(n: int, m: int) -> "GradedMatrix":
@@ -105,29 +210,43 @@ class GradedMatrix:
 
     @staticmethod
     def identity(n: int, m: int) -> "GradedMatrix":
-        return _new(n, m, tuple((i, i, ONE) for i in range(n + m)))
+        k = n + m
+        return _new(n, m, tuple((i * (k + 1), 0, 1) for i in range(k)), 1)
 
     @staticmethod
     def unit(n: int, m: int, i: int, j: int, value=1) -> "GradedMatrix":
         """The matrix with a single entry ``value`` at position (i, j)."""
         return GradedMatrix(n, m, ((i, j, value),))
 
-    # ---- basic queries ------------------------------------------------
+    # ---- the Scalar views ---------------------------------------------
 
     @property
     def size(self) -> int:
         return self.n + self.m
 
+    def _values(self) -> List[Tuple[int, Scalar]]:
+        """(unit, value) over the nonzero entries, in unit order.  A real
+        integer goes through ``Scalar.of``, so 1 and -1 are the shared
+        Scalars that the products of the dense solves test for."""
+        pairs: Dict[int, List[int]] = {}
+        for u, part, y in self.ints:
+            pairs.setdefault(u, [0, 0])[part] = y
+        den = self.den
+        return [(u, Scalar.of(re) if den == 1 and not im
+                 else Scalar(Fraction(re, den), Fraction(im, den)))
+                for u, (re, im) in pairs.items()]
+
     def nonzeros(self) -> Tuple[Triple, ...]:
         """The nonzero entries as (row, column, value) triples, row major."""
-        return self._triples
+        k = self.n + self.m
+        return tuple((u // k, u % k, x) for u, x in self._values())
 
     def flat(self) -> List[Scalar]:
         """The entries as one row-major list of (n+m)^2 Scalars."""
         k = self.n + self.m
         out = [ZERO] * (k * k)
-        for i, j, x in self._triples:
-            out[i * k + j] = x
+        for u, x in self._values():
+            out[u] = x
         return out
 
     @property
@@ -139,27 +258,29 @@ class GradedMatrix:
 
     def __getitem__(self, rc) -> Scalar:
         r, c = rc
-        for i, j, x in self._triples:
-            if i == r and j == c:
-                return x
-        return ZERO
+        k = self.n + self.m
+        if not (0 <= r < k and 0 <= c < k):
+            raise IndexError(f"position ({r}, {c}) outside shape ({self.n}|{self.m})")
+        return dict(self._values()).get(r * k + c, ZERO)
+
+    # ---- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._triples
+        return not self.ints
 
     def entry_parity(self, i: int, j: int) -> int:
-        return (_index_parity(i, self.n) + _index_parity(j, self.n)) % 2
+        return int((i < self.n) != (j < self.n))
 
     def __eq__(self, other):
         if type(other) is not GradedMatrix:
             return NotImplemented
         return (self is other or (
             self.n == other.n and self.m == other.m
-            and self._triples == other._triples
+            and self.den == other.den and self.ints == other.ints
         ))
 
     def __hash__(self):
-        return hash((self.n, self.m, self._triples))
+        return hash((self.n, self.m, self.den, self.ints))
 
     # ---- linear structure ---------------------------------------------
 
@@ -169,44 +290,41 @@ class GradedMatrix:
                 f"shape mismatch: ({self.n}|{self.m}) vs ({other.n}|{other.m})"
             )
 
-    def _sum(self, other: "GradedMatrix", negate: bool) -> "GradedMatrix":
-        """self + other, or self - other when ``negate``."""
-        k = self.n + self.m
-        acc = {i * k + j: x for i, j, x in self._triples}
-        for i, j, y in other._triples:
-            u = i * k + j
-            cur = acc.get(u)
-            if cur is None:
-                acc[u] = -y if negate else y
-            else:
-                acc[u] = cur - y if negate else cur + y
-        return GradedMatrix.from_units(self.n, self.m, acc)
+    def _sum(self, other: "GradedMatrix", sign: int) -> "GradedMatrix":
+        """self + sign * other."""
+        den = lcm(self.den, other.den)
+        sums: Parts = ({}, {})
+        add_times(sums, self.ints, den // self.den)
+        add_times(sums, other.ints, sign * (den // other.den))
+        return _of_sums(self.n, self.m, sums, den)
 
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
         self._require_shape(other)
-        if not other._triples:
+        if not other.ints:
             return self
-        if not self._triples:
+        if not self.ints:
             return other
-        return self._sum(other, False)
+        return self._sum(other, 1)
 
     def __sub__(self, other: "GradedMatrix") -> "GradedMatrix":
         self._require_shape(other)
-        if not other._triples:
+        if not other.ints:
             return self
-        return self._sum(other, True)
+        return self._sum(other, -1)
 
     def __neg__(self) -> "GradedMatrix":
         return self.scale(-1)
 
     def scale(self, s) -> "GradedMatrix":
-        s = Scalar.of(s)
-        if s is ONE:
+        """s times the matrix, for s an int, a Fraction or a Scalar."""
+        a, b, q = gaussian(s)
+        if (a, b, q) == (1, 0, 1):
             return self
-        if s is ZERO or not self._triples:
+        if not (a or b) or not self.ints:
             return _zero_matrix(self.n, self.m)
-        # the Gaussian rationals are a field: no product of nonzeros is zero
-        return _new(self.n, self.m, tuple((i, j, s * x) for i, j, x in self._triples))
+        sums: Parts = ({}, {})
+        add_times(sums, self.ints, a, b)
+        return _of_sums(self.n, self.m, sums, self.den * q)
 
     def __rmul__(self, s):
         if isinstance(s, (int, Fraction, Scalar)):
@@ -215,35 +333,26 @@ class GradedMatrix:
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         self._require_shape(other)
-        if not self._triples or not other._triples:
+        if not self.ints or not other.ints:
             return _zero_matrix(self.n, self.m)
         k = self.n + self.m
-        brows = _rows(other._triples)
-        acc: Dict[int, Scalar] = {}
-        for i, t, x in self._triples:
-            for j, y in brows.get(t, ()):
-                u = i * k + j
-                cur = acc.get(u)
-                acc[u] = x * y if cur is None else cur + x * y
-        return GradedMatrix.from_units(self.n, self.m, acc)
+        sums: Parts = ({}, {})
+        add_product(sums, self.ints, rows_of(other.ints, k), k, 1)
+        return _of_sums(self.n, self.m, sums, self.den * other.den)
 
     # ---- grading ------------------------------------------------------
 
     def parity_decompose(self) -> tuple["GradedMatrix", "GradedMatrix"]:
         """Split into (even part, odd part); the two always sum back to self."""
-        n = self.n
-        ev = tuple(t for t in self._triples if (t[0] < n) == (t[1] < n))
-        od = tuple(t for t in self._triples if (t[0] < n) != (t[1] < n))
-        return _new(self.n, self.m, ev), _new(self.n, self.m, od)
+        n, m = self.n, self.m
+        ev, od = parity_split(self.ints, odd_units(n, m), 0)
+        return GradedMatrix.from_ints(n, m, ev, self.den), \
+            GradedMatrix.from_ints(n, m, od, self.den)
 
     def parity_twist(self) -> "GradedMatrix":
         """The even part minus the odd part."""
-        if self.is_even():
-            return self
-        n = self.n
-        return _new(self.n, self.m, tuple(
-            (i, j, x if (i < n) == (j < n) else -x) for i, j, x in self._triples
-        ))
+        return _new(self.n, self.m, tuple(twisted(self.ints, odd_units(self.n, self.m))),
+                    self.den)
 
     def homogeneous_parity(self) -> Optional[int]:
         """0 or 1 for homogeneous matrices, None for mixed.
@@ -251,62 +360,62 @@ class GradedMatrix:
         The zero matrix reports parity 0; callers that branch on parity treat
         it as belonging to either part.
         """
-        if self.is_even():
-            return 0
-        if self.is_odd():
-            return 1
-        return None
-
-    def is_even(self) -> bool:
-        n = self.n
-        return all((i < n) == (j < n) for i, j, _ in self._triples)
-
-    def is_odd(self) -> bool:
-        n = self.n
-        return all((i < n) != (j < n) for i, j, _ in self._triples)
+        odd = odd_units(self.n, self.m)
+        parities = {odd[u] for u, _, _ in self.ints}
+        return None if len(parities) > 1 else max(parities, default=0)
 
     # ---- traces -------------------------------------------------------
 
+    def _diagonal_sum(self, signed: bool) -> Scalar:
+        """The sum of the diagonal entries, those of the second block
+        negated when ``signed``."""
+        k1 = self.n + self.m + 1
+        second = self.n * k1  # the first diagonal unit of the second block
+        pair = [0, 0]
+        for u, part, y in self.ints:
+            if u % k1 == 0:
+                pair[part] += -y if signed and u >= second else y
+        return Scalar(Fraction(pair[0], self.den), Fraction(pair[1], self.den))
+
     def trace(self) -> Scalar:
-        t = ZERO
-        for i, j, x in self._triples:
-            if i == j:
-                t = t + x
-        return t
+        return self._diagonal_sum(False)
 
     def supertrace(self) -> Scalar:
         """Trace of the first diagonal block minus trace of the second."""
-        t = ZERO
-        for i, j, x in self._triples:
-            if i == j:
-                t = t + x if i < self.n else t - x
-        return t
+        return self._diagonal_sum(True)
 
     def __str__(self):
         rows = [" ".join(str(x) for x in row) for row in self.entries]
         return "[" + "; ".join(rows) + "]"
 
     def __repr__(self):
-        return f"GradedMatrix({self.n}, {self.m}, {self._triples!r})"
+        return f"GradedMatrix({self.n}, {self.m}, {self.nonzeros()!r})"
 
 
 _set_n = GradedMatrix.n.__set__
 _set_m = GradedMatrix.m.__set__
-_set_triples = GradedMatrix._triples.__set__
+_set_ints = GradedMatrix.ints.__set__
+_set_den = GradedMatrix.den.__set__
 
 
-def _new(n: int, m: int, triples: Tuple[Triple, ...]) -> GradedMatrix:
-    """A matrix from row-major triples already free of zeros."""
+def _new(n: int, m: int, ints: tuple, den: int) -> GradedMatrix:
+    """A matrix from entries already stored as ``ints`` over ``den``."""
     g = object.__new__(GradedMatrix)
     _set_n(g, n)
     _set_m(g, m)
-    _set_triples(g, triples)
+    _set_ints(g, ints)
+    _set_den(g, den)
     return g
+
+
+def _of_sums(n: int, m: int, sums: Parts, den: int) -> GradedMatrix:
+    """The matrix ``sums`` over ``den`` > 0, in lowest terms."""
+    return GradedMatrix.from_ints(n, m, entries_of(sums), den)
 
 
 @lru_cache(maxsize=None)
 def _zero_matrix(n: int, m: int) -> GradedMatrix:
-    return _new(n, m, ())
+    return _new(n, m, (), 1)
 
 
 # ======================================================================
@@ -318,24 +427,24 @@ def _graded_bracket(a: GradedMatrix, b: GradedMatrix, commutator: bool) -> Grade
     """ab -/+ (-1)^{|a||b|} ba, summed over the homogeneous parts of a and b.
 
     Entry by entry the sign of a product b_it a_tj depends only on the
-    parities of its two factors, which are index tests; so the bracket of
-    mixed inputs needs no parity split.
+    parities of its two factors: so ba enters as (even part of b) a plus
+    (odd part of b) times the parity twist of a, and a needs no split.
     """
-    ab = a @ b
-    if not a._triples or not b._triples:
-        return ab
-    n, k = a.n, a.n + a.m
-    acc = {i * k + j: x for i, j, x in ab._triples}
-    arows = _rows(a._triples)
-    for i, t, y in b._triples:
-        odd_b = (i < n) != (t < n)
-        for j, x in arows.get(t, ()):
-            both_odd = odd_b and (t < n) != (j < n)
-            term = y * x if both_odd == commutator else -(y * x)
-            u = i * k + j
-            cur = acc.get(u)
-            acc[u] = term if cur is None else cur + term
-    return GradedMatrix.from_units(a.n, a.m, acc)
+    a._require_shape(b)
+    n, m = a.n, a.m
+    if not a.ints or not b.ints:
+        return _zero_matrix(n, m)
+    k = n + m
+    odd = odd_units(n, m)
+    sign = -1 if commutator else 1
+    b_even, b_odd = parity_split(b.ints, odd, 0)
+    sums: Parts = ({}, {})
+    add_product(sums, a.ints, rows_of(b.ints, k), k, 1)
+    if b_even:
+        add_product(sums, b_even, rows_of(a.ints, k), k, sign)
+    if b_odd:
+        add_product(sums, b_odd, rows_of(twisted(a.ints, odd), k), k, sign)
+    return _of_sums(n, m, sums, a.den * b.den)
 
 
 def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:

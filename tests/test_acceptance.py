@@ -68,6 +68,7 @@ from gradedmat.verify import (
 )
 from tests.test_bundles import brute_force_free, idempotent_cover_connection
 from tests.test_formspace import column_values
+from tests.test_linalg import clear_denominators
 
 
 def conclude(num, desc, failures, t0, budget):
@@ -380,9 +381,7 @@ def universal_image_rank(sc, d):
         db = d(sc, GradedForm.from_matrix(sc, b))
         for a in units:
             coords = form_to_sparse(wedge_matrix_form(a, db), basis)
-            rows.append(linalg.sparse_row_from_fractions(
-                {i: v.re for i, v in coords.items()}
-            ))
+            rows.append(clear_denominators({i: v.re for i, v in coords.items()}))
     return linalg.exact_rank(rows, len(basis))
 
 

@@ -394,8 +394,8 @@ def test_oracle_tables_are_built_once_per_constants(sc21):
     for b, e in enumerate(sc.basis.elements):
         for u in range(k * k):
             unit = GradedMatrix.unit(sc.n, sc.m, u // k, u % k)
-            assert GradedMatrix.from_units(
-                sc.n, sc.m, {v: Scalar.of(x) for v, x in tables.bracket[b][u]}
+            assert GradedMatrix(
+                sc.n, sc.m, [(v // k, v % k, x) for v, x in tables.bracket[b][u]]
             ) == graded_commutator(e, unit), (b, u)
     # a second constants object owns its own tables
     other = constants_for(2, 1)

@@ -35,6 +35,16 @@ def test_solve_and_inverse():
         linalg.solve_unique(_mat([[1, 1], [2, 2]]), [Scalar.of(1), Scalar.of(1)])
 
 
+def clear_denominators(entries):
+    """The nonzero ``entries`` {column: Fraction} times the lcm of their
+    denominators, stripped of content: a row with the same rank and kernel."""
+    entries = {c: v for c, v in entries.items() if v}
+    den = math.lcm(*(v.denominator for v in entries.values()))
+    return linalg.strip_content(
+        {c: v.numerator * (den // v.denominator) for c, v in entries.items()}
+    )
+
+
 def _random_sparse(rng, nrows, ncols, density=0.4):
     rows = []
     for _ in range(nrows):
@@ -44,7 +54,7 @@ def _random_sparse(rng, nrows, ncols, density=0.4):
             if rng.random() < density
         }
         entries = {j: v for j, v in entries.items() if v}
-        rows.append(linalg.sparse_row_from_fractions(entries))
+        rows.append(clear_denominators(entries))
     return [r for r in rows if r]
 
 
@@ -57,14 +67,14 @@ def test_sparse_rank_matches_dense():
         for i, row in enumerate(rows):
             for j, v in row.items():
                 dense[i][j] = Scalar.of(Fraction(v))
-        assert linalg.sparse_rank(rows) == linalg.rank_dense(dense)
+        assert linalg.SparseEchelon().eliminate(rows) == linalg.rank_dense(dense)
 
 
 def test_exact_rank_cross_check():
     rng = random.Random(23)
     rows = _random_sparse(rng, 10, 7)
     r = linalg.exact_rank(rows, 7)
-    assert r == linalg.sparse_rank(rows)
+    assert r == linalg.SparseEchelon().eliminate(rows)
 
 
 def _columns(rows, ncols):
@@ -106,7 +116,7 @@ def reference_kernel(rows, ncols):
             if s:
                 x[c] = -s / row[c]
         dense = [x.get(c, Fraction(0)) for c in range(ncols)]
-        out.append(linalg.sparse_row_from_fractions(dict(enumerate(dense))))
+        out.append(clear_denominators(dict(enumerate(dense))))
     return out
 
 
@@ -116,13 +126,13 @@ def test_sparse_kernel_verifies():
         rows = _random_sparse(rng, 4, 7)
         vecs = _kernel(rows, 7)
         assert linalg.verify_kernel(_columns(rows, 7), vecs)
-        assert len(vecs) == 7 - linalg.sparse_rank(rows)
+        assert len(vecs) == 7 - linalg.SparseEchelon().eliminate(rows)
 
 
 def test_modular_rank_agrees():
     rng = random.Random(31)
     rows = _random_sparse(rng, 9, 9)
-    exact = linalg.sparse_rank(rows)
+    exact = linalg.SparseEchelon().eliminate(rows)
     assert linalg.modular_rank(rows, 9, 1000003) == exact
 
 
@@ -148,7 +158,7 @@ small_int_rows = st.integers(1, 6).flatmap(
 @given(small_int_rows)
 def test_modular_rank_property(case):
     ncols, rows = case
-    exact = linalg.sparse_rank(rows)
+    exact = linalg.SparseEchelon().eliminate(rows)
     mods = [linalg.modular_rank(rows, ncols, p) for p in linalg._CHECK_PRIMES]
     assert all(r <= exact for r in mods)
     assert max(mods) == exact
@@ -194,7 +204,7 @@ def test_unlucky_prime_undershoots_but_exact_rank_passes():
 def test_exact_rank_rejects_a_short_modular_rank(monkeypatch):
     rng = random.Random(37)
     rows = _random_sparse(rng, 6, 6)
-    rank = linalg.sparse_rank(rows)
+    rank = linalg.SparseEchelon().eliminate(rows)
     assert rank > 0
     monkeypatch.setattr(
         linalg, "modular_rank", lambda rows, ncols, prime: rank - 1

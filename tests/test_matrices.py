@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -31,6 +32,14 @@ def test_shapes_and_units():
         GradedMatrix(2, 1, [(3, 0, 1)])
     with pytest.raises(AttributeError):
         u.n = 3
+
+
+def test_reading_a_position_outside_the_shape_raises():
+    u = GradedMatrix.unit(2, 1, 0, 2)
+    for r, c in ((0, 7), (1, -1), (-1, 0), (3, 0), (0, 3)):
+        with pytest.raises(IndexError, match="outside"):
+            u[r, c]
+    assert u[0, 2] == ONE and u[2, 2] is ZERO
 
 
 def test_parity_decompose_splits_blocks():
@@ -226,9 +235,10 @@ def test_brackets_match_parity_split_definition():
 
 # ---- the sparse representation against dense references ----------------
 #
-# A matrix stores only its row-major nonzero triples.  Each example draws
-# dense rows, about half of them zero, and holds every operation to the
-# dense definition on pairs (re, im), read back through ``mat[i, j]``.
+# A matrix stores its nonzero entries as sorted (unit, part, numerator)
+# triples over one denominator in lowest terms.  Each example draws dense
+# rows, about half of them zero, and holds every operation to the dense
+# definition on pairs (re, im), read back through ``mat[i, j]``.
 
 SPARSE_SHAPES = ((2, 1), (1, 2))
 gaussians = st.builds(
@@ -287,11 +297,21 @@ def _dense_bracket(a, b, n, commutator):
 
 
 def _assert_stored_form(mat):
-    triples = mat.nonzeros()
+    ints, den = mat.ints, mat.den
     k = mat.size
+    assert type(ints) is tuple and type(den) is int and den > 0
+    assert list(ints) == sorted(ints)
+    assert len({(u, part) for u, part, _ in ints}) == len(ints)
+    assert all(0 <= u < k * k and part in (0, 1) and type(y) is int and y
+               for u, part, y in ints)
+    assert math.gcd(den, *(y for _, _, y in ints)) == 1
+    if not ints:
+        assert den == 1
+    # the Scalar view reads the same values
+    triples = mat.nonzeros()
     assert all(x is not ZERO and type(x) is Scalar for _, _, x in triples)
-    assert all(0 <= i < k and 0 <= j < k for i, j, _ in triples)
-    assert [t[:2] for t in triples] == sorted({t[:2] for t in triples})
+    assert [(i * k + j, part, y) for i, j, x in triples
+            for part, y in enumerate((x.re * den, x.im * den)) if y] == list(ints)
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,7 +325,7 @@ def test_sparse_form_is_canonical(data):
     assert a + (-a) == zero and hash(a + (-a)) == hash(zero)
     assert a - a == zero and (a - a).nonzeros() == ()
     # the same entries reached by units, by triples in any order, by
-    # arithmetic and by units keyed u = i * (n + m) + j
+    # arithmetic and by its own ints over another denominator
     k = n + m
     nz = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
     by_units = zero
@@ -315,7 +335,8 @@ def test_sparse_form_is_canonical(data):
     built = [
         by_units,
         GradedMatrix(n, m, shuffled),
-        GradedMatrix.from_units(n, m, {i * k + j: x for i, j, x in nz}),
+        GradedMatrix.from_ints(n, m, [(u, part, 3 * y) for u, part, y in a.ints],
+                               3 * a.den),
         (a + a) - a,
         a.scale(2).scale(Fraction(1, 2)),
         GradedMatrix.identity(n, m) @ a,
@@ -364,3 +385,29 @@ def test_sparse_operations_match_dense_reference(data):
     assert _pair(a.supertrace()) == (
         sum(x[0] for x in sdiag), sum(x[1] for x in sdiag)
     )
+
+
+# Gaussian rationals whose real and imaginary parts have unrelated
+# denominators up to 12, so the common denominator of a matrix mixes them.
+mixed_gaussians = st.builds(
+    lambda a, q, b, q2: Scalar(Fraction(a, q), Fraction(b, q2)),
+    st.integers(-20, 20), st.integers(1, 12), st.integers(-20, 20), st.integers(1, 12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mixed_denominators_round_trip_through_the_constructor(data):
+    n, m = data.draw(st.sampled_from(SPARSE_SHAPES + ((2, 0),)), label="shape")
+    k = n + m
+    cells = data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                               unique=True, max_size=k * k), label="cells")
+    values = data.draw(st.lists(mixed_gaussians, min_size=len(cells),
+                                max_size=len(cells)), label="values")
+    triples = [(i, j, x) for (i, j), x in zip(cells, values)]
+    mat = GradedMatrix(n, m, triples)
+    _assert_stored_form(mat)
+    want = sorted((i, j, x) for i, j, x in triples if x)
+    assert list(mat.nonzeros()) == want
+    assert GradedMatrix(n, m, mat.nonzeros()) == mat
+    assert mat.den == math.lcm(*(y.denominator for _, _, x in want for y in (x.re, x.im)))
