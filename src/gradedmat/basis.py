@@ -38,11 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import List, Tuple
 
 from . import linalg
 from .matrices import GradedMatrix, graded_commutator
-from .scalars import Scalar
 
 
 @dataclass(frozen=True)
@@ -81,26 +81,37 @@ class HomogeneousBasis:
             hp = e.homogeneous_parity()
             if hp is None or hp != p or e.is_zero():
                 raise ValueError("basis element not homogeneous of declared parity")
-        if linalg.rank_dense(self._vector_columns()) != self.dim:
+        if linalg.factor([e.ints for e in self.elements]).rank != self.dim:
             raise ValueError("basis elements are linearly dependent")
 
-    def _vector_columns(self) -> List[List[Scalar]]:
-        # rows = flattened matrix positions, columns = basis elements
-        return [list(row) for row in zip(*(e.flat() for e in self.elements))]
-
     @cached_property
-    def _expansion_inverse(self) -> List[List[Scalar]]:
-        # columns: vec(E_0), ..., vec(E_last), vec(identity)
-        ident = GradedMatrix.identity(self.n, self.m)
-        flats = [e.flat() for e in (*self.elements, ident)]
-        return linalg.inverse([list(row) for row in zip(*flats)])
+    def _expansion_inverse(self) -> Tuple[List[List[Tuple[int, int, int]]], int]:
+        """The inverse of the matrix whose columns are the flattened elements
+        and the identity, column u (a matrix unit) as sparse (element, 0,
+        numerator) entries over one denominator.  For the canonical basis
+        the column of an off-diagonal unit is its one element, and only the
+        diagonal units reach the diagonal elements and the identity."""
+        columns = [e.ints for e in self.elements]
+        columns.append(GradedMatrix.identity(self.n, self.m).ints)
+        if any(part for col in columns for _, part, _ in col):
+            raise ValueError("basis elements must be real")
+        scales = [e.den for e in self.elements] + [1]
+        inv, den = linalg.inverse(columns)
+        return [[(a, 0, y * scales[a]) for a, _, y in col] for col in inv], den
 
-    def expand(self, mat: GradedMatrix) -> Tuple[List[Scalar], Scalar]:
-        """Coefficients (c_A, u) with  mat = sum c_A E_A + u * identity."""
+    def expand(self, mat: GradedMatrix) -> Tuple[List[int], int, int]:
+        """(coeffs, u, den) with  mat = (sum_A coeffs[A] E_A + u * identity) / den,
+        for a real ``mat``, in integers."""
         if (mat.n, mat.m) != (self.n, self.m):
             raise ValueError("shape mismatch in basis expansion")
-        coeffs = linalg.matvec(self._expansion_inverse, mat.flat())
-        return coeffs[:-1], coeffs[-1]
+        inv, den = self._expansion_inverse
+        coeffs = [0] * (self.dim + 1)
+        for u, part, y in mat.ints:
+            if part:
+                raise ValueError("basis expansion of a matrix with imaginary entries")
+            for a, _, x in inv[u]:
+                coeffs[a] += x * y
+        return coeffs[:-1], coeffs[-1], den * mat.den
 
 
 def _diagonal(n: int, m: int, values) -> GradedMatrix:
@@ -202,18 +213,20 @@ def derivation_dimension(basis: HomogeneousBasis) -> Tuple[int, int]:
     units = [GradedMatrix.unit(n, m, i, j) for i in range(k) for j in range(k)]
 
     def columns(indices):
+        # column a: [E_a, u] for every unit u, one after another, over one
+        # denominator
         cols = []
         for a in indices:
-            col = []
-            for u in units:
-                col.extend(adjoint_action(basis.elements[a], u).flat())
-            cols.append(col)
-        return [list(row) for row in zip(*cols)] if cols else []
+            images = [adjoint_action(basis.elements[a], u) for u in units]
+            den = lcm(*(im.den for im in images))
+            cols.append([(t * k * k + v, part, y * (den // im.den))
+                         for t, im in enumerate(images) for v, part, y in im.ints])
+        return cols
 
     even_idx = [a for a in range(basis.dim) if basis.parity(a) == 0]
     odd_idx = [a for a in range(basis.dim) if basis.parity(a) == 1]
-    even_rank = linalg.rank_dense(columns(even_idx))
-    odd_rank = linalg.rank_dense(columns(odd_idx))
+    even_rank = linalg.factor(columns(even_idx)).rank
+    odd_rank = linalg.factor(columns(odd_idx)).rank
     if even_rank != len(even_idx) or odd_rank != len(odd_idx):
         raise AssertionError("adjoint map has a kernel on the traceless subalgebra")
     return even_rank, odd_rank

@@ -310,8 +310,17 @@ def rank_one_connection(sc: StructureConstants, alpha: GradedForm) -> Connection
 
 
 def graded_inverse(mat: GradedMatrix) -> GradedMatrix:
-    inv = linalg.inverse([list(r) for r in mat.entries])
-    return GradedMatrix.from_rows(mat.n, mat.m, inv)
+    """mat^-1; ValueError when ``mat`` is singular.  For mat = N / den,
+    the inverse is den N^-1, and N^-1 comes column by column from one
+    fraction-free elimination."""
+    k = mat.size
+    columns: List[list] = [[] for _ in range(k)]
+    for u, part, y in mat.ints:
+        columns[u % k].append((u // k, part, y))
+    inv, den = linalg.inverse(columns)
+    entries = sorted((i * k + j, part, mat.den * y)
+                     for j, col in enumerate(inv) for i, part, y in col)
+    return GradedMatrix.from_ints(mat.n, mat.m, entries, den)
 
 
 def conjugated_rho(
@@ -326,5 +335,4 @@ def conjugated_rho(
 
 def rho_map_injective(sc: StructureConstants, rho: Sequence[GradedMatrix]) -> bool:
     """Whether E_A -> rho_A extends to an injective map on the traceless part."""
-    rows = [list(row) for row in zip(*(mat.flat() for mat in rho))]
-    return linalg.rank_dense(rows) == len(rho)
+    return linalg.factor([mat.ints for mat in rho]).rank == len(rho)

@@ -8,16 +8,22 @@ while the graded anticommutator picks up a unit component,
 
     {E_A, E_B} = sum_C d_AB^C E_C + g_AB * 1.
 
-``compute_constants`` extracts c, d, g by exact expansion and derives the
-quadratic pairing data (g inverse, the Killing matrix (n-m)^2 g and its
-inverse).  ``verify_appendix`` machine-checks the complete catalog of
-identities these tensors satisfy, reporting the first counterexample of
-each family if one exists.
+``compute_constants`` reads c, d, g off the brackets of the basis
+elements, each expanded on the basis and the identity in integers
+(``HomogeneousBasis.expand``), and inverts g by fraction-free elimination.
+Every table holds integer numerators: c and d over one denominator, g and
+its inverse over one each; the Killing matrix is (n-m)^2 g.
+``verify_appendix`` machine-checks the complete catalog of identities
+these tensors satisfy on those integers, each identity scaled by the
+power of the denominators it needs, and reports the first counterexample
+of each family, with its exact rational residue, if one exists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -27,7 +33,9 @@ from .matrices import graded_anticommutator, graded_commutator
 from .report import VerificationReport
 from .scalars import ZERO, Scalar
 
-SparseTensor = Dict[Tuple[int, int], Dict[int, Scalar]]
+# (a, b) -> {cc: numerator}, nonzero entries only
+IntTensor = Dict[Tuple[int, int], Dict[int, int]]
+IntTable = Tuple[Tuple[int, ...], ...]
 
 
 def _sign(parity: int) -> int:
@@ -36,7 +44,13 @@ def _sign(parity: int) -> int:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """c, d, g and derived pairing data over a fixed homogeneous basis.
+    """c, d, g and the inverse of g over a fixed homogeneous basis.
+
+    ``c`` and ``d`` hold integer numerators over ``den``, ``g`` over
+    ``g_den`` and ``g_inv`` over ``g_inv_den``, each in lowest terms.  The
+    Killing matrix is (n-m)^2 g and its inverse g_inv / (n-m)^2.  The
+    Scalar rows and entries (``c_row``, ``c_entry``, ``d_row``,
+    ``d_entry``) are views.
 
     ``cache`` memoizes data derived from these constants elsewhere in the
     package (the differential matrices, the body-adaptedness check).  It
@@ -45,12 +59,13 @@ class StructureConstants:
     """
 
     basis: HomogeneousBasis
-    c: SparseTensor
-    d: SparseTensor
-    g: Tuple[Tuple[Scalar, ...], ...]
-    g_inv: Tuple[Tuple[Scalar, ...], ...]
-    killing: Tuple[Tuple[Scalar, ...], ...]
-    killing_inv: Tuple[Tuple[Scalar, ...], ...]
+    c: IntTensor
+    d: IntTensor
+    den: int
+    g: IntTable
+    g_den: int
+    g_inv: IntTable
+    g_inv_den: int
     cache: Dict[object, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -78,26 +93,36 @@ class StructureConstants:
     def parity(self, a: int) -> int:
         return self.basis.parity(a)
 
+    def _row(self, t: IntTensor, a: int, b: int) -> Dict[int, Scalar]:
+        return {cc: Scalar(Fraction(v, self.den)) for cc, v in t.get((a, b), {}).items()}
+
     def c_row(self, a: int, b: int) -> Dict[int, Scalar]:
-        return self.c.get((a, b), {})
+        return self._row(self.c, a, b)
 
     def d_row(self, a: int, b: int) -> Dict[int, Scalar]:
-        return self.d.get((a, b), {})
+        return self._row(self.d, a, b)
 
     def c_entry(self, a: int, b: int, cc: int) -> Scalar:
-        return self.c.get((a, b), {}).get(cc, ZERO)
+        return self.c_row(a, b).get(cc, ZERO)
 
     def d_entry(self, a: int, b: int, cc: int) -> Scalar:
-        return self.d.get((a, b), {}).get(cc, ZERO)
+        return self.d_row(a, b).get(cc, ZERO)
 
-    def ad_matrix(self, a: int) -> List[List[Scalar]]:
-        """Matrix of the bracket with E_a on basis coordinates (rows = target)."""
+    def ad_matrix(self, a: int) -> List[List[int]]:
+        """Matrix of the bracket with E_a on basis coordinates (rows =
+        target), as numerators over ``den``."""
         k = self.dim
-        out = [[ZERO] * k for _ in range(k)]
+        out = [[0] * k for _ in range(k)]
         for b in range(k):
-            for cc, v in self.c_row(a, b).items():
+            for cc, v in self.c.get((a, b), {}).items():
                 out[cc][b] = v
         return out
+
+
+def _lowest(rows: List[List[int]], den: int) -> Tuple[IntTable, int]:
+    """The table ``rows`` over ``den``, put in lowest terms."""
+    g = gcd(den, *(v for row in rows for v in row))
+    return tuple(tuple(v // g for v in row) for row in rows), den // g
 
 
 def compute_constants(basis: HomogeneousBasis) -> StructureConstants:
@@ -105,32 +130,31 @@ def compute_constants(basis: HomogeneousBasis) -> StructureConstants:
     if basis.n == basis.m:
         raise ValueError("quadratic pairing is singular for n == m")
     k = basis.dim
-    c: SparseTensor = {}
-    d: SparseTensor = {}
-    g_rows = [[ZERO] * k for _ in range(k)]
-    for a in range(k):
-        ea = basis.elements[a]
-        for b in range(k):
-            eb = basis.elements[b]
-            com = graded_commutator(ea, eb)
-            acom = graded_anticommutator(ea, eb)
-            coeffs, unit = basis.expand(com)
-            if unit:
-                raise AssertionError("graded commutator acquired a unit component")
-            row = {cc: v for cc, v in enumerate(coeffs) if v}
-            if row:
-                c[(a, b)] = row
-            coeffs, unit = basis.expand(acom)
-            row = {cc: v for cc, v in enumerate(coeffs) if v}
-            if row:
-                d[(a, b)] = row
-            g_rows[a][b] = unit
-    g = tuple(tuple(r) for r in g_rows)
-    g_inv = tuple(tuple(r) for r in linalg.inverse(g_rows))
-    sq = (basis.n - basis.m) ** 2
-    killing = tuple(tuple(Scalar.of(sq) * x for x in r) for r in g)
-    killing_inv = tuple(tuple(x / sq for x in r) for r in g_inv)
-    return StructureConstants(basis, c, d, g, g_inv, killing, killing_inv)
+    pairs = [(a, b) for a in range(k) for b in range(k)]
+    elements = basis.elements
+    com = [basis.expand(graded_commutator(elements[a], elements[b])) for a, b in pairs]
+    acom = [basis.expand(graded_anticommutator(elements[a], elements[b])) for a, b in pairs]
+    if any(unit for _, unit, _ in com):
+        raise AssertionError("graded commutator acquired a unit component")
+    den = lcm(*(q for _, _, q in com + acom))
+    c, d = ({pair: {cc: v * (den // q) for cc, v in enumerate(coeffs) if v}
+             for pair, (coeffs, _, q) in zip(pairs, expanded) if any(coeffs)}
+            for expanded in (com, acom))
+    common = gcd(den, *(v for t in (c, d) for row in t.values() for v in row.values()))
+    c, d = ({pair: {cc: v // common for cc, v in row.items()} for pair, row in t.items()}
+            for t in (c, d))
+    # g from the unit components, and g^-1 = g_den G^-1 for g = G / g_den
+    g_den = lcm(*(q for _, _, q in acom))
+    g, g_den = _lowest([[u * (g_den // q) for _, u, q in acom[a * k:(a + 1) * k]]
+                        for a in range(k)], g_den)
+    inv, inv_den = linalg.inverse([[(a, 0, g[a][b]) for a in range(k) if g[a][b]]
+                                   for b in range(k)])
+    g_inv = [[0] * k for _ in range(k)]
+    for b, col in enumerate(inv):
+        for a, _, y in col:
+            g_inv[a][b] = g_den * y
+    return StructureConstants(basis, c, d, den // common, g, g_den,
+                              *_lowest(g_inv, inv_den))
 
 
 def constants_for(n: int, m: int) -> StructureConstants:
@@ -142,14 +166,15 @@ def constants_for(n: int, m: int) -> StructureConstants:
 # ======================================================================
 
 
-def _lowered(t: SparseTensor, g) -> Dict[Tuple[int, int, int], Scalar]:
-    out: Dict[Tuple[int, int, int], Scalar] = {}
+def _lowered(t: IntTensor, g: IntTable) -> Dict[Tuple[int, int, int], int]:
+    """t_ab^dd g_dd,cc: numerators over the tensor's times g's denominator."""
+    out: Dict[Tuple[int, int, int], int] = {}
     for (a, b), row in t.items():
         for dd, v in row.items():
             for cc, gv in enumerate(g[dd]):
                 if gv:
                     key = (a, b, cc)
-                    s = out.get(key, ZERO) + v * gv
+                    s = out.get(key, 0) + v * gv
                     if s:
                         out[key] = s
                     else:
@@ -158,11 +183,13 @@ def _lowered(t: SparseTensor, g) -> Dict[Tuple[int, int, int], Scalar]:
 
 
 def _check_graded_symmetry(
-    t: Dict[Tuple[int, int, int], Scalar],
+    t: Dict[Tuple[int, int, int], int],
     degs: Tuple[int, ...],
     antisymmetric: bool,
+    den: int,
 ) -> Optional[str]:
-    """First violation of total graded (anti)symmetry under all of S3."""
+    """First violation of total graded (anti)symmetry under all of S3, for
+    ``t`` over ``den``."""
     for key, val in t.items():
         dtuple = tuple(degs[i] for i in key)
         for sigma in permutations(range(3)):
@@ -170,16 +197,17 @@ def _check_graded_symmetry(
             factor = commutation_factor(sigma, dtuple)
             if antisymmetric:
                 factor *= permutation_sign(sigma)
-            expect = Scalar.of(factor) * val
-            got = t.get(permuted, ZERO)
+            expect = factor * val
+            got = t.get(permuted, 0)
             if got != expect:
-                return f"indices {key} -> {permuted}: {got} != {expect}"
+                return (f"indices {key} -> {permuted}: "
+                        f"{Fraction(got, den)} != {Fraction(expect, den)}")
     return None
 
 
-def _transpose_last(t: SparseTensor) -> Dict[Tuple[int, int], Dict[int, Scalar]]:
+def _transpose_last(t: IntTensor) -> IntTensor:
     """Reindex t[(a, b)][e] as out[(a, e)][b]."""
-    out: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+    out: IntTensor = {}
     for (a, b), row in t.items():
         for e, v in row.items():
             out.setdefault((a, e), {})[b] = v
@@ -192,7 +220,9 @@ def verify_appendix(sc: StructureConstants) -> VerificationReport:
     Families: parity selection, graded trace sums, total graded symmetry of
     the lowered tensors, the quadratic bracket/anticommutator relations, the
     Killing expressions, vanishing pairing contractions, Casimir-type sums,
-    and the quartic recoupling contractions.
+    and the quartic recoupling contractions.  Every sum runs on the integer
+    numerators, and each side of an identity is brought to one denominator
+    before the two are compared.
     """
     rep = VerificationReport(f"structure constant identities (n|m)=({sc.n}|{sc.m})")
     k = sc.dim
@@ -206,23 +236,23 @@ def verify_appendix(sc: StructureConstants) -> VerificationReport:
             if (degs[a] + degs[b] + degs[cc]) % 2
         ))
     rep.check("parity selection for unit pairing", (
-        f"g[{a},{b}] = {sc.g[a][b]}" for a in range(k) for b in range(k)
+        f"g[{a},{b}] = {Fraction(sc.g[a][b], sc.g_den)}" for a in range(k) for b in range(k)
         if sc.g[a][b] and (degs[a] + degs[b]) % 2
     ))
 
     # --- graded trace sums ----------------------------------------------
     for label, tensor in (("bracket", sc.c), ("anticommutator", sc.d)):
-        sums = (sum((Scalar.of(_sign(degs[b])) * tensor.get((a, b), {}).get(b, ZERO)
-                     for b in range(k)), ZERO) for a in range(k))
+        sums = (sum(_sign(degs[b]) * tensor.get((a, b), {}).get(b, 0) for b in range(k))
+                for a in range(k))
         rep.check(f"graded trace of {label} constants vanishes",
-                  (f"index {a}: sum = {s}" for a, s in enumerate(sums) if s))
+                  (f"index {a}: sum = {Fraction(s, sc.den)}"
+                   for a, s in enumerate(sums) if s))
 
     # --- total graded symmetry of lowered tensors -----------------------
-    c_low = _lowered(sc.c, sc.g)
-    d_low = _lowered(sc.d, sc.g)
-    bad = _check_graded_symmetry(c_low, degs, antisymmetric=True)
+    low_den = sc.den * sc.g_den
+    bad = _check_graded_symmetry(_lowered(sc.c, sc.g), degs, True, low_den)
     rep.add("lowered bracket tensor totally graded-antisymmetric", bad is None, bad)
-    bad = _check_graded_symmetry(d_low, degs, antisymmetric=False)
+    bad = _check_graded_symmetry(_lowered(sc.d, sc.g), degs, False, low_den)
     rep.add("lowered anticommutator tensor totally graded-symmetric", bad is None, bad)
 
     # --- quadratic relations --------------------------------------------
@@ -233,15 +263,16 @@ def verify_appendix(sc: StructureConstants) -> VerificationReport:
 
     # --- pairing-contracted sums vanish ---------------------------------
     for label, tensor in (("bracket", sc.c), ("anticommutator", sc.d)):
-        acc = [ZERO] * k
+        acc = [0] * k
         for (b, cc), row in tensor.items():
             gv = sc.g_inv[b][cc]
             if not gv:
                 continue
             for aa, v in row.items():
-                acc[aa] = acc[aa] + gv * v
+                acc[aa] += gv * v
         rep.check(f"pairing-contracted {label} constants vanish",
-                  (f"target index {aa}: sum = {x}" for aa, x in enumerate(acc) if x))
+                  (f"target index {aa}: sum = {Fraction(x, sc.g_inv_den * sc.den)}"
+                   for aa, x in enumerate(acc) if x))
 
     # --- Casimir-type sums ----------------------------------------------
     _casimir_checks(rep, sc, degs, sq)
@@ -252,125 +283,141 @@ def verify_appendix(sc: StructureConstants) -> VerificationReport:
     return rep
 
 
+def _rows(t: IntTensor, k: int) -> Tuple[list, list]:
+    """(rows, transposed): rows[x][y] and transposed[y][x] are both t_xy."""
+    empty: Dict[int, int] = {}
+    rows = [[t.get((x, y), empty) for y in range(k)] for x in range(k)]
+    return rows, [list(col) for col in zip(*rows)]
+
+
+def _addmul(acc: Dict[int, int], row1: Dict[int, int], rows2: List[Dict[int, int]],
+            sign: int) -> None:
+    """acc += sign * sum over e of row1[e] * rows2[e]."""
+    for e, v1 in row1.items():
+        v1 *= sign
+        for dd, v2 in rows2[e].items():
+            acc[dd] = acc.get(dd, 0) + v1 * v2
+
+
+def _residue(acc: Dict[int, int]) -> Optional[int]:
+    """The first index where ``acc`` is nonzero, or None."""
+    return next((dd for dd, v in acc.items() if v), None)
+
+
 def _quadratic_relations(sc: StructureConstants, degs) -> Tuple[str, bool, Optional[str]]:
-    """The three quadratic relations tying c, d and g together."""
+    """The three quadratic relations tying c, d and g together.
+
+    Products of two constants are over den^2; line 2 adds g, over g_den, so
+    its sums are brought to the lcm of the two first.
+    """
     k = sc.dim
     name = "quadratic bracket/anticommutator relations"
+    c, cT = _rows(sc.c, k)
+    d, dT = _rows(sc.d, k)
+    den2 = sc.den * sc.den
+    mixed_den = lcm(den2, sc.g_den)
+    fc, fg = mixed_den // den2, mixed_den // sc.g_den
+    g = sc.g
     for a in range(k):
         for b in range(k):
             for cc in range(k):
                 # line 1: graded Jacobi identity for c
-                acc: Dict[int, Scalar] = {}
-
-                def addmul(row1, row2getter, sign):
-                    for e, v1 in row1.items():
-                        for dd, v2 in row2getter(e).items():
-                            s = acc.get(dd, ZERO) + Scalar.of(sign) * v1 * v2
-                            if s:
-                                acc[dd] = s
-                            else:
-                                acc.pop(dd, None)
-
-                addmul(sc.c_row(b, cc), lambda e: sc.c_row(a, e), _sign(degs[a] * degs[cc]))
-                addmul(sc.c_row(cc, a), lambda e: sc.c_row(b, e), _sign(degs[b] * degs[a]))
-                addmul(sc.c_row(a, b), lambda e: sc.c_row(cc, e), _sign(degs[cc] * degs[b]))
-                if acc:
-                    dd = next(iter(acc))
-                    return (
-                        name,
-                        False,
-                        f"jacobi at ({a},{b},{cc})^{dd}: residue {acc[dd]}",
-                    )
+                acc: Dict[int, int] = {}
+                _addmul(acc, c[b][cc], c[a], _sign(degs[a] * degs[cc]))
+                _addmul(acc, c[cc][a], c[b], _sign(degs[b] * degs[a]))
+                _addmul(acc, c[a][b], c[cc], _sign(degs[cc] * degs[b]))
+                dd = _residue(acc)
+                if dd is not None:
+                    return (name, False, f"jacobi at ({a},{b},{cc})^{dd}: "
+                            f"residue {Fraction(acc[dd], den2)}")
 
                 # line 2: c*c against d*d with pairing corrections
                 acc = {}
-                addmul(sc.c_row(b, cc), lambda e: sc.c_row(a, e), 1)
-                addmul(sc.d_row(a, b), lambda e: sc.d_row(e, cc), -1)
+                _addmul(acc, c[b][cc], c[a], fc)
+                _addmul(acc, d[a][b], dT[cc], -fc)
                 s23 = _sign(degs[a] * degs[cc]) * _sign(degs[b] * degs[cc])
-                addmul(sc.d_row(cc, a), lambda e: sc.d_row(e, b), s23)
-                corr = Scalar.of(2 * s23) * sc.g[cc][a]
-                val = acc.get(b, ZERO) + corr
-                if val:
-                    acc[b] = val
-                else:
-                    acc.pop(b, None)
-                val = acc.get(cc, ZERO) - Scalar.of(2) * sc.g[a][b]
-                if val:
-                    acc[cc] = val
-                else:
-                    acc.pop(cc, None)
-                if acc:
-                    dd = next(iter(acc))
-                    return (
-                        name,
-                        False,
-                        f"mixed relation at ({a},{b},{cc})^{dd}: residue {acc[dd]}",
-                    )
+                _addmul(acc, d[cc][a], dT[b], s23 * fc)
+                acc[b] = acc.get(b, 0) + 2 * s23 * g[cc][a] * fg
+                acc[cc] = acc.get(cc, 0) - 2 * g[a][b] * fg
+                dd = _residue(acc)
+                if dd is not None:
+                    return (name, False, f"mixed relation at ({a},{b},{cc})^{dd}: "
+                            f"residue {Fraction(acc[dd], mixed_den)}")
 
                 # line 3: d against c
                 acc = {}
-                addmul(sc.d_row(a, b), lambda e: sc.c_row(e, cc), 1)
-                addmul(sc.c_row(b, cc), lambda e: sc.d_row(a, e), -1)
-                addmul(sc.c_row(a, cc), lambda e: sc.d_row(e, b), -_sign(degs[b] * degs[cc]))
-                if acc:
-                    dd = next(iter(acc))
-                    return (
-                        name,
-                        False,
-                        f"d-c relation at ({a},{b},{cc})^{dd}: residue {acc[dd]}",
-                    )
+                _addmul(acc, d[a][b], cT[cc], 1)
+                _addmul(acc, c[b][cc], d[a], -1)
+                _addmul(acc, c[a][cc], dT[b], -_sign(degs[b] * degs[cc]))
+                dd = _residue(acc)
+                if dd is not None:
+                    return (name, False, f"d-c relation at ({a},{b},{cc})^{dd}: "
+                            f"residue {Fraction(acc[dd], den2)}")
     return name, True, None
 
 
 def _killing_checks(rep: VerificationReport, sc: StructureConstants, degs, sq: int):
+    """The Killing matrix sq * g against four routes; a value s / s_den
+    equals its entry sq * g_ab / g_den exactly when s * g_den = sq * g_ab * s_den."""
     k = sc.dim
     pairs = [(a, b) for a in range(k) for b in range(k)]
+    g, g_den, den2 = sc.g, sc.g_den, sc.den * sc.den
 
-    def graded_sum(terms) -> Scalar:
-        return sum((Scalar.of(_sign(degs[cc])) * v for cc, v in terms), ZERO)
+    def killing(a, b) -> Fraction:
+        return Fraction(sq * g[a][b], g_den)
+
+    def graded_sum(terms) -> int:
+        return sum(_sign(degs[cc]) * v for cc, v in terms)
 
     # operator supertrace of composed brackets, computed from the adjoint
     # matrices: an independent route to the Killing matrix
     ad = [sc.ad_matrix(a) for a in range(k)]
 
-    def operator_trace(a, b) -> Scalar:
-        return graded_sum((cc, sum((ad[a][cc][e] * ad[b][e][cc] for e in range(k)), ZERO))
+    def operator_trace(a, b) -> int:
+        return graded_sum((cc, sum(ad[a][cc][e] * ad[b][e][cc] for e in range(k)))
                           for cc in range(k))
 
     rep.check("Killing matrix equals graded operator trace of double bracket", (
-        f"({a},{b}): operator trace {tr} != {sc.killing[a][b]}"
-        for a, b in pairs if (tr := operator_trace(a, b)) != sc.killing[a][b]
+        f"({a},{b}): operator trace {Fraction(tr, den2)} != {killing(a, b)}"
+        for a, b in pairs if (tr := operator_trace(a, b)) * g_den != sq * g[a][b] * den2
     ))
 
-    twice = Scalar.of(2 * (sc.n - sc.m))
+    elements = sc.basis.elements
+    twice = 2 * (sc.n - sc.m)
+
+    def supertrace_matches(a, b) -> bool:
+        prod = elements[a] @ elements[b]
+        re, im = prod.diagonal_sum(signed=True)
+        return not im and twice * re * g_den == sq * g[a][b] * prod.den
+
     rep.check("Killing matrix equals 2(n-m) times supertrace of products", (
-        f"({a},{b}): 2(n-m)*str = {st}" for a, b in pairs
-        if (st := twice * (sc.basis.elements[a] @ sc.basis.elements[b]).supertrace())
-        != sc.killing[a][b]
+        f"({a},{b}): 2(n-m)*str = {(elements[a] @ elements[b]).supertrace() * twice}"
+        for a, b in pairs if not supertrace_matches(a, b)
     ))
 
-    def contraction(row, a, b) -> Scalar:
+    def contraction(t, a, b) -> int:
         # sum over D, C of (-1)^|C| t_AD^C t_BC^D
         return graded_sum((cc, v1 * v2) for dd in range(k)
-                          for cc, v1 in row(a, dd).items()
-                          if (v2 := row(b, cc).get(dd)))
+                          for cc, v1 in t.get((a, dd), {}).items()
+                          if (v2 := t.get((b, cc), {}).get(dd)))
 
     # contraction of two bracket tensors
     rep.check("Killing matrix equals graded double contraction of bracket constants", (
-        f"({a},{b}): contraction {s} != {sc.killing[a][b]}"
-        for a, b in pairs if (s := contraction(sc.c_row, a, b)) != sc.killing[a][b]
+        f"({a},{b}): contraction {Fraction(s, den2)} != {killing(a, b)}"
+        for a, b in pairs if (s := contraction(sc.c, a, b)) * g_den != sq * g[a][b] * den2
     ))
 
-    # contraction of two anticommutator tensors, scaled; the prefactor is
-    # undefined at (n-m)^2 = 4, where the check is skipped with a note
+    # contraction of two anticommutator tensors, scaled by sq / (sq - 4); the
+    # prefactor is undefined at (n-m)^2 = 4, where the check is skipped with
+    # a note
     name = "Killing matrix equals scaled anticommutator contraction"
     if sq == 4:
         rep.add(name, True, None, "skipped: prefactor undefined at (n-m)^2 = 4")
     else:
-        factor = Scalar.of(sq) / (sq - 4)
         rep.check(name, (
-            f"({a},{b}): scaled contraction {s}" for a, b in pairs
-            if (s := factor * contraction(sc.d_row, a, b)) != sc.killing[a][b]
+            f"({a},{b}): scaled contraction {Fraction(sq * s, (sq - 4) * den2)}"
+            for a, b in pairs
+            if (s := contraction(sc.d, a, b)) * g_den != g[a][b] * (sq - 4) * den2
         ))
 
 
@@ -378,10 +425,12 @@ def _casimir_checks(rep: VerificationReport, sc: StructureConstants, degs, sq: i
     k = sc.dim
     cT = _transpose_last(sc.c)
     dT = _transpose_last(sc.d)
+    den = sc.g_inv_den * sc.den * sc.den
 
     def contraction(x, yT):
         # sum over C, D, E of g^{CD} x_CE^A y_DB^E, returned as dense (A, B)
-        acc = [[ZERO] * k for _ in range(k)]
+        # numerators over den
+        acc = [[0] * k for _ in range(k)]
         for ccc in range(k):
             grow = sc.g_inv[ccc]
             for dd in range(k):
@@ -397,33 +446,36 @@ def _casimir_checks(rep: VerificationReport, sc: StructureConstants, degs, sq: i
                         continue
                     for aa, v1 in xrow.items():
                         gv1 = gv * v1
+                        acc_a = acc[aa]
                         for b, v2 in yrow.items():
-                            acc[aa][b] = acc[aa][b] + gv1 * v2
+                            acc_a[b] += gv1 * v2
         return acc
 
     cases = [
-        ("bracket-bracket Casimir sum", sc.c, cT, Scalar.of(sq)),
-        ("bracket-anticommutator Casimir sum", sc.c, dT, ZERO),
-        ("anticommutator-anticommutator Casimir sum", sc.d, dT, Scalar.of(sq - 4)),
+        ("bracket-bracket Casimir sum", sc.c, cT, sq),
+        ("bracket-anticommutator Casimir sum", sc.c, dT, 0),
+        ("anticommutator-anticommutator Casimir sum", sc.d, dT, sq - 4),
     ]
     for name, x, yT, scale in cases:
         acc = contraction(x, yT)
         rep.check(name, (
-            f"({aa},{b}): {acc[aa][b]} != {want}" for aa in range(k) for b in range(k)
-            if acc[aa][b] != (want := scale if aa == b else ZERO)
+            f"({aa},{b}): {Fraction(acc[aa][b], den)} != {want}"
+            for aa in range(k) for b in range(k)
+            if acc[aa][b] != (want := scale if aa == b else 0) * den
         ))
 
 
 def _quartic_checks(rep: VerificationReport, sc: StructureConstants, degs, sq: int):
     k = sc.dim
+    got_den = sc.g_inv_den * sc.den ** 3
 
-    def run(x, y, z, target, scale) -> Optional[str]:
+    def run(x, y, z, target, twice_scale) -> Optional[str]:
         # sum over D,E,F,G of (-1)^(deg_A deg_E) g^{DE} x_EB^F y_AF^G z_DG^C,
-        # compared against scale * target_AB^C
+        # over got_den, compared against twice_scale / 2 * target_AB^C
         # W[e][gg] = row over C of sum_D g^{DE} z_DG^C
-        w: List[Dict[int, Dict[int, Scalar]]] = []
+        w: List[Dict[int, Dict[int, int]]] = []
         for e in range(k):
-            we: Dict[int, Dict[int, Scalar]] = {}
+            we: Dict[int, Dict[int, int]] = {}
             for dd in range(k):
                 gv = sc.g_inv[dd][e]
                 if not gv:
@@ -434,28 +486,30 @@ def _quartic_checks(rep: VerificationReport, sc: StructureConstants, degs, sq: i
                         continue
                     tgt = we.setdefault(gg, {})
                     for cc, v in zrow.items():
-                        tgt[cc] = tgt.get(cc, ZERO) + gv * v
+                        tgt[cc] = tgt.get(cc, 0) + gv * v
             w.append(we)
+        # got / got_den == twice_scale * t / (2 den)  <=>  2 got == twice_scale * t * factor
+        factor = got_den // sc.den
         for a in range(k):
-            acc: Dict[Tuple[int, int], Scalar] = {}
+            acc: Dict[Tuple[int, int], int] = {}
             for e in range(k):
                 sgn = _sign(degs[a] * degs[e])
                 we = w[e]
                 if not we:
                     continue
                 # T[f] -> dict over C of sum_G y_AF^G * W[e][G][C]
-                t: Dict[int, Dict[int, Scalar]] = {}
+                t: Dict[int, Dict[int, int]] = {}
                 for f in range(k):
                     yrow = y.get((a, f))
                     if not yrow:
                         continue
-                    tf: Dict[int, Scalar] = {}
+                    tf: Dict[int, int] = {}
                     for gg, v1 in yrow.items():
                         wrow = we.get(gg)
                         if not wrow:
                             continue
                         for cc, v2 in wrow.items():
-                            tf[cc] = tf.get(cc, ZERO) + v1 * v2
+                            tf[cc] = tf.get(cc, 0) + v1 * v2
                     if tf:
                         t[f] = tf
                 if not t:
@@ -468,27 +522,25 @@ def _quartic_checks(rep: VerificationReport, sc: StructureConstants, degs, sq: i
                         tf = t.get(f)
                         if not tf:
                             continue
-                        sv1 = Scalar.of(sgn) * v1
+                        sv1 = sgn * v1
                         for cc, v2 in tf.items():
                             key = (b, cc)
-                            acc[key] = acc.get(key, ZERO) + sv1 * v2
+                            acc[key] = acc.get(key, 0) + sv1 * v2
             for b in range(k):
                 trow = target.get((a, b), {})
                 for cc in range(k):
-                    want = scale * trow.get(cc, ZERO)
-                    got = acc.get((b, cc), ZERO)
-                    if got != want:
-                        return f"({a},{b})^{cc}: {got} != {want}"
+                    want = twice_scale * trow.get(cc, 0)
+                    got = acc.get((b, cc), 0)
+                    if 2 * got != want * factor:
+                        return (f"({a},{b})^{cc}: {Fraction(got, got_den)} != "
+                                f"{Fraction(want, 2 * sc.den)}")
         return None
 
-    half_sq = Scalar.of(sq) / 2
     cases = [
-        ("quartic recoupling of three brackets", sc.c, sc.c, sc.c, sc.c, half_sq),
-        ("quartic recoupling with trailing anticommutator", sc.c, sc.c, sc.d, sc.d, -half_sq),
-        ("quartic recoupling with two anticommutators", sc.c, sc.d, sc.d, sc.c,
-         Scalar.of(-(sq - 4)) / 2),
-        ("quartic recoupling of three anticommutators", sc.d, sc.d, sc.d, sc.d,
-         Scalar.of(sq - 12) / 2),
+        ("quartic recoupling of three brackets", sc.c, sc.c, sc.c, sc.c, sq),
+        ("quartic recoupling with trailing anticommutator", sc.c, sc.c, sc.d, sc.d, -sq),
+        ("quartic recoupling with two anticommutators", sc.c, sc.d, sc.d, sc.c, -(sq - 4)),
+        ("quartic recoupling of three anticommutators", sc.d, sc.d, sc.d, sc.d, sq - 12),
     ]
-    for name, x, y, z, target, scale in cases:
-        rep.check(name, [run(x, y, z, target, scale)])
+    for name, x, y, z, target, twice_scale in cases:
+        rep.check(name, [run(x, y, z, target, twice_scale)])

@@ -627,12 +627,6 @@ def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
 Weights = Dict[Tuple[Optional[int], IndexTuple], int]
 
 
-def _real(v: Scalar) -> Fraction:
-    if v.im:
-        raise ValueError(f"structure data {v} is not real")
-    return v.re
-
-
 def _add(acc: Dict, i, v) -> None:
     cur = acc.get(i)
     acc[i] = v if cur is None else cur + v
@@ -700,16 +694,13 @@ def _oracle_tables(sc: StructureConstants) -> _OracleTables:
     got = sc.cache.get(("oracle_tables",))
     if got is not None:
         return got
-    real = {xy: [(cc, _real(v)) for cc, v in row.items()]
-            for xy, row in sc.c.items()}
-    den = lcm(*(v.denominator for row in real.values() for _, v in row))
     c: List[List[List[Tuple[int, int]]]] = [
         [[] for _ in range(sc.dim)] for _ in range(sc.dim)
     ]
-    for (x, y), row in real.items():
-        c[x][y] = [(cc, v.numerator * (den // v.denominator)) for cc, v in row]
+    for (x, y), row in sc.c.items():
+        c[x][y] = list(row.items())
     got = _OracleTables(
-        den, c, [_unit_brackets(e, sc.n) for e in sc.basis.elements],
+        sc.den, c, [_unit_brackets(e, sc.n) for e in sc.basis.elements],
         _SelfEvaluation(sc.even_dim),
     )
     sc.cache[("oracle_tables",)] = got
@@ -928,6 +919,13 @@ class _KernelTables:
     coad: List[List[List[Tuple[int, int]]]]
 
 
+def _minus_entries(mat: GradedMatrix) -> List[Tuple[int, Fraction]]:
+    """(unit, -entry) over the nonzero entries of a real ``mat``."""
+    if any(part for _, part, _ in mat.ints):
+        raise ValueError(f"bracket {mat} is not real")
+    return [(u, Fraction(-y, mat.den)) for u, _, y in mat.ints]
+
+
 def _kernel_tables(sc: StructureConstants) -> _KernelTables:
     """The kernel tables, built on first use and kept in ``sc.cache``."""
     got = sc.cache.get(("column_kernel",))
@@ -935,16 +933,13 @@ def _kernel_tables(sc: StructureConstants) -> _KernelTables:
         return got
     k = sc.n + sc.m
     units = [GradedMatrix.unit(sc.n, sc.m, r, c) for r in range(k) for c in range(k)]
-    comm = [
-        [[(i * k + j, -_real(x)) for i, j, x in graded_commutator(u, e).nonzeros()]
-         for u in units]
-        for e in sc.basis.elements
-    ]
+    comm = [[_minus_entries(graded_commutator(u, e)) for u in units]
+            for e in sc.basis.elements]
     frame = [[] for _ in range(sc.dim)]
     coad = [[[] for _ in range(sc.dim)] for _ in range(sc.dim)]
     for (b, cc), row in sc.c.items():
         for A, v in row.items():
-            f = _real(v)
+            f = Fraction(v, sc.den)
             frame[A].append((cc, b, f / 2))
             coad[b][A].append((cc, f))
     den = lcm(
@@ -1052,22 +1047,26 @@ def frame_forms_from_differentials(sc: StructureConstants) -> List[GradedForm]:
     inverse Killing matrix, with the quadratic prefactor 4(n-m)^2.
     """
     k = sc.dim
-    pref = Scalar.of(4 * (sc.n - sc.m) ** 2)
+    # the inverse Killing matrix is g_inv / (n-m)^2, so the prefactor
+    # 4 (n-m)^2 times two of its entries is 4 h_ab h_cd / ((n-m)^2 h_den^2)
+    # for g_inv = h / h_den
+    h, h_den = sc.g_inv, sc.g_inv_den
+    den = (sc.n - sc.m) ** 2 * h_den * h_den
     d_els = [differential_of_element(sc, a) for a in range(k)]
     out = []
     for a in range(k):
         total = GradedForm.zero(sc, 1)
         for b in range(k):
-            kab = sc.killing_inv[a][b]
-            if not kab:
+            hab = h[a][b]
+            if not hab:
                 continue
             for dd in range(k):
                 s_bd = -1 if (sc.parity(b) and sc.parity(dd)) else 1
                 for cc in range(k):
-                    kcd = sc.killing_inv[cc][dd]
-                    if not kcd:
+                    hcd = h[cc][dd]
+                    if not hcd:
                         continue
-                    factor = pref * kab * kcd * s_bd
+                    factor = Fraction(4 * hab * hcd * s_bd, den)
                     prod = sc.basis.elements[cc] @ sc.basis.elements[b]
                     total = total + wedge_matrix_form(
                         prod.scale(factor), d_els[dd]

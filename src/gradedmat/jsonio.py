@@ -1,15 +1,16 @@
 """Deterministic serialization of the package's objects.
 
-Scalars render as exact fraction strings, tensors as sorted coordinate
-lists, forms as sorted (index tuple, matrix) pairs.  Output bytes depend
-only on the data: no clocks, no environment, no reliance on dict
-iteration order.
+Scalars and structure constants render as exact fraction strings,
+tensors as sorted coordinate lists, forms as sorted (index tuple, matrix)
+pairs.  Output bytes depend only on the data: no clocks, no environment,
+no reliance on dict iteration order.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+from fractions import Fraction
 from itertools import islice
 from typing import List, Sequence, TextIO
 
@@ -21,22 +22,24 @@ def matrix_rows(mat: GradedMatrix) -> List[List[str]]:
     return [[str(v) for v in row] for row in mat.entries]
 
 
-def _tensor_triples(tensor) -> List[list]:
+def _tensor_triples(tensor, den: int) -> List[list]:
     out = []
     for (a, b), row in tensor.items():
         for c, v in row.items():
             if v:
-                out.append([a, b, c, str(v)])
+                out.append([a, b, c, str(Fraction(v, den))])
     out.sort(key=lambda e: e[:3])
     return out
 
 
-def _pair_entries(table) -> List[list]:
+def _pair_entries(table, den: int, scale: int = 1) -> List[list]:
+    """The nonzero entries of ``scale`` times ``table`` over ``den``; the
+    Killing form is (n-m)^2 times the quadratic form."""
     out = []
     for a, row in enumerate(table):
         for b, v in enumerate(row):
             if v:
-                out.append([a, b, str(v)])
+                out.append([a, b, str(Fraction(scale * v, den))])
     return out
 
 
@@ -52,18 +55,19 @@ def constants_obj(sc: StructureConstants) -> dict:
         "even_dim": sc.even_dim,
         "odd_dim": sc.odd_dim,
         "basis": basis,
-        "bracket": _tensor_triples(sc.c),
-        "anticommutator": _tensor_triples(sc.d),
-        "quadratic_form": _pair_entries(sc.g),
-        "killing_form": _pair_entries(sc.killing),
+        "bracket": _tensor_triples(sc.c, sc.den),
+        "anticommutator": _tensor_triples(sc.d, sc.den),
+        "quadratic_form": _pair_entries(sc.g, sc.g_den),
+        "killing_form": _pair_entries(sc.g, sc.g_den, (sc.n - sc.m) ** 2),
     }
 
 
 def constants_csv_rows(sc: StructureConstants) -> List[list]:
-    rows = [["bracket", a, b, c, v] for a, b, c, v in _tensor_triples(sc.c)]
-    rows += [["anticommutator", a, b, c, v] for a, b, c, v in _tensor_triples(sc.d)]
-    rows += [["quadratic_form", a, b, "", v] for a, b, v in _pair_entries(sc.g)]
-    rows += [["killing_form", a, b, "", v] for a, b, v in _pair_entries(sc.killing)]
+    killing = _pair_entries(sc.g, sc.g_den, (sc.n - sc.m) ** 2)
+    rows = [["bracket", a, b, c, v] for a, b, c, v in _tensor_triples(sc.c, sc.den)]
+    rows += [["anticommutator", a, b, c, v] for a, b, c, v in _tensor_triples(sc.d, sc.den)]
+    rows += [["quadratic_form", a, b, "", v] for a, b, v in _pair_entries(sc.g, sc.g_den)]
+    rows += [["killing_form", a, b, "", v] for a, b, v in killing]
     return rows
 
 

@@ -1,29 +1,30 @@
 """Exact linear algebra used everywhere else in the package.
 
-Two layers:
+Two layers, both fraction-free over the integers:
 
-* routines over Scalar, for the small systems that may in principle be
-  complex (basis expansions, Killing inverses, pairing solves); a system
-  solved for many right-hand sides is factored once (``factor``) by
-  inverting a nonsingular rank-sized block of A, and every solution is
-  checked against all of A before it is returned;
+* dense elimination (Bareiss) for the small systems: ranks of a few
+  vectors, inverses, and the symplectic contraction systems.  A system is
+  given by integer columns, and a complex one is realified, so real and
+  complex inputs take one path; a system solved for many right-hand sides
+  is factored once (``factor``) by inverting a nonsingular rank-sized
+  block of A, and every solution is checked against all of A before it is
+  returned;
 
-* sparse fraction-free integer elimination for the large real-rational
-  systems coming from differentials and invariance constraints, with an
-  independent sparse modular cross-check of every rank.  A kernel is read
-  off the echelon of that rank (``sparse_kernel``): sparse, content-stripped
-  integer vectors, back-substituted in ints, which ``verify_kernel`` checks
-  exactly against the columns of the matrix.
+* sparse elimination for the large real-rational systems coming from
+  differentials and invariance constraints, with an independent sparse
+  modular cross-check of every rank.  A kernel is read off the echelon of
+  that rank (``sparse_kernel``): sparse, content-stripped integer vectors,
+  back-substituted in ints, which ``verify_kernel`` checks exactly against
+  the columns of the matrix.
 
 Ranks and kernels returned here are exact; the modular pass is only a
 guard against elimination bugs, never a substitute.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from math import gcd
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from .scalars import ONE, ZERO, Scalar
 
 # Fixed word-size primes for the modular cross-check.  Three primes:
 # a rank can drop mod an unlucky prime, but the exact rank must be
@@ -32,122 +33,179 @@ _CHECK_PRIMES = (1000003, 1000033, 1000211)
 
 
 # ======================================================================
-# Dense routines over Scalar
+# Dense fraction-free elimination
 # ======================================================================
 
+# A column of a dense system: its nonzero entries as (row, 0 for the real or
+# 1 for the imaginary part, integer numerator), the layout of a matrix's ints.
+Column = Sequence[Tuple[int, int, int]]
 
-def _dense_copy(rows: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
-    return [[Scalar.of(x) for x in row] for row in rows]
+
+def _integer_rows(columns: Sequence[Column]
+                  ) -> Tuple[List[Tuple[int, int]], List[List[int]], bool]:
+    """The nonzero rows of A as dense int lists, their keys, and whether A
+    was realified.
+
+    A real A keeps its columns, and row i has the key (i, 0).  A complex A
+    is realified: x_j = u + i v becomes the columns 2j and 2j + 1, row i the
+    rows (i, 0) and (i, 1), and an entry a + i b the block [[a, -b], [b, a]],
+    so real and complex systems take one integer path.
+    """
+    realified = any(part for col in columns for _, part, _ in col)
+    width = 2 * len(columns) if realified else len(columns)
+    rows: Dict[Tuple[int, int], List[int]] = defaultdict(lambda: [0] * width)
+    for j, col in enumerate(columns):
+        for i, part, y in col:
+            if not realified:
+                rows[i, 0][j] += y
+            elif part:
+                rows[i, 0][2 * j + 1] -= y
+                rows[i, 1][2 * j] += y
+            else:
+                rows[i, 0][2 * j] += y
+                rows[i, 1][2 * j + 1] += y
+    keys = sorted(rows)
+    return keys, [rows[key] for key in keys], realified
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
-    a = _dense_copy(rows)
-    if not a:
-        return a, []
-    pivots: List[int] = []
-    r = 0
-    for c in range(len(a[0])):
-        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
+def _eliminate(rows: List[List[int]], width: int) -> Tuple[List[int], List[int], int]:
+    """Fraction-free Gauss-Jordan elimination of ``rows`` in place (Bareiss).
+
+    Pivots are taken in the first ``width`` columns, left to right, each
+    from the first remaining row that is nonzero there.  A step with pivot
+    p replaces every other row r by (p r - r_c pivot_row) / p', p' the
+    previous pivot (1 at first): by Sylvester's identity every entry is
+    then a minor of the input, so the division is exact.  Returns the
+    input positions of the pivot rows, the pivot columns, and the last
+    pivot; on [M | I] with M nonsingular the rows end as [p I | p M^-1].
+    """
+    order = list(range(len(rows)))
+    pivot_rows: List[int] = []
+    pivot_cols: List[int] = []
+    prev = 1
+    for c in range(width):
+        r = len(pivot_cols)
+        if r == len(rows):
             break
-    return a, pivots
-
-
-def rank_dense(rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(rref(rows)[1])
-
-
-def _unit_row(i: int, k: int) -> List[Scalar]:
-    return [ONE if i == j else ZERO for j in range(k)]
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        order[r], order[p] = order[p], order[r]
+        piv = rows[r]
+        pv = piv[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, piv)]
+        pivot_rows.append(order[r])
+        pivot_cols.append(c)
+        prev = pv
+    return pivot_rows, pivot_cols, prev
 
 
 class Factorization:
     """A x = b for many right-hand sides, each solution checked on all of A.
 
-    ``pivot_rows`` are the first rank-many independent rows R of A and
-    ``pivot_cols`` the pivot columns C of A on R, so the block A_(R,C) is
-    nonsingular; ``block_inverse`` is its inverse.  The columns C span the
-    column space, so b lies in it exactly when b = A_(:,C) y for one y, and
-    the rows R force y = block_inverse b_R.  ``solve`` puts that y on C and
-    zero elsewhere and returns it only once A x = b holds on every row.
+    A is given by integer columns (``Column``), realified when complex
+    (``_integer_rows``).  ``pivot_rows`` are the keys of rank-many rows R
+    and ``pivot_cols`` the columns C on which one elimination of A found
+    its pivots, so the block A_(R,C) is nonsingular; ``block_inverse`` is
+    its inverse times ``den`` > 0, in integers, from one more elimination,
+    of [A_(R,C) | I].  The columns C span the column space, so b lies in it
+    exactly when b = A_(:,C) y for one y, and the rows R force
+    y = block_inverse b_R / den.  ``solve`` puts that y on C and zero
+    elsewhere, and returns it only once A y = den b holds on every row.
     """
 
-    def __init__(self, rows: Sequence[Sequence[Scalar]]):
-        self.matrix = _dense_copy(rows)
-        self.nrows = len(self.matrix)
-        self.ncols = len(self.matrix[0]) if self.matrix else 0
-        self.pivot_rows = rref(list(zip(*self.matrix)))[1]
-        self.pivot_cols = rref([self.matrix[i] for i in self.pivot_rows])[1]
-        self.block_inverse = inverse(
-            [[self.matrix[i][c] for c in self.pivot_cols] for i in self.pivot_rows]
-        )
+    def __init__(self, columns: Sequence[Column]):
+        self.ncols = len(columns)
+        keys, rows, self.realified = _integer_rows(columns)
+        width = 2 * self.ncols if self.realified else self.ncols
+        # the (realified) columns again, sparse, for the check of each solution
+        self.columns: List[List[Tuple[Tuple[int, int], int]]] = [[] for _ in range(width)]
+        for key, row in zip(keys, rows):
+            for j, v in enumerate(row):
+                if v:
+                    self.columns[j].append((key, v))
+        positions, self.pivot_cols, _ = _eliminate([list(row) for row in rows], width)
+        self.pivot_rows = [keys[i] for i in positions]
+        r = len(positions)
+        block = [[rows[i][c] for c in self.pivot_cols] + [int(s == t) for s in range(r)]
+                 for t, i in enumerate(positions)]
+        det = _eliminate(block, r)[2]
+        sign = 1 if det > 0 else -1
+        self.den = abs(det)
+        self.block_inverse = [[sign * x for x in row[r:]] for row in block]
 
     @property
     def rank(self) -> int:
-        return len(self.pivot_rows)
+        """The rank of A; each column may be over its own denominator, since
+        scaling a column keeps the rank."""
+        return len(self.pivot_rows) // (2 if self.realified else 1)
 
-    def solve(self, rhs: Sequence[Scalar]) -> List[Scalar]:
-        """The unique x with A x = b; raises when none or many exist."""
-        if len(rhs) != self.nrows:
-            raise ValueError("rhs length mismatch")
-        b = [Scalar.of(v) for v in rhs]
-        y = matvec(self.block_inverse, [b[i] for i in self.pivot_rows])
-        x = [ZERO] * self.ncols
-        for c, v in zip(self.pivot_cols, y):
-            x[c] = v
-        if matvec(self.matrix, x) != b:
+    def _solve_real(self, b: Dict[Tuple[int, int], int]) -> List[int]:
+        """den times the solution of the real system for ``b``, checked on
+        every row of A and of b; raises when there is none."""
+        br = [b.get(key, 0) for key in self.pivot_rows]
+        y = [0] * len(self.columns)
+        for c, row in zip(self.pivot_cols, self.block_inverse):
+            y[c] = sum(v * w for v, w in zip(row, br) if w)
+        acc: Dict[Tuple[int, int], int] = {}
+        for c, v in enumerate(y):
+            if v:
+                for key, a in self.columns[c]:
+                    acc[key] = acc.get(key, 0) + a * v
+        den = self.den
+        if ({key: s for key, s in acc.items() if s}
+                != {key: den * v for key, v in b.items() if v}):
             raise ValueError("inconsistent linear system")
+        return y
+
+    def solve(self, rhs: Column) -> Tuple[List[Tuple[int, int, int]], int]:
+        """The unique x with A x = b, for b given as (row, part, numerator)
+        entries: x as sorted (column, part, numerator) entries over ``den``.
+        Raises ValueError when there is no solution or more than one."""
+        parts: Dict[int, Dict[Tuple[int, int], int]] = {}
+        for i, part, v in rhs:
+            # a real A solves the two parts of b apart; a realified A takes
+            # them as its rows (i, 0) and (i, 1)
+            b = parts.setdefault(0 if self.realified else part, {})
+            key = (i, part) if self.realified else (i, 0)
+            b[key] = b.get(key, 0) + v
+        x = []
+        for part, b in parts.items():
+            y = self._solve_real(b)
+            if self.realified:
+                x += [(j // 2, j % 2, v) for j, v in enumerate(y) if v]
+            else:
+                x += [(j, part, v) for j, v in enumerate(y) if v]
         if self.rank < self.ncols:
             raise ValueError("underdetermined linear system")
-        return x
+        x.sort()
+        return x, self.den
 
 
-def factor(rows: Sequence[Sequence[Scalar]]) -> Factorization:
+def factor(columns: Sequence[Column]) -> Factorization:
     """A factored once, for solves against many right-hand sides."""
-    return Factorization(rows)
+    return Factorization(columns)
 
 
-def solve_unique(
-    rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
-) -> List[Scalar]:
+def solve_unique(columns: Sequence[Column], rhs: Column
+                 ) -> Tuple[List[Tuple[int, int, int]], int]:
     """Solve A x = b requiring existence and uniqueness; raises otherwise."""
-    return factor(rows).solve(rhs)
+    return factor(columns).solve(rhs)
 
 
-def inverse(rows: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
-    k = len(rows)
-    if any(len(r) != k for r in rows):
-        raise ValueError("inverse of a non-square matrix")
-    red, pivots = rref([list(row) + _unit_row(i, k) for i, row in enumerate(rows)])
-    if pivots != list(range(k)):
+def inverse(columns: Sequence[Column]) -> Tuple[List[List[Tuple[int, int, int]]], int]:
+    """The columns of A^-1 for a nonsingular k x k A on the rows 0..k-1, as
+    (row, part, numerator) entries over one denominator; ValueError when A
+    is singular."""
+    fact = factor(columns)
+    k = len(columns)
+    if fact.rank != k:
         raise ValueError("matrix is singular")
-    return [row[k:] for row in red[:k]]
-
-
-def matvec(rows: Sequence[Sequence[Scalar]], x: Sequence[Scalar]) -> List[Scalar]:
-    """A x, forming only the products of nonzero entries."""
-    xnz = [(j, Scalar.of(b)) for j, b in enumerate(x) if b]
-    out = []
-    for row in rows:
-        acc = ZERO
-        for j, b in xnz:
-            a = row[j]
-            if a:
-                acc = acc + a * b
-        out.append(acc)
-    return out
+    return [fact.solve([(j, 0, 1)])[0] for j in range(k)], fact.den
 
 
 # ======================================================================

@@ -366,23 +366,26 @@ class GradedMatrix:
 
     # ---- traces -------------------------------------------------------
 
-    def _diagonal_sum(self, signed: bool) -> Scalar:
-        """The sum of the diagonal entries, those of the second block
-        negated when ``signed``."""
+    def diagonal_sum(self, signed: bool) -> Tuple[int, int]:
+        """The numerators over ``den`` of the real and imaginary parts of the
+        sum of the diagonal entries, those of the second block negated when
+        ``signed``."""
         k1 = self.n + self.m + 1
         second = self.n * k1  # the first diagonal unit of the second block
         pair = [0, 0]
         for u, part, y in self.ints:
             if u % k1 == 0:
                 pair[part] += -y if signed and u >= second else y
-        return Scalar(Fraction(pair[0], self.den), Fraction(pair[1], self.den))
+        return pair[0], pair[1]
 
     def trace(self) -> Scalar:
-        return self._diagonal_sum(False)
+        re, im = self.diagonal_sum(False)
+        return Scalar(Fraction(re, self.den), Fraction(im, self.den))
 
     def supertrace(self) -> Scalar:
         """Trace of the first diagonal block minus trace of the second."""
-        return self._diagonal_sum(True)
+        re, im = self.diagonal_sum(True)
+        return Scalar(Fraction(re, self.den), Fraction(im, self.den))
 
     def __str__(self):
         rows = [" ".join(str(x) for x in row) for row in self.entries]

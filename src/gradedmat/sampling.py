@@ -1,33 +1,32 @@
 """Seeded random generators for property checks.
 
 Everything takes an explicit random.Random so runs are reproducible from
-a single seed; entries are small Gaussian rationals to keep exact
-arithmetic fast.
+a single seed; entries are small Gaussian integers, drawn straight into a
+matrix's integer entries, to keep exact arithmetic fast.
 """
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .constants import StructureConstants
 from .forms import GradedForm
 from .formspace import FormBasis
 from .indexset import tuple_parity
 from .matrices import GradedMatrix
-from .scalars import Scalar
 
 
-def random_scalar(rng: random.Random, span: int = 3) -> Scalar:
-    return Scalar(
-        Fraction(rng.randint(-span, span)), Fraction(rng.randint(-span, span))
-    )
+def _draw(rng: random.Random, u: int, span: int) -> List[Tuple[int, int, int]]:
+    """The entry at unit u as (u, part, value) over its nonzero parts, the
+    real part drawn in [-span, span] first and then the imaginary one."""
+    re, im = rng.randint(-span, span), rng.randint(-span, span)
+    return [(u, part, y) for part, y in ((0, re), (1, im)) if y]
 
 
 def random_matrix(rng: random.Random, n: int, m: int, span: int = 3) -> GradedMatrix:
     k = n + m
-    rows = [[random_scalar(rng, span) for _ in range(k)] for _ in range(k)]
-    return GradedMatrix.from_rows(n, m, rows)
+    return GradedMatrix.from_ints(
+        n, m, [e for u in range(k * k) for e in _draw(rng, u, span)], 1)
 
 
 def random_homogeneous_matrix(
@@ -67,24 +66,16 @@ def random_even_invertible(
     diagonal D is invertible by construction; all factors even.
     """
     k = n + m
-
-    def block_ok(i: int, j: int) -> bool:
-        return (i < n) == (j < n)
-
-    lo = [[Scalar.of(1 if i == j else 0) for j in range(k)] for i in range(k)]
-    up = [[Scalar.of(1 if i == j else 0) for j in range(k)] for i in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i > j and block_ok(i, j):
-                lo[i][j] = random_scalar(rng, span)
-            if i < j and block_ok(i, j):
-                up[i][j] = random_scalar(rng, span)
-    diag = [
-        [Scalar.of(rng.choice([x for x in range(-span, span + 1) if x])
-                   if i == j else 0) for j in range(k)]
-        for i in range(k)
-    ]
-    out = GradedMatrix.from_rows(n, m, lo)
-    out = out @ GradedMatrix.from_rows(n, m, diag)
-    out = out @ GradedMatrix.from_rows(n, m, up)
+    lo: List[Tuple[int, int, int]] = []
+    up: List[Tuple[int, int, int]] = []
+    for u in range(k * k):
+        i, j = divmod(u, k)
+        if i != j and (i < n) == (j < n):
+            (lo if i > j else up).extend(_draw(rng, u, span))
+    nonzero = [x for x in range(-span, span + 1) if x]
+    diag = [(i * (k + 1), 0, rng.choice(nonzero)) for i in range(k)]
+    ones = [(i * (k + 1), 0, 1) for i in range(k)]
+    out = GradedMatrix.from_ints(n, m, sorted(lo + ones), 1)
+    out = out @ GradedMatrix.from_ints(n, m, diag, 1)
+    out = out @ GradedMatrix.from_ints(n, m, sorted(up + ones), 1)
     return out

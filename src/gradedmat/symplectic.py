@@ -23,6 +23,8 @@ computed exactly and is one-dimensional.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Tuple
 
 from . import linalg
@@ -31,11 +33,9 @@ from .forms import (
     DerivationVector, GradedForm, canonical_one_form, evaluate,
     exterior_derivative_generators, interior_product,
 )
-from .formspace import (
-    FormBasis, d_matrix, form_to_sparse, kernel_forms, lie_matrix,
-)
+from .formspace import FormBasis, d_matrix, kernel_forms, lie_matrix
 from .matrices import GradedMatrix
-from .scalars import ZERO
+from .scalars import Scalar
 
 
 def canonical_two_form(sc: StructureConstants) -> GradedForm:
@@ -80,9 +80,16 @@ class SymplecticForm:
     def hamiltonian_field(self, mat: GradedMatrix) -> DerivationVector:
         """The unique derivation with  iota_D omega = -dM."""
         sc = self.sc
-        system, basis = self._system
-        coords = system.solve(_minus_differential(sc, mat, basis))
-        return DerivationVector(sc.basis, tuple(coords))
+        system, basis, den = self._system
+        rhs, rhs_den = _minus_differential(sc, mat, basis)
+        x, x_den = system.solve(rhs)
+        # the system is the contraction columns times den, so D = den x / rhs_den
+        parts = [[0, 0] for _ in range(sc.dim)]
+        for b, part, y in x:
+            parts[b][part] = den * y
+        q = x_den * rhs_den
+        return DerivationVector(sc.basis, tuple(
+            Scalar(Fraction(re, q), Fraction(im, q)) for re, im in parts))
 
     def poisson_bracket(self, m1: GradedMatrix, m2: GradedMatrix) -> GradedMatrix:
         """omega(D_M, D_M') for the two Hamiltonian fields."""
@@ -91,24 +98,31 @@ class SymplecticForm:
         return evaluate(self.form, [d1, d2])
 
 
-def _minus_differential(sc: StructureConstants, mat: GradedMatrix, basis) -> list:
-    """-dM over the 1-form basis: the right-hand side for the field of M."""
+def _column(form: GradedForm, basis: FormBasis) -> List[Tuple[int, int, int]]:
+    """The numerators of a form over ``form.den``, as (row, part, numerator)
+    on the full form basis ``basis`` of its degree."""
+    return [(basis.offset(key) + u, part, y)
+            for key, entries in form.ints.items() for u, part, y in entries]
+
+
+def _minus_differential(sc: StructureConstants, mat: GradedMatrix, basis: FormBasis
+                        ) -> Tuple[List[Tuple[int, int, int]], int]:
+    """-dM over the 1-form basis, as (row, part, numerator) entries and their
+    denominator: the right-hand side for the field of M."""
     dm = exterior_derivative_generators(sc, GradedForm.from_matrix(sc, mat))
-    rhs = [ZERO] * len(basis)
-    for i, v in form_to_sparse(dm, basis).items():
-        rhs[i] = -v
-    return rhs
+    return [(i, part, -y) for i, part, y in _column(dm, basis)], dm.den
 
 
 def _contraction_system(sc: StructureConstants, form: GradedForm):
-    """The factored contraction system and the 1-form basis of its rows."""
+    """The factored contraction system, the 1-form basis of its rows, and the
+    denominator ``den`` its columns are numerators over: column b holds
+    iota_(bd_b) omega times ``den``."""
     basis = FormBasis(sc, 1)
-    rows = [[ZERO] * sc.dim for _ in range(len(basis))]
-    for b in range(sc.dim):
-        w = interior_product(DerivationVector.basis(sc, b), form)
-        for i, v in form_to_sparse(w, basis).items():
-            rows[i][b] = v
-    return linalg.factor(rows), basis
+    images = [interior_product(DerivationVector.basis(sc, b), form) for b in range(sc.dim)]
+    den = lcm(*(w.den for w in images))
+    columns = [[(i, part, y * (den // w.den)) for i, part, y in _column(w, basis)]
+               for w in images]
+    return linalg.factor(columns), basis, den
 
 
 def analyze(
@@ -121,7 +135,7 @@ def analyze(
     if not degree_ok:
         return None, SymplecticCertificate(False, False, False, 0, sc.dim, False,
                                            note="degree must be 2")
-    system, basis = _contraction_system(sc, form)
+    system, basis, den = _contraction_system(sc, form)
     rank = system.rank
     consistent = True
     note = ""
@@ -130,7 +144,7 @@ def analyze(
         probes.append(GradedMatrix.identity(sc.n, sc.m))
         for mat in probes:
             try:
-                system.solve(_minus_differential(sc, mat, basis))
+                system.solve(_minus_differential(sc, mat, basis)[0])
             except ValueError:
                 consistent = False
                 note = "contraction system inconsistent for a basis matrix"
@@ -139,7 +153,7 @@ def analyze(
                                  note=note)
     if not cert.ok:
         return None, cert
-    return SymplecticForm(sc, form, _trusted=(system, basis)), cert
+    return SymplecticForm(sc, form, _trusted=(system, basis, den)), cert
 
 
 def is_symplectic(sc: StructureConstants, form: GradedForm) -> bool:

@@ -19,13 +19,7 @@ from gradedmat.bundles import (
     is_graded_free,
     rank_one_connection,
 )
-from gradedmat.cohomology import (
-    betti_numbers,
-    body_map_matrix,
-    ce_oracle,
-    differential_matrix,
-    ordinary_sl_basis,
-)
+from gradedmat.cohomology import betti_numbers, body_map_matrix, differential_matrix
 from gradedmat.constants import verify_appendix
 from gradedmat.formspace import (
     FormBasis,
@@ -66,6 +60,7 @@ from gradedmat.verify import (
     structure_equation,
     theta_invariance,
 )
+from tests.ce_oracle import ce_oracle, ordinary_sl_basis
 from tests.test_bundles import brute_force_free, idempotent_cover_connection
 from tests.test_formspace import column_values
 from tests.test_linalg import clear_denominators

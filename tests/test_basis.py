@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from gradedmat.basis import (
@@ -25,12 +28,43 @@ def test_build_sl_basis_validates(n, m):
 def test_expand_round_trip():
     basis = build_sl_basis(2, 1)
     for a, e in enumerate(basis.elements):
-        coords, ident = basis.expand(e)
-        assert ident == Scalar(0)
-        assert [bool(c) for c in coords] == [i == a for i in range(basis.dim)]
-    coords, ident = basis.expand(GradedMatrix.identity(2, 1))
-    assert ident == Scalar(1)
+        coords, ident, den = basis.expand(e)
+        assert ident == 0
+        assert [Fraction(c, den) for c in coords] == [int(i == a) for i in range(basis.dim)]
+    coords, ident, den = basis.expand(GradedMatrix.identity(2, 1))
+    assert Fraction(ident, den) == 1
     assert not any(coords)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (1, 2), (3, 1), (2, 0)])
+def test_expand_rebuilds_random_real_matrices(n, m):
+    basis = build_sl_basis(n, m)
+    rng = random.Random(41)
+    ident = GradedMatrix.identity(n, m)
+    for _ in range(10):
+        k = n + m
+        mat = GradedMatrix(n, m, [(i, j, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                                  for i in range(k) for j in range(k)])
+        coords, unit, den = basis.expand(mat)
+        rebuilt = ident.scale(Fraction(unit, den))
+        for e, c in zip(basis.elements, coords):
+            rebuilt = rebuilt + e.scale(Fraction(c, den))
+        assert rebuilt == mat
+    with pytest.raises(ValueError, match="imaginary"):
+        basis.expand(GradedMatrix.unit(n, m, 0, 0, Scalar(0, 1)))
+
+
+def test_expand_reads_a_basis_that_mixes_units():
+    # e01 + e10 and e01 - e10 share their two positions, and the Cartan
+    # element is halved: an element over a denominator
+    std = build_sl_basis(2, 1)
+    e01, e10, h = std.elements[:3]
+    elements = (e01 + e10, e01 - e10, h.scale(Fraction(1, 2))) + std.elements[3:]
+    mixed = HomogeneousBasis(2, 1, elements, std.parities)
+    mixed.validate()
+    coords, unit, den = mixed.expand(e01.scale(3) + h)
+    assert [Fraction(c, den) for c in coords[:3]] == [Fraction(3, 2), Fraction(3, 2), 2]
+    assert unit == 0 and not any(coords[3:])
 
 
 def test_derivation_dimension_counts():

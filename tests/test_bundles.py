@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,7 @@ from gradedmat.forms import (
     wedge,
 )
 from gradedmat.matrices import GradedMatrix
+from gradedmat.scalars import Scalar
 from gradedmat.sampling import (
     random_even_invertible,
     random_form,
@@ -156,6 +158,21 @@ def test_graded_inverse(sc21):
     rng = random.Random(79)
     g = random_even_invertible(rng, 2, 1)
     assert g @ graded_inverse(g) == GradedMatrix.identity(2, 1)
+    # complex even invertible matrices, and the same over a denominator
+    for n, m in ((2, 1), (1, 2), (3, 1), (2, 0)):
+        ident = GradedMatrix.identity(n, m)
+        complex_seen = 0
+        for seed in range(8):
+            g = random_even_invertible(random.Random(seed), n, m)
+            complex_seen += any(part for _, part, _ in g.ints)
+            for mat in (g, g.scale(Scalar(Fraction(2, 3), Fraction(-1, 5)))):
+                inv = graded_inverse(mat)
+                assert mat @ inv == ident
+                assert inv @ mat == ident
+        assert complex_seen
+        singular = GradedMatrix(n, m, [(0, 0, Scalar(1, 1)), (0, 1, 2)])
+        with pytest.raises(ValueError, match="singular"):
+            graded_inverse(singular)
 
 
 def idempotent_cover_connection(sc, rng):

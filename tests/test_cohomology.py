@@ -20,16 +20,12 @@ from gradedmat.cohomology import (
     body_map_forms,
     body_map_matrix,
     body_vector_field,
-    ce_oracle,
     chain_degrees,
     cocycle_representatives,
     differential_matrix,
     embed_vector_field,
     ensure_body_adapted,
     held_labels,
-    ordinary_abelian_basis,
-    ordinary_direct_sum,
-    ordinary_sl_basis,
 )
 from gradedmat.constants import compute_constants, constants_for
 from gradedmat.formspace import FormBasis, LinearMapMatrix, _decode, basis_form, d_matrix
@@ -41,6 +37,9 @@ from gradedmat.forms import (
 )
 from gradedmat.indexset import enumerate_multi_indices, index_count
 from gradedmat.linalg import SparseEchelon
+from tests.ce_oracle import (
+    ce_oracle, ordinary_abelian_basis, ordinary_direct_sum, ordinary_sl_basis,
+)
 from tests.test_forms import rand_form
 from tests.test_linalg import reference_kernel
 

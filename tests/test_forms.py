@@ -388,7 +388,7 @@ def test_oracle_tables_are_built_once_per_constants(sc21):
     # the tables hold c over one denominator and [E_b, E_u] entry by entry
     for (x, y), row in sc.c.items():
         assert {cc: Fraction(v, tables.den) for cc, v in tables.c[x][y]} == {
-            cc: v.re for cc, v in row.items()
+            cc: Fraction(v, sc.den) for cc, v in row.items()
         }
     k = sc.n + sc.m
     for b, e in enumerate(sc.basis.elements):
@@ -417,27 +417,6 @@ def test_oracle_refuses_a_basis_element_that_is_not_integral(sc21, factor):
         exterior_derivative(sc, theta)
     with pytest.raises(ValueError, match="not an integer"):
         lie_derivative(sc, DerivationVector.basis(sc, 0), theta)
-
-
-def test_oracle_rejects_a_complex_structure_constant(sc21):
-    # make one constant c_(x,y)^cc with x < y Gaussian; d theta^cc reads it
-    # at the tuple (x, y), and L_x theta^cc reads it at (y,)
-    (x, y), row = next((xy, row) for xy, row in sorted(sc21.c.items())
-                       if xy[0] < xy[1])
-    cc = min(row)
-    doctored = dict(sc21.c)
-    doctored[(x, y)] = {**row, cc: Scalar(row[cc].re, 1)}
-    sc = dataclasses.replace(sc21, c=doctored)
-    theta = frame_form(sc, cc)
-    with pytest.raises(ValueError, match="not real"):
-        exterior_derivative(sc, theta)
-    with pytest.raises(ValueError, match="not real"):
-        lie_derivative(sc, DerivationVector.basis(sc, x), theta)
-    with pytest.raises(ValueError, match="not real"):
-        exterior_derivative_generators(sc, theta)
-    # the undoctored constants still run both
-    exterior_derivative(sc21, frame_form(sc21, cc))
-    lie_derivative(sc21, DerivationVector.basis(sc21, x), frame_form(sc21, cc))
 
 
 # ---- both routes on forms with denominators ----------------------------
@@ -504,7 +483,7 @@ def test_frame_derivative_matches_structure_constants(sc21):
             manual = manual + wedge(
                 GradedForm.of(sc21, 1, {(cdx,): IDM}),
                 GradedForm.of(sc21, 1, {(b,): IDM}),
-            ).scale(v * half)
+            ).scale(Fraction(v, sc21.den) * half)
         assert dth == manual
 
 

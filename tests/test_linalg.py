@@ -7,32 +7,92 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedmat import linalg, symplectic
-from gradedmat.forms import GradedForm
+from gradedmat.forms import (
+    DerivationVector, GradedForm, exterior_derivative_generators, interior_product,
+)
+from gradedmat.formspace import FormBasis, form_to_sparse
 from gradedmat.matrices import GradedMatrix
 from gradedmat.scalars import Scalar
 from gradedmat.symplectic import canonical_two_form
+from tests.test_forms import rand_form, rand_matrix
 
 
 def _mat(rows):
     return [[Scalar.of(Fraction(x)) for x in row] for row in rows]
 
 
+def reference_rref(rows):
+    """Reduced row echelon form over Scalar: (reduced rows, pivot columns)."""
+    a = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a, pivots
+
+
+def reference_rank(rows):
+    return len(reference_rref(rows)[1])
+
+
+def _entries(vector):
+    """A vector of Gaussian integers as (row, part, numerator) entries."""
+    out = []
+    for i, x in enumerate(vector):
+        x = Scalar.of(x)
+        assert x.re.denominator == x.im.denominator == 1
+        out += [(i, part, int(y)) for part, y in ((0, x.re), (1, x.im)) if y]
+    return out
+
+
+def _int_columns(rows):
+    """The columns of a dense matrix of Gaussian integers, as ``linalg.Column``."""
+    return [_entries([row[j] for row in rows]) for j in range(len(rows[0]))]
+
+
+def _solve(fact, rhs):
+    """``fact.solve`` on a dense vector, the solution read back as Scalars."""
+    entries, den = fact.solve(_entries(rhs))
+    x = [[0, 0] for _ in range(fact.ncols)]
+    for j, part, y in entries:
+        x[j][part] = y
+    return [Scalar(Fraction(re, den), Fraction(im, den)) for re, im in x]
+
+
 def test_rref_and_rank():
-    rows, pivots = linalg.rref(_mat([[1, 2], [2, 4]]))
+    rows, pivots = reference_rref(_mat([[1, 2], [2, 4]]))
     assert pivots == [0]
-    assert linalg.rank_dense(_mat([[1, 2], [2, 4]])) == 1
-    assert linalg.rank_dense(_mat([[1, 0], [0, 1]])) == 2
+    assert linalg.factor(_int_columns(_mat([[1, 2], [2, 4]]))).rank == 1
+    assert linalg.factor(_int_columns(_mat([[1, 0], [0, 1]]))).rank == 2
+    # a complex matrix of complex rank 1: its realification has rank 2
+    assert linalg.factor(_int_columns([[Scalar(1, 1), Scalar(2, 0)],
+                                       [Scalar(0, 2), Scalar(2, 2)]])).rank == 1
+    assert linalg.factor([]).rank == 0
 
 
 def test_solve_and_inverse():
     a = _mat([[2, 1], [1, 1]])
-    x = linalg.solve_unique(a, [Scalar.of(3), Scalar.of(2)])
-    assert [str(v) for v in x] == ["1", "1"]
-    assert linalg.matvec(a, x) == [Scalar.of(3), Scalar.of(2)]
-    inv = linalg.inverse(_mat([[2, 1], [1, 1]]))
-    assert [[str(v) for v in row] for row in inv] == [["1", "-1"], ["-1", "2"]]
+    x, den = linalg.solve_unique(_int_columns(a), _entries([3, 2]))
+    assert (x, den) == ([(0, 0, den), (1, 0, den)], den)
+    inv, den = linalg.inverse(_int_columns(a))
+    assert [[Fraction(y, den) for _, _, y in col] for col in inv] == [[1, -1], [-1, 2]]
     with pytest.raises(ValueError):
-        linalg.solve_unique(_mat([[1, 1], [2, 2]]), [Scalar.of(1), Scalar.of(1)])
+        linalg.solve_unique(_int_columns(_mat([[1, 1], [2, 2]])), _entries([1, 1]))
+    with pytest.raises(ValueError, match="singular"):
+        linalg.inverse(_int_columns(_mat([[1, 1], [2, 2]])))
 
 
 def clear_denominators(entries):
@@ -67,7 +127,10 @@ def test_sparse_rank_matches_dense():
         for i, row in enumerate(rows):
             for j, v in row.items():
                 dense[i][j] = Scalar.of(Fraction(v))
-        assert linalg.SparseEchelon().eliminate(rows) == linalg.rank_dense(dense)
+        rank = linalg.SparseEchelon().eliminate(rows)
+        assert rank == reference_rank(dense)
+        columns = [[(i, 0, v) for i, v in col.items()] for col in _columns(rows, ncols)]
+        assert rank == linalg.factor(columns).rank
 
 
 def test_exact_rank_cross_check():
@@ -219,7 +282,7 @@ def test_exact_rank_rejects_a_short_modular_rank(monkeypatch):
 def _rref_solve(rows, rhs):
     """Solve A x = b by one rref of [A | b]: the reference for ``factor``."""
     ncols = len(rows[0])
-    red, pivots = linalg.rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    red, pivots = reference_rref([list(r) + [b] for r, b in zip(rows, rhs)])
     if ncols in pivots:
         raise ValueError("inconsistent linear system")
     if len(pivots) < ncols:
@@ -237,7 +300,12 @@ def _outcome(solve, *args):
         return str(err)
 
 
+def _matvec(rows, x):
+    return [sum((a * b for a, b in zip(row, x)), Scalar.of(0)) for row in rows]
+
+
 small_gaussians = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+small_integers = st.builds(Scalar, st.integers(-3, 3))
 
 
 @settings(max_examples=150, deadline=None)
@@ -245,56 +313,111 @@ small_gaussians = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
 def test_factored_solve_matches_rref_solve(data):
     nrows = data.draw(st.integers(1, 6), label="rows")
     ncols = data.draw(st.integers(1, nrows), label="columns")
-    rows = data.draw(st.lists(st.lists(small_gaussians, min_size=ncols,
-                                       max_size=ncols),
+    entries = data.draw(st.sampled_from([small_gaussians, small_integers]), label="entries")
+    rows = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                               min_size=nrows, max_size=nrows), label="A")
-    fact = linalg.factor(rows)
-    assert fact.rank == linalg.rank_dense(rows)
+    fact = linalg.factor(_int_columns(rows))
+    assert fact.rank == reference_rank(rows)
     # one right-hand side in the column space, then arbitrary ones
     x = data.draw(st.lists(small_gaussians, min_size=ncols, max_size=ncols))
-    rhss = [linalg.matvec(rows, x)] + data.draw(st.lists(
+    rhss = [_matvec(rows, x)] + data.draw(st.lists(
         st.lists(small_gaussians, min_size=nrows, max_size=nrows), max_size=3))
     for rhs in rhss:
         want = _outcome(_rref_solve, rows, rhs)
-        assert _outcome(fact.solve, rhs) == want
-        assert _outcome(linalg.solve_unique, rows, rhs) == want
+        assert _outcome(_solve, fact, rhs) == want
+        got = _outcome(linalg.solve_unique, _int_columns(rows), _entries(rhs))
+        assert got == _outcome(fact.solve, _entries(rhs))
     if fact.rank == ncols:
-        assert fact.solve(rhss[0]) == x
+        assert _solve(fact, rhss[0]) == x
 
 
 def test_factored_solve_raises_like_the_rref_solve():
-    tall = linalg.factor(_mat([[1, 0], [0, 1], [1, 1]]))
+    tall = linalg.factor(_int_columns(_mat([[1, 0], [0, 1], [1, 1]])))
     assert tall.rank == 2
-    assert tall.solve([Scalar.of(v) for v in (1, 2, 3)]) == _mat([[1, 2]])[0]
+    assert _solve(tall, [1, 2, 3]) == _mat([[1, 2]])[0]
     with pytest.raises(ValueError, match="inconsistent"):
-        tall.solve([Scalar.of(v) for v in (1, 2, 4)])
-    wide = linalg.factor(_mat([[1, 1, 0], [0, 0, 1]]))
+        _solve(tall, [1, 2, 4])
+    wide = linalg.factor(_int_columns(_mat([[1, 1, 0], [0, 0, 1]])))
     assert wide.rank == 2
     with pytest.raises(ValueError, match="underdetermined"):
-        wide.solve([Scalar.of(1), Scalar.of(2)])
+        _solve(wide, [1, 2])
     # an inconsistent system is reported as such even when underdetermined
-    flat = linalg.factor(_mat([[1, 1], [2, 2]]))
+    flat = linalg.factor(_int_columns(_mat([[1, 1], [2, 2]])))
     with pytest.raises(ValueError, match="inconsistent"):
-        flat.solve([Scalar.of(1), Scalar.of(1)])
+        _solve(flat, [1, 1])
     with pytest.raises(ValueError, match="underdetermined"):
-        flat.solve([Scalar.of(1), Scalar.of(2)])
-    with pytest.raises(ValueError, match="length"):
-        tall.solve([Scalar.of(1)])
+        _solve(flat, [1, 2])
+    # b is nonzero on a row where A is zero
+    with pytest.raises(ValueError, match="inconsistent"):
+        tall.solve([(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 0, 1)])
+    # the imaginary part of b is checked as the real part is
+    with pytest.raises(ValueError, match="inconsistent"):
+        _solve(tall, [Scalar(1, 1), 2, Scalar(3, 2)])
 
 
 def test_a_corrupted_factorization_cannot_return_a_wrong_answer():
-    # b = A (1, 1) is in the column space and nonzero on both rows of the
-    # block, so a wrong entry of the block inverse gives a wrong candidate,
-    # which the check on all of A must refuse
-    a = _mat([[2, 1], [1, 1], [1, 0]])
-    b = linalg.matvec(a, _mat([[1, 1]])[0])
-    for i in range(2):
-        for j in range(2):
-            fact = linalg.factor(a)
-            assert fact.solve(b) == _mat([[1, 1]])[0]
-            fact.block_inverse[i][j] = fact.block_inverse[i][j] + Scalar.of(1)
-            with pytest.raises(ValueError, match="inconsistent"):
-                fact.solve(b)
+    # b = A x is in the column space and nonzero on every row of the block,
+    # so a wrong entry of the block inverse, or a wrong denominator, gives a
+    # wrong candidate, which the check on all of A must refuse; the complex
+    # system is factored through its realified 4 x 4 block
+    cases = [
+        ([[2, 1], [1, 1], [1, 0]], [1, 1]),
+        ([[Scalar(2, 1), 1], [1, Scalar(1, -1)], [Scalar(0, 1), 0]],
+         [Scalar(1, 1), Scalar(1, -1)]),
+    ]
+    for rows, x in cases:
+        a = [[Scalar.of(v) for v in row] for row in rows]
+        x = [Scalar.of(v) for v in x]
+        b = _matvec(a, x)
+        fact = linalg.factor(_int_columns(a))
+        r = len(fact.pivot_rows)
+        assert r == (2 if fact.realified else 1) * len(x)
+        for i in range(r):
+            for j in range(r):
+                fact = linalg.factor(_int_columns(a))
+                assert _solve(fact, b) == x
+                fact.block_inverse[i][j] += 1
+                with pytest.raises(ValueError, match="inconsistent"):
+                    fact.solve(_entries(b))
+        fact = linalg.factor(_int_columns(a))
+        fact.den += 1
+        with pytest.raises(ValueError, match="inconsistent"):
+            fact.solve(_entries(b))
+
+
+def _contraction_reference(sc, form):
+    """The contraction system of ``form`` as a dense Scalar matrix, rows over
+    the 1-form basis, and the right-hand side -dM for a matrix M."""
+    basis = FormBasis(sc, 1)
+    rows = [[Scalar.of(0)] * sc.dim for _ in range(len(basis))]
+    for b in range(sc.dim):
+        image = interior_product(DerivationVector.basis(sc, b), form)
+        for i, v in form_to_sparse(image, basis).items():
+            rows[i][b] = v
+
+    def rhs(mat):
+        dm = exterior_derivative_generators(sc, GradedForm.from_matrix(sc, mat))
+        out = [Scalar.of(0)] * len(basis)
+        for i, v in form_to_sparse(dm, basis).items():
+            out[i] = -v
+        return out
+
+    return rows, rhs
+
+
+def _fields_match_the_reference(sc, form, mats):
+    """The factored system of ``form`` gives every field, or refuses it, as
+    one rref of the reference system does; returns the factorization."""
+    system = symplectic._contraction_system(sc, form)
+    fact, basis, _ = system
+    assert fact.ncols == sc.dim and len(basis) == len(FormBasis(sc, 1))
+    rows, rhs = _contraction_reference(sc, form)
+    assert fact.rank == reference_rank(rows)
+    trusted = symplectic.SymplecticForm(sc, form, _trusted=system)
+    for mat in mats:
+        got = _outcome(lambda: list(trusted.hamiltonian_field(mat).coords))
+        assert got == _outcome(_rref_solve, rows, rhs(mat))
+    return fact
 
 
 @pytest.mark.parametrize("algebra", ["sc21", "sc12", "sc31"])
@@ -303,10 +426,29 @@ def test_factored_solve_of_contraction_systems(algebra, request):
     mats = [sc.basis.elements[a] for a in range(sc.dim)]
     mats.append(GradedMatrix.identity(sc.n, sc.m))
     degenerate = GradedForm.of(sc, 2, {(0, 1): GradedMatrix.identity(sc.n, sc.m)})
-    for form in (canonical_two_form(sc), degenerate):
-        fact, basis = symplectic._contraction_system(sc, form)
-        assert (fact.nrows, fact.ncols) == (len(basis), sc.dim)
-        assert fact.rank == linalg.rank_dense(fact.matrix)
-        for mat in mats:
-            rhs = symplectic._minus_differential(sc, mat, basis)
-            assert _outcome(fact.solve, rhs) == _outcome(_rref_solve, fact.matrix, rhs)
+    omega = canonical_two_form(sc)
+    # a form over a denominator puts its contraction columns over one too
+    for form in (omega, omega.scale(Fraction(2, 3)), degenerate):
+        assert not _fields_match_the_reference(sc, form, mats).realified
+
+
+@pytest.mark.parametrize("algebra", ["sc21", "sc12"])
+def test_complex_contraction_systems_match_the_reference_solve(algebra, request):
+    sc = request.getfixturevalue(algebra)
+    rng = random.Random(83)
+    omega = canonical_two_form(sc)
+    mats = [rand_matrix(rng, sc) for _ in range(3)]
+    mats += [sc.basis.elements[0], GradedMatrix.identity(sc.n, sc.m)]
+    forms = [omega.scale(Scalar(1, 2)), omega.scale(Scalar(2, -1)) + rand_form(rng, sc, 2),
+             rand_form(rng, sc, 2)]
+    for form in forms:
+        assert _fields_match_the_reference(sc, form, mats).realified
+        _, cert = symplectic.analyze(sc, form)
+        assert cert.contraction_rank == reference_rank(_contraction_reference(sc, form)[0])
+    # (1 + 2i) d Theta is symplectic, with the field of E_a the basis
+    # derivation over 1 + 2i
+    built, cert = symplectic.analyze(sc, forms[0])
+    assert built is not None and cert.ok
+    for a in range(sc.dim):
+        field = built.hamiltonian_field(sc.basis.elements[a])
+        assert field == DerivationVector.basis(sc, a).scale(Scalar(1, 0) / Scalar(1, 2))
