@@ -76,7 +76,7 @@ class HomogeneousBasis:
         if list(self.parities) != [0] * self.even_dim + [1] * self.odd_dim:
             raise ValueError("parities must list all even elements first")
         for e, p in zip(self.elements, self.parities):
-            if e.supertrace():
+            if any(e.diagonal_sum(signed=True)):
                 raise ValueError("basis element has nonzero supertrace")
             hp = e.homogeneous_parity()
             if hp is None or hp != p or e.is_zero():

@@ -20,6 +20,7 @@ even diagonal-block entries and odd off-diagonal-block entries.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -28,8 +29,7 @@ from .forms import (
     GradedForm, canonical_one_form, exterior_derivative_generators, wedge,
     wedge_matrix_form,
 )
-from .matrices import GradedMatrix, graded_commutator
-from .scalars import Scalar
+from .matrices import GradedMatrix, combined, graded_commutator
 
 FormMatrix = List[List[GradedForm]]
 FormRow = List[GradedForm]
@@ -253,16 +253,11 @@ def flat_curvature_coefficients(
             raise ValueError(
                 f"coefficient {a} must be {'odd' if sc.parity(a) else 'even'}"
             )
-    out = []
-    for a in range(k):
-        row = []
-        for b in range(k):
-            mat = graded_commutator(rho[b], rho[a])
-            for cc, v in sc.c_row(b, a).items():
-                mat = mat - rho[cc].scale(v)
-            row.append(mat)
-        out.append(row)
-    return out
+    # over the constants' denominator: den [rho_B, rho_A] - sum_C c_BA^C rho_C
+    return [[GradedMatrix.from_ints(sc.n, sc.m, *combined(
+        [(graded_commutator(rho[b], rho[a]), sc.den, 0)]
+        + [(rho[cc], -v, 0) for cc, v in sc.c.get((b, a), {}).items()], sc.den))
+        for b in range(k)] for a in range(k)]
 
 
 def rho_is_flat(sc: StructureConstants, rho: Sequence[GradedMatrix]) -> bool:
@@ -290,7 +285,6 @@ def curvature_from_coefficients(
 ) -> GradedForm:
     """R = (1/2) sum Omega_AB ^ theta^A ^ theta^B."""
     total = GradedForm.zero(sc, 2)
-    half = Scalar.of(1) / Scalar.of(2)
     for a in range(sc.dim):
         for b in range(sc.dim):
             mat = omega[a][b]
@@ -300,8 +294,8 @@ def curvature_from_coefficients(
                 GradedForm.of(sc, 1, {(a,): GradedMatrix.identity(sc.n, sc.m)}),
                 GradedForm.of(sc, 1, {(b,): GradedMatrix.identity(sc.n, sc.m)}),
             )
-            total = total + wedge_matrix_form(mat.scale(half), mono)
-    return total
+            total = total + wedge_matrix_form(mat, mono)
+    return total.scale(Fraction(1, 2))
 
 
 def rank_one_connection(sc: StructureConstants, alpha: GradedForm) -> Connection:

@@ -43,7 +43,6 @@ from .formspace import (
 )
 from .indexset import index_count
 from .matrices import GradedMatrix, body, embed_body
-from .scalars import Scalar
 
 # Largest number of labels (I, r, c) a run may hold, by ``held_labels``: d_3 at
 # (3|2) holds 416025, d_15 at (2|1) 450441; d_16 there 569169, (5|2) d_2 953197.
@@ -189,29 +188,32 @@ def betti_numbers(sc: StructureConstants, max_p: int) -> List[int]:
 # Betti numbers rest on the same composition.
 
 
-def _cartan_elements(sc: StructureConstants) -> List[Tuple[int, List[Fraction]]]:
-    """(index, diagonal) of each diagonal basis element, kept in ``sc.cache``."""
+def _cartan_elements(sc: StructureConstants) -> List[Tuple[int, List[int], int]]:
+    """(index, diagonal numerators, denominator) of each real diagonal basis
+    element, kept in ``sc.cache``."""
     got = sc.cache.get(("cartan_elements",))
     if got is None:
         got = []
+        k1 = sc.n + sc.m + 1
         for a, e in enumerate(sc.basis.elements):
-            if all(r == c for r, c, _ in e.nonzeros()):
-                diag = [Fraction(0)] * (sc.n + sc.m)
-                for r, _, v in e.nonzeros():
-                    diag[r] = v.as_fraction()
-                got.append((a, diag))
+            if all(u % k1 == 0 and not part for u, part, _ in e.ints):
+                diag = [0] * (k1 - 1)
+                for u, _, y in e.ints:
+                    diag[u // k1] = y
+                got.append((a, diag, e.den))
         sc.cache[("cartan_elements",)] = got
     return got
 
 
 def _contracting_element(
-    weight: List[int], cartan: List[Tuple[int, List[Fraction]]]
-) -> Optional[Tuple[int, Fraction]]:
-    """The first diagonal basis element h with lambda(h) != 0, and lambda(h)."""
-    for h, diag in cartan:
+    weight: List[int], cartan: List[Tuple[int, List[int], int]]
+) -> Optional[Tuple[int, int, int]]:
+    """The first diagonal basis element h with lambda(h) != 0, and lambda(h)
+    as (h, numerator, denominator)."""
+    for h, diag, den in cartan:
         val = sum(x * y for x, y in zip(weight, diag))
         if val:
-            return h, val
+            return h, val, den
     return None
 
 
@@ -224,7 +226,7 @@ def _contractions(sc: StructureConstants, q: int) -> List[Dict[int, Tuple[int, i
     key = ("cartan_contractions", q)
     got = sc.cache.get(key)
     if got is None:
-        cartan = {a for a, _ in _cartan_elements(sc)}
+        cartan = {a for a, _, _ in _cartan_elements(sc)}
         lower = FormBasis(sc, q - 1)
         got = []
         for J in FormBasis(sc, q).tuples:
@@ -264,7 +266,7 @@ def _certified_ranks(
     def fail(j: int, why: str):
         raise CertificateError(f"d at degree {p}, column {basis[j]}: {why}")
 
-    homotopy: Dict[int, Optional[Tuple[int, Fraction]]] = {}
+    homotopy: Dict[int, Optional[Tuple[int, int, int]]] = {}
     counts: Dict[int, int] = {}
     for j, col in enumerate(mat.columns):
         t, u = basis.split(j)
@@ -276,7 +278,7 @@ def _certified_ranks(
                 homotopy[lam] = _contracting_element(_decode(lam, k), cartan)
             if homotopy[lam] is None:
                 fail(j, f"no diagonal basis element acts on weight {_decode(lam, k)}")
-            h, val = homotopy[lam]
+            h, val, val_den = homotopy[lam]
         # i_h (d_p x), in ints over den; on weight 0 (h None) only the
         # weight of each row is checked
         acc: Dict[int, int] = {}
@@ -296,8 +298,9 @@ def _certified_ranks(
             if hit is not None:
                 for i, v in prev.matrix.columns[hit[0] + u].items():
                     acc[i] = acc.get(i, 0) + hit[1] * v
-        if val * den != acc.pop(j, 0) or any(acc.values()):
-            fail(j, f"i_h d + d i_h is not {val} times the identity (h = {h})")
+        if val * den != acc.pop(j, 0) * val_den or any(acc.values()):
+            fail(j, f"i_h d + d i_h is not {Fraction(val, val_den)} times the identity "
+                    f"(h = {h})")
     if p > 0:
         # d_p d_(p-1) = 0 on every column of d_(p-1): with the homotopy it
         # gives dim ker d_p = rank d_(p-1) on each nonzero weight
@@ -352,8 +355,9 @@ def ensure_body_adapted(sc: StructureConstants, sc_body: StructureConstants):
         if be != sc_body.basis.elements[a]:
             raise ValueError(f"element {a} does not project onto body element {a}")
     for a in range(blk, sc.even_dim):
-        be = body(sc.basis.elements[a])
-        if be != GradedMatrix.identity(nt, 0).scale(be[0, 0]):
+        ints = body(sc.basis.elements[a]).ints
+        first = [(part, y) for u, part, y in ints if u == 0]
+        if ints != tuple((i * (nt + 1), part, y) for i in range(nt) for part, y in first):
             raise ValueError(f"even element {a} has non-central body")
     sc.cache[key] = sc_body
 
@@ -383,7 +387,7 @@ def body_vector_field(
     if d.homogeneous_parity() != 0 and not d.is_zero():
         raise ValueError("only even derivations descend to the body")
     blk = sc_body.dim
-    return DerivationVector(sc_body.basis, tuple(d.coords[:blk]))
+    return DerivationVector(sc_body.basis, tuple(e for e in d.ints if e[0] < blk), d.den)
 
 
 def embed_vector_field(
@@ -391,8 +395,7 @@ def embed_vector_field(
 ) -> DerivationVector:
     """Lift a body derivation; right inverse to body_vector_field."""
     ensure_body_adapted(sc, sc_body)
-    pad = (Scalar.of(0),) * (sc.dim - sc_body.dim)
-    return DerivationVector(sc.basis, tuple(d.coords) + pad)
+    return DerivationVector(sc.basis, d.ints, d.den)
 
 
 def body_map_matrix(

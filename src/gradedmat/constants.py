@@ -12,7 +12,8 @@ while the graded anticommutator picks up a unit component,
 elements, each expanded on the basis and the identity in integers
 (``HomogeneousBasis.expand``), and inverts g by fraction-free elimination.
 Every table holds integer numerators: c and d over one denominator, g and
-its inverse over one each; the Killing matrix is (n-m)^2 g.
+its inverse over one each; the Killing matrix is (n-m)^2 g.  There is no
+Scalar view of the tables; every reader takes the numerators.
 ``verify_appendix`` machine-checks the complete catalog of identities
 these tensors satisfy on those integers, each identity scaled by the
 power of the denominators it needs, and reports the first counterexample
@@ -31,7 +32,6 @@ from .basis import HomogeneousBasis, build_sl_basis
 from .indexset import commutation_factor, permutation_sign
 from .matrices import graded_anticommutator, graded_commutator
 from .report import VerificationReport
-from .scalars import ZERO, Scalar
 
 # (a, b) -> {cc: numerator}, nonzero entries only
 IntTensor = Dict[Tuple[int, int], Dict[int, int]]
@@ -48,9 +48,8 @@ class StructureConstants:
 
     ``c`` and ``d`` hold integer numerators over ``den``, ``g`` over
     ``g_den`` and ``g_inv`` over ``g_inv_den``, each in lowest terms.  The
-    Killing matrix is (n-m)^2 g and its inverse g_inv / (n-m)^2.  The
-    Scalar rows and entries (``c_row``, ``c_entry``, ``d_row``,
-    ``d_entry``) are views.
+    Killing matrix is (n-m)^2 g and its inverse g_inv / (n-m)^2.  Every
+    reader takes the numerators; there is no Scalar view of the tables.
 
     ``cache`` memoizes data derived from these constants elsewhere in the
     package (the differential matrices, the body-adaptedness check).  It
@@ -92,21 +91,6 @@ class StructureConstants:
 
     def parity(self, a: int) -> int:
         return self.basis.parity(a)
-
-    def _row(self, t: IntTensor, a: int, b: int) -> Dict[int, Scalar]:
-        return {cc: Scalar(Fraction(v, self.den)) for cc, v in t.get((a, b), {}).items()}
-
-    def c_row(self, a: int, b: int) -> Dict[int, Scalar]:
-        return self._row(self.c, a, b)
-
-    def d_row(self, a: int, b: int) -> Dict[int, Scalar]:
-        return self._row(self.d, a, b)
-
-    def c_entry(self, a: int, b: int, cc: int) -> Scalar:
-        return self.c_row(a, b).get(cc, ZERO)
-
-    def d_entry(self, a: int, b: int, cc: int) -> Scalar:
-        return self.d_row(a, b).get(cc, ZERO)
 
     def ad_matrix(self, a: int) -> List[List[int]]:
         """Matrix of the bracket with E_a on basis coordinates (rows =

@@ -26,8 +26,12 @@ Python ints through the integer kernels of ``matrices``, and build each
 result through one normalising constructor (``_form``), which divides out
 the common gcd and checks every key.  The coefficient matrices
 (``coeffs``) are a view derived on first use, for evaluation, coordinates
-and printing.  Every form records the algebra basis it is written on and
-every operation refuses a form written on another one.
+and printing.  A ``DerivationVector`` stores its coordinates the same way,
+(basis index, part, numerator) over one denominator, so the contraction,
+L along a derivation, evaluation and the bracket of derivations sum in
+ints too; ``coords`` is a Scalar view.  Every form and derivation records
+the algebra basis it is written on and every operation refuses one
+written on another.
 
 Everything here is exact.  The exterior derivative has two routes: the
 frame-generator route (``exterior_derivative_generators``) applies the
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .basis import HomogeneousBasis
@@ -68,6 +72,7 @@ from .matrices import (
     Parts,
     add_product,
     add_times,
+    combined,
     common_divisor,
     divided,
     entries_of,
@@ -78,7 +83,7 @@ from .matrices import (
     rows_of,
     twisted,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import Scalar
 
 IndexTuple = Tuple[int, ...]
 
@@ -99,88 +104,105 @@ def _require_basis(a: HomogeneousBasis, b: HomogeneousBasis) -> None:
 
 @dataclass(frozen=True)
 class DerivationVector:
-    """A derivation in basis coordinates: sum_A coords[A] * bd_A, with bd_A
-    the derivations of the elements of ``sl_basis``."""
+    """A derivation in basis coordinates: sum_A x_A bd_A, with bd_A the
+    derivations of the elements of ``sl_basis``.
+
+    ``ints`` are the sorted (A, 0 for the real or 1 for the imaginary part,
+    numerator) of the nonzero x_A over ``den`` > 0, put in lowest terms on
+    construction, so equality compares them.  ``coords`` is a Scalar view.
+    """
 
     sl_basis: HomogeneousBasis
-    coords: Tuple[Scalar, ...]
+    ints: Tuple[Tuple[int, int, int], ...]
+    den: int = 1
+
+    def __post_init__(self):
+        g = common_divisor(self.den, (self.ints,))
+        object.__setattr__(self, "ints", tuple(divided(self.ints, g)))
+        object.__setattr__(self, "den", self.den // g)
 
     @property
-    def n_even(self) -> int:
-        return self.sl_basis.even_dim
+    def coords(self) -> Tuple[Scalar, ...]:
+        """x_A for every basis index A, as Scalars (a view)."""
+        pairs = [[0, 0] for _ in range(self.sl_basis.dim)]
+        for a, part, y in self.ints:
+            pairs[a][part] = y
+        return tuple(Scalar(Fraction(re, self.den), Fraction(im, self.den))
+                     for re, im in pairs)
 
     @staticmethod
     def basis(sc: StructureConstants, a: int) -> "DerivationVector":
-        return DerivationVector(
-            sc.basis, tuple(ONE if i == a else ZERO for i in range(sc.dim))
-        )
+        return DerivationVector(sc.basis, ((a, 0, 1),))
 
     @staticmethod
     def from_coords(sc: StructureConstants, coords: Sequence) -> "DerivationVector":
-        co = tuple(Scalar.of(x) for x in coords)
-        if len(co) != sc.dim:
+        """The derivation with x_A = coords[A], each an int, a Fraction or a Scalar."""
+        values = [gaussian(x) for x in coords]
+        if len(values) != sc.dim:
             raise ValueError("coordinate vector has wrong length")
-        return DerivationVector(sc.basis, co)
+        den = lcm(*(q for _, _, q in values))
+        return DerivationVector(sc.basis, tuple(
+            (a, part, y * (den // q)) for a, (re, im, q) in enumerate(values)
+            for part, y in ((0, re), (1, im)) if y), den)
 
     def support(self) -> List[int]:
-        return [i for i, x in enumerate(self.coords) if x]
+        return sorted({a for a, _, _ in self.ints})
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.ints
 
     def homogeneous_parity(self) -> Optional[int]:
-        sup = self.support()
-        if all(i < self.n_even for i in sup):
-            return 0
-        if all(i >= self.n_even for i in sup):
-            return 1
-        return None
+        """0 or 1 for homogeneous derivations (0 for zero), None for mixed."""
+        parities = {self.sl_basis.parity(a) for a, _, _ in self.ints}
+        return None if len(parities) > 1 else max(parities, default=0)
 
     def parity_parts(self) -> Tuple["DerivationVector", "DerivationVector"]:
-        ne = self.n_even
-        ev = tuple(x if i < ne else ZERO for i, x in enumerate(self.coords))
-        od = tuple(x if i >= ne else ZERO for i, x in enumerate(self.coords))
-        return (
-            DerivationVector(self.sl_basis, ev),
-            DerivationVector(self.sl_basis, od),
-        )
+        ev, od = parity_split(self.ints, self.sl_basis.parities, 0)
+        return (DerivationVector(self.sl_basis, tuple(ev), self.den),
+                DerivationVector(self.sl_basis, tuple(od), self.den))
 
     def __add__(self, other: "DerivationVector") -> "DerivationVector":
         _require_basis(self.sl_basis, other.sl_basis)
-        return DerivationVector(
-            self.sl_basis, tuple(a + b for a, b in zip(self.coords, other.coords)),
-        )
+        return DerivationVector(self.sl_basis, *combined(((self, 1, 0), (other, 1, 0))))
 
     def scale(self, s) -> "DerivationVector":
-        s = Scalar.of(s)
-        return DerivationVector(self.sl_basis, tuple(s * x for x in self.coords))
+        """s times the derivation, for s an int, a Fraction or a Scalar."""
+        a, b, q = gaussian(s)
+        return DerivationVector(self.sl_basis, *combined(((self, a, b),), q))
+
+
+def _part_weights(part: int, x: int) -> Tuple[int, int]:
+    """(a, b) with a + i b the real (part 0) or imaginary (part 1) part x."""
+    return (0, x) if part else (x, 0)
 
 
 def derivation_bracket(
     sc: StructureConstants, d1: DerivationVector, d2: DerivationVector
 ) -> DerivationVector:
-    """Graded bracket of two derivations, expanded on the basis."""
+    """Graded bracket of two derivations, sum x_a y_b c_(a,b)^cc over the
+    coordinate pairs, in ints."""
     _require_basis(sc.basis, d1.sl_basis)
     _require_basis(sc.basis, d2.sl_basis)
-    out = [ZERO] * sc.dim
-    for a in d1.support():
-        xa = d1.coords[a]
-        for b in d2.support():
-            f = xa * d2.coords[b]
-            for cc, v in sc.c_row(a, b).items():
-                out[cc] = out[cc] + f * v
-    return DerivationVector(sc.basis, tuple(out))
+    re, im = sums = ({}, {})
+    for a, p, x in d1.ints:
+        for b, q, y in d2.ints:
+            row = sc.c.get((a, b))
+            if row:
+                # the parts multiply as i * i = -1
+                f, acc = (-x * y, re) if p and q else (x * y, im if p or q else re)
+                for cc, v in row.items():
+                    acc[cc] = acc.get(cc, 0) + f * v
+    return DerivationVector(sc.basis, entries_of(sums), d1.den * d2.den * sc.den)
 
 
 def apply_derivation(
     sc: StructureConstants, d: DerivationVector, mat: GradedMatrix
 ) -> GradedMatrix:
-    """The derivation acting on an algebra element."""
+    """The derivation acting on an algebra element: sum_a x_a [E_a, mat]."""
     _require_basis(sc.basis, d.sl_basis)
-    out = GradedMatrix.zero(sc.n, sc.m)
-    for a in d.support():
-        out = out + graded_commutator(sc.basis.elements[a], mat).scale(d.coords[a])
-    return out
+    brackets = {a: graded_commutator(sc.basis.elements[a], mat) for a in d.support()}
+    return GradedMatrix.from_ints(sc.n, sc.m, *combined(
+        ((brackets[a], *_part_weights(p, x)) for a, p, x in d.ints), d.den))
 
 
 # ======================================================================
@@ -267,12 +289,7 @@ class GradedForm:
             return self
         if not self.ints and sign == 1:
             return other
-        den = lcm(self.den, other.den)
-        parts: Dict[IndexTuple, Parts] = {}
-        for form, f in ((self, den // self.den), (other, sign * (den // other.den))):
-            for key, entries in form.ints.items():
-                add_times(parts.setdefault(key, ({}, {})), entries, f)
-        return _normal(self.sl_basis, self.degree, parts, den)
+        return _combination(self.sl_basis, self.degree, ((self, 1, 0), (other, sign, 0)))
 
     def __add__(self, other: "GradedForm") -> "GradedForm":
         return self._sum(other, 1)
@@ -288,11 +305,7 @@ class GradedForm:
         a, b, q = gaussian(s)
         if (a, b, q) == (1, 0, 1):
             return self
-        parts: Dict[IndexTuple, Parts] = {}
-        for key, entries in self.ints.items():
-            parts[key] = ({}, {})
-            add_times(parts[key], entries, a, b)
-        return _normal(self.sl_basis, self.degree, parts, self.den * q)
+        return _combination(self.sl_basis, self.degree, ((self, a, b),), q)
 
     def __eq__(self, other):
         if not isinstance(other, GradedForm):
@@ -309,19 +322,20 @@ class GradedForm:
     def is_zero(self) -> bool:
         return not self.ints
 
-    def coefficient(self, key: IndexTuple) -> GradedMatrix:
-        return self.coeffs.get(tuple(key), GradedMatrix.zero(self.n, self.m))
-
     def is_nonzero_multiple_of(self, ref: "GradedForm") -> bool:
         """Whether this form is c ref for a nonzero scalar c.
 
-        c is read off at the first nonzero entry of ``ref``, where ``ref`` is
-        sure to be nonzero; a zero ``ref`` has no nonzero multiple.
+        With x and y the numerators of ``ref`` and of this form at the first
+        unit of ``ref``, where ``ref`` is sure to be nonzero, the test is
+        y != 0 and (x / ref.den) self = (y / self.den) ref, in Gaussian
+        integers; a zero ``ref`` has no nonzero multiple.
         """
-        for key, mat in ref.coeffs.items():
-            r, c, x = mat.nonzeros()[0]
-            ratio = self.coefficient(key)[r, c] / x
-            return bool(ratio) and self == ref.scale(ratio)
+        for key, entries in ref.ints.items():
+            x, y = ([sum(z for v, p, z in got if v == entries[0][0] and p == part)
+                     for part in (0, 1)] for got in (entries, self.ints.get(key, ())))
+            return any(y) and (
+                _combination(self.sl_basis, self.degree, ((self, *x),), ref.den)
+                == _combination(ref.sl_basis, ref.degree, ((ref, *y),), self.den))
         return False
 
     def parity_parts(self) -> Tuple["GradedForm", "GradedForm"]:
@@ -386,6 +400,19 @@ def _normal(sl_basis: HomogeneousBasis, degree: int,
                  {key: entries_of(sums) for key, sums in parts.items()}, den)
 
 
+def _combination(sl_basis: HomogeneousBasis, degree: int,
+                 terms: Sequence[Tuple[GradedForm, int, int]], q: int = 1) -> GradedForm:
+    """The sum of (a + i b) / q times w over the (w, a, b) of ``terms``,
+    forms of ``degree``, in ints over the lcm of their denominators times q."""
+    den = lcm(*(w.den for w, _, _ in terms))
+    parts: Dict[IndexTuple, Parts] = {}
+    for w, a, b in terms:
+        f = den // w.den
+        for key, entries in w.ints.items():
+            add_times(parts.setdefault(key, ({}, {})), entries, a * f, b * f)
+    return _normal(sl_basis, degree, parts, den * q)
+
+
 # ======================================================================
 # Evaluation and coefficient extraction
 # ======================================================================
@@ -419,30 +446,31 @@ def evaluate_on_basis(form: GradedForm, indices: Sequence[int]) -> GradedMatrix:
 
 
 def evaluate(form: GradedForm, derivations: Sequence[DerivationVector]) -> GradedMatrix:
-    """Multilinear evaluation on arbitrary derivation vectors."""
+    """Multilinear evaluation on arbitrary derivation vectors: the value on
+    each basis tuple weighted by the product a + i b of one coordinate part
+    of each derivation, in ints over the product of the denominators."""
     if len(derivations) != form.degree:
         raise ValueError("argument count does not match degree")
     for dv in derivations:
         _require_basis(form.sl_basis, dv.sl_basis)
-    out = GradedMatrix.zero(form.n, form.m)
-    if form.degree == 0:
-        return out + form.coefficient(())
+    sums: Parts = ({}, {})
+    value = _ValueWeights(form)  # each basis tuple once, whatever parts reach it
 
-    def rec(pos: int, factor: Scalar, picked: List[int]):
-        nonlocal out
+    def rec(pos: int, a: int, b: int, picked: List[int]):
         if pos == len(derivations):
-            val = evaluate_on_basis(form, picked)
-            if not val.is_zero():
-                out = out + val.scale(factor)
+            key, f = value[tuple(picked)]
+            if key is not None:
+                add_times(sums, form.ints[key], f * a, f * b)
             return
-        dv = derivations[pos]
-        for a in dv.support():
-            picked.append(a)
-            rec(pos + 1, factor * dv.coords[a], picked)
+        for i, part, x in derivations[pos].ints:
+            picked.append(i)
+            # (a + i b) times x, or times i x for an imaginary part
+            rec(pos + 1, *((-b * x, a * x) if part else (a * x, b * x)), picked)
             picked.pop()
 
-    rec(0, ONE, [])
-    return out
+    rec(0, 1, 0, [])
+    den = form.den * prod(dv.den for dv in derivations)
+    return GradedMatrix.from_ints(form.n, form.m, entries_of(sums), den)
 
 
 def coefficients_from_values(
@@ -534,28 +562,26 @@ def wedge_form_matrix(form: GradedForm, mat: GradedMatrix) -> GradedForm:
 def interior_product(d: DerivationVector, form: GradedForm) -> GradedForm:
     """Contraction with a derivation in the first argument slot.
 
-    The coefficient at K is sum_a d_a w(a, K) over the self-evaluation
-    factor of K, summed in ints over the derivation's common denominator
-    times the lcm of those factors.
+    The coefficient at K is sum_a x_a w(a, K) over the self-evaluation
+    factor of K, summed in ints over the derivation's denominator times the
+    lcm of those factors.
     """
     _require_basis(d.sl_basis, form.sl_basis)
     if form.degree == 0:
         raise ValueError("cannot contract a 0-form")
-    coords = {a: gaussian(d.coords[a]) for a in d.support()}
-    q = lcm(*(cq for _, _, cq in coords.values()))
     keys = _interior_support(d, form)
     sef = {key: self_evaluation_factor(key, form.n_even) for key in keys}
     div = lcm(*sef.values())
     parts: Dict[IndexTuple, Parts] = {}
+    value = _ValueWeights(form)
     for key in keys:
         parts[key] = ({}, {})
         mult = div // sef[key]
-        for a, (ca, cb, cq) in coords.items():
-            got, f = _value_weight(form, (a,) + key)
+        for a, part, x in d.ints:
+            got, f = value[(a,) + key]
             if got is not None:
-                w = f * mult * (q // cq)
-                add_times(parts[key], form.ints[got], ca * w, cb * w)
-    return _normal(form.sl_basis, form.degree - 1, parts, form.den * q * div)
+                add_times(parts[key], form.ints[got], *_part_weights(part, f * mult * x))
+    return _normal(form.sl_basis, form.degree - 1, parts, form.den * d.den * div)
 
 
 def _interior_support(d: DerivationVector, form: GradedForm) -> List[IndexTuple]:
@@ -571,23 +597,18 @@ def lie_derivative(
 ) -> GradedForm:
     """Lie derivative along an arbitrary derivation, by the evaluation sum.
 
-    The sign-bearing formula applies to homogeneous data, so the derivation
-    and the form are split into parity parts first and the results summed.
+    The sign-bearing formula applies to homogeneous data, so the form is
+    split into parity parts, each basis derivation being homogeneous; the
+    L_a of the parts are summed with the coordinates x_a as weights.
     """
     _require_basis(sc.basis, d.sl_basis)
     _require_basis(sc.basis, form.sl_basis)
-    out = GradedForm.zero(sc, form.degree)
-    for dpart in d.parity_parts():
-        if dpart.is_zero():
-            continue
-        for fpar, fpart in enumerate(form.parity_parts()):
-            if fpart.is_zero():
-                continue
-            for a in dpart.support():
-                out = out + _lie_basis_homogeneous(sc, a, fpart, fpar).scale(
-                    dpart.coords[a]
-                )
-    return out
+    fparts = [(par, w) for par, w in enumerate(form.parity_parts()) if not w.is_zero()]
+    lie = {a: [_lie_basis_homogeneous(sc, a, w, par) for par, w in fparts]
+           for a in d.support()}
+    return _combination(sc.basis, form.degree, [
+        (w, *_part_weights(part, x)) for a, part, x in d.ints for w in lie[a]
+    ], d.den)
 
 
 def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
@@ -641,13 +662,14 @@ def _unit_brackets(e: GradedMatrix, n: int) -> List[List[Tuple[int, int]]]:
     enters with sign + when E_u and e_tj are both odd, else -.
     """
     k = e.n + e.m
+    if e.den != 1 or any(part for _, part, _ in e.ints):
+        raise ValueError(f"basis element {e} has an entry that is not an integer")
     erows: Dict[int, List[Tuple[int, int]]] = {}
     ecols: Dict[int, List[Tuple[int, int]]] = {}
-    for r, j, x in e.nonzeros():
-        if x.im or x.re.denominator != 1:
-            raise ValueError(f"basis element entry {x} is not an integer")
-        erows.setdefault(r, []).append((j, x.re.numerator))
-        ecols.setdefault(j, []).append((r, x.re.numerator))
+    for u, _, x in e.ints:
+        r, j = divmod(u, k)
+        erows.setdefault(r, []).append((j, x))
+        ecols.setdefault(j, []).append((r, x))
     out = []
     for i in range(k):
         for t in range(k):
@@ -708,7 +730,8 @@ def _oracle_tables(sc: StructureConstants) -> _OracleTables:
 
 
 class _ValueWeights(dict):
-    """``_value_weight`` on one form, memoised for one call of the oracle.
+    """``_value_weight`` on one form, memoised for one call of the oracle,
+    of ``evaluate`` or of ``interior_product``.
 
     Keyed by the argument tuple as given, not sorted: the canonical sign
     depends on the order.
@@ -919,42 +942,35 @@ class _KernelTables:
     coad: List[List[List[Tuple[int, int]]]]
 
 
-def _minus_entries(mat: GradedMatrix) -> List[Tuple[int, Fraction]]:
-    """(unit, -entry) over the nonzero entries of a real ``mat``."""
-    if any(part for _, part, _ in mat.ints):
-        raise ValueError(f"bracket {mat} is not real")
-    return [(u, Fraction(-y, mat.den)) for u, _, y in mat.ints]
-
-
 def _kernel_tables(sc: StructureConstants) -> _KernelTables:
-    """The kernel tables, built on first use and kept in ``sc.cache``."""
+    """The kernel tables, built on first use and kept in ``sc.cache``.
+
+    The table denominator is the lcm of the reduced denominators of the
+    values, the entries of the brackets and c / 2 (that of c divides it).
+    """
     got = sc.cache.get(("column_kernel",))
     if got is not None:
         return got
     k = sc.n + sc.m
     units = [GradedMatrix.unit(sc.n, sc.m, r, c) for r in range(k) for c in range(k)]
-    comm = [[_minus_entries(graded_commutator(u, e)) for u in units]
-            for e in sc.basis.elements]
+    brackets = [[graded_commutator(u, e) for u in units] for e in sc.basis.elements]
+    if any(part for tab in brackets for mat in tab for _, part, _ in mat.ints):
+        raise ValueError("a bracket of a matrix unit and a basis element is not real")
+    half = 2 * sc.den  # c / 2 is over 2 den
+    den = lcm(*(mat.den // gcd(y, mat.den) for tab in brackets for mat in tab
+                for _, _, y in mat.ints),
+              *(half // gcd(v, half) for row in sc.c.values() for v in row.values()))
     frame = [[] for _ in range(sc.dim)]
     coad = [[[] for _ in range(sc.dim)] for _ in range(sc.dim)]
     for (b, cc), row in sc.c.items():
         for A, v in row.items():
-            f = Fraction(v, sc.den)
-            frame[A].append((cc, b, f / 2))
-            coad[b][A].append((cc, f))
-    den = lcm(
-        *(v.denominator for tab in comm for col in tab for _, v in col),
-        *(v.denominator for terms in frame for _, _, v in terms),
-    )
-
-    def num(v: Fraction) -> int:
-        return v.numerator * (den // v.denominator)
-
+            frame[A].append((cc, b, v * den // half))
+            coad[b][A].append((cc, v * den // sc.den))
     got = _KernelTables(
         den,
-        [[[(i, num(v)) for i, v in col] for col in tab] for tab in comm],
-        [[(cc, b, num(v)) for cc, b, v in terms] for terms in frame],
-        [[[(D, num(v)) for D, v in terms] for terms in row] for row in coad],
+        [[[(u, -y * den // mat.den) for u, _, y in mat.ints] for mat in tab]
+         for tab in brackets],
+        frame, coad,
     )
     sc.cache[("column_kernel",)] = got
     return got
@@ -1050,26 +1066,22 @@ def frame_forms_from_differentials(sc: StructureConstants) -> List[GradedForm]:
     # the inverse Killing matrix is g_inv / (n-m)^2, so the prefactor
     # 4 (n-m)^2 times two of its entries is 4 h_ab h_cd / ((n-m)^2 h_den^2)
     # for g_inv = h / h_den
+    # for g_inv = h / h_den; the wedge is linear in the matrix, so the
+    # products are summed in ints per dE_dd before one wedge each
     h, h_den = sc.g_inv, sc.g_inv_den
     den = (sc.n - sc.m) ** 2 * h_den * h_den
+    elements = sc.basis.elements
     d_els = [differential_of_element(sc, a) for a in range(k)]
     out = []
     for a in range(k):
         total = GradedForm.zero(sc, 1)
-        for b in range(k):
-            hab = h[a][b]
-            if not hab:
-                continue
-            for dd in range(k):
-                s_bd = -1 if (sc.parity(b) and sc.parity(dd)) else 1
-                for cc in range(k):
-                    hcd = h[cc][dd]
-                    if not hcd:
-                        continue
-                    factor = Fraction(4 * hab * hcd * s_bd, den)
-                    prod = sc.basis.elements[cc] @ sc.basis.elements[b]
-                    total = total + wedge_matrix_form(
-                        prod.scale(factor), d_els[dd]
-                    )
+        for dd in range(k):
+            terms = [(elements[cc] @ elements[b],
+                      4 * h[a][b] * h[cc][dd] * (-1 if sc.parity(b) and sc.parity(dd) else 1),
+                      0)
+                     for b in range(k) if h[a][b] for cc in range(k) if h[cc][dd]]
+            if terms:
+                total = total + wedge_matrix_form(
+                    GradedMatrix.from_ints(sc.n, sc.m, *combined(terms, den)), d_els[dd])
         out.append(total)
     return out

@@ -40,8 +40,7 @@ from . import linalg
 from .constants import StructureConstants
 from .forms import GradedForm, _add, _d_tuple, _kernel_tables
 from .indexset import canonicalize, enumerate_multi_indices
-from .matrices import GradedMatrix
-from .scalars import Scalar
+from .matrices import GradedMatrix, IntEntries
 
 Label = Tuple[Tuple[int, ...], int, int]
 
@@ -91,8 +90,9 @@ def _element_weights(sc: StructureConstants) -> List[int]:
     got = sc.cache.get(("element_weights",))
     if got is None:
         got = []
+        unit_w = _unit_weights(sc.n + sc.m)
         for a, e in enumerate(sc.basis.elements):
-            codes = {_unit_code(r, c) for r, c, _ in e.nonzeros()}
+            codes = {unit_w[u] for u, _, _ in e.ints}
             if len(codes) != 1:
                 raise ValueError(f"basis element {a} is not a weight vector")
             got.append(codes.pop())
@@ -193,15 +193,12 @@ def basis_form(sc: StructureConstants, label: Label) -> GradedForm:
     return GradedForm.of(sc, len(key), {key: GradedMatrix.unit(sc.n, sc.m, r, c)})
 
 
-def form_to_sparse(form: GradedForm, basis: FormBasis) -> Dict[int, Scalar]:
-    """The coordinates of ``form`` over ``basis``, nonzero entries only,
-    read off its integer numerators over ``form.den``."""
-    parts: Dict[int, List[int]] = {}
-    for key, entries in form.ints.items():
-        for u, part, y in entries:
-            parts.setdefault(basis.index((key,) + basis.cells[u]), [0, 0])[part] = y
-    den = form.den
-    return {i: Scalar(Fraction(re, den), Fraction(im, den)) for i, (re, im) in parts.items()}
+def form_to_sparse(form: GradedForm, basis: FormBasis) -> Tuple[IntEntries, int]:
+    """The coordinates of ``form`` over ``basis`` as its integer numerators
+    and ``form.den``: sorted (position, 0 for the real or 1 for the
+    imaginary part, numerator), nonzero entries only."""
+    return sorted((basis.index((key,) + basis.cells[u]), part, y)
+                  for key, entries in form.ints.items() for u, part, y in entries), form.den
 
 
 def vector_to_form(vec: Mapping[int, Any], basis: FormBasis) -> GradedForm:
@@ -238,14 +235,16 @@ class LinearMapMatrix:
 
     @classmethod
     def from_images(
-        cls, basis: FormBasis, nrows: int, images: Sequence[Dict[int, Scalar]],
+        cls, basis: FormBasis, nrows: int,
+        images: Sequence[Tuple[IntEntries, int]],
     ) -> "LinearMapMatrix":
-        """The map with the given sparse column images, over the lcm of their
-        denominators; raises ValueError on a value that is not real."""
-        fracs = [{i: v.as_fraction() for i, v in img.items()} for img in images]
-        den = lcm(*(f.denominator for col in fracs for f in col.values()))
-        columns = [{i: f.numerator * (den // f.denominator) for i, f in col.items()}
-                   for col in fracs]
+        """The map with the given column images, each (entries, den) as
+        ``form_to_sparse`` gives them, over the lcm of their denominators;
+        raises ValueError on an imaginary part."""
+        if any(part for entries, _ in images for _, part, _ in entries):
+            raise ValueError("a column image is not real")
+        den = lcm(*(q for _, q in images))
+        columns = [{i: y * (den // q) for i, _, y in entries} for entries, q in images]
         return cls(basis, nrows, columns, den)
 
     @property

@@ -146,6 +146,20 @@ def divided(entries: IntEntries, g: int) -> IntEntries:
     return entries if g == 1 else [(u, part, y // g) for u, part, y in entries]
 
 
+def combined(terms: Iterable[tuple], q: int = 1) -> Tuple[List[Tuple[int, int, int]], int]:
+    """(entries, den) of the sum of (a + i b) / q times x over the (x, a, b)
+    of ``terms``, each x a matrix or a derivation (``ints`` over ``den``):
+    summed in ints over the lcm of their denominators times q > 0, not yet
+    in lowest terms."""
+    terms = list(terms)
+    den = lcm(*(x.den for x, _, _ in terms))
+    sums: Parts = ({}, {})
+    for x, a, b in terms:
+        f = den // x.den
+        add_times(sums, x.ints, a * f, b * f)
+    return entries_of(sums), den * q
+
+
 # ======================================================================
 # Graded matrices
 # ======================================================================
@@ -290,27 +304,20 @@ class GradedMatrix:
                 f"shape mismatch: ({self.n}|{self.m}) vs ({other.n}|{other.m})"
             )
 
-    def _sum(self, other: "GradedMatrix", sign: int) -> "GradedMatrix":
-        """self + sign * other."""
-        den = lcm(self.den, other.den)
-        sums: Parts = ({}, {})
-        add_times(sums, self.ints, den // self.den)
-        add_times(sums, other.ints, sign * (den // other.den))
-        return _of_sums(self.n, self.m, sums, den)
-
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
         self._require_shape(other)
         if not other.ints:
             return self
         if not self.ints:
             return other
-        return self._sum(other, 1)
+        return GradedMatrix.from_ints(self.n, self.m, *combined(((self, 1, 0), (other, 1, 0))))
 
     def __sub__(self, other: "GradedMatrix") -> "GradedMatrix":
         self._require_shape(other)
         if not other.ints:
             return self
-        return self._sum(other, -1)
+        return GradedMatrix.from_ints(self.n, self.m,
+                                      *combined(((self, 1, 0), (other, -1, 0))))
 
     def __neg__(self) -> "GradedMatrix":
         return self.scale(-1)
@@ -322,9 +329,7 @@ class GradedMatrix:
             return self
         if not (a or b) or not self.ints:
             return _zero_matrix(self.n, self.m)
-        sums: Parts = ({}, {})
-        add_times(sums, self.ints, a, b)
-        return _of_sums(self.n, self.m, sums, self.den * q)
+        return GradedMatrix.from_ints(self.n, self.m, *combined(((self, a, b),), q))
 
     def __rmul__(self, s):
         if isinstance(s, (int, Fraction, Scalar)):
@@ -460,10 +465,6 @@ def graded_anticommutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     return _graded_bracket(a, b, False)
 
 
-def supertrace(a: GradedMatrix) -> Scalar:
-    return a.supertrace()
-
-
 # ======================================================================
 # Body and embedding
 # ======================================================================
@@ -488,12 +489,13 @@ def body(a: GradedMatrix) -> GradedMatrix:
     Requires n != m.
     """
     first = body_block_is_first(a.n, a.m)
-    nt = max(a.n, a.m)
+    k, nt = a.n + a.m, max(a.n, a.m)
     off = 0 if first else a.n
-    return GradedMatrix(nt, 0, [
-        (i - off, j - off, x) for i, j, x in a.nonzeros()
-        if 0 <= i - off < nt and 0 <= j - off < nt
-    ])
+    # the block's units keep their order, so the entries stay sorted
+    return GradedMatrix.from_ints(nt, 0, [
+        ((r - off) * nt + c - off, part, y) for u, part, y in a.ints
+        for r, c in (divmod(u, k),) if off <= r < off + nt and off <= c < off + nt
+    ], a.den)
 
 
 def embed_body(mb: GradedMatrix, n: int, m: int) -> GradedMatrix:
@@ -504,12 +506,17 @@ def embed_body(mb: GradedMatrix, n: int, m: int) -> GradedMatrix:
     full identity and satisfies body(embed_body(mb, n, m)) == mb.
     """
     first = body_block_is_first(n, m)
-    nt = max(n, m)
+    k, nt = n + m, max(n, m)
     if (mb.n, mb.m) != (nt, 0):
         raise ValueError(f"body matrix has shape ({mb.n}|{mb.m}), expected ({nt}|0)")
     off = 0 if first else n
-    triples = [(off + i, off + j, x) for i, j, x in mb.nonzeros()]
-    scal = mb.trace() / nt
+    # over nt * den: the block times nt, the complementary diagonal the trace
+    sums: Parts = ({}, {})
+    for u, part, y in mb.ints:
+        r, c = divmod(u, nt)
+        sums[part][(off + r) * k + off + c] = nt * y
     coff = n if first else 0
-    triples += [(coff + i, coff + i, scal) for i in range(min(n, m))]
-    return GradedMatrix(n, m, triples)
+    trace = mb.diagonal_sum(False)
+    for i in range(min(n, m)):
+        sums[0][(coff + i) * (k + 1)], sums[1][(coff + i) * (k + 1)] = trace
+    return _of_sums(n, m, sums, nt * mb.den)

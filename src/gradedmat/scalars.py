@@ -1,4 +1,6 @@
-"""Exact scalar arithmetic over the Gaussian rationals."""
+"""Exact scalar arithmetic over the Gaussian rationals: the value type of
+views and report text, and of the tests' reference implementations.  No
+computation of the package builds a ``Scalar``; it runs on integers."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -8,10 +10,9 @@ Rational = Union[int, Fraction]
 
 
 class Scalar:
-    """A complex number a + b*i with exact rational parts.
+    """A complex number a + b*i with exact rational parts, both ``Fraction``.
 
-    Immutable.  All arithmetic is exact; there is no floating point
-    anywhere in this package.  Both parts are always ``Fraction``.
+    Immutable.  All arithmetic is exact; there is no floating point.
 
     The zero scalar is a singleton: every zero result is ``ZERO`` itself,
     so ``x is ZERO`` is an exact zero test and ``bool(x)`` costs no
@@ -195,6 +196,3 @@ I = Scalar(0, 1)
 _MINUS_ONE = Scalar(-1)
 _SMALL = {1: ONE, -1: _MINUS_ONE}
 
-
-def half() -> Scalar:
-    return Scalar(Fraction(1, 2))

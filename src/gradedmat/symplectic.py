@@ -23,7 +23,6 @@ computed exactly and is one-dimensional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Tuple
 
@@ -33,9 +32,8 @@ from .forms import (
     DerivationVector, GradedForm, canonical_one_form, evaluate,
     exterior_derivative_generators, interior_product,
 )
-from .formspace import FormBasis, d_matrix, kernel_forms, lie_matrix
+from .formspace import FormBasis, d_matrix, form_to_sparse, kernel_forms, lie_matrix
 from .matrices import GradedMatrix
-from .scalars import Scalar
 
 
 def canonical_two_form(sc: StructureConstants) -> GradedForm:
@@ -84,12 +82,8 @@ class SymplecticForm:
         rhs, rhs_den = _minus_differential(sc, mat, basis)
         x, x_den = system.solve(rhs)
         # the system is the contraction columns times den, so D = den x / rhs_den
-        parts = [[0, 0] for _ in range(sc.dim)]
-        for b, part, y in x:
-            parts[b][part] = den * y
-        q = x_den * rhs_den
-        return DerivationVector(sc.basis, tuple(
-            Scalar(Fraction(re, q), Fraction(im, q)) for re, im in parts))
+        return DerivationVector(sc.basis, tuple((b, part, den * y) for b, part, y in x),
+                                x_den * rhs_den)
 
     def poisson_bracket(self, m1: GradedMatrix, m2: GradedMatrix) -> GradedMatrix:
         """omega(D_M, D_M') for the two Hamiltonian fields."""
@@ -98,19 +92,13 @@ class SymplecticForm:
         return evaluate(self.form, [d1, d2])
 
 
-def _column(form: GradedForm, basis: FormBasis) -> List[Tuple[int, int, int]]:
-    """The numerators of a form over ``form.den``, as (row, part, numerator)
-    on the full form basis ``basis`` of its degree."""
-    return [(basis.offset(key) + u, part, y)
-            for key, entries in form.ints.items() for u, part, y in entries]
-
-
 def _minus_differential(sc: StructureConstants, mat: GradedMatrix, basis: FormBasis
                         ) -> Tuple[List[Tuple[int, int, int]], int]:
     """-dM over the 1-form basis, as (row, part, numerator) entries and their
     denominator: the right-hand side for the field of M."""
     dm = exterior_derivative_generators(sc, GradedForm.from_matrix(sc, mat))
-    return [(i, part, -y) for i, part, y in _column(dm, basis)], dm.den
+    entries, den = form_to_sparse(dm, basis)
+    return [(i, part, -y) for i, part, y in entries], den
 
 
 def _contraction_system(sc: StructureConstants, form: GradedForm):
@@ -118,10 +106,11 @@ def _contraction_system(sc: StructureConstants, form: GradedForm):
     denominator ``den`` its columns are numerators over: column b holds
     iota_(bd_b) omega times ``den``."""
     basis = FormBasis(sc, 1)
-    images = [interior_product(DerivationVector.basis(sc, b), form) for b in range(sc.dim)]
-    den = lcm(*(w.den for w in images))
-    columns = [[(i, part, y * (den // w.den)) for i, part, y in _column(w, basis)]
-               for w in images]
+    images = [form_to_sparse(interior_product(DerivationVector.basis(sc, b), form), basis)
+              for b in range(sc.dim)]
+    den = lcm(*(q for _, q in images))
+    columns = [[(i, part, y * (den // q)) for i, part, y in entries]
+               for entries, q in images]
     return linalg.factor(columns), basis, den
 
 

@@ -22,7 +22,7 @@ from .bundles import (
 )
 from .constants import StructureConstants, verify_appendix
 from .forms import (
-    DerivationVector, GradedForm, canonical_one_form, derivation_bracket,
+    DerivationVector, GradedForm, canonical_one_form, derivation_bracket, evaluate,
     exterior_derivative, exterior_derivative_generators, frame_form,
     frame_forms_from_differentials, interior_product, lie_derivative, wedge,
     wedge_form_matrix, wedge_matrix_form,
@@ -32,7 +32,6 @@ from .indexset import commutation_factor
 from .matrices import GradedMatrix, graded_commutator
 from .report import VerificationReport
 from .sampling import random_even_invertible, random_form, random_homogeneous_matrix
-from .scalars import Scalar
 from .symplectic import (
     SymplecticForm, analyze, canonical_two_form, symplectic_uniqueness_holds,
 )
@@ -214,23 +213,28 @@ def frame_inversion(sc: StructureConstants) -> Optional[str]:
 
 # ---- The symplectic structure d Theta and its Poisson bracket ----
 def hamiltonian_scaling(sc: StructureConstants, omega: GradedForm, c) -> Optional[str]:
-    """For omega = d Theta: c omega is symplectic, with the field bd_a / c for E_a."""
+    """For omega = d Theta: c omega is symplectic, with the field bd_a / c for
+    E_a, compared as c times the field against bd_a."""
     scaled, _ = analyze(sc, omega.scale(c))
     if scaled is None:
         return f"scale {c} rejected"
-    inv = Scalar.of(1) / Scalar.of(c)
     for a in range(sc.dim):
         field = scaled.hamiltonian_field(sc.basis.elements[a])
-        if field != DerivationVector.basis(sc, a).scale(inv):
+        if field.scale(c) != DerivationVector.basis(sc, a):
             return f"scale {c} element {a}"
     return None
 
 
 def poisson_commutator(sc: StructureConstants, sym: SymplecticForm) -> Optional[str]:
-    """{E_a, E_b} = [E_a, E_b] for every pair of basis elements."""
+    """{E_a, E_b} = [E_a, E_b] for every pair of basis elements.
+
+    Each element's Hamiltonian field is solved once, and omega is evaluated
+    on the pairs of fields, which is what ``poisson_bracket`` does per pair.
+    """
+    fields = [sym.hamiltonian_field(e) for e in sc.basis.elements]
     for a, ea in enumerate(sc.basis.elements):
         for b, eb in enumerate(sc.basis.elements):
-            if sym.poisson_bracket(ea, eb) != graded_commutator(ea, eb):
+            if evaluate(sym.form, [fields[a], fields[b]]) != graded_commutator(ea, eb):
                 return f"pair ({a}, {b})"
     return None
 

@@ -24,7 +24,6 @@ from gradedmat.constants import verify_appendix
 from gradedmat.formspace import (
     FormBasis,
     basis_form,
-    form_to_sparse,
     invariant_forms,
     vector_to_form,
 )
@@ -62,6 +61,7 @@ from gradedmat.verify import (
 )
 from tests.ce_oracle import ce_oracle, ordinary_sl_basis
 from tests.test_bundles import brute_force_free, idempotent_cover_connection
+from tests.test_forms import sparse_values
 from tests.test_formspace import column_values
 from tests.test_linalg import clear_denominators
 
@@ -194,7 +194,7 @@ def test_criterion_3_derivative_route_agreement(sc21, sc20):
             for j, lab in enumerate(data.matrix.basis):
                 w = basis_form(sc, lab)
                 for name, route in routes:
-                    got = form_to_sparse(route(sc, w), out)
+                    got = sparse_values(route(sc, w), out)
                     if got != column_values(data.matrix, j):
                         failures.append(
                             f"({sc.n}|{sc.m}) p={p} label {lab}: {name} route"
@@ -375,7 +375,7 @@ def universal_image_rank(sc, d):
     for b in units:
         db = d(sc, GradedForm.from_matrix(sc, b))
         for a in units:
-            coords = form_to_sparse(wedge_matrix_form(a, db), basis)
+            coords = sparse_values(wedge_matrix_form(a, db), basis)
             rows.append(clear_denominators({i: v.re for i, v in coords.items()}))
     return linalg.exact_rank(rows, len(basis))
 

@@ -666,7 +666,7 @@ def test_failed_certificate_exits_1_naming_degree_and_label(monkeypatch, capsys)
     real = cohomology._cartan_elements
 
     def doubled(sc):
-        return [(h, [2 * x for x in diag]) for h, diag in real(sc)]
+        return [(h, [2 * x for x in diag], den) for h, diag, den in real(sc)]
 
     monkeypatch.setattr(cohomology, "_cartan_elements", doubled)
     code = main(["cohomology", "--n", "2", "--m", "1", "--max-degree", "3"])

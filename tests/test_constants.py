@@ -11,6 +11,7 @@ from gradedmat.basis import build_sl_basis
 from gradedmat.cli import main
 from gradedmat.constants import compute_constants, constants_for, verify_appendix
 from gradedmat.forms import DerivationVector, interior_product
+from gradedmat.formspace import form_to_sparse
 from gradedmat.matrices import GradedMatrix, graded_anticommutator, graded_commutator
 from gradedmat.scalars import Scalar
 from tests.test_linalg import reference_rref
@@ -23,8 +24,8 @@ def test_dimensions(sc21, sc31):
 
 def test_frozen_mixed_entries(sc21):
     # a bridge pair: bracket lands in the even part with half-integer weight
-    assert sc21.c_entry(4, 6, 2) == Scalar(Fraction(1, 2))
-    assert sc21.d_entry(4, 6, 3) == Scalar(Fraction(-3, 2))
+    assert Fraction(sc21.c[(4, 6)][2], sc21.den) == Fraction(1, 2)
+    assert Fraction(sc21.d[(4, 6)][3], sc21.den) == Fraction(-3, 2)
     assert Fraction(sc21.g[4][6], sc21.g_den) == 2
     # the Killing matrix is (n-m)^2 g, and (n-m)^2 = 1 here
     assert rational_tables(sc21)["killing"][4][6] == 2
@@ -36,7 +37,8 @@ def test_tensors_reproduce_brackets(sc21):
         for b in range(sc21.dim):
             got = graded_commutator(elems[a], elems[b])
             want = sum(
-                (elems[c].scale(v) for c, v in sc21.c_row(a, b).items()),
+                (elems[c].scale(Fraction(v, sc21.den))
+                 for c, v in sc21.c.get((a, b), {}).items()),
                 start=elems[0].scale(0),
             )
             assert got == want
@@ -47,8 +49,8 @@ def test_anticommutator_tensor_includes_unit_component(sc21):
     a, b = 0, 0
     got = graded_anticommutator(elems[a], elems[b])
     acc = elems[0].scale(0)
-    for c, v in sc21.d_row(a, b).items():
-        acc = acc + elems[c].scale(v)
+    for c, v in sc21.d.get((a, b), {}).items():
+        acc = acc + elems[c].scale(Fraction(v, sc21.den))
     # the remainder must be central: a multiple of the identity
     rest = got - acc
     off = [
@@ -370,8 +372,8 @@ def test_constants_catalog_and_factorization_build_no_fraction_or_scalar(monkeyp
     sc = constants_for(2, 1)
     omega = symplectic.canonical_two_form(sc)
     _, form_basis, _ = symplectic._contraction_system(sc, omega)
-    columns = [symplectic._column(interior_product(DerivationVector.basis(sc, b), omega),
-                                  form_basis) for b in range(sc.dim)]
+    columns = [form_to_sparse(interior_product(DerivationVector.basis(sc, b), omega),
+                              form_basis)[0] for b in range(sc.dim)]
     probes = [*sc.basis.elements, GradedMatrix.identity(2, 1)]
     rhss = [symplectic._minus_differential(sc, mat, form_basis)[0] for mat in probes]
 

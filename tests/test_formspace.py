@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from gradedmat.forms import (
 from gradedmat.indexset import enumerate_multi_indices, index_count, tuple_parity
 from gradedmat.scalars import I, Scalar
 from gradedmat.verify import canonical_line
-from tests.test_forms import rand_form
+from tests.test_forms import rand_form, sparse_values
 
 
 def column_values(mat, j):
@@ -123,12 +124,13 @@ def test_basis_form_sparse_round_trip(sc21):
     for j in range(0, len(labels), 37):
         lab = labels[j]
         sparse = form_to_sparse(basis_form(sc21, lab), labels)
-        assert sparse == {labels.index(lab): Scalar(1)}
+        assert sparse == ([(labels.index(lab), 0, 1)], 1)
     rng = random.Random(5)
     for _ in range(4):
-        w = rand_form(rng, sc21, 2)
-        sparse = form_to_sparse(w, labels)
-        assert vector_to_form(sparse, labels) == w
+        w = rand_form(rng, sc21, 2).scale(Fraction(2, 3))
+        entries, den = form_to_sparse(w, labels)
+        assert den == w.den and entries == sorted(entries)
+        assert vector_to_form(sparse_values(w, labels), labels) == w
 
 
 def test_form_to_sparse_reads_the_ints_without_building_the_view(sc21):
@@ -138,7 +140,7 @@ def test_form_to_sparse_reads_the_ints_without_building_the_view(sc21):
         # a sum is built on the ints, with its coefficient view unbuilt
         w = rand_form(rng, sc21, 2) + rand_form(rng, sc21, 2).scale(I)
         assert w._coeffs is None
-        sparse = form_to_sparse(w, labels)
+        sparse = sparse_values(w, labels)
         assert w._coeffs is None
         assert any(v.im for v in sparse.values())
         assert vector_to_form(sparse, labels) == w
@@ -172,8 +174,8 @@ def test_matrix_of_map_applies_like_the_map(sc21):
     rng = random.Random(9)
     for _ in range(3):
         w = rand_form(rng, sc21, 1)
-        got = d1.apply(form_to_sparse(w, d1.basis))
-        want = form_to_sparse(exterior_derivative(sc21, w), FormBasis(sc21, 2))
+        got = d1.apply(sparse_values(w, d1.basis))
+        want = sparse_values(exterior_derivative(sc21, w), FormBasis(sc21, 2))
         assert got == want
 
 
@@ -231,12 +233,16 @@ def test_stack_over_different_denominators_keeps_the_values(sc21):
     assert {mp.den for mp in maps} == {1, 2, 4}
     stacked = stack_maps(maps)
     assert stacked.den == 4
-    images = [{} for _ in stacked.basis]
+    images = [([], 1) for _ in stacked.basis]
     offset = 0
     for mp in maps:
         for j in range(mp.ncols):
-            for i, v in column_values(mp, j).items():
-                images[j][offset + i] = Scalar.of(v)
+            entries, den = images[j]
+            # both sides over lcm(den, mp.den)
+            f, g = mp.den // math.gcd(den, mp.den), den // math.gcd(den, mp.den)
+            images[j] = ([(i, part, y * f) for i, part, y in entries]
+                         + [(offset + i, 0, v * g) for i, v in mp.columns[j].items()],
+                         den * f)
         offset += mp.nrows
     by_value = LinearMapMatrix.from_images(stacked.basis, stacked.nrows, images)
     for j in range(stacked.ncols):
@@ -250,10 +256,10 @@ def test_map_images_must_be_real(sc21, sc20):
         matrix_of_map(lambda f: f.scale(I), sc21, 0, 0)
     labels = FormBasis(sc20, 0).zero_weight()
     assert list(labels) == [((), 0, 0), ((), 1, 1)]
-    got = LinearMapMatrix.from_images(
-        labels, 2, [{0: Scalar(Fraction(1, 6))}, {1: Scalar(Fraction(-3, 4))}]
-    )
+    got = LinearMapMatrix.from_images(labels, 2, [([(0, 0, 1)], 6), ([(1, 0, -3)], 4)])
     assert (got.columns, got.den) == ([{0: 2}, {1: -9}], 12)
+    with pytest.raises(ValueError, match="not real"):
+        LinearMapMatrix.from_images(labels, 2, [([(0, 0, 1)], 6), ([(1, 1, -3)], 4)])
 
 
 def test_kernel_matrices_hold_nonzero_ints_over_the_table_denominator(sc21, sc31):
@@ -339,7 +345,7 @@ def test_d_matrix_columns_match_values_route(
             j = data.draw(st.integers(0, mat.ncols - 1),
                           label=f"({sc.n}|{sc.m}) p={p} column")
             w = basis_form(sc, mat.basis[j])
-            want = form_to_sparse(exterior_derivative(sc, w), FormBasis(sc, p + 1))
+            want = sparse_values(exterior_derivative(sc, w), FormBasis(sc, p + 1))
             assert column_values(mat, j) == want, (sc.n, sc.m, mat.basis[j])
 
 
@@ -356,7 +362,7 @@ def test_lie_matrix_columns_match_values_route(sc21, kernel_memo, data):
         assert mat.basis == labels
         assert mat.nrows == len(out)
         want = lie_derivative(sc21, DerivationVector.basis(sc21, a), w)
-        assert column_values(mat, j) == form_to_sparse(want, out), (a, labels[j])
+        assert column_values(mat, j) == sparse_values(want, out), (a, labels[j])
 
 
 def test_kernel_callers_skip_the_form_level_routes(monkeypatch):

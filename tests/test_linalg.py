@@ -10,11 +10,11 @@ from gradedmat import linalg, symplectic
 from gradedmat.forms import (
     DerivationVector, GradedForm, exterior_derivative_generators, interior_product,
 )
-from gradedmat.formspace import FormBasis, form_to_sparse
+from gradedmat.formspace import FormBasis
 from gradedmat.matrices import GradedMatrix
 from gradedmat.scalars import Scalar
 from gradedmat.symplectic import canonical_two_form
-from tests.test_forms import rand_form, rand_matrix
+from tests.test_forms import rand_form, rand_matrix, sparse_values
 
 
 def _mat(rows):
@@ -392,13 +392,13 @@ def _contraction_reference(sc, form):
     rows = [[Scalar.of(0)] * sc.dim for _ in range(len(basis))]
     for b in range(sc.dim):
         image = interior_product(DerivationVector.basis(sc, b), form)
-        for i, v in form_to_sparse(image, basis).items():
+        for i, v in sparse_values(image, basis).items():
             rows[i][b] = v
 
     def rhs(mat):
         dm = exterior_derivative_generators(sc, GradedForm.from_matrix(sc, mat))
         out = [Scalar.of(0)] * len(basis)
-        for i, v in form_to_sparse(dm, basis).items():
+        for i, v in sparse_values(dm, basis).items():
             out[i] = -v
         return out
 

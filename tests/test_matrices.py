@@ -12,7 +12,6 @@ from gradedmat.matrices import (
     embed_body,
     graded_anticommutator,
     graded_commutator,
-    supertrace,
 )
 from gradedmat.sampling import random_homogeneous_matrix, random_matrix
 from gradedmat.scalars import ONE, ZERO, Scalar
@@ -62,7 +61,7 @@ def test_supertrace_vanishes_on_graded_commutators():
     for _ in range(12):
         a = random_homogeneous_matrix(rng, 2, 1, rng.randint(0, 1))
         b = random_homogeneous_matrix(rng, 2, 1, rng.randint(0, 1))
-        assert not supertrace(graded_commutator(a, b))
+        assert not graded_commutator(a, b).supertrace()
 
 
 def test_graded_jacobi_identity():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedmat.scalars import _F0, I, ONE, ZERO, Scalar, half
+from gradedmat.scalars import _F0, I, ONE, ZERO, Scalar
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -16,7 +16,6 @@ scalars = st.builds(Scalar, rationals, rationals)
 def test_construction_and_equality():
     assert Scalar(1) == ONE
     assert Scalar(0, 1) == I
-    assert Scalar(Fraction(1, 2)) == half()
     assert Scalar(2) != Scalar(2, 1)
     assert Scalar(Fraction(2, 4)) == Scalar(Fraction(1, 2))
 
