@@ -36,7 +36,6 @@ n > m that is already the canonical order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from typing import List, Tuple
@@ -45,14 +44,30 @@ from . import linalg
 from .matrices import GradedMatrix, graded_commutator
 
 
-@dataclass(frozen=True)
 class HomogeneousBasis:
-    """An ordered homogeneous basis of the supertrace-free subalgebra."""
+    """An ordered homogeneous basis of the supertrace-free subalgebra.
 
-    n: int
-    m: int
-    elements: Tuple[GradedMatrix, ...]
-    parities: Tuple[int, ...]
+    Immutable; bases are equal when their (n|m), elements and parities are.
+    """
+
+    def __init__(self, n: int, m: int, elements: Tuple[GradedMatrix, ...],
+                 parities: Tuple[int, ...]):
+        # the fields go straight into the instance dict, past __setattr__
+        self.__dict__.update(n=n, m=m, elements=elements, parities=parities)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HomogeneousBasis is immutable")
+
+    def _key(self):
+        return (self.n, self.m, self.elements, self.parities)
+
+    def __eq__(self, other):
+        if type(other) is not HomogeneousBasis:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def dim(self) -> int:

@@ -30,9 +30,8 @@ ordinary Lie algebras.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .basis import body_adapted_basis
@@ -76,8 +75,7 @@ def held_labels(sc: StructureConstants, p: int) -> int:
     return tuples * units + (p + 1 - top) * max(units, EMPTY_DEGREE_LABELS)
 
 
-@dataclass(frozen=True)
-class ChainDegreeData:
+class ChainDegreeData(NamedTuple):
     """One certified degree of the complex: d_p, its columns the degree-p basis.
 
     Made only by ``differential_matrix``, once d_p passed its certificate

@@ -21,7 +21,6 @@ of each family, with its exact rational residue, if one exists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
@@ -42,7 +41,6 @@ def _sign(parity: int) -> int:
     return -1 if parity else 1
 
 
-@dataclass(frozen=True)
 class StructureConstants:
     """c, d, g and the inverse of g over a fixed homogeneous basis.
 
@@ -54,20 +52,27 @@ class StructureConstants:
     ``cache`` memoizes data derived from these constants elsewhere in the
     package (the differential matrices, the body-adaptedness check).  It
     is owned by the instance, so an entry can never outlive the constants
-    it describes or be read back for another algebra.
+    it describes or be read back for another algebra.  Equality compares
+    the tables and ignores ``cache``; the constants are immutable.
     """
 
-    basis: HomogeneousBasis
-    c: IntTensor
-    d: IntTensor
-    den: int
-    g: IntTable
-    g_den: int
-    g_inv: IntTable
-    g_inv_den: int
-    cache: Dict[object, object] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, basis: HomogeneousBasis, c: IntTensor, d: IntTensor, den: int,
+                 g: IntTable, g_den: int, g_inv: IntTable, g_inv_den: int):
+        # the fields go straight into the instance dict, past __setattr__
+        self.__dict__.update(basis=basis, c=c, d=d, den=den, g=g, g_den=g_den,
+                             g_inv=g_inv, g_inv_den=g_inv_den, cache={})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StructureConstants is immutable")
+
+    def _key(self):
+        return (self.basis, self.c, self.d, self.den,
+                self.g, self.g_den, self.g_inv, self.g_inv_den)
+
+    def __eq__(self, other):
+        if type(other) is not StructureConstants:
+            return NotImplemented
+        return self is other or self._key() == other._key()
 
     @property
     def n(self) -> int:

@@ -50,10 +50,9 @@ denominator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .basis import HomogeneousBasis
 from .constants import StructureConstants
@@ -102,7 +101,6 @@ def _require_basis(a: HomogeneousBasis, b: HomogeneousBasis) -> None:
 # ======================================================================
 
 
-@dataclass(frozen=True)
 class DerivationVector:
     """A derivation in basis coordinates: sum_A x_A bd_A, with bd_A the
     derivations of the elements of ``sl_basis``.
@@ -110,16 +108,29 @@ class DerivationVector:
     ``ints`` are the sorted (A, 0 for the real or 1 for the imaginary part,
     numerator) of the nonzero x_A over ``den`` > 0, put in lowest terms on
     construction, so equality compares them.  ``coords`` is a Scalar view.
+    Derivations are immutable.
     """
 
-    sl_basis: HomogeneousBasis
-    ints: Tuple[Tuple[int, int, int], ...]
-    den: int = 1
+    __slots__ = ("sl_basis", "ints", "den")
 
-    def __post_init__(self):
-        g = common_divisor(self.den, (self.ints,))
-        object.__setattr__(self, "ints", tuple(divided(self.ints, g)))
-        object.__setattr__(self, "den", self.den // g)
+    def __init__(self, sl_basis: HomogeneousBasis, ints: Tuple[Tuple[int, int, int], ...],
+                 den: int = 1):
+        g = common_divisor(den, (ints,))
+        object.__setattr__(self, "sl_basis", sl_basis)
+        object.__setattr__(self, "ints", tuple(divided(ints, g)))
+        object.__setattr__(self, "den", den // g)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DerivationVector is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not DerivationVector:
+            return NotImplemented
+        return (self.den == other.den and self.ints == other.ints
+                and self.sl_basis == other.sl_basis)
+
+    def __hash__(self):
+        return hash((self.sl_basis, self.ints, self.den))
 
     @property
     def coords(self) -> Tuple[Scalar, ...]:
@@ -695,8 +706,7 @@ class _SelfEvaluation(dict):
         return got
 
 
-@dataclass(frozen=True)
-class _OracleTables:
+class _OracleTables(NamedTuple):
     """Integer tables read by the evaluation oracle.
 
     ``c[x][y]`` lists (cc, c_(x,y)^cc * den), the real structure constants
@@ -925,8 +935,7 @@ def _exterior_derivative_homogeneous(
 # each frame monomial moved into canonical order by ``canonicalize``.
 
 
-@dataclass(frozen=True)
-class _KernelTables:
+class _KernelTables(NamedTuple):
     """Structure-constant tables read by the column kernel.
 
     Every value is an integer numerator over the one table denominator

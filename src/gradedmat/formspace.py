@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -212,7 +211,6 @@ def vector_to_form(vec: Mapping[int, Any], basis: FormBasis) -> GradedForm:
     })
 
 
-@dataclass
 class LinearMapMatrix:
     """A linear map between form spaces, stored column-sparse in integers.
 
@@ -221,17 +219,23 @@ class LinearMapMatrix:
     the common denominator ``den``.  Its integer rows are eliminated once,
     fraction-free, into the ``echelon`` kept on the map: the rank is its
     pivot count, checked mod three primes, and the kernel is back-substituted
-    from the same pivots.
+    from the same pivots.  Maps are equal when their basis, ``nrows``,
+    columns and ``den`` are, whatever has been derived on either.
     """
 
-    basis: FormBasis
-    nrows: int
-    columns: List[Dict[int, int]]
-    den: int = 1
-    _int_rows: Optional[List[linalg.SparseIntRow]] = field(
-        default=None, repr=False, compare=False
-    )
-    _echelon: Optional[linalg.SparseEchelon] = field(default=None, repr=False, compare=False)
+    __slots__ = ("basis", "nrows", "columns", "den", "_int_rows", "_echelon")
+
+    def __init__(self, basis: FormBasis, nrows: int, columns: List[Dict[int, int]],
+                 den: int = 1):
+        self.basis, self.nrows, self.columns, self.den = basis, nrows, columns, den
+        self._int_rows: Optional[List[linalg.SparseIntRow]] = None
+        self._echelon: Optional[linalg.SparseEchelon] = None
+
+    def __eq__(self, other):
+        if type(other) is not LinearMapMatrix:
+            return NotImplemented
+        return ((self.basis, self.nrows, self.columns, self.den)
+                == (other.basis, other.nrows, other.columns, other.den))
 
     @classmethod
     def from_images(

@@ -1,12 +1,10 @@
 """Uniform pass/fail reporting for the verification suites."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     counterexample: Optional[str] = None
@@ -21,10 +19,12 @@ class CheckResult:
         return out
 
 
-@dataclass
 class VerificationReport:
-    title: str
-    checks: List[CheckResult] = field(default_factory=list)
+    """A titled list of checks, filled in by ``add`` and ``check``."""
+
+    def __init__(self, title: str, checks: Optional[List[CheckResult]] = None):
+        self.title = title
+        self.checks: List[CheckResult] = [] if checks is None else checks
 
     def add(self, name: str, passed: bool, counterexample: str | None = None,
             note: str | None = None) -> CheckResult:

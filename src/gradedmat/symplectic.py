@@ -22,9 +22,8 @@ computed exactly and is one-dimensional.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .constants import StructureConstants
@@ -41,9 +40,11 @@ def canonical_two_form(sc: StructureConstants) -> GradedForm:
     return exterior_derivative_generators(sc, canonical_one_form(sc))
 
 
-@dataclass
-class SymplecticCertificate:
-    """Outcome of the symplectic test, with the failing stage if any."""
+class SymplecticCertificate(NamedTuple):
+    """Outcome of the symplectic test, with the failing stage if any.
+
+    Its repr, which the errors below print, names every field and its value.
+    """
 
     degree_ok: bool
     even: bool

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from types import SimpleNamespace
@@ -564,7 +563,7 @@ def test_the_certificate_refuses_d_over_another_denominator():
     )
     with pytest.raises(CertificateError, match="denominator 2, d at degree 0 over 4"):
         cohomology._certified_ranks(
-            sc, 1, d_matrix(FormBasis(sc, 1)), dataclasses.replace(prev, matrix=doubled)
+            sc, 1, d_matrix(FormBasis(sc, 1)), prev._replace(matrix=doubled)
         )
     assert certify(sc, 1, d_matrix(FormBasis(sc, 1)))
 
@@ -572,7 +571,7 @@ def test_the_certificate_refuses_d_over_another_denominator():
 def test_one_zero_block_per_degree(sc21):
     data = differential_matrix(sc21, 3)
     assert differential_matrix(sc21, 3) is data
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         data.zero_block = None
     block = data.zero_block
     assert block.den == data.matrix.den

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import re
 from fractions import Fraction
@@ -9,12 +8,22 @@ import pytest
 from gradedmat import constants, linalg, scalars, symplectic
 from gradedmat.basis import build_sl_basis
 from gradedmat.cli import main
-from gradedmat.constants import compute_constants, constants_for, verify_appendix
+from gradedmat.constants import (
+    StructureConstants, compute_constants, constants_for, verify_appendix,
+)
 from gradedmat.forms import DerivationVector, interior_product
 from gradedmat.formspace import form_to_sparse
 from gradedmat.matrices import GradedMatrix, graded_anticommutator, graded_commutator
 from gradedmat.scalars import Scalar
 from tests.test_linalg import reference_rref
+
+
+def constants_with(sc, **changes):
+    """A new ``StructureConstants`` with the fields of ``sc`` and ``changes``,
+    and an empty cache."""
+    fields = dict(basis=sc.basis, c=sc.c, d=sc.d, den=sc.den, g=sc.g, g_den=sc.g_den,
+                  g_inv=sc.g_inv, g_inv_den=sc.g_inv_den)
+    return StructureConstants(**{**fields, **changes})
 
 
 def test_dimensions(sc21, sc31):
@@ -222,7 +231,7 @@ def test_the_catalog_reads_values_not_numerators(fixture, request):
     def times(f, t):
         return {key: {cc: f * v for cc, v in row.items()} for key, row in t.items()}
 
-    scaled = dataclasses.replace(
+    scaled = constants_with(
         sc, c=times(7, sc.c), d=times(7, sc.d), den=7 * sc.den,
         g=tuple(tuple(5 * v for v in row) for row in sc.g), g_den=5 * sc.g_den,
         g_inv=tuple(tuple(3 * v for v in row) for row in sc.g_inv),
@@ -242,11 +251,11 @@ def _corrupted(sc, table, key, change):
         rows = [list(row) for row in sc.g]
         a, b = key
         rows[a][b] = change(rows[a][b])
-        return dataclasses.replace(sc, g=tuple(tuple(row) for row in rows))
+        return constants_with(sc, g=tuple(tuple(row) for row in rows))
     t = {ab: dict(row) for ab, row in getattr(sc, table).items()}
     ab, cc = key
     t[ab][cc] = change(t[ab][cc])
-    return dataclasses.replace(sc, **{table: t})
+    return constants_with(sc, **{table: t})
 
 
 def _reference_residue(tables, degs, line, a, b, cc, dd):

@@ -56,6 +56,16 @@ def test_non_symplectic_inputs_are_rejected(sc21):
         SymplecticForm(sc21, GradedForm.zero(sc21, 2))
 
 
+def test_the_refusal_names_the_failed_certificate_fields(sc21):
+    # the degenerate form of verify's symplectic suite: not closed, rank 2 of 8
+    degenerate = GradedForm.of(sc21, 2, {(0, 1): GradedMatrix.identity(2, 1)})
+    expected = ("form is not symplectic: SymplecticCertificate(degree_ok=True, even=True, "
+                "closed=False, contraction_rank=2, expected_rank=8, consistent=True, note='')")
+    with pytest.raises(ValueError) as info:
+        SymplecticForm(sc21, degenerate)
+    assert str(info.value) == expected
+
+
 def test_hamiltonian_fields_of_basis_elements(sc21):
     assert hamiltonian_scaling(sc21, canonical_two_form(sc21), 1) is None
 
