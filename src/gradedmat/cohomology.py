@@ -39,6 +39,7 @@ from .constants import StructureConstants, compute_constants
 from .forms import DerivationVector, GradedForm
 from .formspace import (
     FormBasis, LinearMapMatrix, _decode, basis_form, d_matrix, form_to_sparse,
+    vector_to_form,
 )
 from .indexset import index_count
 from .matrices import GradedMatrix, body, embed_body
@@ -303,11 +304,7 @@ def _certified_ranks(
         # d_p d_(p-1) = 0 on every column of d_(p-1): with the homotopy it
         # gives dim ker d_p = rank d_(p-1) on each nonzero weight
         for y, col in enumerate(prev.matrix.columns):
-            acc = {}
-            for i, a in col.items():
-                for row, v in mat.columns[i].items():
-                    acc[row] = acc.get(row, 0) + a * v
-            if any(acc.values()):
+            if linalg.combine(mat.columns, col):
                 raise CertificateError(
                     f"d at degree {p}: d_p d_(p-1) is not 0 on column "
                     f"{prev.matrix.basis[y]} of degree {p - 1}"
@@ -446,11 +443,14 @@ def body_h_map_injective(
 ) -> bool:
     """Whether the body map is injective on H^p classes.
 
-    Pushes a representative basis of H^p to the body complex and checks,
-    by exact rank, that no nontrivial combination lands in the body
-    coboundaries.
+    Pushes a representative basis of H^p to the body complex, one form
+    each, and checks, by exact rank, that no nontrivial combination lands
+    in the body coboundaries.  The representatives are integer, so each
+    image is real, and its denominator scales it without changing the rank.
     """
     reps = cocycle_representatives(sc, p)
-    bm = body_map_matrix(sc, sc_body, p)
-    images = [linalg.combine(bm.columns, vec) for vec in reps]
+    basis, out = FormBasis(sc, p), FormBasis(sc_body, p)
+    images = [{i: y for i, _, y in form_to_sparse(
+                  body_map_forms(sc, sc_body, vector_to_form(vec, basis)), out)[0]}
+              for vec in reps]
     return len(_independent_modulo_image(sc_body, p, images)) == len(reps)

@@ -1074,7 +1074,6 @@ def frame_forms_from_differentials(sc: StructureConstants) -> List[GradedForm]:
     k = sc.dim
     # the inverse Killing matrix is g_inv / (n-m)^2, so the prefactor
     # 4 (n-m)^2 times two of its entries is 4 h_ab h_cd / ((n-m)^2 h_den^2)
-    # for g_inv = h / h_den
     # for g_inv = h / h_den; the wedge is linear in the matrix, so the
     # products are summed in ints per dE_dd before one wedge each
     h, h_den = sc.g_inv, sc.g_inv_den

@@ -17,7 +17,7 @@ run one set of integer kernels: ``add_times`` sums and scales,
 ``add_product`` multiplies, ``twisted`` and ``parity_split`` grade, and
 ``entries_of`` with ``common_divisor`` normalise.  The Scalar entries
 (``nonzeros``, ``flat``, ``entries``, ``m[r, c]``) are views built from the
-ints on each call, for printing, evaluation and the small dense solves.
+ints on each call, for printing and report text.
 """
 from __future__ import annotations
 
@@ -239,15 +239,12 @@ class GradedMatrix:
         return self.n + self.m
 
     def _values(self) -> List[Tuple[int, Scalar]]:
-        """(unit, value) over the nonzero entries, in unit order.  A real
-        integer goes through ``Scalar.of``, so 1 and -1 are the shared
-        Scalars that the products of the dense solves test for."""
+        """(unit, value) over the nonzero entries, in unit order."""
         pairs: Dict[int, List[int]] = {}
         for u, part, y in self.ints:
             pairs.setdefault(u, [0, 0])[part] = y
         den = self.den
-        return [(u, Scalar.of(re) if den == 1 and not im
-                 else Scalar(Fraction(re, den), Fraction(im, den)))
+        return [(u, Scalar(Fraction(re, den), Fraction(im, den)))
                 for u, (re, im) in pairs.items()]
 
     def nonzeros(self) -> Tuple[Triple, ...]:

@@ -325,6 +325,12 @@ def test_body_map_is_injective_on_top_cohomology(name, sc20, request):
         assert body_h_map_injective(sc, sc20, p), (name, p)
 
 
+def test_body_map_sending_h3_to_zero_is_not_injective(sc21, sc20, monkeypatch):
+    monkeypatch.setattr(cohomology, "body_map_forms",
+                        lambda sc, sc_body, form: GradedForm.zero(sc_body, form.degree))
+    assert not body_h_map_injective(sc21, sc20, 3)
+
+
 def test_vector_field_descent_round_trip(sc21, sc20):
     d = DerivationVector.from_coords(sc20, [1, 2, 0])
     up = embed_vector_field(sc21, sc20, d)

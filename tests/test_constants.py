@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from gradedmat import constants, linalg, scalars, symplectic
+from gradedmat import constants, linalg, symplectic
 from gradedmat.basis import build_sl_basis
 from gradedmat.cli import main
 from gradedmat.constants import (
@@ -387,10 +387,13 @@ def test_constants_catalog_and_factorization_build_no_fraction_or_scalar(monkeyp
     rhss = [symplectic._minus_differential(sc, mat, form_basis)[0] for mat in probes]
 
     made = []
-    real_make = scalars._make
-    monkeypatch.setattr(Scalar, "__init__", lambda self, *args: made.append("Scalar"))
-    monkeypatch.setattr(scalars, "_make",
-                        lambda re, im: made.append("Scalar") or real_make(re, im))
+    real_init = Scalar.__init__
+
+    def counted_init(self, *args):
+        made.append("Scalar")
+        real_init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counted_init)
     # Fraction keeps __new__ as a staticmethod, and from 3.12 builds results
     # through _from_coprime_ints without it: count both, and put them back
     # as they were
@@ -406,7 +409,8 @@ def test_constants_catalog_and_factorization_build_no_fraction_or_scalar(monkeyp
     if "_from_coprime_ints" in saved:
         Fraction._from_coprime_ints = counted("_from_coprime_ints", classmethod)
     try:
-        assert Fraction(1, 2) and made == ["Fraction"]  # the counter counts
+        assert Fraction(1, 2) and made == ["Fraction"]  # the counters count
+        assert Scalar(1, 2) and made.count("Scalar") == 1
         made.clear()
         got = compute_constants(basis)
         report = verify_appendix(got)

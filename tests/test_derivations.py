@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedmat import scalars, symplectic
+from gradedmat import symplectic
 from gradedmat.cli import main
 from gradedmat.cohomology import body_vector_field, embed_vector_field
 from gradedmat.constants import constants_for
@@ -217,10 +217,13 @@ def counted(monkeypatch, fractions=False):
     """Yield a list that records each Scalar (and, with ``fractions``, each
     Fraction) made inside the block."""
     made = []
-    real_make = scalars._make
-    monkeypatch.setattr(Scalar, "__init__", lambda self, *args: made.append("Scalar"))
-    monkeypatch.setattr(scalars, "_make",
-                        lambda re, im: made.append("Scalar") or real_make(re, im))
+    real_init = Scalar.__init__
+
+    def counted_init(self, *args):
+        made.append("Scalar")
+        real_init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counted_init)
     # Fraction keeps __new__ as a staticmethod, and from 3.12 builds results
     # through _from_coprime_ints without it: count both, and put them back
     saved = {name: Fraction.__dict__[name] for name in ("__new__", "_from_coprime_ints")
@@ -236,7 +239,7 @@ def counted(monkeypatch, fractions=False):
         if "_from_coprime_ints" in saved:
             Fraction._from_coprime_ints = wrapped("_from_coprime_ints", classmethod)
     try:
-        assert Scalar(1, 2) is not None and made[-1] == "Scalar"  # the counter counts
+        assert Scalar(1, 2) and made.count("Scalar") == 1  # the counter counts
         made.clear()
         yield made
     finally:

@@ -731,21 +731,25 @@ def test_equality_agrees_with_the_view(request, data):
 
 
 def test_prebuilt_forms_run_without_building_scalars(sc21, monkeypatch):
-    from gradedmat import scalars
-
     rng = random.Random(5)
     w1 = random_form(rng, sc21, 1).scale(Scalar(Fraction(1, 3), Fraction(2, 5)))
     w2 = random_form(rng, sc21, 2)
     mat = rand_matrix(rng, sc21)
     d = DerivationVector.from_coords(sc21, [rand_scalar(rng) for _ in range(sc21.dim)])
     s = Scalar(Fraction(-2, 3), Fraction(1, 7))
-    exterior_derivative_generators(sc21, w1)  # the tables build Scalars once
+    exterior_derivative_generators(sc21, w1)  # build the tables before counting
     exterior_derivative(sc21, w1)
 
-    def refuse(*args):
-        raise AssertionError("a Scalar was built")
+    made = []
+    real_init = Scalar.__init__
 
-    monkeypatch.setattr(scalars, "_make", refuse)
+    def counted_init(self, *args):
+        made.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counted_init)
+    assert Scalar(1, 2) and made == [(1, 2)]  # the counter counts
+    made.clear()
     for route in (exterior_derivative_generators, exterior_derivative):
         assert route(sc21, route(sc21, w1)).is_zero()
         assert route(sc21, route(sc21, w2)).is_zero()
@@ -756,6 +760,7 @@ def test_prebuilt_forms_run_without_building_scalars(sc21, monkeypatch):
     w2.parity_parts()
     interior_product(d, w2)
     lie_derivative(sc21, d, w1)
+    assert made == []
 
 
 def test_forms_refuse_another_basis_of_the_same_algebra(sc12, sc12_adapted):

@@ -32,11 +32,12 @@ def reference_rref(rows):
             continue
         a[r], a[pr] = a[pr], a[r]
         pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
+        a[r] = [x / pv if x else x for x in a[r]]
         for i in range(len(a)):
             if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                # a zero of the pivot row leaves the entry as it is
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == len(a):

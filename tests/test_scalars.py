@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedmat.scalars import _F0, I, ONE, ZERO, Scalar
+from gradedmat.constants import constants_for
+from gradedmat.forms import DerivationVector
+from gradedmat.matrices import GradedMatrix
+from gradedmat.scalars import I, ONE, ZERO, Scalar
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -56,20 +59,19 @@ def _assert_exact(*values):
         assert type(x.re) is Fraction and type(x.im) is Fraction
 
 
-def test_zero_is_interned():
-    assert Scalar(0) is ZERO
-    assert Scalar(Fraction(0), Fraction(0)) is ZERO
-    assert Scalar.of(0) is ZERO
-    assert ONE - ONE is ZERO
-    assert I * I + ONE is ZERO
-    assert -ZERO is ZERO
-    _assert_exact(ZERO, ONE, I, Scalar(0, Fraction(1, 5)))
+def test_zero_results_equal_zero():
+    zeros = (Scalar(0), Scalar(Fraction(0), Fraction(0)), Scalar.of(0),
+             ONE - ONE, I * I + ONE, -ZERO, ZERO * I, ZERO / I)
+    for z in zeros:
+        assert z == ZERO and z == 0 and not z
+        assert hash(z) == hash(0)
+    _assert_exact(*zeros, ZERO, ONE, I, Scalar(0, Fraction(1, 5)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(scalars, scalars, scalars)
 def test_ring_axioms(a, b, c):
-    # every slot also runs with ZERO, which takes the zero fast paths
+    # every slot also runs with ZERO
     for x, y, z in itertools.product((a, ZERO), (b, ZERO), (c, ZERO)):
         results = (
             x + y, y + x, x * y, y * x, x - y, -x,
@@ -87,7 +89,7 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=80, deadline=None)
 @given(rationals, scalars)
 def test_mixed_real_gaussian_products(r, z):
-    # a real factor takes its own fast path; it must give the full formula
+    # a real factor gives the full formula
     x = Scalar(r)
     for a, b in ((x, z), (z, x), (x, Scalar(0, z.im)), (Scalar(0, z.im), x)):
         got = a * b
@@ -95,7 +97,7 @@ def test_mixed_real_gaussian_products(r, z):
         assert got.re == a.re * b.re - a.im * b.im
         assert got.im == a.re * b.im + a.im * b.re
         if not got.im:
-            assert got.im is _F0
+            assert got.im == Fraction(0) and got == got.re
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,5 +114,29 @@ def test_field_inverse(a):
             _assert_exact(x / ONE, x / I)
             assert x / ONE == ZERO
         assert x - x == ZERO
-        assert x - x is ZERO
+        assert not x - x
         assert bool(x) == (x.re != 0 or x.im != 0)
+
+
+def test_every_scalar_passes_through_init(monkeypatch):
+    made = []
+    real_init = Scalar.__init__
+
+    def counted_init(self, *args):
+        made.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counted_init)
+    x, y = Scalar(Fraction(1, 2), 3), Scalar(-2, Fraction(1, 5))
+    assert [id(s) for s in made] == [id(x), id(y)]  # the counter counts
+    sc = constants_for(2, 1)
+    unit = GradedMatrix.unit(2, 1, 0, 2)
+    results = [
+        ONE + I, I * I, -x, x - x, x / y, Scalar.of(3),
+        *(s for row in unit.entries for s in row if s),
+        unit.trace(), GradedMatrix.identity(2, 1).trace(),
+        *DerivationVector.basis(sc, 1).coords,
+    ]
+    counted = {id(s) for s in made}
+    assert [s for s in results if id(s) not in counted] == []
+    assert all(type(s.re) is Fraction and type(s.im) is Fraction for s in made)
