@@ -19,9 +19,9 @@ naming the degree and the label on stderr, with no report.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import random
 import sys
+import zlib
 from contextlib import nullcontext
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -41,13 +41,20 @@ from .verify import run_verify
 
 
 def build_identifier() -> str:
-    """Truncated digest of the package sources, for report provenance."""
+    """Checksum of the package sources, for report provenance.
+
+    CRC-32 and Adler-32 run over each ``*.py`` file's name and then its
+    bytes, in sorted order; the identifier is their 12 leading hex digits.
+    It tells builds apart and is no security digest: ``zlib`` is used
+    because ``hashlib`` would load OpenSSL into every command.
+    """
     root = Path(__file__).resolve().parent
-    digest = hashlib.sha256()
+    crc, adler = 0, 1
     for path in sorted(root.glob("*.py")):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:12]
+        for chunk in (path.name.encode(), path.read_bytes()):
+            crc = zlib.crc32(chunk, crc)
+            adler = zlib.adler32(chunk, adler)
+    return f"{crc:08x}{adler:08x}"[:12]
 
 
 def _config_obj(args, **extra) -> dict:

@@ -7,7 +7,6 @@ no reliance on dict iteration order.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 from fractions import Fraction
@@ -85,6 +84,8 @@ def dump(obj, fh: TextIO) -> None:
 
 
 def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    import csv  # only --format csv pays for loading it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -21,6 +21,7 @@ ints on each call, for printing and report text.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -272,7 +273,16 @@ class GradedMatrix:
         k = self.n + self.m
         if not (0 <= r < k and 0 <= c < k):
             raise IndexError(f"position ({r}, {c}) outside shape ({self.n}|{self.m})")
-        return dict(self._values()).get(r * k + c, ZERO)
+        u = r * k + c
+        at = bisect_left(self.ints, (u,))
+        parts = [0, 0]
+        for v, part, y in self.ints[at:at + 2]:
+            if v == u:
+                parts[part] = y
+        re, im = parts
+        if not (re or im):
+            return ZERO
+        return Scalar(Fraction(re, self.den), Fraction(im, self.den))
 
     # ---- basic queries ------------------------------------------------
 

@@ -7,6 +7,10 @@ tests and the acceptance suite.
 """
 import pytest
 
+# the shared helpers check with assert too; rewrite them as pytest does test
+# modules, so that they still check under python -O
+pytest.register_assert_rewrite("tests.helpers")
+
 from gradedmat.cohomology import adapted_constants_for
 from gradedmat.constants import constants_for
 

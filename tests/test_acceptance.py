@@ -60,10 +60,13 @@ from gradedmat.verify import (
     theta_invariance,
 )
 from tests.ce_oracle import ce_oracle, ordinary_sl_basis
-from tests.test_bundles import brute_force_free, idempotent_cover_connection
-from tests.test_forms import sparse_values
-from tests.test_formspace import column_values
-from tests.test_linalg import clear_denominators
+from tests.helpers import (
+    brute_force_free,
+    clear_denominators,
+    column_values,
+    idempotent_cover_connection,
+    sparse_values,
+)
 
 
 def conclude(num, desc, failures, t0, budget):

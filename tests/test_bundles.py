@@ -10,9 +10,7 @@ from gradedmat.bundles import (
     connection_form_from_rho,
     curvature_from_coefficients,
     flat_curvature_coefficients,
-    fm_add,
     fm_is_zero,
-    fm_sub,
     fm_wedge,
     graded_inverse,
     identity_form_matrix,
@@ -36,14 +34,7 @@ from gradedmat.sampling import (
     random_form,
     random_homogeneous_matrix,
 )
-
-
-def brute_force_free(n, m, r, s):
-    for p in range(r + s + 1):
-        for q in range(r + s + 1):
-            if p * n + q * m == r and p * m + q * n == s:
-                return (p, q)
-    return None
+from tests.helpers import brute_force_free, idempotent_cover_connection
 
 
 def test_graded_freeness_matches_brute_force():
@@ -173,42 +164,6 @@ def test_graded_inverse(sc21):
         singular = GradedMatrix(n, m, [(0, 0, Scalar(1, 1)), (0, 1, 2)])
         with pytest.raises(ValueError, match="singular"):
             graded_inverse(singular)
-
-
-def idempotent_cover_connection(sc, rng):
-    """A rank-(2,0)-like projection inside V^(2|1) via a unit-triangular
-    change of frame, with a connection form squeezed into its corner."""
-    def zf(mat):
-        return GradedForm.from_matrix(sc, mat)
-
-    z0 = GradedForm.zero(sc, 0)
-    nil = [
-        [z0, zf(random_homogeneous_matrix(rng, 2, 1, 0)),
-         zf(random_homogeneous_matrix(rng, 2, 1, 1))],
-        [z0, z0, zf(random_homogeneous_matrix(rng, 2, 1, 1))],
-        [z0, z0, z0],
-    ]
-    ident = identity_form_matrix(sc, 3)
-    u = fm_add(ident, nil)
-    u_inv = fm_add(fm_sub(ident, nil), fm_wedge(nil, nil))
-    assert fm_wedge(u, u_inv) == ident
-    p0 = [
-        [ident[i][j] if (i == j and i < 2) else z0 for j in range(3)]
-        for i in range(3)
-    ]
-    proj = fm_wedge(fm_wedge(u, p0), u_inv)
-    th = canonical_one_form(sc)
-    amb = [
-        [
-            th if i == j else random_form(
-                rng, sc, 1, parity=0 if (i < 2) == (j < 2) else 1, terms=2
-            )
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    alpha = fm_wedge(fm_wedge(proj, amb), proj)
-    return Connection(sc, 2, 1, proj, alpha)
 
 
 def test_idempotent_cover_connection(sc21):

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import re
+import shutil
 import subprocess
 import sys
 import time
@@ -7,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gradedmat import cohomology
+from gradedmat import cli, cohomology
 from gradedmat.cli import main
 from gradedmat.cohomology import MATRIX_SIZE_CAP
 
@@ -42,6 +45,36 @@ def test_constants_report_is_deterministic(tmp_path):
                    check=True)
     assert proc.stdout == ""
     assert out.read_text() == first.stdout
+
+
+def test_build_identifier_follows_the_source_bytes_and_names(tmp_path):
+    package = tmp_path / "gradedmat"
+    shutil.copytree(Path(cli.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+
+    def identifier():
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from gradedmat.cli import build_identifier; print(build_identifier())"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    first = identifier()
+    assert re.fullmatch(r"[0-9a-f]{12}", first)
+    assert identifier() == first
+    source = package / "report.py"
+    text = source.read_bytes()
+    assert text.endswith(b"\n")
+    source.write_bytes(text[:-1] + b" ")  # one byte: the last newline
+    changed = identifier()
+    assert changed != first
+    source.write_bytes(text)
+    assert identifier() == first
+    (package / "__main__.py").rename(package / "__maim__.py")
+    assert identifier() not in (first, changed)
 
 
 def test_constants_csv_contains_frozen_row():
@@ -212,7 +245,7 @@ def test_flat_experiments_frozen():
 # ---- report bytes pinned to the benchmark's reference digests ----------
 #
 # perfbench/workloads.json records, per workload, the sha256 of the report
-# as canonical JSON with config.build (a hash of the sources) masked and
+# as canonical JSON with config.build (a checksum of the sources) masked and
 # the seed put back to 0.  Running the same commands here catches a change
 # that reorders or rewrites report bytes before any benchmark run.
 

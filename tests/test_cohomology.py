@@ -39,8 +39,7 @@ from gradedmat.linalg import SparseEchelon
 from tests.ce_oracle import (
     ce_oracle, ordinary_abelian_basis, ordinary_direct_sum, ordinary_sl_basis,
 )
-from tests.test_forms import rand_form
-from tests.test_linalg import reference_kernel
+from tests.helpers import rand_form, reference_kernel
 
 
 def test_chain_data_shapes_and_ranks(sc21):

@@ -9,21 +9,13 @@ from gradedmat import constants, linalg, symplectic
 from gradedmat.basis import build_sl_basis
 from gradedmat.cli import main
 from gradedmat.constants import (
-    StructureConstants, compute_constants, constants_for, verify_appendix,
+    compute_constants, constants_for, verify_appendix,
 )
 from gradedmat.forms import DerivationVector, interior_product
 from gradedmat.formspace import form_to_sparse
 from gradedmat.matrices import GradedMatrix, graded_anticommutator, graded_commutator
 from gradedmat.scalars import Scalar
-from tests.test_linalg import reference_rref
-
-
-def constants_with(sc, **changes):
-    """A new ``StructureConstants`` with the fields of ``sc`` and ``changes``,
-    and an empty cache."""
-    fields = dict(basis=sc.basis, c=sc.c, d=sc.d, den=sc.den, g=sc.g, g_den=sc.g_den,
-                  g_inv=sc.g_inv, g_inv_den=sc.g_inv_den)
-    return StructureConstants(**{**fields, **changes})
+from tests.helpers import constants_with, reference_rref
 
 
 def test_dimensions(sc21, sc31):

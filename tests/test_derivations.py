@@ -35,7 +35,7 @@ from gradedmat.sampling import random_form
 from gradedmat.scalars import ZERO, Scalar
 from gradedmat.symplectic import analyze, canonical_two_form
 from gradedmat.verify import poisson_commutator, run_verify
-from tests.test_forms import ref_interior, rand_matrix
+from tests.helpers import rand_matrix, ref_interior
 
 SHAPES = ("sc21", "sc12", "sc20")
 

@@ -28,14 +28,13 @@ from gradedmat.forms import (
     wedge_form_matrix,
     wedge_matrix_form,
 )
-from gradedmat.formspace import FormBasis, form_to_sparse, lie_matrix
+from gradedmat.formspace import FormBasis, lie_matrix
 from gradedmat.indexset import (
     canonicalize,
     commutation_factor,
     enumerate_multi_indices,
     index_parity,
     permutation_sign,
-    self_evaluation_factor,
 )
 from gradedmat.matrices import GradedMatrix, graded_commutator
 from gradedmat.sampling import random_form
@@ -53,6 +52,14 @@ from gradedmat.verify import (
     mixed_relation,
     structure_equation,
     theta_invariance,
+)
+from tests.helpers import (
+    nonzero,
+    rand_form,
+    rand_matrix,
+    rand_scalar,
+    ref_interior,
+    sparse_values,
 )
 
 IDM = GradedMatrix.identity(2, 1)
@@ -84,39 +91,6 @@ def theta_value(sc, indices, args):
         )
         total += sgn * gam * s2 * rest
     return total / math.factorial(p - 1)
-
-
-def rand_scalar(rng):
-    return Scalar(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2)))
-
-
-def rand_matrix(rng, sc):
-    size = sc.n + sc.m
-    rows = [[rand_scalar(rng) for _ in range(size)] for _ in range(size)]
-    return GradedMatrix.from_rows(sc.n, sc.m, rows)
-
-
-def sparse_values(form, basis):
-    """The coordinates of ``form`` over ``basis`` as {position: Scalar}, read
-    back from the integer entries ``form_to_sparse`` gives."""
-    entries, den = form_to_sparse(form, basis)
-    pairs = {}
-    for i, part, y in entries:
-        pairs.setdefault(i, [0, 0])[part] = y
-    return {i: Scalar(Fraction(re, den), Fraction(im, den)) for i, (re, im) in pairs.items()}
-
-
-def rand_form(rng, sc, p, homog=None):
-    keys = enumerate_multi_indices(sc.even_dim, sc.odd_dim, p)
-    coeffs = {}
-    for k in rng.sample(keys, min(4, len(keys))):
-        mat = rand_matrix(rng, sc)
-        if homog is not None:
-            ev, od = mat.parity_decompose()
-            kp = sum(index_parity(i, sc.even_dim) for i in k) % 2
-            mat = ev if (homog ^ kp) == 0 else od
-        coeffs[k] = mat
-    return GradedForm.of(sc, p, coeffs)
 
 
 def test_monomial_evaluation_matches_permutation_sum(sc21):
@@ -588,10 +562,6 @@ def assert_lowest_terms(w):
             == w.ints[key], key
 
 
-def nonzero(coeffs):
-    return {key: mat for key, mat in coeffs.items() if not mat.is_zero()}
-
-
 def ref_sum(w1, w2):
     out = dict(w1.coeffs)
     for key, mat in w2.coeffs.items():
@@ -629,16 +599,6 @@ def ref_wedge_form_matrix(w, mat):
                   if sum(index_parity(i, w.n_even) for i in key) % 2 else mat)
         for key, v in w.coeffs.items()
     })
-
-
-def ref_interior(d, w):
-    out = {}
-    for key in enumerate_multi_indices(w.n_even, w.m_odd, w.degree - 1):
-        acc = GradedMatrix.zero(w.n, w.m)
-        for a in d.support():
-            acc = acc + evaluate_on_basis(w, (a,) + key).scale(d.coords[a])
-        out[key] = acc.scale(Fraction(1, self_evaluation_factor(key, w.n_even)))
-    return nonzero(out)
 
 
 def gaussian_matrices(sc):

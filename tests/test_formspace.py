@@ -26,14 +26,9 @@ from gradedmat.forms import (
     lie_derivative,
 )
 from gradedmat.indexset import enumerate_multi_indices, index_count, tuple_parity
-from gradedmat.scalars import I, Scalar
+from gradedmat.scalars import I
 from gradedmat.verify import canonical_line
-from tests.test_forms import rand_form, sparse_values
-
-
-def column_values(mat, j):
-    """Column j of ``mat`` as exact values: its numerators over ``mat.den``."""
-    return {i: Fraction(v, mat.den) for i, v in mat.columns[j].items()}
+from tests.helpers import column_values, rand_form, sparse_values
 
 
 def reference_labels(sc, p):

@@ -14,35 +14,18 @@ from gradedmat.formspace import FormBasis
 from gradedmat.matrices import GradedMatrix
 from gradedmat.scalars import Scalar
 from gradedmat.symplectic import canonical_two_form
-from tests.test_forms import rand_form, rand_matrix, sparse_values
+from tests.helpers import (
+    clear_denominators,
+    rand_form,
+    rand_matrix,
+    reference_kernel,
+    reference_rref,
+    sparse_values,
+)
 
 
 def _mat(rows):
     return [[Scalar.of(Fraction(x)) for x in row] for row in rows]
-
-
-def reference_rref(rows):
-    """Reduced row echelon form over Scalar: (reduced rows, pivot columns)."""
-    a = [list(row) for row in rows]
-    pivots = []
-    r = 0
-    for c in range(len(a[0]) if a else 0):
-        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv if x else x for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                # a zero of the pivot row leaves the entry as it is
-                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a, pivots
 
 
 def reference_rank(rows):
@@ -96,16 +79,6 @@ def test_solve_and_inverse():
         linalg.inverse(_int_columns(_mat([[1, 1], [2, 2]])))
 
 
-def clear_denominators(entries):
-    """The nonzero ``entries`` {column: Fraction} times the lcm of their
-    denominators, stripped of content: a row with the same rank and kernel."""
-    entries = {c: v for c, v in entries.items() if v}
-    den = math.lcm(*(v.denominator for v in entries.values()))
-    return linalg.strip_content(
-        {c: v.numerator * (den // v.denominator) for c, v in entries.items()}
-    )
-
-
 def _random_sparse(rng, nrows, ncols, density=0.4):
     rows = []
     for _ in range(nrows):
@@ -153,35 +126,6 @@ def _kernel(rows, ncols):
     ech = linalg.SparseEchelon()
     linalg.exact_rank(rows, ncols, ech)
     return linalg.sparse_kernel(ech, ncols)
-
-
-def reference_kernel(rows, ncols):
-    """The kernel by dense rational back-substitution, denominators cleared.
-
-    One vector per free column f of the echelon, with x_f = 1 and every
-    pivot value solved as a Fraction, highest pivot first; then scaled by
-    the lcm of its denominators and stripped of content.
-    """
-    ech = linalg.SparseEchelon()
-    for row in sorted(rows, key=len):
-        ech.add_row(row)
-    pivots = sorted(ech.pivot_rows)
-    out = []
-    for f in range(ncols):
-        if f in ech.pivot_rows:
-            continue
-        x = {f: Fraction(1)}
-        for c in reversed(pivots):
-            row = ech.pivot_rows[c]
-            s = Fraction(0)
-            for cc, v in row.items():
-                if cc != c and cc in x:
-                    s += v * x[cc]
-            if s:
-                x[c] = -s / row[c]
-        dense = [x.get(c, Fraction(0)) for c in range(ncols)]
-        out.append(clear_denominators(dict(enumerate(dense))))
-    return out
 
 
 def test_sparse_kernel_verifies():

@@ -41,6 +41,21 @@ def test_reading_a_position_outside_the_shape_raises():
     assert u[0, 2] == ONE and u[2, 2] == ZERO and not u[2, 2]
 
 
+@pytest.mark.parametrize("n, m", [(2, 1), (1, 2), (2, 0)])
+def test_reading_a_position_agrees_with_the_dense_view(n, m):
+    rng = random.Random(17)
+    mats = [random_matrix(rng, n, m) for _ in range(3)]
+    mats.append(mats[0].scale(Scalar(Fraction(2, 3), Fraction(-1, 5))))
+    mats.append(random_homogeneous_matrix(rng, n, m, 1))
+    mats.append(GradedMatrix.zero(n, m))
+    k = n + m
+    for mat in mats:
+        rows = mat.entries
+        for r in range(k):
+            for c in range(k):
+                assert mat[r, c] == rows[r][c], (mat, r, c)
+
+
 def test_parity_decompose_splits_blocks():
     rng = random.Random(3)
     mat = random_matrix(rng, 2, 1)

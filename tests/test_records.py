@@ -1,7 +1,8 @@
 """The package's record classes and what importing the CLI loads.
 
 The records are plain classes and NamedTuples, so importing ``gradedmat.cli``
-loads neither ``dataclasses`` nor ``inspect``.  These tests pin what callers
+loads neither ``dataclasses`` nor ``inspect``; no json command loads
+``hashlib`` or ``csv``.  These tests pin what callers
 rely on: immutability, which fields equality reads, a derivation's lowest
 terms, and hashing where every field is hashable.
 """
@@ -17,7 +18,7 @@ from gradedmat.cohomology import differential_matrix
 from gradedmat.constants import constants_for
 from gradedmat.forms import DerivationVector
 from gradedmat.formspace import FormBasis, LinearMapMatrix, d_matrix
-from tests.test_constants import constants_with
+from tests.helpers import constants_with
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -89,3 +90,27 @@ def test_cli_import_loads_the_traced_modules_and_no_dataclasses():
     traced = _traced_modules()
     assert len(traced) > 5
     assert traced <= new, sorted(traced - new)
+
+
+def test_json_commands_load_neither_openssl_nor_csv(tmp_path):
+    """The build identifier needs no ``hashlib`` (so no OpenSSL), and only
+    ``--format csv`` loads ``csv``."""
+    report = tmp_path / "report"
+    code = (
+        "import sys; import gradedmat.cli as cli; "
+        "argv = ['cohomology', '--n', '2', '--m', '1', '--max-degree', '1', "
+        "'--out', sys.argv[1]]; "
+        "loaded = lambda: print(' '.join(sorted(sys.modules))); "
+        "loaded(); assert cli.main(argv) == 0; loaded(); "
+        "assert cli.main(argv + ['--format', 'csv']) == 0; loaded()"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(report)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_json, after_csv = (set(line.split())
+                                           for line in proc.stdout.splitlines())
+    unwanted = {"hashlib", "_hashlib", "csv", "_csv"}
+    assert not unwanted & after_import, sorted(unwanted & after_import)
+    assert not unwanted & after_json, sorted(unwanted & after_json)
+    assert {"csv", "_csv"} <= after_csv
+    assert report.read_text().startswith("p,dim,rank,kernel_dim,betti\n")

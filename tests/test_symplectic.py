@@ -27,7 +27,7 @@ from gradedmat.verify import (
     poisson_commutator,
     poisson_leibniz,
 )
-from tests.test_forms import rand_form, rand_matrix
+from tests.helpers import rand_form, rand_matrix
 
 
 def test_canonical_two_form_is_symplectic(sc21):
