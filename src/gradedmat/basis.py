@@ -37,11 +37,10 @@ n > m that is already the canonical order.
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
 from typing import List, Tuple
 
 from . import linalg
-from .matrices import GradedMatrix, graded_commutator
+from .matrices import GradedMatrix
 
 
 class HomogeneousBasis:
@@ -209,39 +208,3 @@ def body_adapted_basis(n: int, m: int) -> HomogeneousBasis:
     )
     basis.validate()
     return basis
-
-
-def adjoint_action(e: GradedMatrix, target: GradedMatrix) -> GradedMatrix:
-    """The derivation attached to ``e``: the graded commutator with it."""
-    return graded_commutator(e, target)
-
-
-def derivation_dimension(basis: HomogeneousBasis) -> Tuple[int, int]:
-    """Exact dimensions (even, odd) of the derivations the basis generates.
-
-    Builds the matrix of E -> (adjoint action on all matrix units) and
-    computes its exact rank; asserts the map is injective, so the answer
-    equals (n', m').
-    """
-    n, m = basis.n, basis.m
-    k = n + m
-    units = [GradedMatrix.unit(n, m, i, j) for i in range(k) for j in range(k)]
-
-    def columns(indices):
-        # column a: [E_a, u] for every unit u, one after another, over one
-        # denominator
-        cols = []
-        for a in indices:
-            images = [adjoint_action(basis.elements[a], u) for u in units]
-            den = lcm(*(im.den for im in images))
-            cols.append([(t * k * k + v, part, y * (den // im.den))
-                         for t, im in enumerate(images) for v, part, y in im.ints])
-        return cols
-
-    even_idx = [a for a in range(basis.dim) if basis.parity(a) == 0]
-    odd_idx = [a for a in range(basis.dim) if basis.parity(a) == 1]
-    even_rank = linalg.factor(columns(even_idx)).rank
-    odd_rank = linalg.factor(columns(odd_idx)).rank
-    if even_rank != len(even_idx) or odd_rank != len(odd_idx):
-        raise AssertionError("adjoint map has a kernel on the traceless subalgebra")
-    return even_rank, odd_rank

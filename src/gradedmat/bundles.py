@@ -14,21 +14,20 @@ and the curvature matrix is
     R = -alpha^alpha + P^(d alpha)^P - P^(dP)^(dP)
 
 which the tests tie to the double-application route entry by entry.
-Every d here runs the kernel route (``exterior_derivative_generators``).
+A row y is a 1 x k matrix of forms, so one product (``fm_wedge``, of any
+(r x k) and (k x c) shapes) and one entry-wise d (``fm_d``) serve rows and
+matrices alike.  Every d here runs the kernel route
+(``exterior_derivative_generators``).
 Matrices over the form bimodule are graded by declaring even those with
 even diagonal-block entries and odd off-diagonal-block entries.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .constants import StructureConstants
-from .forms import (
-    GradedForm, canonical_one_form, exterior_derivative_generators, wedge,
-    wedge_matrix_form,
-)
+from .forms import GradedForm, canonical_one_form, exterior_derivative_generators, wedge
 from .matrices import GradedMatrix, combined, graded_commutator
 
 FormMatrix = List[List[GradedForm]]
@@ -76,10 +75,6 @@ def identity_form_matrix(sc: StructureConstants, size: int) -> FormMatrix:
     return out
 
 
-def fm_add(a: FormMatrix, b: FormMatrix) -> FormMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def fm_sub(a: FormMatrix, b: FormMatrix) -> FormMatrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -89,17 +84,17 @@ def fm_is_zero(a: FormMatrix) -> bool:
 
 
 def fm_wedge(a: FormMatrix, b: FormMatrix) -> FormMatrix:
-    size = len(a)
+    """The product a ^ b of an (r x k) and a (k x c) matrix of forms."""
     out: FormMatrix = []
-    for i in range(size):
-        row = []
-        for j in range(size):
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
             acc = None
-            for k in range(size):
-                term = wedge(a[i][k], b[k][j])
+            for x, b_row in zip(row, b):
+                term = wedge(x, b_row[j])
                 acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
+            out_row.append(acc)
+        out.append(out_row)
     return out
 
 
@@ -122,26 +117,6 @@ def fm_parity_pattern_ok(a: FormMatrix, p: int, parity: int = 0) -> bool:
             if f.homogeneous_parity() != want:
                 return False
     return True
-
-
-def row_wedge(y: FormRow, b: FormMatrix) -> FormRow:
-    size = len(b)
-    out = []
-    for j in range(size):
-        acc = None
-        for k in range(size):
-            term = wedge(y[k], b[k][j])
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-def row_d(sc: StructureConstants, y: FormRow) -> FormRow:
-    return [exterior_derivative_generators(sc, f) for f in y]
-
-
-def matrix_times_row(mat: GradedMatrix, y: FormRow) -> FormRow:
-    return [wedge_matrix_form(mat, f) for f in y]
 
 
 # ======================================================================
@@ -194,9 +169,8 @@ class Connection:
         """nabla on a row of forms representing an element of Omega(V)."""
         deg = y[0].degree
         sign = -1 if deg % 2 else 1
-        dy = row_d(self.sc, y)
-        first = row_wedge(dy, self.idempotent)
-        second = row_wedge(y, self.alpha)
+        (first,) = fm_wedge(fm_d(self.sc, [y]), self.idempotent)
+        (second,) = fm_wedge([y], self.alpha)
         return [a + b.scale(sign) for a, b in zip(first, second)]
 
     def curvature(self) -> FormMatrix:
@@ -218,16 +192,6 @@ class Connection:
         lhs = fm_wedge(fm_wedge(self.idempotent, fm_d(sc, r)), self.idempotent)
         rhs = fm_sub(fm_wedge(self.alpha, r), fm_wedge(r, self.alpha))
         return fm_is_zero(fm_sub(lhs, rhs))
-
-
-def connection_difference_is_corner(a: Connection, b: Connection) -> bool:
-    """Two connections over the same projection differ by a module map;
-    its matrix must live in the P-corner."""
-    if a.idempotent != b.idempotent:
-        raise ValueError("connections live over different projections")
-    diff = fm_sub(a.alpha, b.alpha)
-    squeezed = fm_wedge(fm_wedge(a.idempotent, diff), a.idempotent)
-    return squeezed == diff
 
 
 # ======================================================================
@@ -278,24 +242,6 @@ def connection_form_from_rho(
 ) -> GradedForm:
     """alpha = Theta - sum rho_A ^ theta^A on the rank-one free bundle."""
     return canonical_one_form(sc) - rho_one_form(sc, rho)
-
-
-def curvature_from_coefficients(
-    sc: StructureConstants, omega: Sequence[Sequence[GradedMatrix]]
-) -> GradedForm:
-    """R = (1/2) sum Omega_AB ^ theta^A ^ theta^B."""
-    total = GradedForm.zero(sc, 2)
-    for a in range(sc.dim):
-        for b in range(sc.dim):
-            mat = omega[a][b]
-            if mat.is_zero():
-                continue
-            mono = wedge(
-                GradedForm.of(sc, 1, {(a,): GradedMatrix.identity(sc.n, sc.m)}),
-                GradedForm.of(sc, 1, {(b,): GradedMatrix.identity(sc.n, sc.m)}),
-            )
-            total = total + wedge_matrix_form(mat, mono)
-    return total.scale(Fraction(1, 2))
 
 
 def rank_one_connection(sc: StructureConstants, alpha: GradedForm) -> Connection:

@@ -23,10 +23,10 @@ echelon that ranked it, so the block is eliminated once.  The
 elimination of all of d_p (``LinearMapMatrix.rank``, ``kernel``) is kept
 as the test oracle.
 
-The module also carries the body maps that relate the graded complex at
-(n|m) to the classical one of the dominant diagonal block; the tests hold
-the Betti numbers to a self-contained Chevalley-Eilenberg solver for
-ordinary Lie algebras.
+The module also carries the body maps, of forms and of even derivations,
+that relate the graded complex at (n|m) to the classical one of the
+dominant diagonal block; the tests hold the Betti numbers to a
+self-contained Chevalley-Eilenberg solver for ordinary Lie algebras.
 """
 from __future__ import annotations
 
@@ -383,14 +383,6 @@ def body_vector_field(
         raise ValueError("only even derivations descend to the body")
     blk = sc_body.dim
     return DerivationVector(sc_body.basis, tuple(e for e in d.ints if e[0] < blk), d.den)
-
-
-def embed_vector_field(
-    sc: StructureConstants, sc_body: StructureConstants, d: DerivationVector
-) -> DerivationVector:
-    """Lift a body derivation; right inverse to body_vector_field."""
-    ensure_body_adapted(sc, sc_body)
-    return DerivationVector(sc.basis, d.ints, d.den)
 
 
 def body_map_matrix(

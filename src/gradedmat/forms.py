@@ -14,8 +14,8 @@ of the basis derivations; a monomial takes the value
     (theta^(I_1) ^ ... ^ theta^(I_p))(bd_(I_1), ..., bd_(I_p))
         = (-1)^(p''(p''-1)/2) * prod_l N_l!
 
-on its own index tuple (p'' odd entries, multiplicities N_l), which is
-what ties evaluation and coefficient extraction together.
+on its own index tuple (p'' odd entries, multiplicities N_l), the factor
+by which evaluation scales a stored coefficient.
 
 A ``GradedForm`` stores, for each canonical key, the entries of omega_I
 as a ``GradedMatrix`` stores them (sorted (unit, part, numerator)
@@ -52,14 +52,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .basis import HomogeneousBasis
 from .constants import StructureConstants
 from .indexset import (
     canonicalize,
-    enumerate_multi_indices,
-    extraction_prefactor,
     index_parity,
     is_canonical,
     self_evaluation_factor,
@@ -145,17 +143,6 @@ class DerivationVector:
     def basis(sc: StructureConstants, a: int) -> "DerivationVector":
         return DerivationVector(sc.basis, ((a, 0, 1),))
 
-    @staticmethod
-    def from_coords(sc: StructureConstants, coords: Sequence) -> "DerivationVector":
-        """The derivation with x_A = coords[A], each an int, a Fraction or a Scalar."""
-        values = [gaussian(x) for x in coords]
-        if len(values) != sc.dim:
-            raise ValueError("coordinate vector has wrong length")
-        den = lcm(*(q for _, _, q in values))
-        return DerivationVector(sc.basis, tuple(
-            (a, part, y * (den // q)) for a, (re, im, q) in enumerate(values)
-            for part, y in ((0, re), (1, im)) if y), den)
-
     def support(self) -> List[int]:
         return sorted({a for a, _, _ in self.ints})
 
@@ -204,16 +191,6 @@ def derivation_bracket(
                 for cc, v in row.items():
                     acc[cc] = acc.get(cc, 0) + f * v
     return DerivationVector(sc.basis, entries_of(sums), d1.den * d2.den * sc.den)
-
-
-def apply_derivation(
-    sc: StructureConstants, d: DerivationVector, mat: GradedMatrix
-) -> GradedMatrix:
-    """The derivation acting on an algebra element: sum_a x_a [E_a, mat]."""
-    _require_basis(sc.basis, d.sl_basis)
-    brackets = {a: graded_commutator(sc.basis.elements[a], mat) for a in d.support()}
-    return GradedMatrix.from_ints(sc.n, sc.m, *combined(
-        ((brackets[a], *_part_weights(p, x)) for a, p, x in d.ints), d.den))
 
 
 # ======================================================================
@@ -425,7 +402,7 @@ def _combination(sl_basis: HomogeneousBasis, degree: int,
 
 
 # ======================================================================
-# Evaluation and coefficient extraction
+# Evaluation
 # ======================================================================
 
 
@@ -482,44 +459,6 @@ def evaluate(form: GradedForm, derivations: Sequence[DerivationVector]) -> Grade
     rec(0, 1, 0, [])
     den = form.den * prod(dv.den for dv in derivations)
     return GradedMatrix.from_ints(form.n, form.m, entries_of(sums), den)
-
-
-def coefficients_from_values(
-    callback: Callable[[IndexTuple], GradedMatrix],
-    degree: int,
-    sc: StructureConstants,
-    spot_check_alternating: bool = False,
-) -> GradedForm:
-    """Rebuild a form from a graded-alternating value callback.
-
-    ``callback`` receives canonical index tuples and must return the value
-    of the form on the corresponding basis derivations.  The coefficient on
-    a canonical tuple is the raw value times (-1)^(p''(p''-1)/2) / prod N_l!.
-    Alternation is the caller's responsibility; ``spot_check_alternating``
-    samples a few transposed tuples and verifies the sign relation.
-    """
-    coeffs: Dict[IndexTuple, GradedMatrix] = {}
-    checked = 0
-    for key in enumerate_multi_indices(sc.even_dim, sc.odd_dim, degree):
-        raw = callback(key)
-        pref = extraction_prefactor(key, sc.even_dim)
-        mat = raw.scale(pref)
-        if not mat.is_zero():
-            coeffs[key] = mat
-        if spot_check_alternating and checked < 4 and degree >= 2 and not raw.is_zero():
-            swapped = (key[1], key[0]) + key[2:]
-            canon = canonicalize(swapped, sc.even_dim)
-            expect = (
-                GradedMatrix.zero(sc.n, sc.m)
-                if canon is None
-                else raw.scale(canon[1]) if canon[0] == key else None
-            )
-            if expect is not None and callback(swapped) != expect:
-                raise ValueError(
-                    f"callback is not graded-alternating at {swapped}"
-                )
-            checked += 1
-    return GradedForm.of(sc, degree, coeffs)
 
 
 # ======================================================================

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
@@ -283,14 +282,6 @@ class LinearMapMatrix:
         if not linalg.verify_kernel(self.columns, vecs):
             raise AssertionError("a kernel vector is not killed by the matrix")
         return vecs
-
-    def apply(self, vec: Dict[int, Any]) -> Dict[int, Any]:
-        """The image of a sparse vector of ints, Fractions or Scalars.
-
-        Scalars give Scalars; ints and Fractions give Fractions.
-        """
-        inv = Fraction(1, self.den)
-        return {i: s * inv for i, s in linalg.combine(self.columns, vec).items()}
 
     def compose_is_zero(self, inner: "LinearMapMatrix") -> bool:
         """Whether self applied after ``inner`` kills every basis column."""

@@ -8,7 +8,6 @@ ascending order with repeats allowed only among odd entries.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 from typing import List, Optional, Sequence, Tuple
@@ -147,8 +146,3 @@ def self_evaluation_factor(indices: Sequence[int], n_even: int) -> int:
     for mult in multiplicities(indices):
         prod *= factorial(mult)
     return sign * prod
-
-
-def extraction_prefactor(indices: Sequence[int], n_even: int) -> Fraction:
-    """Factor turning the raw value on a canonical tuple into a coefficient."""
-    return Fraction(1, self_evaluation_factor(indices, n_even))

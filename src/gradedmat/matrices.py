@@ -201,15 +201,6 @@ class GradedMatrix:
     # ---- constructors -------------------------------------------------
 
     @staticmethod
-    def from_rows(n: int, m: int, rows: Sequence[Sequence]) -> "GradedMatrix":
-        k = n + m
-        if len(rows) != k or any(len(r) != k for r in rows):
-            raise ValueError(f"expected {k}x{k} rows for shape ({n}|{m})")
-        return GradedMatrix(n, m, (
-            (i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
-        ))
-
-    @staticmethod
     def from_ints(n: int, m: int, entries: IntEntries, den: int) -> "GradedMatrix":
         """The matrix of ``entries`` over ``den`` > 0, put in lowest terms.
 
@@ -289,9 +280,6 @@ class GradedMatrix:
     def is_zero(self) -> bool:
         return not self.ints
 
-    def entry_parity(self, i: int, j: int) -> int:
-        return int((i < self.n) != (j < self.n))
-
     def __eq__(self, other):
         if type(other) is not GradedMatrix:
             return NotImplemented
@@ -361,11 +349,6 @@ class GradedMatrix:
         return GradedMatrix.from_ints(n, m, ev, self.den), \
             GradedMatrix.from_ints(n, m, od, self.den)
 
-    def parity_twist(self) -> "GradedMatrix":
-        """The even part minus the odd part."""
-        return _new(self.n, self.m, tuple(twisted(self.ints, odd_units(self.n, self.m))),
-                    self.den)
-
     def homogeneous_parity(self) -> Optional[int]:
         """0 or 1 for homogeneous matrices, None for mixed.
 
@@ -389,10 +372,6 @@ class GradedMatrix:
             if u % k1 == 0:
                 pair[part] += -y if signed and u >= second else y
         return pair[0], pair[1]
-
-    def trace(self) -> Scalar:
-        re, im = self.diagonal_sum(False)
-        return Scalar(Fraction(re, self.den), Fraction(im, self.den))
 
     def supertrace(self) -> Scalar:
         """Trace of the first diagonal block minus trace of the second."""

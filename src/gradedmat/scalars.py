@@ -90,13 +90,6 @@ class Scalar:
     def __bool__(self):
         return bool(self.re or self.im)
 
-    # ---- properties ---------------------------------------------------
-
-    def as_fraction(self) -> Fraction:
-        if self.im:
-            raise ValueError(f"{self} is not real")
-        return self.re
-
     # ---- formatting ---------------------------------------------------
 
     def __str__(self):

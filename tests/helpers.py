@@ -3,13 +3,14 @@
 Random data, reference implementations and sparse readers shared between
 test modules live here, so that no test module imports another.
 """
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 from gradedmat import linalg
 from gradedmat.bundles import (
     Connection,
-    fm_add,
     fm_sub,
     fm_wedge,
     identity_form_matrix,
@@ -21,6 +22,9 @@ from gradedmat.indexset import enumerate_multi_indices, index_parity, self_evalu
 from gradedmat.matrices import GradedMatrix
 from gradedmat.sampling import random_form, random_homogeneous_matrix
 from gradedmat.scalars import Scalar
+from tests.reference import from_rows
+
+LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
 
 def constants_with(sc, **changes):
@@ -38,7 +42,7 @@ def rand_scalar(rng):
 def rand_matrix(rng, sc):
     size = sc.n + sc.m
     rows = [[rand_scalar(rng) for _ in range(size)] for _ in range(size)]
-    return GradedMatrix.from_rows(sc.n, sc.m, rows)
+    return from_rows(sc.n, sc.m, rows)
 
 
 def sparse_values(form, basis):
@@ -168,8 +172,8 @@ def idempotent_cover_connection(sc, rng):
         [z0, z0, z0],
     ]
     ident = identity_form_matrix(sc, 3)
-    u = fm_add(ident, nil)
-    u_inv = fm_add(fm_sub(ident, nil), fm_wedge(nil, nil))
+    u = [[x + y for x, y in zip(ri, rn)] for ri, rn in zip(ident, nil)]
+    u_inv = fm_sub(ident, fm_sub(nil, fm_wedge(nil, nil)))
     assert fm_wedge(u, u_inv) == ident
     p0 = [
         [ident[i][j] if (i == j and i < 2) else z0 for j in range(3)]
@@ -188,3 +192,14 @@ def idempotent_cover_connection(sc, rng):
     ]
     alpha = fm_wedge(fm_wedge(proj, amb), proj)
     return Connection(sc, 2, 1, proj, alpha)
+
+
+def tracer_targets():
+    """The (module, attribute) pairs that ``perfbench/layertrace.py`` rebinds,
+    read from its source without running it."""
+    targets = []
+    for node in ast.parse(LAYERTRACE.read_text()).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("SPAN_TARGETS", "COUNT_TARGETS")):
+            targets += [(module, attr) for module, attr, _ in ast.literal_eval(node.value)]
+    return targets

@@ -5,13 +5,12 @@ import pytest
 
 from gradedmat.basis import (
     HomogeneousBasis,
-    adjoint_action,
     body_adapted_basis,
     build_sl_basis,
-    derivation_dimension,
 )
 from gradedmat.matrices import GradedMatrix
 from gradedmat.scalars import Scalar
+from tests.reference import adjoint_action, derivation_dimension
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (1, 2), (2, 0), (3, 0)])

@@ -6,26 +6,23 @@ import pytest
 from gradedmat.bundles import (
     Connection,
     conjugated_rho,
-    connection_difference_is_corner,
     connection_form_from_rho,
-    curvature_from_coefficients,
     flat_curvature_coefficients,
     fm_is_zero,
     fm_wedge,
     graded_inverse,
     identity_form_matrix,
     is_graded_free,
-    matrix_times_row,
     rank_one_connection,
     rho_is_flat,
     rho_map_injective,
-    row_wedge,
 )
 from gradedmat.forms import (
     GradedForm,
     canonical_one_form,
     exterior_derivative,
     wedge,
+    wedge_matrix_form,
 )
 from gradedmat.matrices import GradedMatrix
 from gradedmat.scalars import Scalar
@@ -35,6 +32,7 @@ from gradedmat.sampling import (
     random_homogeneous_matrix,
 )
 from tests.helpers import brute_force_free, idempotent_cover_connection
+from tests.reference import connection_difference_is_corner, curvature_from_coefficients
 
 
 def test_graded_freeness_matches_brute_force():
@@ -176,20 +174,20 @@ def test_idempotent_cover_connection(sc21):
     assert conn.bianchi_holds()
     # nabla^2 is right-multiplication by the curvature matrix
     y0 = [random_form(rng, sc21, 0, terms=1) for _ in range(3)]
-    y = row_wedge(y0, conn.idempotent)
+    (y,) = fm_wedge([y0], conn.idempotent)
     n1 = conn.covariant_derivative(y)
     n2 = conn.covariant_derivative(n1)
-    assert n2 == row_wedge(y, curv)
+    assert [n2] == fm_wedge([y], curv)
     # and is module-linear, while nabla itself obeys the Leibniz rule
     mat = random_homogeneous_matrix(rng, 2, 1, 0)
-    my = matrix_times_row(mat, y)
+    my = [wedge_matrix_form(mat, f) for f in y]
     dmat = exterior_derivative(sc21, GradedForm.from_matrix(sc21, mat))
     assert conn.covariant_derivative(my) == [
-        wedge(dmat, f) + g for f, g in zip(y, matrix_times_row(mat, n1))
+        wedge(dmat, f) + wedge_matrix_form(mat, g) for f, g in zip(y, n1)
     ]
     assert conn.covariant_derivative(
         conn.covariant_derivative(my)
-    ) == matrix_times_row(mat, n2)
+    ) == [wedge_matrix_form(mat, f) for f in n2]
 
 
 def test_connection_difference_lives_in_the_corner(sc21):

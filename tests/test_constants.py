@@ -129,7 +129,7 @@ def _fraction_inverse(rows):
     red, pivots = reference_rref([[Scalar.of(x) for x in row] + unit[i]
                                   for i, row in enumerate(rows)])
     assert pivots == list(range(k))
-    return [[x.as_fraction() for x in row[k:]] for row in red]
+    return [[x.re for x in row[k:]] for row in red]
 
 
 def reference_tables(n, m):
@@ -138,12 +138,12 @@ def reference_tables(n, m):
     the identity, and multiply it into every flattened bracket."""
     basis = build_sl_basis(n, m)
     k = basis.dim
-    flats = [[x.as_fraction() for x in e.flat()]
+    flats = [[x.re for x in e.flat()]
              for e in (*basis.elements, GradedMatrix.identity(n, m))]
     inv = _fraction_inverse([list(row) for row in zip(*flats)])
 
     def expand(mat):
-        v = [x.as_fraction() for x in mat.flat()]
+        v = [x.re for x in mat.flat()]
         return [sum(a * b for a, b in zip(row, v)) for row in inv]
 
     c, d, g = {}, {}, [[Fraction(0)] * k for _ in range(k)]

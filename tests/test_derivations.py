@@ -17,13 +17,12 @@ import pytest
 
 from gradedmat import symplectic
 from gradedmat.cli import main
-from gradedmat.cohomology import body_vector_field, embed_vector_field
+from gradedmat.cohomology import body_vector_field
 from gradedmat.constants import constants_for
 from gradedmat.forms import (
     DerivationVector,
     GradedForm,
     _kernel_tables,
-    apply_derivation,
     derivation_bracket,
     evaluate,
     evaluate_on_basis,
@@ -36,6 +35,7 @@ from gradedmat.scalars import ZERO, Scalar
 from gradedmat.symplectic import analyze, canonical_two_form
 from gradedmat.verify import poisson_commutator, run_verify
 from tests.helpers import rand_matrix, ref_interior
+from tests.reference import apply_derivation, embed_vector_field, from_coords
 
 SHAPES = ("sc21", "sc12", "sc20")
 
@@ -48,7 +48,7 @@ def rand_coords(rng, sc):
 
 
 def rand_derivation(rng, sc):
-    return DerivationVector.from_coords(sc, rand_coords(rng, sc))
+    return from_coords(sc, rand_coords(rng, sc))
 
 
 def assert_stored(d):
@@ -110,7 +110,7 @@ def test_sum_scale_and_parity_parts_match_the_coords(name, seed, request):
     sc = request.getfixturevalue(name)
     rng = random.Random(seed)
     c1, c2 = rand_coords(rng, sc), rand_coords(rng, sc)
-    d1, d2 = (DerivationVector.from_coords(sc, c) for c in (c1, c2))
+    d1, d2 = (from_coords(sc, c) for c in (c1, c2))
     assert d1.coords == tuple(c1) and d2.coords == tuple(c2)
     s = Scalar(Fraction(-2, 3), Fraction(5, 4))
     total, scaled = d1 + d2, d1.scale(s)
@@ -170,8 +170,7 @@ def test_vector_field_body_maps_match_the_coords(name, sc20, request):
     sc = request.getfixturevalue(name)
     rng = random.Random(7)
     blk = sc20.dim
-    up = DerivationVector.from_coords(sc, rand_coords(rng, sc)[:sc.even_dim]
-                                      + [0] * sc.odd_dim)
+    up = from_coords(sc, rand_coords(rng, sc)[:sc.even_dim] + [0] * sc.odd_dim)
     down = body_vector_field(sc, sc20, up)
     assert down.coords == up.coords[:blk]
     assert_stored(down)

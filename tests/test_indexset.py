@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +12,6 @@ from gradedmat.indexset import (
     canonicalize,
     commutation_factor,
     enumerate_multi_indices,
-    extraction_prefactor,
     index_count,
     index_parity,
     is_canonical,
@@ -23,6 +22,7 @@ from gradedmat.indexset import (
 )
 from gradedmat.matrices import GradedMatrix
 from gradedmat.verify import composition_rule, crossing_count
+from tests.reference import extraction_prefactor
 
 NE, NO = 4, 4  # the (2|1) split
 

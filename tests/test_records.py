@@ -6,10 +6,8 @@ loads neither ``dataclasses`` nor ``inspect``; no json command loads
 rely on: immutability, which fields equality reads, a derivation's lowest
 terms, and hashing where every field is hashable.
 """
-import importlib.util
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -18,9 +16,7 @@ from gradedmat.cohomology import differential_matrix
 from gradedmat.constants import constants_for
 from gradedmat.forms import DerivationVector
 from gradedmat.formspace import FormBasis, LinearMapMatrix, d_matrix
-from tests.helpers import constants_with
-
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+from tests.helpers import constants_with, tracer_targets
 
 
 @pytest.mark.parametrize("record, field", [
@@ -72,14 +68,6 @@ def test_bases_hash_by_value():
     assert first != build_sl_basis(1, 2)
 
 
-def _traced_modules():
-    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
-    return {"gradedmat." + module
-            for module, _, _ in layertrace.SPAN_TARGETS + layertrace.COUNT_TARGETS}
-
-
 def test_cli_import_loads_the_traced_modules_and_no_dataclasses():
     code = ("import sys; before = set(sys.modules); import gradedmat.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
@@ -87,7 +75,7 @@ def test_cli_import_loads_the_traced_modules_and_no_dataclasses():
     assert proc.returncode == 0, proc.stderr
     new = set(proc.stdout.split())
     assert not {"dataclasses", "inspect"} & new, sorted(new)
-    traced = _traced_modules()
+    traced = {"gradedmat." + module for module, _ in tracer_targets()}
     assert len(traced) > 5
     assert traced <= new, sorted(traced - new)
 

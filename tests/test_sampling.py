@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 
 from gradedmat.formspace import FormBasis
-from gradedmat.matrices import GradedMatrix
 from gradedmat.sampling import random_even_invertible, random_form, random_matrix
 from gradedmat.scalars import Scalar
+from tests.reference import from_rows
 
 
 def reference_scalar(rng, span):
@@ -23,7 +23,7 @@ def reference_scalar(rng, span):
 def reference_matrix(rng, n, m, span=3):
     k = n + m
     rows = [[reference_scalar(rng, span) for _ in range(k)] for _ in range(k)]
-    return GradedMatrix.from_rows(n, m, rows)
+    return from_rows(n, m, rows)
 
 
 def reference_even_invertible(rng, n, m, span=2):
@@ -44,9 +44,9 @@ def reference_even_invertible(rng, n, m, span=2):
                 up[i][j] = reference_scalar(rng, span)
     diag = [[Scalar.of(rng.choice([x for x in range(-span, span + 1) if x])
                        if i == j else 0) for j in range(k)] for i in range(k)]
-    out = GradedMatrix.from_rows(n, m, lo)
-    out = out @ GradedMatrix.from_rows(n, m, diag)
-    return out @ GradedMatrix.from_rows(n, m, up)
+    out = from_rows(n, m, lo)
+    out = out @ from_rows(n, m, diag)
+    return out @ from_rows(n, m, up)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (1, 2), (3, 1), (2, 0)])

@@ -8,7 +8,6 @@ from gradedmat.constants import constants_for
 from gradedmat.forms import (
     DerivationVector,
     GradedForm,
-    apply_derivation,
     canonical_one_form,
 )
 from gradedmat.matrices import GradedMatrix, graded_commutator
@@ -28,6 +27,7 @@ from gradedmat.verify import (
     poisson_leibniz,
 )
 from tests.helpers import rand_form, rand_matrix
+from tests.reference import apply_derivation
 
 
 def test_canonical_two_form_is_symplectic(sc21):
