@@ -542,35 +542,6 @@ def _interior_support(d: DerivationVector, form: GradedForm) -> List[IndexTuple]
                    for j, a in enumerate(key) if a in sup})
 
 
-def lie_derivative(
-    sc: StructureConstants, d: DerivationVector, form: GradedForm
-) -> GradedForm:
-    """Lie derivative along an arbitrary derivation, by the evaluation sum.
-
-    The sign-bearing formula applies to homogeneous data, so the form is
-    split into parity parts, each basis derivation being homogeneous; the
-    L_a of the parts are summed with the coordinates x_a as weights.
-    """
-    _require_basis(sc.basis, d.sl_basis)
-    _require_basis(sc.basis, form.sl_basis)
-    fparts = [(par, w) for par, w in enumerate(form.parity_parts()) if not w.is_zero()]
-    lie = {a: [_lie_basis_homogeneous(sc, a, w, par) for par, w in fparts]
-           for a in d.support()}
-    return _combination(sc.basis, form.degree, [
-        (w, *_part_weights(part, x)) for a, part, x in d.ints for w in lie[a]
-    ], d.den)
-
-
-def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
-    """Exterior derivative via the alternating evaluation formula."""
-    _require_basis(sc.basis, form.sl_basis)
-    out = GradedForm.zero(sc, form.degree + 1)
-    for fpar, fpart in enumerate(form.parity_parts()):
-        if not fpart.is_zero():
-            out = out + _exterior_derivative_homogeneous(sc, fpart, fpar)
-    return out
-
-
 # ======================================================================
 # The evaluation route: the independent oracle
 # ======================================================================
@@ -585,17 +556,27 @@ def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
 # tuple's weights are multiplied by that lcm over its own factor.  Only the
 # tuples that some stored key can reach are visited.
 #
+# The sum runs once over the whole form, whatever its parity.  A term's
+# sign depends on the parity of the coefficient only where an odd index
+# passes it: an odd E_(I_l) bracketed with w in d, an odd E_a moving past w
+# in the structure-constant terms of L_a.  There, an entry of M_K of total
+# parity q (its unit's plus K's) enters with (-1)^q, so the term reads the
+# parity-twisted coefficient (-1)^|K| ``twisted(M_K)`` in place of M_K.
+# The structure-constant terms of d carry no parity sign.
+#
 # The route reads only its own tables (``_oracle_tables``,
 # ``_oracle_reach``), built once per constants object from ``sc.c`` and
 # the basis elements: it shares no table with the column kernel below, and
 # it brackets by its own entry-wise rule (``_unit_brackets``), not by
 # ``graded_commutator``.  Within one call each argument tuple is
-# canonicalised once (``_ValueWeights``) and each [E_b, M_K] is summed
-# once from the unit brackets of E_b, one table row per entry of M_K.
+# canonicalised once (``_ValueWeights``) and each term's entries are summed
+# once (``_Terms``), [E_b, M_K] from the unit brackets of E_b, one table row
+# per entry of M_K.
 
-# (b, K) -> weight of [E_b, M_K] in one tuple's value, an integer over the
-# oracle's table denominator; b None for M_K
-Weights = Dict[Tuple[Optional[int], IndexTuple], int]
+# (b, K, twist) -> weight of [E_b, M_K] in one tuple's value, an integer
+# over the oracle's table denominator; b None for M_K itself, twist 1 for
+# the parity-twisted M_K
+Weights = Dict[Tuple[Optional[int], IndexTuple, int], int]
 
 
 def _add(acc: Dict, i, v) -> None:
@@ -706,6 +687,30 @@ def _bracketed(units: List[List[Tuple[int, int]]], entries: IntEntries) -> IntEn
     return [(v, part, s) for part in (0, 1) for v, s in acc[part].items() if s]
 
 
+class _Terms(dict):
+    """The ``IntEntries`` of each term (b, K, twist) of one call of the
+    oracle, over the form's denominator, summed on first use: M_K, with
+    each entry of odd total parity negated when ``twist``, bracketed by E_b
+    unless b is None."""
+
+    def __init__(self, form: GradedForm, bracket: List[List[List[Tuple[int, int]]]]):
+        super().__init__()
+        self.form, self.bracket = form, bracket
+        self.odd = odd_units(form.n, form.m)
+
+    def __missing__(self, term: Tuple[Optional[int], IndexTuple, int]) -> IntEntries:
+        b, key, twist = term
+        entries = self.form.ints[key]
+        if twist:
+            entries = twisted(entries, self.odd)
+            if tuple_parity(key, self.form.n_even):
+                entries = [(u, part, -y) for u, part, y in entries]
+        if b is not None:
+            entries = _bracketed(self.bracket[b], entries)
+        self[term] = entries
+        return entries
+
+
 def _oracle_reach(sc: StructureConstants) -> tuple:
     """(``pairs``, ``moves``), built on first use and kept in ``sc.cache``.
 
@@ -760,35 +765,34 @@ def _lie_support(
     return sorted(t for t in out if is_canonical(t, sc.even_dim))
 
 
-def _weighted_parts(
-    ints: Dict[IndexTuple, IntEntries], weights: Weights, mult: int, memo: Dict,
-    bracket: List[List[List[Tuple[int, int]]]],
-) -> Parts:
-    """The sum of the weighted M_K and [E_b, M_K], times ``mult``.
-
-    ``ints`` are the form's entries; ``memo`` keeps, for one call of the
-    route, the ``IntEntries`` of each [E_b, M_K] over the same denominator,
-    summed from the unit brackets ``bracket[b]``.
-    """
+def _weighted_parts(terms: _Terms, weights: Weights, mult: int) -> Parts:
+    """The sum of the weighted terms of ``weights``, times ``mult``."""
     parts: Parts = ({}, {})
     for bk, w in weights.items():
-        if not w:
-            continue
-        b, key = bk
-        if b is None:
-            entries = ints[key]
-        else:
-            entries = memo.get(bk)
-            if entries is None:
-                entries = memo[bk] = _bracketed(bracket[b], ints[key])
-        add_times(parts, entries, w * mult)
+        if w:
+            add_times(parts, terms[bk], w * mult)
     return parts
 
 
-def _lie_basis_homogeneous(
-    sc: StructureConstants, a: int, form: GradedForm, form_parity: int
+def lie_derivative(
+    sc: StructureConstants, d: DerivationVector, form: GradedForm
 ) -> GradedForm:
-    """Lie derivative along a basis derivation of a parity-homogeneous form.
+    """Lie derivative along an arbitrary derivation, by the evaluation sum.
+
+    One sum over the whole form per basis derivation a in the support
+    (``_lie_basis``), whatever the form's parity; the L_a are summed with
+    the coordinates x_a as weights.
+    """
+    _require_basis(sc.basis, d.sl_basis)
+    _require_basis(sc.basis, form.sl_basis)
+    lie = {a: _lie_basis(sc, a, form) for a in d.support()}
+    return _combination(sc.basis, form.degree, [
+        (lie[a], *_part_weights(part, x)) for a, part, x in d.ints
+    ], d.den)
+
+
+def _lie_basis(sc: StructureConstants, a: int, form: GradedForm) -> GradedForm:
+    """Lie derivative along the basis derivation a, one sum over the form.
 
     (L_a w)(I) = [E_a, w(I)] - sum_l sign_l sum_cc c_(a,I_l)^cc w(.., cc, ..).
     """
@@ -798,7 +802,7 @@ def _lie_basis_homogeneous(
     t = _oracle_tables(sc)
     ca, den = t.c[a], t.den
     value = _ValueWeights(form)
-    memo: Dict = {}
+    terms = _Terms(form, t.bracket)
     out: Dict[IndexTuple, Parts] = {}
     keys = _lie_support(sc, a, form)
     div = lcm(*(t.sef[key] for key in keys))
@@ -806,34 +810,34 @@ def _lie_basis_homogeneous(
         weights: Weights = {}
         got, f = value[key]
         if got is not None:
-            weights[(a, got)] = f * den
-        acc = form_parity
+            weights[(a, got, 0)] = f * den
+        acc = 0
         for l in range(p):
+            # an odd E_a also passes the coefficient: the twisted M_K
             sign = -1 if (pa and acc % 2) else 1
             for cc, v in ca[key[l]]:
                 got, f = value[key[:l] + (cc,) + key[l + 1:]]
                 if got is not None:
-                    _add(weights, (None, got), -sign * f * v)
+                    _add(weights, (None, got, pa), -sign * f * v)
             acc += index_parity(key[l], ne)
-        out[key] = _weighted_parts(form.ints, weights, div // t.sef[key], memo,
-                                   t.bracket)
+        out[key] = _weighted_parts(terms, weights, div // t.sef[key])
     return _normal(form.sl_basis, p, out, form.den * den * div)
 
 
-def _exterior_derivative_homogeneous(
-    sc: StructureConstants, form: GradedForm, form_parity: int
-) -> GradedForm:
-    """The alternating-sum exterior derivative of a parity-homogeneous form.
+def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
+    """Exterior derivative via the alternating evaluation formula, one sum
+    over the whole form whatever its parity.
 
     (dw)(I) = sum_l sign_l [E_(I_l), w(I without I_l)]
               + sum_(l<l') sign_(l,l') sum_cc c_(I_l,I_l')^cc w(.., cc, ..).
     """
+    _require_basis(sc.basis, form.sl_basis)
     p = form.degree
     ne = form.n_even
     t = _oracle_tables(sc)
     c, den = t.c, t.den
     value = _ValueWeights(form)
-    memo: Dict = {}
+    terms = _Terms(form, t.bracket)
     out: Dict[IndexTuple, Parts] = {}
     keys = _d_support(sc, form)
     div = lcm(*(t.sef[key] for key in keys))
@@ -844,8 +848,9 @@ def _exterior_derivative_homogeneous(
         for l in range(p + 1):
             got, f = value[key[:l] + key[l + 1:]]
             if got is not None:
-                exp = l + degs[l] * (form_parity + acc)
-                _add(weights, (key[l], got), -f * den if exp % 2 else f * den)
+                # an odd E_(I_l) also passes the coefficient: the twisted M_K
+                exp = l + degs[l] * acc
+                _add(weights, (key[l], got, degs[l]), -f * den if exp % 2 else f * den)
             acc += degs[l]
         for l in range(p + 1):
             cl = c[key[l]]
@@ -856,10 +861,9 @@ def _exterior_derivative_homogeneous(
                     args = key[:l] + (cc,) + key[l + 1: lp] + key[lp + 1:]
                     got, f = value[args]
                     if got is not None:
-                        _add(weights, (None, got), sign * f * v)
+                        _add(weights, (None, got, 0), sign * f * v)
                 between += degs[lp]
-        out[key] = _weighted_parts(form.ints, weights, div // t.sef[key], memo,
-                                   t.bracket)
+        out[key] = _weighted_parts(terms, weights, div // t.sef[key])
     return _normal(form.sl_basis, p + 1, out, form.den * den * div)
 
 

@@ -8,7 +8,8 @@ Label (I, r, c) sits at position t * (n+m)^2 + u for I the t-th canonical
 tuple and u = r * (n+m) + c, the unit numbering of the kernel tables of
 ``forms``.  Positions and weights are computed from one cached tuple list
 per degree; no list of labels is built.  A basis holds every label of its
-degree or, by ``zero_weight``, those of weight 0.
+degree or those at given positions (``restricted``), such as the labels of
+weight 0 (``zero_weight``).
 
 A ``LinearMapMatrix`` holds its column basis, its row count and integer
 numerators over one denominator ``den``.  The matrices of d and of the
@@ -102,7 +103,7 @@ class FormBasis(Sequence[Label]):
     """The basis of the degree-p forms in label order, as a read-only sequence.
 
     ``positions`` are the full-basis positions of its labels, all of them or
-    those of weight 0; no list of labels is built.  Bases are equal when
+    those given to ``restricted``; no list of labels is built.  Bases are equal when
     their (n|m), algebra basis, degree and positions are.
     """
 
@@ -144,8 +145,18 @@ class FormBasis(Sequence[Label]):
         only lambda = 0 vanishes on every diagonal h, so these labels hold
         every invariant form and every class of H^p.  They are even: a label's
         parity is its weight's coordinate sum over the odd block, mod 2."""
+        return self.restricted(self._weight_tables()[1])
+
+    def restricted(self, positions: Sequence[int]) -> "FormBasis":
+        """The labels at ``positions``, strictly increasing full-basis
+        positions of this degree, in label order; the sequence is kept, not
+        copied."""
+        inside = not positions or (
+            0 <= positions[0] and positions[-1] < len(self.tuples) * self.units)
+        if not inside or any(j <= i for i, j in zip(positions, positions[1:])):
+            raise ValueError("positions must increase strictly inside the full basis")
         sub = FormBasis(self.sc, self.p)
-        sub.positions = self._weight_tables()[1]
+        sub.positions = positions
         return sub
 
     def offset(self, key: Tuple[int, ...]) -> int:

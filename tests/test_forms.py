@@ -27,7 +27,7 @@ from gradedmat.forms import (
     wedge_form_matrix,
     wedge_matrix_form,
 )
-from gradedmat.formspace import FormBasis, lie_matrix
+from gradedmat.formspace import FormBasis, form_to_sparse, lie_matrix
 from gradedmat.indexset import (
     canonicalize,
     commutation_factor,
@@ -385,6 +385,71 @@ def test_oracle_tables_are_built_once_per_constants(sc21):
     assert other.cache[("oracle_tables",)] is not tables
     assert other.cache[("oracle_tables",)].bracket is not tables.bracket
     assert other.cache[("oracle_tables",)].sef is not tables.sef
+
+
+# ---- the oracle's one pass over both parities ---------------------------
+#
+# The oracle sums once over a form of mixed parity, reading the
+# parity-twisted coefficient wherever an odd index passes it.  Its d must
+# equal the kernel's, and its L_a the columns of ``lie_matrix``; with the
+# twist made the identity, each mixed form must be caught.
+
+
+def mixed_forms(sc, rng):
+    """Forms of degrees 0-2 whose even and odd parts are both nonzero; (2|0)
+    has no odd part, so there every form is even."""
+    out = []
+    for p in range(3):
+        w = random_form(rng, sc, p)
+        while sc.odd_dim and w.homogeneous_parity() is not None:
+            w = random_form(rng, sc, p)
+        out.append(w)
+    return out
+
+
+def lie_columns_applied(sc, a, w):
+    """L_a w from the ``lie_matrix`` columns at the labels of w, as exact
+    values {(position, part): value}."""
+    full = FormBasis(sc, w.degree)
+    entries, den = form_to_sparse(w, full)
+    sub = full.restricted(sorted({i for i, _, _ in entries}))
+    mat = lie_matrix(sub, a)
+    column = dict(zip(sub.positions, mat.columns))
+    out = {}
+    for i, part, y in entries:
+        for r, v in column[i].items():
+            out[r, part] = out.get((r, part), 0) + Fraction(v * y, mat.den * den)
+    return {key: v for key, v in out.items() if v}
+
+
+def oracle_mismatches(sc, ws):
+    """(degree, map) for each map where the oracle differs from the kernel."""
+    bad = []
+    for w in ws:
+        if exterior_derivative(sc, w) != exterior_derivative_generators(sc, w):
+            bad.append((w.degree, "d"))
+        for a in range(sc.dim):
+            entries, den = form_to_sparse(
+                lie_derivative(sc, DerivationVector.basis(sc, a), w), FormBasis(sc, w.degree))
+            want = {(i, part): Fraction(y, den) for i, part, y in entries}
+            if lie_columns_applied(sc, a, w) != want:
+                bad.append((w.degree, f"L_{a}"))
+    return bad
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_oracle_takes_both_parities_in_one_pass(name, request, monkeypatch):
+    sc = request.getfixturevalue(name)
+    ws = mixed_forms(sc, random.Random(17))
+    assert oracle_mismatches(sc, ws) == [], name
+    if not sc.odd_dim:
+        return
+    # without the twist d is wrong on each mixed form, and so is L_a on
+    # each one of degree 1 or 2 (a 0-form has no structure-constant term)
+    monkeypatch.setattr(forms, "twisted", lambda entries, odd: entries)
+    bad = oracle_mismatches(sc, ws)
+    assert {p for p, what in bad if what == "d"} == {0, 1, 2}, (name, bad)
+    assert {p for p, what in bad if what != "d"} == {1, 2}, (name, bad)
 
 
 @pytest.mark.parametrize("factor", [Fraction(1, 2), Scalar(0, 1)])

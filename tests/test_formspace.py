@@ -114,6 +114,31 @@ def test_form_basis_positions_and_restrictions(sc21, sc12_adapted):
     assert FormBasis(sc12_adapted, 1) != FormBasis(constants_for(1, 2), 1)
 
 
+@pytest.mark.parametrize("name", ["sc21", "sc31"])
+def test_d_matrix_on_a_restricted_basis_equals_the_full_columns(name, request):
+    sc = request.getfixturevalue(name)
+    rng = random.Random(3)
+    for p in range(3):
+        full = FormBasis(sc, p)
+        whole = d_matrix(full)
+        for size in (0, 1, min(40, len(full)), len(full)):
+            positions = sorted(rng.sample(range(len(full)), size))
+            sub = full.restricted(positions)
+            assert sub.positions is positions
+            assert list(sub) == [full[i] for i in positions]
+            assert [sub.index(full[i]) for i in positions] == list(range(size))
+            part = d_matrix(sub)
+            assert part.basis == sub
+            assert (part.nrows, part.den) == (whole.nrows, whole.den)
+            assert part.columns == [whole.columns[i] for i in positions], (name, p, size)
+        # the weight-0 labels are one restriction
+        zero = full.zero_weight()
+        assert full.restricted(zero.positions) == zero
+        for bad in ([1, 0], [0, 0], [-1], [len(full)]):
+            with pytest.raises(ValueError, match="increase strictly"):
+                full.restricted(bad)
+
+
 def test_basis_form_sparse_round_trip(sc21):
     labels = FormBasis(sc21, 2)
     for j in range(0, len(labels), 37):

@@ -7,11 +7,14 @@ form) and must return a counterexample, next to the same call on the true
 input, which must return None.
 """
 import json
+import random
 
 import pytest
 
-from gradedmat import verify
+from gradedmat import forms, verify
 from gradedmat.cli import main
+from gradedmat.constants import constants_for
+from gradedmat.formspace import FormBasis, basis_form
 from gradedmat.forms import (
     GradedForm,
     canonical_one_form,
@@ -163,3 +166,46 @@ def test_symplectic_identities_catch_a_wrong_form(sc21):
     other = SymplecticForm(sc21, wedge(frame_form(sc21, 0), odd_one_form(sc21)),
                            _trusted=sym._system)
     assert verify.hamiltonian_invariance(sc21, other, mat) is not None
+
+
+# ---- d d = 0 on basis monomials, read off the integer columns of d_p ----
+
+MONOMIALS = "d twice kills basis monomials (generator route, degree <= 2)"
+
+
+def monomial_check(sc, seed):
+    return next(c for c in verify.suite_cartan(sc, seed).checks if c.name == MONOMIALS)
+
+
+@pytest.mark.parametrize("n, m, frame_index", [(2, 1, 3), (2, 1, 6), (1, 2, 5)])
+def test_monomial_check_names_the_label_the_form_loop_names(n, m, frame_index):
+    # a kernel whose d theta^A is off: its d d is not zero, and the check
+    # must name the first label that d d on the basis form does not kill
+    sc = constants_for(n, m)
+    table = forms._kernel_tables(sc).frame[frame_index]
+    cc, b, v = table[0]
+    table[0] = (cc, b, 2 * v)
+    for key in [key for key in sc.cache if key[0] == "d_tuple"]:
+        del sc.cache[key]
+    want = next(f"label={lab}" for p in range(3) for lab in FormBasis(sc, p)
+                if verify.d_squared(sc, basis_form(sc, lab), exterior_derivative_generators))
+    check = monomial_check(sc, 0)
+    assert (check.passed, check.counterexample) == (False, want)
+
+
+def test_monomial_check_samples_the_labels_of_a_wide_degree(sc21, sc31, monkeypatch):
+    # (2|1) checks every label of degrees 0-2; (3|1) every label of degrees
+    # 0 and 1 and, of its 1776 at degree 2, the 120 that the suite's first
+    # draw picks, in label order
+    assert monomial_check(sc21, 0) == (MONOMIALS, True, None, "369 monomials")
+    seen = []
+    real = verify.d_squared_on_labels
+
+    def recorded(basis):
+        seen.extend(basis)
+        return real(basis)
+
+    monkeypatch.setattr(verify, "d_squared_on_labels", recorded)
+    assert monomial_check(sc31, 0) == (MONOMIALS, True, None, "376 monomials")
+    drawn = sorted(random.Random(0).sample(FormBasis(sc31, 2), 120))
+    assert seen == list(FormBasis(sc31, 0)) + list(FormBasis(sc31, 1)) + drawn
