@@ -19,6 +19,7 @@ naming the degree and the label on stderr, with no report.
 from __future__ import annotations
 
 import argparse
+import gc
 import random
 import sys
 import zlib
@@ -218,5 +219,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry of ``python -m gradedmat`` and the ``gradedmat``
+    script: ``main()`` on ``sys.argv``, after ``gc.freeze()``.
+
+    By now every module of the package is imported, and what the import
+    built lives until the process exits.  Frozen, the collector never walks
+    it again: not in a collection during the command, nor in the full
+    collections of interpreter shutdown.  Reference counting still frees
+    it.  ``main`` itself never freezes, so a library caller that runs
+    commands in its own process keeps normal collection of its objects.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

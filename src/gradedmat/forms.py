@@ -395,10 +395,20 @@ def _combination(sl_basis: HomogeneousBasis, degree: int,
     den = lcm(*(w.den for w, _, _ in terms))
     parts: Dict[IndexTuple, Parts] = {}
     for w, a, b in terms:
+        if not (a or b):
+            continue
         f = den // w.den
         for key, entries in w.ints.items():
-            add_times(parts.setdefault(key, ({}, {})), entries, a * f, b * f)
+            add_times(_sums_at(parts, key), entries, a * f, b * f)
     return _normal(sl_basis, degree, parts, den * q)
+
+
+def _sums_at(parts: Dict[IndexTuple, Parts], key: IndexTuple) -> Parts:
+    """The sums of ``key`` in ``parts``, made empty at its first use."""
+    got = parts.get(key)
+    if got is None:
+        got = parts[key] = ({}, {})
+    return got
 
 
 # ======================================================================
@@ -487,10 +497,7 @@ def wedge(w1: GradedForm, w2: GradedForm) -> GradedForm:
             if canon is None:
                 continue
             key, csign = canon
-            got = parts.get(key)
-            if got is None:
-                got = parts[key] = ({}, {})
-            add_product(got, e1, rows[k2], k, csign)
+            add_product(_sums_at(parts, key), e1, rows[k2], k, csign)
     return _normal(w1.sl_basis, w1.degree + w2.degree, parts, w1.den * w2.den)
 
 
@@ -974,14 +981,19 @@ def exterior_derivative_generators(
     for key, entries in form.ints.items():
         moved, frame = _d_tuple(sc, key)
         for table, out, sign in moved:
-            got = parts.setdefault(out, ({}, {}))
+            got = None
             for u, part, y in entries:
+                row = table[u]
+                if not row:
+                    continue
+                if got is None:
+                    got = _sums_at(parts, out)
                 f = y if sign == 1 else -y
                 acc = got[part]
-                for i, v in table[u]:
+                for i, v in row:
                     acc[i] = acc.get(i, 0) + f * v
         for out, v in frame:
-            add_times(parts.setdefault(out, ({}, {})), entries, v)
+            add_times(_sums_at(parts, out), entries, v)
     return _normal(form.sl_basis, form.degree + 1, parts, form.den * den)
 
 

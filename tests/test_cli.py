@@ -264,3 +264,43 @@ def test_report_matches_the_reference_digest(name, capsys):
     report["config"]["build"] = "*"
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == spec["digest"]
+
+
+# ---- the process entry freezes the import; main never does -------------
+#
+# ``python -m gradedmat`` and the ``gradedmat`` script start through
+# ``cli.run``, which calls gc.freeze() once the package is imported, so the
+# collector never walks what the import built again.  ``cli.main`` is also
+# the library's way to run a command in-process, and must leave the
+# caller's collection alone.  Each probe runs in a fresh interpreter and
+# reads the freeze count from an atexit hook, i.e. as the process ends.
+
+FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"freeze_count={gc.get_freeze_count()}\\n"))
+sys.argv = ["gradedmat", "constants", "--n", "2", "--m", "1"]
+"""
+
+
+def frozen_at_exit(entry):
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE + entry],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["config"]["command"] == "constants"
+    return int(re.search(r"^freeze_count=(\d+)$", proc.stderr, re.M).group(1))
+
+
+def test_python_m_gradedmat_freezes_the_import():
+    entry = "import runpy; runpy.run_module('gradedmat', run_name='__main__', alter_sys=True)"
+    assert frozen_at_exit(entry) > 0
+
+
+def test_the_console_script_freezes_the_import():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, attr = re.search(r'^gradedmat\s*=\s*"([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    # what the script that pip generates for [project.scripts] runs
+    assert frozen_at_exit(f"from {module} import {attr}; sys.exit({attr}())") > 0
+
+
+def test_main_in_process_never_freezes():
+    assert frozen_at_exit("from gradedmat import cli; sys.exit(cli.main(sys.argv[1:]))") == 0
