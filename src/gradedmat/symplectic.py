@@ -5,10 +5,10 @@ exactly one derivation solution D_M for every matrix M.  The solve runs
 over first-slot contractions against the basis derivations: the columns
 iota_(bd_B) omega are vectorized as 1-forms and the coordinate vector of
 D_M is the unique preimage of -dM.  That contraction system is factored
-once per form (``linalg.factor``, which inverts one rank-sized block of
-it); the rank test, the probes and every Hamiltonian field reuse that
-inverse, and each field is returned only after it solves the whole
-system exactly.  The differentials dM and d omega come from the kernel
+once per form (``linalg.factor``, one elimination of its tagged columns);
+the rank test, the probes and every Hamiltonian field reuse that echelon,
+and each field is returned only after it solves the whole system
+exactly.  The differentials dM and d omega come from the kernel
 route (``exterior_derivative_generators``); the evaluation sum is left to
 the verify suites and the tests.
 
@@ -82,7 +82,8 @@ class SymplecticForm:
         system, basis, den = self._system
         rhs, rhs_den = _minus_differential(sc, mat, basis)
         x, x_den = system.solve(rhs)
-        # the system is the contraction columns times den, so D = den x / rhs_den
+        # x solves the contraction columns times den (one reduction of -dM
+        # against the factored echelon), so D = den x / (x_den rhs_den)
         return DerivationVector(sc.basis, tuple((b, part, den * y) for b, part, y in x),
                                 x_den * rhs_den)
 

@@ -301,10 +301,11 @@ def test_factored_solve_raises_like_the_rref_solve():
 
 
 def test_a_corrupted_factorization_cannot_return_a_wrong_answer():
-    # b = A x is in the column space and nonzero on every row of the block,
-    # so a wrong entry of the block inverse, or a wrong denominator, gives a
-    # wrong candidate, which the check on all of A must refuse; the complex
-    # system is factored through its realified 4 x 4 block
+    # b = A x is in the column space.  One entry of one stored pivot vector,
+    # on a row of A or on a tag, off by one, changes how b reduces; the solve
+    # must then return the true x or refuse b, and a wrong candidate is
+    # refused only by the check on all of A.  The complex system is factored
+    # through its realified columns.
     cases = [
         ([[2, 1], [1, 1], [1, 0]], [1, 1]),
         ([[Scalar(2, 1), 1], [1, Scalar(1, -1)], [Scalar(0, 1), 0]],
@@ -315,19 +316,18 @@ def test_a_corrupted_factorization_cannot_return_a_wrong_answer():
         x = [Scalar.of(v) for v in x]
         b = _matvec(a, x)
         fact = linalg.factor(_int_columns(a))
-        r = len(fact.pivot_rows)
-        assert r == (2 if fact.realified else 1) * len(x)
-        for i in range(r):
-            for j in range(r):
-                fact = linalg.factor(_int_columns(a))
-                assert _solve(fact, b) == x
-                fact.block_inverse[i][j] += 1
-                with pytest.raises(ValueError, match="inconsistent"):
-                    fact.solve(_entries(b))
-        fact = linalg.factor(_int_columns(a))
-        fact.den += 1
-        with pytest.raises(ValueError, match="inconsistent"):
-            fact.solve(_entries(b))
+        assert fact.rank == len(x)
+        cells = [(lead, key) for lead, piv in fact.echelon.pivot_rows.items() for key in piv]
+        assert len(cells) > len(fact.columns)
+        refused = 0
+        for lead, key in cells:
+            fact = linalg.factor(_int_columns(a))
+            assert _solve(fact, b) == x
+            fact.echelon.pivot_rows[lead][key] += 1
+            got = _outcome(_solve, fact, b)
+            assert got in (x, "inconsistent linear system")
+            refused += got != x
+        assert refused
 
 
 def _contraction_reference(sc, form):
