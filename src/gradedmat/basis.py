@@ -168,6 +168,23 @@ def _odd_elements(n: int, m: int) -> List[GradedMatrix]:
     return upper + lower
 
 
+def _assembled(n: int, m: int, second_block_first: bool) -> HomogeneousBasis:
+    """The validated basis: the even groups in the documented order, or with
+    the second diagonal block's groups ahead of the first's when
+    ``second_block_first``, then the odd elements."""
+    off1, cart1, bridge, off2, cart2 = _even_block_groups(n, m)
+    if second_block_first:
+        even = off2 + cart2 + bridge + off1 + cart1
+    else:
+        even = off1 + cart1 + bridge + off2 + cart2
+    odd = _odd_elements(n, m)
+    basis = HomogeneousBasis(
+        n, m, tuple(even + odd), tuple([0] * len(even) + [1] * len(odd))
+    )
+    basis.validate()
+    return basis
+
+
 def build_sl_basis(n: int, m: int) -> HomogeneousBasis:
     """The canonical basis in the ordering documented at module level."""
     if n < 1 or m < 0:
@@ -177,14 +194,7 @@ def build_sl_basis(n: int, m: int) -> HomogeneousBasis:
             "n == m is not supported: the bridge direction degenerates and "
             "the quadratic pairing is singular"
         )
-    off1, cart1, bridge, off2, cart2 = _even_block_groups(n, m)
-    even = off1 + cart1 + bridge + off2 + cart2
-    odd = _odd_elements(n, m)
-    basis = HomogeneousBasis(
-        n, m, tuple(even + odd), tuple([0] * len(even) + [1] * len(odd))
-    )
-    basis.validate()
-    return basis
+    return _assembled(n, m, second_block_first=False)
 
 
 def body_adapted_basis(n: int, m: int) -> HomogeneousBasis:
@@ -197,14 +207,4 @@ def body_adapted_basis(n: int, m: int) -> HomogeneousBasis:
     """
     if n == m:
         raise ValueError("body is undefined for n == m")
-    off1, cart1, bridge, off2, cart2 = _even_block_groups(n, m)
-    if n > m:
-        even = off1 + cart1 + bridge + off2 + cart2
-    else:
-        even = off2 + cart2 + bridge + off1 + cart1
-    odd = _odd_elements(n, m)
-    basis = HomogeneousBasis(
-        n, m, tuple(even + odd), tuple([0] * len(even) + [1] * len(odd))
-    )
-    basis.validate()
-    return basis
+    return _assembled(n, m, second_block_first=n < m)

@@ -102,18 +102,18 @@ def fm_d(sc: StructureConstants, a: FormMatrix) -> FormMatrix:
     return [[exterior_derivative_generators(sc, x) for x in row] for row in a]
 
 
-def fm_parity_pattern_ok(a: FormMatrix, p: int, parity: int = 0) -> bool:
-    """Whether the matrix is homogeneous of the given parity.
+def fm_parity_pattern_ok(a: FormMatrix, p: int) -> bool:
+    """Whether the matrix is even.
 
     Entry (A,B) of an even matrix must be an even form when A and B fall
     in the same generator block (both < p or both >= p) and odd across
-    blocks; an odd matrix has the complementary pattern.
+    blocks.
     """
     for i, row in enumerate(a):
         for j, f in enumerate(row):
             if f.is_zero():
                 continue
-            want = (0 if (i < p) == (j < p) else 1) ^ parity
+            want = 0 if (i < p) == (j < p) else 1
             if f.homogeneous_parity() != want:
                 return False
     return True
@@ -160,10 +160,6 @@ class Connection:
             alpha = [[GradedForm.zero(sc, 1) for _ in range(size)]
                      for _ in range(size)]
         return Connection(sc, p, q, identity_form_matrix(sc, size), alpha)
-
-    @property
-    def size(self) -> int:
-        return self.p + self.q
 
     def covariant_derivative(self, y: FormRow) -> FormRow:
         """nabla on a row of forms representing an element of Omega(V)."""

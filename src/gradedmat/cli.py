@@ -84,10 +84,10 @@ def _emit(args, obj: dict, csv_header: Sequence[str], csv_rows: List[list]) -> N
 
 
 def cmd_constants(args) -> int:
-    sc = constants_for(args.n, args.m)
-    obj = {"config": _config_obj(args), "constants": jsonio.constants_obj(sc)}
+    tables = jsonio.constants_obj(constants_for(args.n, args.m))
+    obj = {"config": _config_obj(args), "constants": tables}
     _emit(args, obj, ["tensor", "a", "b", "c", "value"],
-          jsonio.constants_csv_rows(sc))
+          jsonio.constants_csv_rows(tables))
     return 0
 
 

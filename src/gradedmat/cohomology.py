@@ -35,7 +35,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .basis import body_adapted_basis
-from .constants import StructureConstants, compute_constants
+from .constants import StructureConstants, compute_constants, derived
 from .forms import DerivationVector, GradedForm
 from .formspace import (
     FormBasis, LinearMapMatrix, _decode, basis_form, d_matrix, form_to_sparse,
@@ -110,8 +110,9 @@ def differential_matrix(sc: StructureConstants, p: int) -> ChainDegreeData:
     Refused up front when the run would then hold more than
     ``HELD_LABELS_CAP`` labels.  Otherwise d_p is written by the sparse
     column kernel ``formspace.d_matrix``, certified against d_(p-1), and its
-    zero-weight block ranked; the record is kept in ``sc.cache`` only once
-    all of that passed, so a failed certificate leaves nothing of degree p.
+    zero-weight block ranked (``_certified_degree``).  The degree and the
+    cap are checked on every call; the record is kept only once all of that
+    passed, so a failed certificate leaves nothing of degree p.
     """
     if p < 0:
         raise ValueError("degree must be nonnegative")
@@ -121,21 +122,22 @@ def differential_matrix(sc: StructureConstants, p: int) -> ChainDegreeData:
             f"d at degree {p} needs the labels of degrees 0..{p + 1}, "
             f"{need} in all, cap is {HELD_LABELS_CAP}"
         )
-    key = ("differential", p)
-    got = sc.cache.get(key)
-    if got is None:
-        # held_labels rises with p, so d_p admitted admits d_(p-1)
-        prev = differential_matrix(sc, p - 1) if p > 0 else None
-        mat = d_matrix(FormBasis(sc, p))
-        ranks = _certified_ranks(sc, p, mat, prev)
-        zero = mat.basis.zero_weight()
-        block = LinearMapMatrix(zero, mat.nrows,
-                                [mat.columns[j] for j in zero.positions], mat.den)
-        if block.columns:
-            ranks[0] = block.rank()
-        got = ChainDegreeData(p, mat, block, ranks)
-        sc.cache[key] = got
-    return got
+    return _certified_degree(sc, p)
+
+
+@derived("differential")
+def _certified_degree(sc: StructureConstants, p: int) -> ChainDegreeData:
+    """d_p built, certified against d_(p-1) and its zero-weight block ranked."""
+    # held_labels rises with p, so d_p admitted admits d_(p-1)
+    prev = differential_matrix(sc, p - 1) if p > 0 else None
+    mat = d_matrix(FormBasis(sc, p))
+    ranks = _certified_ranks(sc, p, mat, prev)
+    zero = mat.basis.zero_weight()
+    block = LinearMapMatrix(zero, mat.nrows,
+                            [mat.columns[j] for j in zero.positions], mat.den)
+    if block.columns:
+        ranks[0] = block.rank()
+    return ChainDegreeData(p, mat, block, ranks)
 
 
 def chain_degrees(
@@ -187,20 +189,18 @@ def betti_numbers(sc: StructureConstants, max_p: int) -> List[int]:
 # Betti numbers rest on the same composition.
 
 
+@derived("cartan_elements")
 def _cartan_elements(sc: StructureConstants) -> List[Tuple[int, List[int], int]]:
     """(index, diagonal numerators, denominator) of each real diagonal basis
-    element, kept in ``sc.cache``."""
-    got = sc.cache.get(("cartan_elements",))
-    if got is None:
-        got = []
-        k1 = sc.n + sc.m + 1
-        for a, e in enumerate(sc.basis.elements):
-            if all(u % k1 == 0 and not part for u, part, _ in e.ints):
-                diag = [0] * (k1 - 1)
-                for u, _, y in e.ints:
-                    diag[u // k1] = y
-                got.append((a, diag, e.den))
-        sc.cache[("cartan_elements",)] = got
+    element."""
+    got = []
+    k1 = sc.n + sc.m + 1
+    for a, e in enumerate(sc.basis.elements):
+        if all(u % k1 == 0 and not part for u, part, _ in e.ints):
+            diag = [0] * (k1 - 1)
+            for u, _, y in e.ints:
+                diag[u // k1] = y
+            got.append((a, diag, e.den))
     return got
 
 
@@ -216,25 +216,18 @@ def _contracting_element(
     return None
 
 
+@derived("cartan_contractions")
 def _contractions(sc: StructureConstants, q: int) -> List[Dict[int, Tuple[int, int]]]:
     """For each canonical q-tuple J: diagonal h in J -> (offset of J without h, sign).
 
     The offset is that tuple's ``FormBasis.offset`` in degree q-1, and the
-    sign is (-1)^j for h at position j; kept in ``sc.cache``.
+    sign is (-1)^j for h at position j.
     """
-    key = ("cartan_contractions", q)
-    got = sc.cache.get(key)
-    if got is None:
-        cartan = {a for a, _, _ in _cartan_elements(sc)}
-        lower = FormBasis(sc, q - 1)
-        got = []
-        for J in FormBasis(sc, q).tuples:
-            got.append({
-                h: (lower.offset(J[:j] + J[j + 1:]), -1 if j % 2 else 1)
-                for j, h in enumerate(J) if h in cartan
-            })
-        sc.cache[key] = got
-    return got
+    cartan = {a for a, _, _ in _cartan_elements(sc)}
+    lower = FormBasis(sc, q - 1)
+    return [{h: (lower.offset(J[:j] + J[j + 1:]), -1 if j % 2 else 1)
+             for j, h in enumerate(J) if h in cartan}
+            for J in FormBasis(sc, q).tuples]
 
 
 def _certified_ranks(

@@ -22,6 +22,7 @@ of each family, with its exact rational residue, if one exists.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from itertools import permutations
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
@@ -49,11 +50,14 @@ class StructureConstants:
     Killing matrix is (n-m)^2 g and its inverse g_inv / (n-m)^2.  Every
     reader takes the numerators; there is no Scalar view of the tables.
 
-    ``cache`` memoizes data derived from these constants elsewhere in the
-    package (the differential matrices, the body-adaptedness check).  It
-    is owned by the instance, so an entry can never outlive the constants
-    it describes or be read back for another algebra.  Equality compares
-    the tables and ignores ``cache``; the constants are immutable.
+    ``cache`` memoizes what the package derives from these constants: the
+    column kernel and its per-tuple d theta^I, the oracle's tables, each
+    degree's index tuples and label weights, the Cartan contractions and
+    the certified differentials, each filled by ``derived``, and the
+    body-adaptedness check.  It is owned by the instance, so an entry can
+    never outlive the constants it describes or be read back for another
+    algebra.  Equality compares the tables and ignores ``cache``; the
+    constants are immutable.
     """
 
     def __init__(self, basis: HomogeneousBasis, c: IntTensor, d: IntTensor, den: int,
@@ -106,6 +110,25 @@ class StructureConstants:
             for cc, v in self.c.get((a, b), {}).items():
                 out[cc][b] = v
         return out
+
+
+def derived(name: str):
+    """Memoise ``build(sc, *args)`` in ``sc.cache`` under ``(name, *args)``.
+
+    The result is stored only once ``build`` has returned, so a build that
+    raises (a failed certificate, say) leaves nothing cached and the next
+    call builds again.
+    """
+    def memo(build):
+        @wraps(build)
+        def get(sc: StructureConstants, *args):
+            key = (name, *args)
+            got = sc.cache.get(key)
+            if got is None:
+                got = sc.cache[key] = build(sc, *args)
+            return got
+        return get
+    return memo
 
 
 def _lowest(rows: List[List[int]], den: int) -> Tuple[IntTable, int]:

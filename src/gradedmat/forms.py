@@ -43,10 +43,10 @@ runs the kernel route; the evaluation sum is run only by the verify suites
 and the tests.  The symplectic contraction system is factored once per
 form, in ``symplectic``, and each of its solutions is checked on the
 whole system.  Each route reads its own tables, built once per
-``StructureConstants`` and kept in its ``cache``: the kernel's
-(``_kernel_tables``, ``_d_tuple``) and the oracle's (``_oracle_tables``,
-``_oracle_reach``), each holding integer numerators over one table
-denominator.
+``StructureConstants`` and kept in its ``cache`` by ``constants.derived``:
+the kernel's (``_kernel_tables``, ``_d_tuple``) and the oracle's
+(``_oracle_tables``, ``_oracle_reach``), each holding integer numerators
+over one table denominator.
 """
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ from math import gcd, lcm, prod
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .basis import HomogeneousBasis
-from .constants import StructureConstants
+from .constants import StructureConstants, derived
 from .indexset import (
     canonicalize,
     index_parity,
@@ -648,22 +648,18 @@ class _OracleTables(NamedTuple):
     sef: _SelfEvaluation
 
 
+@derived("oracle_tables")
 def _oracle_tables(sc: StructureConstants) -> _OracleTables:
-    """The oracle's tables, built on first use and kept in ``sc.cache``."""
-    got = sc.cache.get(("oracle_tables",))
-    if got is not None:
-        return got
+    """The oracle's tables, built on first use."""
     c: List[List[List[Tuple[int, int]]]] = [
         [[] for _ in range(sc.dim)] for _ in range(sc.dim)
     ]
     for (x, y), row in sc.c.items():
         c[x][y] = list(row.items())
-    got = _OracleTables(
+    return _OracleTables(
         sc.den, c, [_unit_brackets(e, sc.n) for e in sc.basis.elements],
         _SelfEvaluation(sc.even_dim),
     )
-    sc.cache[("oracle_tables",)] = got
-    return got
 
 
 class _ValueWeights(dict):
@@ -718,24 +714,20 @@ class _Terms(dict):
         return entries
 
 
+@derived("oracle_reach")
 def _oracle_reach(sc: StructureConstants) -> tuple:
-    """(``pairs``, ``moves``), built on first use and kept in ``sc.cache``.
+    """(``pairs``, ``moves``), built on first use.
 
     ``pairs[cc]`` lists the sorted (x, y) with c_(x,y)^cc != 0;
     ``moves[a][cc]`` lists the x with c_(a,x)^cc != 0.
     """
-    got = sc.cache.get(("oracle_reach",))
-    if got is not None:
-        return got
     pairs = [set() for _ in range(sc.dim)]
     moves = [[[] for _ in range(sc.dim)] for _ in range(sc.dim)]
     for (x, y), row in sc.c.items():
         for cc in row:
             pairs[cc].add((min(x, y), max(x, y)))
             moves[x][cc].append(y)
-    got = ([sorted(s) for s in pairs], moves)
-    sc.cache[("oracle_reach",)] = got
-    return got
+    return [sorted(s) for s in pairs], moves
 
 
 def _d_support(sc: StructureConstants, form: GradedForm) -> List[IndexTuple]:
@@ -901,15 +893,13 @@ class _KernelTables(NamedTuple):
     coad: List[List[List[Tuple[int, int]]]]
 
 
+@derived("column_kernel")
 def _kernel_tables(sc: StructureConstants) -> _KernelTables:
-    """The kernel tables, built on first use and kept in ``sc.cache``.
+    """The kernel tables, built on first use.
 
     The table denominator is the lcm of the reduced denominators of the
     values, the entries of the brackets and c / 2 (that of c divides it).
     """
-    got = sc.cache.get(("column_kernel",))
-    if got is not None:
-        return got
     k = sc.n + sc.m
     units = [GradedMatrix.unit(sc.n, sc.m, r, c) for r in range(k) for c in range(k)]
     brackets = [[graded_commutator(u, e) for u in units] for e in sc.basis.elements]
@@ -925,27 +915,22 @@ def _kernel_tables(sc: StructureConstants) -> _KernelTables:
         for A, v in row.items():
             frame[A].append((cc, b, v * den // half))
             coad[b][A].append((cc, v * den // sc.den))
-    got = _KernelTables(
+    return _KernelTables(
         den,
         [[[(u, -y * den // mat.den) for u, _, y in mat.ints] for mat in tab]
          for tab in brackets],
         frame, coad,
     )
-    sc.cache[("column_kernel",)] = got
-    return got
 
 
+@derived("d_tuple")
 def _d_tuple(sc: StructureConstants, key: IndexTuple) -> tuple:
-    """What d does to the frame monomial theta^I, kept in ``sc.cache``.
+    """What d does to the frame monomial theta^I, built on first use.
 
     ``moved`` lists (``comm[b]``, canonical tuple of (b,) + I, its sign);
     ``frame`` lists the nonzero (tuple, summed 1/2 c * sign), unit kept,
     with values over the table denominator as in ``_KernelTables``.
     """
-    ck = ("d_tuple", key)
-    got = sc.cache.get(ck)
-    if got is not None:
-        return got
     t = _kernel_tables(sc)
     ne = sc.even_dim
     moved = []
@@ -960,9 +945,7 @@ def _d_tuple(sc: StructureConstants, key: IndexTuple) -> tuple:
             canon = canonicalize(key[:j] + (cc, b) + key[j + 1:], ne)
             if canon is not None:
                 _add(frame, canon[0], sign_j * canon[1] * v)
-    got = (moved, [(out, v) for out, v in frame.items() if v])
-    sc.cache[ck] = got
-    return got
+    return moved, [(out, v) for out, v in frame.items() if v]
 
 
 def exterior_derivative_generators(

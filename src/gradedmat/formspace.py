@@ -6,10 +6,11 @@ E_rc theta^I.  ``FormBasis`` is that basis and the only code that knows its
 order and its label weights: index-tuple major, matrix units row major.
 Label (I, r, c) sits at position t * (n+m)^2 + u for I the t-th canonical
 tuple and u = r * (n+m) + c, the unit numbering of the kernel tables of
-``forms``.  Positions and weights are computed from one cached tuple list
-per degree; no list of labels is built.  A basis holds every label of its
-degree or those at given positions (``restricted``), such as the labels of
-weight 0 (``zero_weight``).
+``forms``.  Positions and weights are computed from one tuple list per
+degree, kept with the label weights in the constants' ``cache``
+(``constants.derived``); no list of labels is built.  A basis holds every
+label of its degree or those at given positions (``restricted``), such as
+the labels of weight 0 (``zero_weight``).
 
 A ``LinearMapMatrix`` holds its column basis, its row count and integer
 numerators over one denominator ``den``.  The matrices of d and of the
@@ -36,7 +37,7 @@ from math import lcm
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from . import linalg
-from .constants import StructureConstants
+from .constants import StructureConstants, derived
 from .forms import GradedForm, _add, _d_tuple, _kernel_tables
 from .indexset import canonicalize, enumerate_multi_indices
 from .matrices import GradedMatrix, IntEntries
@@ -83,20 +84,39 @@ def _decode(code: int, size: int) -> List[int]:
     return out
 
 
+@derived("element_weights")
 def _element_weights(sc: StructureConstants) -> List[int]:
-    """The weight code of each basis element, kept in ``sc.cache``; raises
-    ValueError for an element with nonzero entries of different weights."""
-    got = sc.cache.get(("element_weights",))
-    if got is None:
-        got = []
-        unit_w = _unit_weights(sc.n + sc.m)
-        for a, e in enumerate(sc.basis.elements):
-            codes = {unit_w[u] for u, _, _ in e.ints}
-            if len(codes) != 1:
-                raise ValueError(f"basis element {a} is not a weight vector")
-            got.append(codes.pop())
-        sc.cache[("element_weights",)] = got
+    """The weight code of each basis element; raises ValueError for an
+    element with nonzero entries of different weights."""
+    got = []
+    unit_w = _unit_weights(sc.n + sc.m)
+    for a, e in enumerate(sc.basis.elements):
+        codes = {unit_w[u] for u, _, _ in e.ints}
+        if len(codes) != 1:
+            raise ValueError(f"basis element {a} is not a weight vector")
+        got.append(codes.pop())
     return got
+
+
+@derived("form_tuples")
+def _form_tuples(sc: StructureConstants, p: int) -> Tuple[list, Dict[tuple, int]]:
+    """The canonical p-tuples in label order, and the number of each."""
+    tuples = enumerate_multi_indices(sc.even_dim, sc.odd_dim, p)
+    return tuples, {t: i for i, t in enumerate(tuples)}
+
+
+@derived("label_weights")
+def _label_weights(sc: StructureConstants, p: int) -> Tuple[List[int], List[int]]:
+    """Per-tuple weight codes and the weight-0 positions of degree p;
+    ValueError when a basis element is not a weight vector."""
+    ew = _element_weights(sc)
+    tuple_w = [-sum(ew[A] for A in I) for I in _form_tuples(sc, p)[0]]
+    unit_w = _unit_weights(sc.n + sc.m)
+    units_of: Dict[int, List[int]] = {}
+    for u, w in enumerate(unit_w):
+        units_of.setdefault(-w, []).append(u)
+    return tuple_w, [t * len(unit_w) + u
+                     for t, w in enumerate(tuple_w) for u in units_of.get(w, ())]
 
 
 class FormBasis(Sequence[Label]):
@@ -108,35 +128,15 @@ class FormBasis(Sequence[Label]):
     """
 
     def __init__(self, sc: StructureConstants, p: int):
-        key = ("form_tuples", p)
-        if key not in sc.cache:
-            tuples = enumerate_multi_indices(sc.even_dim, sc.odd_dim, p)
-            sc.cache[key] = (tuples, {t: i for i, t in enumerate(tuples)})
         self.sc, self.p, self.k = sc, p, sc.n + sc.m
-        self.tuples, self._numbers = sc.cache[key]
+        self.tuples, self._numbers = _form_tuples(sc, p)
         self.units = self.k * self.k
         self.cells = _unit_cells(self.k)
         self.positions: Sequence[int] = range(len(self.tuples) * self.units)
 
-    def _weight_tables(self) -> Tuple[List[int], List[int]]:
-        """Per-tuple weight codes and the weight-0 positions, kept in ``sc.cache``
-        per degree; ValueError when a basis element is not a weight vector."""
-        key = ("label_weights", self.p)
-        got = self.sc.cache.get(key)
-        if got is None:
-            ew = _element_weights(self.sc)
-            tuple_w = [-sum(ew[A] for A in I) for I in self.tuples]
-            units_of: Dict[int, List[int]] = {}
-            for u, w in enumerate(_unit_weights(self.k)):
-                units_of.setdefault(-w, []).append(u)
-            zero = [t * self.units + u
-                    for t, w in enumerate(tuple_w) for u in units_of.get(w, ())]
-            got = self.sc.cache[key] = (tuple_w, zero)
-        return got
-
     def weights(self) -> Tuple[List[int], Tuple[int, ...]]:
         """(tuple codes, unit codes): position t * units + u weighs their sum."""
-        return self._weight_tables()[0], _unit_weights(self.k)
+        return _label_weights(self.sc, self.p)[0], _unit_weights(self.k)
 
     def zero_weight(self) -> "FormBasis":
         """The labels of weight 0 of this degree, in label order.
@@ -145,7 +145,7 @@ class FormBasis(Sequence[Label]):
         only lambda = 0 vanishes on every diagonal h, so these labels hold
         every invariant form and every class of H^p.  They are even: a label's
         parity is its weight's coordinate sum over the odd block, mod 2."""
-        return self.restricted(self._weight_tables()[1])
+        return self.restricted(_label_weights(self.sc, self.p)[1])
 
     def restricted(self, positions: Sequence[int]) -> "FormBasis":
         """The labels at ``positions``, strictly increasing full-basis

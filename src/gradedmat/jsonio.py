@@ -61,12 +61,12 @@ def constants_obj(sc: StructureConstants) -> dict:
     }
 
 
-def constants_csv_rows(sc: StructureConstants) -> List[list]:
-    killing = _pair_entries(sc.g, sc.g_den, (sc.n - sc.m) ** 2)
-    rows = [["bracket", a, b, c, v] for a, b, c, v in _tensor_triples(sc.c, sc.den)]
-    rows += [["anticommutator", a, b, c, v] for a, b, c, v in _tensor_triples(sc.d, sc.den)]
-    rows += [["quadratic_form", a, b, "", v] for a, b, v in _pair_entries(sc.g, sc.g_den)]
-    rows += [["killing_form", a, b, "", v] for a, b, v in killing]
+def constants_csv_rows(tables: dict) -> List[list]:
+    """The CSV rows of the tensors and forms in ``tables``, what
+    ``constants_obj`` returned."""
+    rows = [[name, *e] for name in ("bracket", "anticommutator") for e in tables[name]]
+    rows += [[name, a, b, "", v] for name in ("quadratic_form", "killing_form")
+             for a, b, v in tables[name]]
     return rows
 
 

@@ -326,11 +326,6 @@ class GradedMatrix:
             return _zero_matrix(self.n, self.m)
         return GradedMatrix.from_ints(self.n, self.m, *combined(((self, a, b),), q))
 
-    def __rmul__(self, s):
-        if isinstance(s, (int, Fraction, Scalar)):
-            return self.scale(s)
-        return NotImplemented
-
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         self._require_shape(other)
         if not self.ints or not other.ints:

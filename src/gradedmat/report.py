@@ -22,9 +22,9 @@ class CheckResult(NamedTuple):
 class VerificationReport:
     """A titled list of checks, filled in by ``add`` and ``check``."""
 
-    def __init__(self, title: str, checks: Optional[List[CheckResult]] = None):
+    def __init__(self, title: str):
         self.title = title
-        self.checks: List[CheckResult] = [] if checks is None else checks
+        self.checks: List[CheckResult] = []
 
     def add(self, name: str, passed: bool, counterexample: str | None = None,
             note: str | None = None) -> CheckResult:

@@ -7,6 +7,8 @@ are ``cli.main``, module-level code (class bodies, decorators and default
 values included), every dunder method, ``API`` and the tracer's targets;
 a reached def reaches every def named like a name or attribute it refers
 to.  Code that only the tests call belongs in ``tests/reference.py``.
+Only ``constants`` reads or writes the constants' ``cache``, with one
+named exception.
 """
 import ast
 import json
@@ -143,6 +145,30 @@ def test_every_tracer_target_resolves_after_importing_the_cli():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def cache_uses(path):
+    """"module.function:line" of each read or write of an attribute named
+    ``cache`` in ``path``; "module:line" at module level."""
+    out = []
+    for stmt in ast.parse(path.read_text()).body:
+        where = path.stem
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            where += "." + stmt.name
+        out += [f"{where}:{node.lineno}" for node in ast.walk(stmt)
+                if isinstance(node, ast.Attribute) and node.attr == "cache"]
+    return out
+
+
+def test_only_the_constants_memo_touches_their_cache():
+    """What is derived from the constants is memoised by ``constants.derived``.
+    The one other entry is ``ensure_body_adapted``'s: it remembers a passed
+    check about a second constants object, keyed by that object's id."""
+    exempt = "cohomology.ensure_body_adapted:"
+    uses = [use for path in sorted(SRC.glob("*.py")) if path.stem != "constants"
+            for use in cache_uses(path)]
+    assert [use for use in uses if not use.startswith(exempt)] == []
+    assert any(use.startswith(exempt) for use in uses)
 
 
 def test_the_readme_lists_the_api():

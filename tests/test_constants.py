@@ -9,7 +9,7 @@ from gradedmat import constants, linalg, symplectic
 from gradedmat.basis import build_sl_basis
 from gradedmat.cli import main
 from gradedmat.constants import (
-    compute_constants, constants_for, verify_appendix,
+    compute_constants, constants_for, derived, verify_appendix,
 )
 from gradedmat.forms import DerivationVector, interior_product
 from gradedmat.formspace import form_to_sparse
@@ -85,6 +85,31 @@ def test_ad_matrix_matches_rows(sc21):
     for b in range(sc21.dim):
         col = {cc: ad[cc][b] for cc in range(sc21.dim) if ad[cc][b]}
         assert col == sc21.c.get((4, b), {})
+
+
+def test_derived_stores_only_what_its_build_returned():
+    sc = constants_for(2, 1)
+    assert sc.cache == {}
+    calls = []
+
+    def build(got_sc, p, key):
+        assert got_sc is sc
+        calls.append((p, key))
+        if len(calls) == 1:
+            raise ValueError("the first build fails")
+        return [p, key]
+
+    memo = derived("probe")(build)
+    with pytest.raises(ValueError, match="the first build fails"):
+        memo(sc, 2, (1, 5))
+    # a build that raised leaves nothing, so the next call builds again
+    assert sc.cache == {}
+    got = memo(sc, 2, (1, 5))
+    assert got == [2, (1, 5)] and len(calls) == 2
+    # a second call returns the stored object and builds nothing
+    assert memo(sc, 2, (1, 5)) is got and len(calls) == 2
+    assert sc.cache == {("probe", 2, (1, 5)): got}
+    assert derived("bare")(lambda got_sc: "once")(sc) == sc.cache[("bare",)] == "once"
 
 
 def test_n_equals_m_rejected():
