@@ -50,8 +50,9 @@ HELD_LABELS_CAP = 500_000
 # Labels an empty degree counts at least: it holds 3.4 KB, a label 0.83 KB.
 EMPTY_DEGREE_LABELS = 5
 
-# Largest n + m the CLI admits: `verify` takes about 7 s at (4|1) and grows
-# about 3.5x per unit of n; the constants alone at (40|1) take about an hour.
+# Largest n + m the CLI admits: `verify` takes about 1.6 s of CPU at (4|1)
+# and about doubles per unit of n, to 13-16 s and 130 MB at (7|1); the
+# constants alone at (40|1) take about an hour.
 MATRIX_SIZE_CAP = 8
 
 

@@ -44,15 +44,15 @@ and the tests.  The symplectic contraction system is factored once per
 form, in ``symplectic``, and each of its solutions is checked on the
 whole system.  Each route reads its own tables, built once per
 ``StructureConstants`` and kept in its ``cache`` by ``constants.derived``:
-the kernel's (``_kernel_tables``, ``_d_tuple``) and the oracle's
-(``_oracle_tables``, ``_oracle_reach``), each holding integer numerators
-over one table denominator.
+the kernel's (``_kernel_tables``, ``_d_tuple``) and the oracle's one
+(``_oracle_tables``), each holding integer numerators over one table
+denominator.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .basis import HomogeneousBasis
 from .constants import StructureConstants, derived
@@ -153,11 +153,6 @@ class DerivationVector:
         """0 or 1 for homogeneous derivations (0 for zero), None for mixed."""
         parities = {self.sl_basis.parity(a) for a, _, _ in self.ints}
         return None if len(parities) > 1 else max(parities, default=0)
-
-    def parity_parts(self) -> Tuple["DerivationVector", "DerivationVector"]:
-        ev, od = parity_split(self.ints, self.sl_basis.parities, 0)
-        return (DerivationVector(self.sl_basis, tuple(ev), self.den),
-                DerivationVector(self.sl_basis, tuple(od), self.den))
 
     def __add__(self, other: "DerivationVector") -> "DerivationVector":
         _require_basis(self.sl_basis, other.sl_basis)
@@ -571,14 +566,15 @@ def _interior_support(d: DerivationVector, form: GradedForm) -> List[IndexTuple]
 # parity-twisted coefficient (-1)^|K| ``twisted(M_K)`` in place of M_K.
 # The structure-constant terms of d carry no parity sign.
 #
-# The route reads only its own tables (``_oracle_tables``,
-# ``_oracle_reach``), built once per constants object from ``sc.c`` and
-# the basis elements: it shares no table with the column kernel below, and
-# it brackets by its own entry-wise rule (``_unit_brackets``), not by
-# ``graded_commutator``.  Within one call each argument tuple is
-# canonicalised once (``_ValueWeights``) and each term's entries are summed
-# once (``_Terms``), [E_b, M_K] from the unit brackets of E_b, one table row
-# per entry of M_K.
+# The route reads only its own table (``_oracle_tables``), built once per
+# constants object from ``sc.c`` and the basis elements: it shares no table
+# with the column kernel below, and it brackets by its own entry-wise rule
+# (``_unit_brackets``), not by ``graded_commutator``.  ``d`` and ``L_a``
+# differ only in their per-tuple weight formulas; one sum
+# (``_evaluation_sum``) does the rest.  Within one call each argument tuple
+# is canonicalised once (``_ValueWeights``) and each term's entries are
+# summed once (``_Terms``), [E_b, M_K] from the unit brackets of E_b, one
+# table row per entry of M_K.
 
 # (b, K, twist) -> weight of [E_b, M_K] in one tuple's value, an integer
 # over the oracle's table denominator; b None for M_K itself, twist 1 for
@@ -621,44 +617,37 @@ def _unit_brackets(e: GradedMatrix, n: int) -> List[List[Tuple[int, int]]]:
     return out
 
 
-class _SelfEvaluation(dict):
-    """Canonical tuple -> ``self_evaluation_factor``, filled on first use."""
-
-    def __init__(self, n_even: int):
-        super().__init__()
-        self.n_even = n_even
-
-    def __missing__(self, key: IndexTuple) -> int:
-        got = self[key] = self_evaluation_factor(key, self.n_even)
-        return got
-
-
 class _OracleTables(NamedTuple):
     """Integer tables read by the evaluation oracle.
 
     ``c[x][y]`` lists (cc, c_(x,y)^cc * den), the real structure constants
     as integer numerators over the one denominator ``den``;
-    ``bracket[b]`` is ``_unit_brackets`` of E_b; ``sef`` holds the
-    self-evaluation factor of each output tuple met so far.
+    ``bracket[b]`` is ``_unit_brackets`` of E_b.  The reach of the sums:
+    ``pairs[cc]`` lists the sorted (x, y) with c_(x,y)^cc != 0, and
+    ``moves[a][cc]`` the x with c_(a,x)^cc != 0.
     """
 
     den: int
     c: List[List[List[Tuple[int, int]]]]
     bracket: List[List[List[Tuple[int, int]]]]
-    sef: _SelfEvaluation
+    pairs: List[List[Tuple[int, int]]]
+    moves: List[List[List[int]]]
 
 
 @derived("oracle_tables")
 def _oracle_tables(sc: StructureConstants) -> _OracleTables:
     """The oracle's tables, built on first use."""
-    c: List[List[List[Tuple[int, int]]]] = [
-        [[] for _ in range(sc.dim)] for _ in range(sc.dim)
-    ]
+    c = [[[] for _ in range(sc.dim)] for _ in range(sc.dim)]
+    pairs = [set() for _ in range(sc.dim)]
+    moves = [[[] for _ in range(sc.dim)] for _ in range(sc.dim)]
     for (x, y), row in sc.c.items():
         c[x][y] = list(row.items())
+        for cc in row:
+            pairs[cc].add((min(x, y), max(x, y)))
+            moves[x][cc].append(y)
     return _OracleTables(
         sc.den, c, [_unit_brackets(e, sc.n) for e in sc.basis.elements],
-        _SelfEvaluation(sc.even_dim),
+        [sorted(got) for got in pairs], moves,
     )
 
 
@@ -714,22 +703,6 @@ class _Terms(dict):
         return entries
 
 
-@derived("oracle_reach")
-def _oracle_reach(sc: StructureConstants) -> tuple:
-    """(``pairs``, ``moves``), built on first use.
-
-    ``pairs[cc]`` lists the sorted (x, y) with c_(x,y)^cc != 0;
-    ``moves[a][cc]`` lists the x with c_(a,x)^cc != 0.
-    """
-    pairs = [set() for _ in range(sc.dim)]
-    moves = [[[] for _ in range(sc.dim)] for _ in range(sc.dim)]
-    for (x, y), row in sc.c.items():
-        for cc in row:
-            pairs[cc].add((min(x, y), max(x, y)))
-            moves[x][cc].append(y)
-    return [sorted(s) for s in pairs], moves
-
-
 def _d_support(sc: StructureConstants, form: GradedForm) -> List[IndexTuple]:
     """The canonical (p+1)-tuples the d sum can reach, in sorted order.
 
@@ -737,7 +710,7 @@ def _d_support(sc: StructureConstants, form: GradedForm) -> List[IndexTuple]:
     term merges a pair (x, y) into one cc; so every reached tuple is a key
     K with one index b added, or K with one entry cc split into such a pair.
     """
-    pairs, _ = _oracle_reach(sc)
+    pairs = _oracle_tables(sc).pairs
     out = set()
     for key in form.ints:
         for b in range(sc.dim):
@@ -755,7 +728,7 @@ def _lie_support(
     """The canonical p-tuples the L_a sum can reach, in sorted order: each
     key K itself, and K with one entry cc replaced by an x with
     c_(a,x)^cc != 0."""
-    _, moves = _oracle_reach(sc)
+    moves = _oracle_tables(sc).moves
     out = set(form.ints)
     for key in form.ints:
         for j, cc in enumerate(key):
@@ -764,13 +737,27 @@ def _lie_support(
     return sorted(t for t in out if is_canonical(t, sc.even_dim))
 
 
-def _weighted_parts(terms: _Terms, weights: Weights, mult: int) -> Parts:
-    """The sum of the weighted terms of ``weights``, times ``mult``."""
-    parts: Parts = ({}, {})
-    for bk, w in weights.items():
-        if w:
-            add_times(parts, terms[bk], w * mult)
-    return parts
+def _evaluation_sum(
+    sc: StructureConstants, form: GradedForm, degree: int, keys: List[IndexTuple],
+    weights_of: Callable[[IndexTuple, _ValueWeights], Weights],
+) -> GradedForm:
+    """The form of ``degree`` whose coefficient at each of ``keys`` sums the
+    terms of ``form`` weighted by ``weights_of(key, value)`` (``value`` the
+    call's ``_ValueWeights``), over the form's denominator times the table
+    one times the lcm of the keys' self-evaluation factors."""
+    t = _oracle_tables(sc)
+    value = _ValueWeights(form)
+    terms = _Terms(form, t.bracket)
+    sef = [self_evaluation_factor(key, form.n_even) for key in keys]
+    div = lcm(*sef)
+    out: Dict[IndexTuple, Parts] = {}
+    for key, f in zip(keys, sef):
+        parts = out[key] = ({}, {})
+        mult = div // f
+        for term, w in weights_of(key, value).items():
+            if w:
+                add_times(parts, terms[term], w * mult)
+    return _normal(form.sl_basis, degree, out, form.den * t.den * div)
 
 
 def lie_derivative(
@@ -796,31 +783,27 @@ def _lie_basis(sc: StructureConstants, a: int, form: GradedForm) -> GradedForm:
     (L_a w)(I) = [E_a, w(I)] - sum_l sign_l sum_cc c_(a,I_l)^cc w(.., cc, ..).
     """
     pa = sc.parity(a)
-    p = form.degree
     ne = form.n_even
     t = _oracle_tables(sc)
     ca, den = t.c[a], t.den
-    value = _ValueWeights(form)
-    terms = _Terms(form, t.bracket)
-    out: Dict[IndexTuple, Parts] = {}
-    keys = _lie_support(sc, a, form)
-    div = lcm(*(t.sef[key] for key in keys))
-    for key in keys:
+
+    def weights_of(key: IndexTuple, value: _ValueWeights) -> Weights:
         weights: Weights = {}
         got, f = value[key]
         if got is not None:
             weights[(a, got, 0)] = f * den
         acc = 0
-        for l in range(p):
+        for l, A in enumerate(key):
             # an odd E_a also passes the coefficient: the twisted M_K
             sign = -1 if (pa and acc % 2) else 1
-            for cc, v in ca[key[l]]:
+            for cc, v in ca[A]:
                 got, f = value[key[:l] + (cc,) + key[l + 1:]]
                 if got is not None:
                     _add(weights, (None, got, pa), -sign * f * v)
-            acc += index_parity(key[l], ne)
-        out[key] = _weighted_parts(terms, weights, div // t.sef[key])
-    return _normal(form.sl_basis, p, out, form.den * den * div)
+            acc += index_parity(A, ne)
+        return weights
+
+    return _evaluation_sum(sc, form, form.degree, _lie_support(sc, a, form), weights_of)
 
 
 def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
@@ -831,39 +814,34 @@ def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
               + sum_(l<l') sign_(l,l') sum_cc c_(I_l,I_l')^cc w(.., cc, ..).
     """
     _require_basis(sc.basis, form.sl_basis)
-    p = form.degree
     ne = form.n_even
     t = _oracle_tables(sc)
     c, den = t.c, t.den
-    value = _ValueWeights(form)
-    terms = _Terms(form, t.bracket)
-    out: Dict[IndexTuple, Parts] = {}
-    keys = _d_support(sc, form)
-    div = lcm(*(t.sef[key] for key in keys))
-    for key in keys:
+
+    def weights_of(key: IndexTuple, value: _ValueWeights) -> Weights:
         weights: Weights = {}
         degs = [index_parity(i, ne) for i in key]
         acc = 0
-        for l in range(p + 1):
+        for l, deg in enumerate(degs):
             got, f = value[key[:l] + key[l + 1:]]
             if got is not None:
                 # an odd E_(I_l) also passes the coefficient: the twisted M_K
-                exp = l + degs[l] * acc
-                _add(weights, (key[l], got, degs[l]), -f * den if exp % 2 else f * den)
-            acc += degs[l]
-        for l in range(p + 1):
-            cl = c[key[l]]
+                exp = l + deg * acc
+                _add(weights, (key[l], got, deg), -f * den if exp % 2 else f * den)
+            acc += deg
+        for l, x in enumerate(key):
             between = 0  # odd entries strictly between l and l'
-            for lp in range(l + 1, p + 1):
+            for lp in range(l + 1, len(key)):
                 sign = -1 if (lp + degs[lp] * between) % 2 else 1
-                for cc, v in cl[key[lp]]:
+                for cc, v in c[x][key[lp]]:
                     args = key[:l] + (cc,) + key[l + 1: lp] + key[lp + 1:]
                     got, f = value[args]
                     if got is not None:
                         _add(weights, (None, got, 0), sign * f * v)
                 between += degs[lp]
-        out[key] = _weighted_parts(terms, weights, div // t.sef[key])
-    return _normal(form.sl_basis, p + 1, out, form.den * den * div)
+        return weights
+
+    return _evaluation_sum(sc, form, form.degree + 1, _d_support(sc, form), weights_of)
 
 
 # ======================================================================

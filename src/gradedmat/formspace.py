@@ -40,7 +40,7 @@ from . import linalg
 from .constants import StructureConstants, derived
 from .forms import GradedForm, _add, _d_tuple, _kernel_tables
 from .indexset import canonicalize, enumerate_multi_indices
-from .matrices import GradedMatrix, IntEntries
+from .matrices import GradedMatrix, IntEntries, odd_units
 
 Label = Tuple[Tuple[int, ...], int, int]
 
@@ -346,52 +346,51 @@ def stack_maps(maps: Sequence[LinearMapMatrix]) -> LinearMapMatrix:
 def _columns(
     basis: FormBasis,
     per_tuple: Callable[[Tuple[int, ...]], tuple],
-    unit_terms: Callable[[tuple, int, int], Dict[int, int]],
+    flip: Sequence[int] = (),
 ) -> List[Dict[int, int]]:
-    """Sparse integer columns over label order, nonzero entries only.
+    """Sparse integer columns over label order, nonzero entries only, as
+    integer numerators over the kernel-table denominator.
 
-    ``per_tuple(I)`` precomputes what every unit of the index tuple I
-    shares; ``unit_terms(shared, r, c)`` writes the column of (I, r, c) as
-    integer numerators over the kernel-table denominator.  Equal values
+    ``per_tuple(I)`` gives what every unit of the index tuple I shares, as
+    two lists: ``moved`` holds (rows, offset, sign), and column (I, u) takes
+    the (i, value) terms of ``rows[u]`` at row offset + i, times sign;
+    ``frame`` holds (offset, value), which column (I, u) takes at row
+    offset + u.  The column of a unit u with ``flip[u]`` set is negated.
+    This is the one loop that reads kernel rows unit by unit.  Equal values
     share one int object, which keeps large matrices small.
     """
     shared_ints: Dict[int, int] = {}
     columns: List[Dict[int, int]] = []
-    prev = shared = None
-    for key, r, c in basis:
-        if key != prev:
-            prev, shared = key, per_tuple(key)
-        columns.append({i: shared_ints.setdefault(v, v)
-                        for i, v in unit_terms(shared, r, c).items() if v})
+    prev = moved = frame = None
+    for t, u in map(basis.split, basis.positions):
+        if t != prev:
+            prev = t
+            moved, frame = per_tuple(basis.tuples[t])
+        col: Dict[int, int] = {}
+        for rows, off, sign in moved:
+            for i, v in rows[u]:
+                _add(col, off + i, v if sign == 1 else -v)
+        for off, v in frame:
+            _add(col, off + u, v)
+        if flip and flip[u]:
+            col = {i: -v for i, v in col.items()}
+        columns.append({i: shared_ints.setdefault(v, v) for i, v in col.items() if v})
     return columns
 
 
 def d_matrix(basis: FormBasis) -> LinearMapMatrix:
     """The matrix of d on the labels of ``basis``, written column by column
     from the structure constants; the rows are all of degree p+1."""
-    sc, k = basis.sc, basis.k
+    sc = basis.sc
     out = FormBasis(sc, basis.p + 1)
-    den = _kernel_tables(sc).den
 
     def per_tuple(key):
         moved, frame = _d_tuple(sc, key)
-        return (
-            [(table, out.offset(I), sign) for table, I, sign in moved],
-            [(out.offset(I), v) for I, v in frame],
-        )
+        return ([(rows, out.offset(I), sign) for rows, I, sign in moved],
+                [(out.offset(I), v) for I, v in frame])
 
-    def unit_terms(shared, r, c):
-        moved, frame = shared
-        u = r * k + c
-        col: Dict[int, int] = {}
-        for table, off, sign in moved:
-            for i, v in table[u]:
-                _add(col, off + i, v if sign == 1 else -v)
-        for off, v in frame:
-            _add(col, off + u, v)
-        return col
-
-    return LinearMapMatrix(basis, len(out), _columns(basis, per_tuple, unit_terms), den)
+    return LinearMapMatrix(basis, len(out), _columns(basis, per_tuple),
+                           _kernel_tables(sc).den)
 
 
 def lie_matrix(basis: FormBasis, a: int) -> LinearMapMatrix:
@@ -399,10 +398,8 @@ def lie_matrix(basis: FormBasis, a: int) -> LinearMapMatrix:
     labels of ``basis``; the rows are all of its degree."""
     sc = basis.sc
     t = _kernel_tables(sc)
-    k, ne, n = basis.k, sc.even_dim, sc.n
-    pa = sc.parity(a)
+    ne, pa = sc.even_dim, sc.parity(a)
     full = FormBasis(sc, basis.p)
-    comm = t.comm[a]
 
     def per_tuple(key):
         frame: Dict[int, int] = {}
@@ -414,21 +411,12 @@ def lie_matrix(basis: FormBasis, a: int) -> LinearMapMatrix:
                 canon = canonicalize(key[:j] + (D,) + key[j + 1:], ne)
                 if canon is not None:
                     _add(frame, full.offset(canon[0]), sign_j * canon[1] * v)
-        return full.offset(key), [(off, v) for off, v in frame.items() if v]
+        return ([(t.comm[a], full.offset(key), 1)],
+                [(off, v) for off, v in frame.items() if v])
 
-    def unit_terms(shared, r, c):
-        off_key, frame = shared
-        u = r * k + c
-        col: Dict[int, int] = {}
-        for i, v in comm[u]:
-            _add(col, off_key + i, v)
-        for off, v in frame:
-            _add(col, off + u, v)
-        if pa and (r < n) != (c < n):
-            col = {i: -v for i, v in col.items()}
-        return col
-
-    return LinearMapMatrix(basis, len(full), _columns(basis, per_tuple, unit_terms), t.den)
+    # an odd a passes the odd units: (-1)^(|a||rc|)
+    flip = odd_units(sc.n, sc.m) if pa else ()
+    return LinearMapMatrix(basis, len(full), _columns(basis, per_tuple, flip), t.den)
 
 
 def kernel_forms(maps: Sequence[LinearMapMatrix]) -> List[GradedForm]:

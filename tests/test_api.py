@@ -50,29 +50,20 @@ API = (
 )
 
 
-def referenced(nodes):
-    """Every bare name and attribute name used in ``nodes``."""
-    out = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
-    return out
-
-
-def source_defs():
+def source_defs(sources=None):
     """{"module.name" or "module.Class.name": def node}, and the module-level
-    code of every module, which runs on import."""
+    code of every module, which runs on import; ``sources`` are (module,
+    source text) pairs, by default the modules of ``src/gradedmat``."""
+    if sources is None:
+        sources = [(path.stem, path.read_text()) for path in sorted(SRC.glob("*.py"))]
     defs, module_code = {}, []
-    for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
+    for stem, text in sources:
+        for stmt in ast.parse(text).body:
             if isinstance(stmt, ast.ClassDef):
                 module_code += stmt.bases + stmt.decorator_list
-                members = [(f"{path.stem}.{stmt.name}.", item) for item in stmt.body]
+                members = [(f"{stem}.{stmt.name}.", item) for item in stmt.body]
             else:
-                members = [(f"{path.stem}.", stmt)]
+                members = [(f"{stem}.", stmt)]
             for prefix, item in members:
                 if isinstance(item, ast.FunctionDef):
                     defs[prefix + item.name] = item
@@ -87,8 +78,23 @@ def reached_defs(defs, module_code, roots):
     for key in defs:
         by_name.setdefault(key.rsplit(".", 1)[1], set()).add(key)
 
-    def named(nodes):
-        return {key for name in referenced(nodes) for key in by_name.get(name, ())}
+    def named(nodes, cls=None):
+        """The defs that ``nodes`` refer to: ``self.<name>`` in a method of
+        class ``cls`` is ``cls.<name>`` when ``cls`` defines it, and every
+        other name and attribute is each def of that name."""
+        out = set()
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    out |= by_name.get(sub.id, set())
+                elif isinstance(sub, ast.Attribute):
+                    own = f"{cls}.{sub.attr}"
+                    if (cls and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+                            and own in defs):
+                        out.add(own)
+                    else:
+                        out |= by_name.get(sub.attr, set())
+        return out
 
     todo = {key for key in roots if key in defs} | named(module_code) | {
         key for key in defs if re.fullmatch(r"__\w+__", key.rsplit(".", 1)[1])}
@@ -96,7 +102,8 @@ def reached_defs(defs, module_code, roots):
     while todo:
         key = todo.pop()
         reached.add(key)
-        todo |= named([defs[key]]) - reached
+        cls = key.rsplit(".", 1)[0] if key.count(".") == 2 else None
+        todo |= named([defs[key]], cls) - reached
     return reached
 
 
@@ -118,6 +125,16 @@ def test_the_walk_leaves_out_what_nothing_refers_to():
             "linalg.solve_unique"}.isdisjoint(reached)
     assert {"cohomology.chain_degrees", "forms.exterior_derivative_generators",
             "verify.run_verify"} <= reached
+    # a method called only through ``self`` in another class that defines
+    # the same name is not reached through that call
+    defs, module_code = source_defs([("m", (
+        "class A:\n"
+        "    def f(self): pass\n"
+        "    def g(self): return self.f()\n"
+        "class B:\n"
+        "    def f(self): pass\n"
+        "A().g()\n"))])
+    assert reached_defs(defs, module_code, []) == {"m.A.f", "m.A.g"}
 
 
 def test_every_tracer_target_resolves_after_importing_the_cli():

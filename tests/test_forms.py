@@ -362,11 +362,11 @@ def test_oracle_tables_are_built_once_per_constants(sc21):
     w = random_form(random.Random(3), sc21, 1)
     dw = exterior_derivative(sc, w)
     tables = sc.cache[("oracle_tables",)]
-    assert set(sc.cache) == {("oracle_tables",), ("oracle_reach",)}
+    assert set(sc.cache) == {("oracle_tables",)}
     exterior_derivative(sc, dw)
     lie_derivative(sc, DerivationVector.basis(sc, 4), w)
     assert sc.cache[("oracle_tables",)] is tables
-    assert set(sc.cache) == {("oracle_tables",), ("oracle_reach",)}
+    assert set(sc.cache) == {("oracle_tables",)}
     # the tables hold c over one denominator and [E_b, E_u] entry by entry
     for (x, y), row in sc.c.items():
         assert {cc: Fraction(v, tables.den) for cc, v in tables.c[x][y]} == {
@@ -379,12 +379,23 @@ def test_oracle_tables_are_built_once_per_constants(sc21):
             assert GradedMatrix(
                 sc.n, sc.m, [(v // k, v % k, x) for v, x in tables.bracket[b][u]]
             ) == graded_commutator(e, unit), (b, u)
+    # and the reach of the sums: the pairs that c merges into each cc, and
+    # the x that L_a moves to each cc
+    pairs = [set() for _ in range(sc.dim)]
+    moves = [[set() for _ in range(sc.dim)] for _ in range(sc.dim)]
+    for (x, y), row in sc.c.items():
+        for cc, v in row.items():
+            assert v != 0
+            pairs[cc].add(tuple(sorted((x, y))))
+            moves[x][cc].add(y)
+    assert tables.pairs == [sorted(got) for got in pairs]
+    assert [[set(got) for got in row] for row in tables.moves] == moves
     # a second constants object owns its own tables
     other = constants_for(2, 1)
     exterior_derivative(other, w)
     assert other.cache[("oracle_tables",)] is not tables
     assert other.cache[("oracle_tables",)].bracket is not tables.bracket
-    assert other.cache[("oracle_tables",)].sef is not tables.sef
+    assert other.cache[("oracle_tables",)].pairs is not tables.pairs
 
 
 # ---- the oracle's one pass over both parities ---------------------------

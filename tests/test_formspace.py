@@ -294,6 +294,18 @@ def test_kernel_matrices_hold_nonzero_ints_over_the_table_denominator(sc21, sc31
                 assert all(type(v) is int and v for v in col.values())
 
 
+def test_equal_values_share_one_int_object(sc31):
+    # the values reach past the small ints CPython shares anyway, and the
+    # negated columns of L_a along an odd a share theirs too
+    odd = sc31.even_dim
+    for mat, distinct, low in (
+            (d_matrix(FormBasis(sc31, 2)), 16, -36),
+            (lie_matrix(FormBasis(sc31, 2).zero_weight(), odd), 8, -12)):
+        values = [v for col in mat.columns for v in col.values()]
+        assert len(set(values)) == distinct and min(values) == low
+        assert len({id(v) for v in values}) == distinct
+
+
 def test_invariant_one_forms_span_the_canonical_form(sc21):
     assert canonical_line(sc21, invariant_forms(sc21, 1)) is None
 

@@ -10,6 +10,7 @@ from gradedmat.forms import (
     GradedForm,
     canonical_one_form,
 )
+from gradedmat.formspace import invariant_forms
 from gradedmat.matrices import GradedMatrix, graded_commutator
 from gradedmat.symplectic import (
     SymplecticForm,
@@ -21,6 +22,7 @@ from gradedmat.symplectic import (
     symplectic_uniqueness_holds,
 )
 from gradedmat.verify import (
+    canonical_line,
     hamiltonian_invariance,
     hamiltonian_scaling,
     poisson_commutator,
@@ -124,6 +126,15 @@ def test_uniqueness_up_to_scale(sc21):
     space = closed_invariant_even_two_forms(sc21)
     assert len(space) == 1
     assert symplectic_uniqueness_holds(sc21)
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (3, 1), (3, 2), (4, 1)])
+def test_uniqueness_beyond_the_smallest_algebra(n, m):
+    # the invariant 1-forms are the line of Theta, and the closed invariant
+    # even 2-forms the line of dTheta
+    sc = constants_for(n, m)
+    assert canonical_line(sc, invariant_forms(sc, 1)) is None
+    assert symplectic_uniqueness_holds(sc)
 
 
 def test_production_callers_skip_the_evaluation_oracle(monkeypatch):
