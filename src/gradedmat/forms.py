@@ -33,16 +33,18 @@ ints too; ``coords`` is a Scalar view.  Every form and derivation records
 the algebra basis it is written on and every operation refuses one
 written on another.
 
-Everything here is exact.  The exterior derivative has two routes: the
-frame-generator route (``exterior_derivative_generators``) applies the
-column kernel that ``formspace.d_matrix`` writes d_p with, and the
-alternating evaluation sum (``exterior_derivative``, with
-``lie_derivative`` beside it) is kept apart from it as the independent
-oracle the tests hold it to.  Production code (``symplectic``, ``bundles``)
-runs the kernel route; the evaluation sum is run only by the verify suites
-and the tests.  The symplectic contraction system is factored once per
-form, in ``symplectic``, and each of its solutions is checked on the
-whole system.  Each route reads its own tables, built once per
+Everything here is exact.  Each operator has one production route, the
+frame-generator kernel: ``exterior_derivative_generators`` applies the
+column kernel that ``formspace.d_matrix`` writes d_p with, and
+``lie_derivative`` the one that ``formspace.lie_matrix`` writes L_a with,
+each reading the same per-tuple terms (``_d_tuple``, ``_lie_tuple``).  The
+alternating evaluation sum of d (``exterior_derivative``) is kept apart
+from the kernel as the independent oracle the tests hold it to; the
+evaluation sum of L_a is a reference in the tests alone.  Production code
+(``symplectic``, ``bundles``) never runs the evaluation sum; the verify
+suites and the tests do.  The symplectic contraction system is factored
+once per form, in ``symplectic``, and each of its solutions is checked on
+the whole system.  Each route reads its own tables, built once per
 ``StructureConstants`` and kept in its ``cache`` by ``constants.derived``:
 the kernel's (``_kernel_tables``, ``_d_tuple``) and the oracle's one
 (``_oracle_tables``), each holding integer numerators over one table
@@ -560,21 +562,22 @@ def _interior_support(d: DerivationVector, form: GradedForm) -> List[IndexTuple]
 #
 # The sum runs once over the whole form, whatever its parity.  A term's
 # sign depends on the parity of the coefficient only where an odd index
-# passes it: an odd E_(I_l) bracketed with w in d, an odd E_a moving past w
-# in the structure-constant terms of L_a.  There, an entry of M_K of total
-# parity q (its unit's plus K's) enters with (-1)^q, so the term reads the
-# parity-twisted coefficient (-1)^|K| ``twisted(M_K)`` in place of M_K.
-# The structure-constant terms of d carry no parity sign.
+# passes it: in d, an odd E_(I_l) bracketed with w.  There, an entry of M_K
+# of total parity q (its unit's plus K's) enters with (-1)^q, so the term
+# reads the parity-twisted coefficient (-1)^|K| ``twisted(M_K)`` in place
+# of M_K.  The structure-constant terms of d carry no parity sign.
 #
 # The route reads only its own table (``_oracle_tables``), built once per
 # constants object from ``sc.c`` and the basis elements: it shares no table
 # with the column kernel below, and it brackets by its own entry-wise rule
-# (``_unit_brackets``), not by ``graded_commutator``.  ``d`` and ``L_a``
-# differ only in their per-tuple weight formulas; one sum
-# (``_evaluation_sum``) does the rest.  Within one call each argument tuple
-# is canonicalised once (``_ValueWeights``) and each term's entries are
-# summed once (``_Terms``), [E_b, M_K] from the unit brackets of E_b, one
-# table row per entry of M_K.
+# (``_unit_brackets``), not by ``graded_commutator``.  The sum
+# (``_evaluation_sum``) takes the per-tuple weight formula as an argument:
+# ``exterior_derivative`` gives that of d, and the tests' reference Lie
+# derivative that of L_a.  Within one call each argument tuple is
+# canonicalised once (``_ValueWeights``) and each twisted M_K is made once.
+# A bracket term [E_b, M_K] is added straight into its output tuple's sums,
+# one table row of ``bracket[b]`` per entry of M_K: its output tuple holds
+# K and b, so no bracket term recurs across output tuples.
 
 # (b, K, twist) -> weight of [E_b, M_K] in one tuple's value, an integer
 # over the oracle's table denominator; b None for M_K itself, twist 1 for
@@ -585,6 +588,24 @@ Weights = Dict[Tuple[Optional[int], IndexTuple, int], int]
 def _add(acc: Dict, i, v) -> None:
     cur = acc.get(i)
     acc[i] = v if cur is None else cur + v
+
+
+def _add_rows(parts: Dict[IndexTuple, Parts], key: IndexTuple,
+              table: List[List[Tuple[int, int]]], entries: IntEntries, f: int) -> None:
+    """Add f times each entry (u, part, y) of ``entries`` times the (i, v)
+    of the row ``table[u]`` into the sums of ``key`` in ``parts``, a bracket
+    of the matrix, one table row per entry.  The sums are made at the first
+    nonempty row, so a coefficient that no row reaches adds no empty key."""
+    sums = None
+    for u, part, y in entries:
+        row = table[u]
+        if row:
+            if sums is None:
+                sums = _sums_at(parts, key)
+            acc = sums[part]
+            fy = f * y
+            for i, v in row:
+                acc[i] = acc.get(i, 0) + fy * v
 
 
 def _unit_brackets(e: GradedMatrix, n: int) -> List[List[Tuple[int, int]]]:
@@ -622,16 +643,14 @@ class _OracleTables(NamedTuple):
 
     ``c[x][y]`` lists (cc, c_(x,y)^cc * den), the real structure constants
     as integer numerators over the one denominator ``den``;
-    ``bracket[b]`` is ``_unit_brackets`` of E_b.  The reach of the sums:
-    ``pairs[cc]`` lists the sorted (x, y) with c_(x,y)^cc != 0, and
-    ``moves[a][cc]`` the x with c_(a,x)^cc != 0.
+    ``bracket[b]`` is ``_unit_brackets`` of E_b.  The reach of the d sum:
+    ``pairs[cc]`` lists the sorted (x, y) with c_(x,y)^cc != 0.
     """
 
     den: int
     c: List[List[List[Tuple[int, int]]]]
     bracket: List[List[List[Tuple[int, int]]]]
     pairs: List[List[Tuple[int, int]]]
-    moves: List[List[List[int]]]
 
 
 @derived("oracle_tables")
@@ -639,15 +658,13 @@ def _oracle_tables(sc: StructureConstants) -> _OracleTables:
     """The oracle's tables, built on first use."""
     c = [[[] for _ in range(sc.dim)] for _ in range(sc.dim)]
     pairs = [set() for _ in range(sc.dim)]
-    moves = [[[] for _ in range(sc.dim)] for _ in range(sc.dim)]
     for (x, y), row in sc.c.items():
         c[x][y] = list(row.items())
         for cc in row:
             pairs[cc].add((min(x, y), max(x, y)))
-            moves[x][cc].append(y)
     return _OracleTables(
         sc.den, c, [_unit_brackets(e, sc.n) for e in sc.basis.elements],
-        [sorted(got) for got in pairs], moves,
+        [sorted(got) for got in pairs],
     )
 
 
@@ -666,41 +683,6 @@ class _ValueWeights(dict):
     def __missing__(self, args: IndexTuple) -> Tuple[Optional[IndexTuple], int]:
         got = self[args] = _value_weight(self.form, args)
         return got
-
-
-def _bracketed(units: List[List[Tuple[int, int]]], entries: IntEntries) -> IntEntries:
-    """[E_b, M] from the ``IntEntries`` of M, with ``units`` the unit
-    brackets of E_b: one table row per entry of M."""
-    acc: Parts = ({}, {})
-    for u, part, y in entries:
-        ap = acc[part]
-        for v, x in units[u]:
-            ap[v] = ap.get(v, 0) + x * y
-    return [(v, part, s) for part in (0, 1) for v, s in acc[part].items() if s]
-
-
-class _Terms(dict):
-    """The ``IntEntries`` of each term (b, K, twist) of one call of the
-    oracle, over the form's denominator, summed on first use: M_K, with
-    each entry of odd total parity negated when ``twist``, bracketed by E_b
-    unless b is None."""
-
-    def __init__(self, form: GradedForm, bracket: List[List[List[Tuple[int, int]]]]):
-        super().__init__()
-        self.form, self.bracket = form, bracket
-        self.odd = odd_units(form.n, form.m)
-
-    def __missing__(self, term: Tuple[Optional[int], IndexTuple, int]) -> IntEntries:
-        b, key, twist = term
-        entries = self.form.ints[key]
-        if twist:
-            entries = twisted(entries, self.odd)
-            if tuple_parity(key, self.form.n_even):
-                entries = [(u, part, -y) for u, part, y in entries]
-        if b is not None:
-            entries = _bracketed(self.bracket[b], entries)
-        self[term] = entries
-        return entries
 
 
 def _d_support(sc: StructureConstants, form: GradedForm) -> List[IndexTuple]:
@@ -722,21 +704,6 @@ def _d_support(sc: StructureConstants, form: GradedForm) -> List[IndexTuple]:
     return sorted(t for t in out if is_canonical(t, sc.even_dim))
 
 
-def _lie_support(
-    sc: StructureConstants, a: int, form: GradedForm
-) -> List[IndexTuple]:
-    """The canonical p-tuples the L_a sum can reach, in sorted order: each
-    key K itself, and K with one entry cc replaced by an x with
-    c_(a,x)^cc != 0."""
-    moves = _oracle_tables(sc).moves
-    out = set(form.ints)
-    for key in form.ints:
-        for j, cc in enumerate(key):
-            for x in moves[a][cc]:
-                out.add(tuple(sorted(key[:j] + (x,) + key[j + 1:])))
-    return sorted(t for t in out if is_canonical(t, sc.even_dim))
-
-
 def _evaluation_sum(
     sc: StructureConstants, form: GradedForm, degree: int, keys: List[IndexTuple],
     weights_of: Callable[[IndexTuple, _ValueWeights], Weights],
@@ -747,63 +714,30 @@ def _evaluation_sum(
     one times the lcm of the keys' self-evaluation factors."""
     t = _oracle_tables(sc)
     value = _ValueWeights(form)
-    terms = _Terms(form, t.bracket)
+    odd = odd_units(form.n, form.m)
+    twists: Dict[IndexTuple, IntEntries] = {}  # K -> (-1)^|K| twisted(M_K)
     sef = [self_evaluation_factor(key, form.n_even) for key in keys]
     div = lcm(*sef)
     out: Dict[IndexTuple, Parts] = {}
     for key, f in zip(keys, sef):
         parts = out[key] = ({}, {})
         mult = div // f
-        for term, w in weights_of(key, value).items():
-            if w:
-                add_times(parts, terms[term], w * mult)
+        for (b, got, twist), w in weights_of(key, value).items():
+            if not w:
+                continue
+            entries = form.ints[got]
+            if twist:
+                if got not in twists:
+                    entries = twisted(entries, odd)
+                    if tuple_parity(got, form.n_even):
+                        entries = [(u, part, -y) for u, part, y in entries]
+                    twists[got] = entries
+                entries = twists[got]
+            if b is None:
+                add_times(parts, entries, w * mult)
+            else:
+                _add_rows(out, key, t.bracket[b], entries, w * mult)
     return _normal(form.sl_basis, degree, out, form.den * t.den * div)
-
-
-def lie_derivative(
-    sc: StructureConstants, d: DerivationVector, form: GradedForm
-) -> GradedForm:
-    """Lie derivative along an arbitrary derivation, by the evaluation sum.
-
-    One sum over the whole form per basis derivation a in the support
-    (``_lie_basis``), whatever the form's parity; the L_a are summed with
-    the coordinates x_a as weights.
-    """
-    _require_basis(sc.basis, d.sl_basis)
-    _require_basis(sc.basis, form.sl_basis)
-    lie = {a: _lie_basis(sc, a, form) for a in d.support()}
-    return _combination(sc.basis, form.degree, [
-        (lie[a], *_part_weights(part, x)) for a, part, x in d.ints
-    ], d.den)
-
-
-def _lie_basis(sc: StructureConstants, a: int, form: GradedForm) -> GradedForm:
-    """Lie derivative along the basis derivation a, one sum over the form.
-
-    (L_a w)(I) = [E_a, w(I)] - sum_l sign_l sum_cc c_(a,I_l)^cc w(.., cc, ..).
-    """
-    pa = sc.parity(a)
-    ne = form.n_even
-    t = _oracle_tables(sc)
-    ca, den = t.c[a], t.den
-
-    def weights_of(key: IndexTuple, value: _ValueWeights) -> Weights:
-        weights: Weights = {}
-        got, f = value[key]
-        if got is not None:
-            weights[(a, got, 0)] = f * den
-        acc = 0
-        for l, A in enumerate(key):
-            # an odd E_a also passes the coefficient: the twisted M_K
-            sign = -1 if (pa and acc % 2) else 1
-            for cc, v in ca[A]:
-                got, f = value[key[:l] + (cc,) + key[l + 1:]]
-                if got is not None:
-                    _add(weights, (None, got, pa), -sign * f * v)
-            acc += index_parity(A, ne)
-        return weights
-
-    return _evaluation_sum(sc, form, form.degree, _lie_support(sc, a, form), weights_of)
 
 
 def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
@@ -845,14 +779,22 @@ def exterior_derivative(sc: StructureConstants, form: GradedForm) -> GradedForm:
 
 
 # ======================================================================
-# The generator route: one column kernel for forms and for d_p
+# The generator route: one column kernel for forms and for d_p and L_a
 # ======================================================================
 #
 # The paper's frame-generator formulas, for the monomial E_rc theta^I:
 #   d(E_rc theta^I) = sum_b -[E_rc, E_b] theta^b ^ theta^I
 #                     + sum_j (-1)^j E_rc theta^I_1 .. d theta^I_j .. theta^I_p,
 #   d theta^A       = 1/2 sum_(b,cc) c_(b,cc)^A theta^cc ^ theta^b,
-# each frame monomial moved into canonical order by ``canonicalize``.
+# and, by the graded Leibniz rule with
+# L_a theta^A = -(-1)^(|a||A|) sum_D c_(a,D)^A theta^D,
+#   L_a(E_rc theta^I) = (-1)^(|a||rc|) ( -[E_rc, E_a] theta^I
+#       + sum_j (-1)^(|a|(|I_1|+..+|I_j|))
+#               E_rc theta^I_1 .. L_a theta^I_j .. theta^I_p ),
+# each frame monomial moved into canonical order by ``canonicalize``.  What
+# d and L_a do to the frame monomial theta^I alone is written once each
+# (``_d_tuple``, ``_lie_tuple``), and read both by the matrices of
+# ``formspace`` and by the routes on forms below.
 
 
 class _KernelTables(NamedTuple):
@@ -942,20 +884,58 @@ def exterior_derivative_generators(
     for key, entries in form.ints.items():
         moved, frame = _d_tuple(sc, key)
         for table, out, sign in moved:
-            got = None
-            for u, part, y in entries:
-                row = table[u]
-                if not row:
-                    continue
-                if got is None:
-                    got = _sums_at(parts, out)
-                f = y if sign == 1 else -y
-                acc = got[part]
-                for i, v in row:
-                    acc[i] = acc.get(i, 0) + f * v
+            _add_rows(parts, out, table, entries, sign)
         for out, v in frame:
             add_times(_sums_at(parts, out), entries, v)
     return _normal(form.sl_basis, form.degree + 1, parts, form.den * den)
+
+
+def _lie_tuple(sc: StructureConstants, a: int,
+               key: IndexTuple) -> List[Tuple[IndexTuple, int]]:
+    """The frame terms of L_a on the frame monomial theta^I: the nonzero
+    (canonical tuple, summed sign_j c_(a,D)^A * canonical sign), unit kept
+    and the odd-unit sign (-1)^(|a||rc|) left out, with values over the
+    table denominator as in ``_KernelTables``."""
+    t = _kernel_tables(sc)
+    ne, pa = sc.even_dim, sc.parity(a)
+    frame: Dict[IndexTuple, int] = {}
+    passed = 0
+    for j, A in enumerate(key):
+        passed += A >= ne
+        sign_j = 1 if (pa and passed % 2) else -1
+        for D, v in t.coad[a][A]:
+            canon = canonicalize(key[:j] + (D,) + key[j + 1:], ne)
+            if canon is not None:
+                _add(frame, canon[0], sign_j * canon[1] * v)
+    return [(out, v) for out, v in frame.items() if v]
+
+
+def lie_derivative(
+    sc: StructureConstants, d: DerivationVector, form: GradedForm
+) -> GradedForm:
+    """Lie derivative along an arbitrary derivation, through the column
+    kernel of ``formspace.lie_matrix``.
+
+    Each coordinate (a, part, x) of ``d`` weights L_a of every monomial
+    E_u theta^K, the bracket term -[E_u, E_a] theta^K and the frame terms
+    of ``_lie_tuple``, by x or i x; summed in ints over the form's, the
+    table's and the derivation's denominators.
+    """
+    _require_basis(sc.basis, d.sl_basis)
+    _require_basis(sc.basis, form.sl_basis)
+    t = _kernel_tables(sc)
+    odd = odd_units(form.n, form.m)
+    parts: Dict[IndexTuple, Parts] = {}  # output tuple -> its sums
+    for a, part, x in d.ints:
+        flip = sc.parity(a)
+        for key, entries in form.ints.items():
+            # x or i x times the entries, the odd units negated for an odd a
+            weighted = [(u, p ^ part, -x * y if (flip & odd[u]) ^ (part & p) else x * y)
+                        for u, p, y in entries]
+            _add_rows(parts, key, t.comm[a], weighted, 1)
+            for out, v in _lie_tuple(sc, a, key):
+                add_times(_sums_at(parts, out), weighted, v)
+    return _normal(form.sl_basis, form.degree, parts, form.den * t.den * d.den)
 
 
 # ======================================================================

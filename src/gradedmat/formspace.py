@@ -18,15 +18,17 @@ basis Lie derivatives on any ``FormBasis``, with every label of the output
 degree as rows, are written column by column straight from the structure
 constants (``d_matrix``, ``lie_matrix``): each column is summed in ints
 from the kernel tables of ``forms``, and those sums are kept as they are,
-over the table denominator.  Form coordinates are read off a form's integer
+over the table denominator.  ``forms.exterior_derivative_generators`` and
+``forms.lie_derivative`` apply the same per-tuple terms to a form, so d and
+L_a are each written once.  Form coordinates are read off a form's integer
 numerators (``form_to_sparse``).  A map's rank and kernel come from one
 elimination of its integer rows, kept on the map: kernels are sparse,
 content-stripped integer vectors {column: value} back-substituted from the
 rank's echelon, and ``kernel_forms`` turns the kernel of a stack of maps
-into forms.  ``matrix_of_map`` runs any
-form-level map over the basis instead and puts the images over the lcm of
-their denominators; with ``exterior_derivative`` and ``lie_derivative`` it
-is the oracle the tests hold the column kernel to.
+into forms.  ``matrix_of_map`` runs any form-level map over the basis
+instead and puts the images over the lcm of their denominators; with the
+evaluation sums (``forms.exterior_derivative`` and the tests' reference
+Lie derivative) it is the oracle the tests hold the column kernel to.
 """
 from __future__ import annotations
 
@@ -38,8 +40,8 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from . import linalg
 from .constants import StructureConstants, derived
-from .forms import GradedForm, _add, _d_tuple, _kernel_tables
-from .indexset import canonicalize, enumerate_multi_indices
+from .forms import GradedForm, _add, _d_tuple, _kernel_tables, _lie_tuple
+from .indexset import enumerate_multi_indices
 from .matrices import GradedMatrix, IntEntries, odd_units
 
 Label = Tuple[Tuple[int, ...], int, int]
@@ -332,15 +334,12 @@ def stack_maps(maps: Sequence[LinearMapMatrix]) -> LinearMapMatrix:
 # Sparse column kernel: d_p and the basis Lie derivatives
 # ======================================================================
 #
-# d_p reads the image of E_rc theta^I off ``forms._d_tuple(sc, I)``, the
-# generator route of ``forms``.  For L_a the graded Leibniz rule gives,
-# with L_a theta^A = -(-1)^(|a||A|) sum_D c_(a,D)^A theta^D,
-#   L_a(E_rc theta^I) = (-1)^(|a||rc|) ( -[E_rc, E_a] theta^I
-#       + sum_j (-1)^(|a|(|I_1|+..+|I_j|))
-#               E_rc theta^I_1 .. L_a theta^I_j .. theta^I_p ).
-#
-# The frame part depends on I alone, so it is summed once per index tuple;
-# a term of unit u' in tuple I' lands in row ``out.offset(I') + u'``.
+# d_p reads the image of E_rc theta^I off ``forms._d_tuple(sc, I)`` and L_a
+# off ``forms._lie_tuple(sc, a, I)``, the generator route of ``forms``
+# (whose comment gives both formulas); ``forms.exterior_derivative_generators``
+# and ``forms.lie_derivative`` read the same per-tuple terms.  The frame
+# part depends on I alone, so it is summed once per index tuple; a term of
+# unit u' in tuple I' lands in row ``out.offset(I') + u'``.
 
 
 def _columns(
@@ -398,24 +397,14 @@ def lie_matrix(basis: FormBasis, a: int) -> LinearMapMatrix:
     labels of ``basis``; the rows are all of its degree."""
     sc = basis.sc
     t = _kernel_tables(sc)
-    ne, pa = sc.even_dim, sc.parity(a)
     full = FormBasis(sc, basis.p)
 
     def per_tuple(key):
-        frame: Dict[int, int] = {}
-        passed = 0
-        for j, A in enumerate(key):
-            passed += A >= ne
-            sign_j = 1 if (pa and passed % 2) else -1
-            for D, v in t.coad[a][A]:
-                canon = canonicalize(key[:j] + (D,) + key[j + 1:], ne)
-                if canon is not None:
-                    _add(frame, full.offset(canon[0]), sign_j * canon[1] * v)
         return ([(t.comm[a], full.offset(key), 1)],
-                [(off, v) for off, v in frame.items() if v])
+                [(full.offset(I), v) for I, v in _lie_tuple(sc, a, key)])
 
     # an odd a passes the odd units: (-1)^(|a||rc|)
-    flip = odd_units(sc.n, sc.m) if pa else ()
+    flip = odd_units(sc.n, sc.m) if sc.parity(a) else ()
     return LinearMapMatrix(basis, len(full), _columns(basis, per_tuple, flip), t.den)
 
 

@@ -5,10 +5,13 @@ and a short counterexample when it does not; the suites, the acceptance
 criteria and the unit tests all call it, each on its own samples.  Where
 callers use both routes of d, the route is the argument ``d``: the kernel
 ``exterior_derivative_generators`` or the oracle ``exterior_derivative``.
-A parity argument is the declared parity of the form or matrix before
-it.  Flatness and the Bianchi identity stay in ``bundles``
-(``fm_is_zero``, ``Connection.bianchi_holds``).  A suite draws every
-sample of a check before it evaluates one, so the seed fixes every draw.
+The Lie derivative has one route, the kernel (``lie_derivative``), so
+only the checks that name the evaluation route run the evaluation sum,
+through ``exterior_derivative``.  A parity argument is the declared parity
+of the form or matrix before it.  Flatness and the Bianchi identity stay
+in ``bundles`` (``fm_is_zero``, ``Connection.bianchi_holds``).  A suite
+draws every sample of a check before it evaluates one, so the seed fixes
+every draw.
 """
 from __future__ import annotations
 

@@ -2,16 +2,18 @@
 that no command runs and that is not public API.  Imports no test module."""
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from gradedmat import linalg
 from gradedmat.basis import HomogeneousBasis
 from gradedmat.bundles import Connection, fm_sub, fm_wedge
 from gradedmat.cohomology import ensure_body_adapted
 from gradedmat.constants import StructureConstants
-from gradedmat.forms import (DerivationVector, GradedForm, _part_weights, _require_basis,
-                             wedge, wedge_matrix_form)
-from gradedmat.indexset import canonicalize, enumerate_multi_indices, self_evaluation_factor
+from gradedmat.forms import (DerivationVector, GradedForm, Weights, _add, _combination,
+                             _evaluation_sum, _oracle_tables, _part_weights, _require_basis,
+                             _ValueWeights, wedge, wedge_matrix_form)
+from gradedmat.indexset import (canonicalize, enumerate_multi_indices, index_parity,
+                                is_canonical, self_evaluation_factor)
 from gradedmat.matrices import (GradedMatrix, combined, gaussian, graded_commutator,
                                 odd_units, twisted)
 from gradedmat.scalars import Scalar
@@ -137,6 +139,78 @@ def apply_derivation(
     brackets = {a: graded_commutator(sc.basis.elements[a], mat) for a in d.support()}
     return GradedMatrix.from_ints(sc.n, sc.m, *combined(
         ((brackets[a], *_part_weights(p, x)) for a, p, x in d.ints), d.den))
+
+
+# ---- the Lie derivative by the evaluation sum ----
+#
+# The reference the column kernel of ``forms.lie_derivative`` and
+# ``formspace.lie_matrix`` is held to: the alternating evaluation sum of
+# ``forms._evaluation_sum``, reading only the oracle's tables, with the
+# weight formula of L_a.
+
+
+def lie_moves(sc: StructureConstants, a: int) -> List[List[int]]:
+    """The reach of L_a: the list at cc holds the x with c_(a,x)^cc != 0."""
+    moves = [[] for _ in range(sc.dim)]
+    for x, row in enumerate(_oracle_tables(sc).c[a]):
+        for cc, _ in row:
+            moves[cc].append(x)
+    return moves
+
+
+def lie_support(sc: StructureConstants, a: int, form: GradedForm) -> List[IndexTuple]:
+    """The canonical p-tuples the L_a sum can reach, in sorted order: each
+    key K itself, and K with one entry cc replaced by an x with
+    c_(a,x)^cc != 0."""
+    moves = lie_moves(sc, a)
+    out = set(form.ints)
+    for key in form.ints:
+        for j, cc in enumerate(key):
+            for x in moves[cc]:
+                out.add(tuple(sorted(key[:j] + (x,) + key[j + 1:])))
+    return sorted(t for t in out if is_canonical(t, sc.even_dim))
+
+
+def lie_basis_by_evaluation(sc: StructureConstants, a: int, form: GradedForm) -> GradedForm:
+    """Lie derivative along the basis derivation a, one sum over the form.
+
+    (L_a w)(I) = [E_a, w(I)] - sum_l sign_l sum_cc c_(a,I_l)^cc w(.., cc, ..);
+    an odd E_a also passes the coefficient in the structure-constant terms,
+    which read the parity-twisted M_K there.
+    """
+    pa = sc.parity(a)
+    ne = form.n_even
+    t = _oracle_tables(sc)
+    ca, den = t.c[a], t.den
+
+    def weights_of(key: IndexTuple, value: _ValueWeights) -> Weights:
+        weights: Weights = {}
+        got, f = value[key]
+        if got is not None:
+            weights[(a, got, 0)] = f * den
+        acc = 0
+        for l, A in enumerate(key):
+            sign = -1 if (pa and acc % 2) else 1
+            for cc, v in ca[A]:
+                got, f = value[key[:l] + (cc,) + key[l + 1:]]
+                if got is not None:
+                    _add(weights, (None, got, pa), -sign * f * v)
+            acc += index_parity(A, ne)
+        return weights
+
+    return _evaluation_sum(sc, form, form.degree, lie_support(sc, a, form), weights_of)
+
+
+def lie_by_evaluation(sc: StructureConstants, d: DerivationVector,
+                      form: GradedForm) -> GradedForm:
+    """Lie derivative along an arbitrary derivation: the L_a of each basis
+    derivation a in the support, summed with the coordinates x_a as weights."""
+    _require_basis(sc.basis, d.sl_basis)
+    _require_basis(sc.basis, form.sl_basis)
+    lie = {a: lie_basis_by_evaluation(sc, a, form) for a in d.support()}
+    return _combination(sc.basis, form.degree, [
+        (lie[a], *_part_weights(part, x)) for a, part, x in d.ints
+    ], d.den)
 
 
 def embed_vector_field(

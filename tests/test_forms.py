@@ -60,7 +60,14 @@ from tests.helpers import (
     ref_interior,
     sparse_values,
 )
-from tests.reference import coefficients_from_values, from_coords, parity_twist
+from tests import reference
+from tests.reference import (
+    coefficients_from_values,
+    from_coords,
+    lie_by_evaluation,
+    lie_moves,
+    parity_twist,
+)
 
 IDM = GradedMatrix.identity(2, 1)
 
@@ -305,11 +312,11 @@ def test_oracle_tuple_filter_misses_nothing(request, seed, p, parity):
         rng = random.Random(seed)
         w = random_form(rng, sc, p, parity=parity)
         da = DerivationVector.basis(sc, rng.randrange(sc.dim))
-        filtered = exterior_derivative(sc, w), lie_derivative(sc, da, w)
+        filtered = exterior_derivative(sc, w), lie_by_evaluation(sc, da, w)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forms, "_d_support", _every_d_tuple)
-            mp.setattr(forms, "_lie_support", _every_lie_tuple)
-            full = exterior_derivative(sc, w), lie_derivative(sc, da, w)
+            mp.setattr(reference, "lie_support", _every_lie_tuple)
+            full = exterior_derivative(sc, w), lie_by_evaluation(sc, da, w)
         assert filtered == full, (name, p, parity)
 
 
@@ -349,7 +356,7 @@ def test_oracle_reads_no_kernel_table(monkeypatch):
         dw = exterior_derivative(sc, w)
         assert exterior_derivative(sc, dw).is_zero()
         da = DerivationVector.basis(sc, rng.randrange(sc.dim))
-        lie_derivative(sc, da, w)
+        lie_by_evaluation(sc, da, w)
         interior_product(da, dw)
     assert not [k for k in sc.cache if k[0] in ("column_kernel", "d_tuple")]
     with pytest.raises(AssertionError):
@@ -364,7 +371,7 @@ def test_oracle_tables_are_built_once_per_constants(sc21):
     tables = sc.cache[("oracle_tables",)]
     assert set(sc.cache) == {("oracle_tables",)}
     exterior_derivative(sc, dw)
-    lie_derivative(sc, DerivationVector.basis(sc, 4), w)
+    lie_by_evaluation(sc, DerivationVector.basis(sc, 4), w)
     assert sc.cache[("oracle_tables",)] is tables
     assert set(sc.cache) == {("oracle_tables",)}
     # the tables hold c over one denominator and [E_b, E_u] entry by entry
@@ -380,7 +387,7 @@ def test_oracle_tables_are_built_once_per_constants(sc21):
                 sc.n, sc.m, [(v // k, v % k, x) for v, x in tables.bracket[b][u]]
             ) == graded_commutator(e, unit), (b, u)
     # and the reach of the sums: the pairs that c merges into each cc, and
-    # the x that L_a moves to each cc
+    # the x that the reference's L_a moves to each cc, read off the tables
     pairs = [set() for _ in range(sc.dim)]
     moves = [[set() for _ in range(sc.dim)] for _ in range(sc.dim)]
     for (x, y), row in sc.c.items():
@@ -389,7 +396,7 @@ def test_oracle_tables_are_built_once_per_constants(sc21):
             pairs[cc].add(tuple(sorted((x, y))))
             moves[x][cc].add(y)
     assert tables.pairs == [sorted(got) for got in pairs]
-    assert [[set(got) for got in row] for row in tables.moves] == moves
+    assert [[set(got) for got in lie_moves(sc, a)] for a in range(sc.dim)] == moves
     # a second constants object owns its own tables
     other = constants_for(2, 1)
     exterior_derivative(other, w)
@@ -402,8 +409,9 @@ def test_oracle_tables_are_built_once_per_constants(sc21):
 #
 # The oracle sums once over a form of mixed parity, reading the
 # parity-twisted coefficient wherever an odd index passes it.  Its d must
-# equal the kernel's, and its L_a the columns of ``lie_matrix``; with the
-# twist made the identity, each mixed form must be caught.
+# equal the kernel's, and the reference's L_a on the same sum the columns
+# of ``lie_matrix``; with the twist made the identity, each mixed form must
+# be caught.
 
 
 def mixed_forms(sc, rng):
@@ -441,7 +449,7 @@ def oracle_mismatches(sc, ws):
             bad.append((w.degree, "d"))
         for a in range(sc.dim):
             entries, den = form_to_sparse(
-                lie_derivative(sc, DerivationVector.basis(sc, a), w), FormBasis(sc, w.degree))
+                lie_by_evaluation(sc, DerivationVector.basis(sc, a), w), FormBasis(sc, w.degree))
             want = {(i, part): Fraction(y, den) for i, part, y in entries}
             if lie_columns_applied(sc, a, w) != want:
                 bad.append((w.degree, f"L_{a}"))
@@ -474,7 +482,7 @@ def test_oracle_refuses_a_basis_element_that_is_not_integral(sc21, factor):
     with pytest.raises(ValueError, match="not an integer"):
         exterior_derivative(sc, theta)
     with pytest.raises(ValueError, match="not an integer"):
-        lie_derivative(sc, DerivationVector.basis(sc, 0), theta)
+        lie_by_evaluation(sc, DerivationVector.basis(sc, 0), theta)
 
 
 # ---- both routes on forms with denominators ----------------------------
@@ -488,8 +496,8 @@ gaussian_fractions = st.builds(Scalar, fraction_parts, fraction_parts)
 
 
 @st.composite
-def fractional_forms(draw, sc):
-    p = draw(st.integers(0, 2), label="degree")
+def fractional_forms(draw, sc, max_degree=2):
+    p = draw(st.integers(0, max_degree), label="degree")
     keys = enumerate_multi_indices(sc.even_dim, sc.odd_dim, p)
     k = sc.n + sc.m
     coeffs = {}
@@ -515,11 +523,46 @@ def test_routes_agree_on_forms_with_denominators(request, data):
         assert exterior_derivative_generators(sc, dw).is_zero(), name
         a = data.draw(st.integers(0, sc.dim - 1), label="a")
         basis = FormBasis(sc, w.degree)
-        want = lie_derivative(sc, DerivationVector.basis(sc, a), w)
+        want = lie_by_evaluation(sc, DerivationVector.basis(sc, a), w)
         lie = lie_matrix(basis, a)
         image = linalg.combine(lie.columns, sparse_values(w, basis))
         got = {i: s / lie.den for i, s in image.items()}
         assert got == sparse_values(want, basis), (name, a)
+
+
+# ---- the kernel Lie derivative against the evaluation sum ---------------
+#
+# ``lie_derivative`` runs on the column kernel; the reference sums the
+# alternating evaluation formula on the oracle's own tables.  Each drawn
+# derivation has an even and, where the algebra has one, an odd coordinate
+# with nonzero real and imaginary parts, so the odd-unit sign of an odd a
+# and the weight of an imaginary coordinate are both exercised.
+
+nonzero_parts = fraction_parts.filter(bool)
+
+
+@st.composite
+def mixed_derivations(draw, sc):
+    coords = [0] * sc.dim
+    ne = sc.even_dim
+    picked = [draw(st.integers(0, ne - 1), label="even a")]
+    if sc.odd_dim:
+        picked.append(draw(st.integers(ne, sc.dim - 1), label="odd a"))
+    for a in picked:
+        coords[a] = Scalar(draw(nonzero_parts), draw(nonzero_parts))
+    for a in draw(st.lists(st.integers(0, sc.dim - 1), max_size=2), label="more"):
+        coords[a] = draw(gaussian_fractions, label="x")
+    return from_coords(sc, coords)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kernel_lie_derivative_equals_the_evaluation_sum(request, data):
+    for name in SHAPES:
+        sc = request.getfixturevalue(name)
+        w = data.draw(fractional_forms(sc, 3), label=name)
+        d = data.draw(mixed_derivations(sc), label="d")
+        assert lie_derivative(sc, d, w) == lie_by_evaluation(sc, d, w), (name, w.degree)
 
 
 def test_derivative_squares_to_zero(sc21):

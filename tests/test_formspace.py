@@ -20,15 +20,12 @@ from gradedmat.formspace import (
     stack_maps,
     vector_to_form,
 )
-from gradedmat.forms import (
-    DerivationVector,
-    exterior_derivative,
-    lie_derivative,
-)
+from gradedmat.forms import DerivationVector, exterior_derivative
 from gradedmat.indexset import enumerate_multi_indices, index_count, tuple_parity
 from gradedmat.scalars import I
 from gradedmat.verify import canonical_line
 from tests.helpers import column_values, rand_form, sparse_values
+from tests.reference import lie_by_evaluation
 
 
 def reference_labels(sc, p):
@@ -41,12 +38,12 @@ def reference_labels(sc, p):
 
 
 def reference_zero_weight_labels(sc, p):
-    """The labels whose basis form the evaluation route's Lie derivative
+    """The labels whose basis form the evaluation sum's Lie derivative
     along every diagonal basis element kills, in label order."""
     diagonal = [DerivationVector.basis(sc, h) for h, e in enumerate(sc.basis.elements)
                 if all(r == c for r, c, _ in e.nonzeros())]
     return [lab for lab in reference_labels(sc, p)
-            if all(lie_derivative(sc, h, basis_form(sc, lab)).is_zero()
+            if all(lie_by_evaluation(sc, h, basis_form(sc, lab)).is_zero()
                    for h in diagonal)]
 
 
@@ -224,7 +221,7 @@ def test_stack_maps_refuses_different_bases_of_equal_size(sc20, sc21, sc12):
 def test_stacked_kernel_is_joint_kernel(sc21):
     maps = [
         matrix_of_map(
-            lambda f, a=a: lie_derivative(
+            lambda f, a=a: lie_by_evaluation(
                 sc21, DerivationVector.basis(sc21, a), f
             ),
             sc21,
@@ -238,7 +235,7 @@ def test_stacked_kernel_is_joint_kernel(sc21):
     assert len(vecs) == 1
     w = vector_to_form(vecs[0], stacked.basis)
     for a in range(sc21.dim):
-        assert lie_derivative(sc21, DerivationVector.basis(sc21, a), w).is_zero()
+        assert lie_by_evaluation(sc21, DerivationVector.basis(sc21, a), w).is_zero()
 
 
 def test_stack_over_different_denominators_keeps_the_values(sc21):
@@ -246,7 +243,7 @@ def test_stack_over_different_denominators_keeps_the_values(sc21):
     # 1 or 2): the stack rescales each block to the lcm of the denominators
     maps = [
         lie_matrix(FormBasis(sc21, 1), a) if a % 2 == 0 else matrix_of_map(
-            lambda f, a=a: lie_derivative(sc21, DerivationVector.basis(sc21, a), f),
+            lambda f, a=a: lie_by_evaluation(sc21, DerivationVector.basis(sc21, a), f),
             sc21, 1, 1,
         )
         for a in range(sc21.dim)
@@ -394,7 +391,7 @@ def test_lie_matrix_columns_match_values_route(sc21, kernel_memo, data):
         mat = kernel_memo(("lie", a, p, zero), lambda: lie_matrix(labels, a))
         assert mat.basis == labels
         assert mat.nrows == len(out)
-        want = lie_derivative(sc21, DerivationVector.basis(sc21, a), w)
+        want = lie_by_evaluation(sc21, DerivationVector.basis(sc21, a), w)
         assert column_values(mat, j) == sparse_values(want, out), (a, labels[j])
 
 

@@ -8,6 +8,7 @@ input, which must return None.
 """
 import json
 import random
+import sys
 
 import pytest
 
@@ -209,3 +210,27 @@ def test_monomial_check_samples_the_labels_of_a_wide_degree(sc21, sc31, monkeypa
     assert monomial_check(sc31, 0) == (MONOMIALS, True, None, "376 monomials")
     drawn = sorted(random.Random(0).sample(FormBasis(sc31, 2), 120))
     assert seen == list(FormBasis(sc31, 0)) + list(FormBasis(sc31, 1)) + drawn
+
+
+def test_verify_runs_the_evaluation_sum_only_for_the_oracle_d(monkeypatch):
+    # every Lie derivative of verify runs on the column kernel, so the
+    # evaluation sum runs once per call of the evaluation-route d, and for
+    # nothing else
+    calls = {"d": 0, "sum": 0}
+    real_d, real_sum = forms.exterior_derivative, forms._evaluation_sum
+
+    def counted_d(*args):
+        calls["d"] += 1
+        return real_d(*args)
+
+    def counted_sum(*args):
+        calls["sum"] += 1
+        return real_sum(*args)
+
+    for mod in [mod for name, mod in sys.modules.items() if name.startswith("gradedmat.")]:
+        if vars(mod).get("exterior_derivative") is real_d:
+            monkeypatch.setattr(mod, "exterior_derivative", counted_d)
+    monkeypatch.setattr(forms, "_evaluation_sum", counted_sum)
+    reports = verify.run_verify(constants_for(2, 1), 0, False)
+    assert [(r.title, c.name) for r in reports for c in r.checks if not c.passed] == []
+    assert calls["sum"] == calls["d"] > 0, calls
